@@ -42,7 +42,6 @@ from .estimator import (
     EstimatorState,
     build_estimator,
     classify,
-    delta,
     initial_estimates,
     save_estimator,
 )

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 from .estimator import Classification
 from .graphs import (
-    bfs_parents,
+    find_lasso,
     is_cyclic_component,
-    path_from_parents,
     shortest_cycle,
     strongly_connected_components,
 )
-from .quotient import Kind, Lasso, UTrace, external_successors
+from .quotient import Kind, Lasso, external_moves
 
 
 @dataclass(frozen=True)
@@ -133,61 +132,50 @@ def check_progressive(model):
     return ProgressReport(True, None)
 
 
-def _indeterminate_subgraph(est):
-    """Adjacency among indeterminate states, with (action, obs) labels."""
-    indet = {
-        sid
-        for sid, st in enumerate(est.states)
-        if st.classification is Classification.INDETERMINATE
-    }
-    adj = {sid: [] for sid in indet}
-    for (src, action, obs), dst in sorted(est.transitions.items()):
-        if src in indet and dst in indet:
-            adj[src].append(((action, obs), dst))
-    return indet, adj
+def _indeterminate_graph(est):
+    """The estimator adjacency, its indeterminate states, and their successors.
 
-
-def _full_adjacency(est):
+    ``adj`` lists ((action, obs), dst) pairs per state in sorted order; the
+    successor function keeps only indeterminate targets.
+    """
     adj = {sid: [] for sid in range(len(est.states))}
     for (src, action, obs), dst in sorted(est.transitions.items()):
         adj[src].append(((action, obs), dst))
-    return adj
+    indet = [
+        sid
+        for sid, st in enumerate(est.states)
+        if st.classification is Classification.INDETERMINATE
+    ]
+    indet_set = set(indet)
+
+    def indet_succ(sid):
+        return (d for _, d in adj[sid] if d in indet_set)
+
+    return adj, indet, indet_succ
 
 
-def _state_observables(est):
-    """Observable per reachable state, from initials and edge labels."""
-    obs_of = {}
-    for obs, sid in est.initials.items():
-        obs_of[sid] = obs
-    for (_, _, obs), dst in est.transitions.items():
-        obs_of.setdefault(dst, obs)
-    return obs_of
-
-
-def _fault_product(est):
+def _fault_product(est, adj, indet):
     """Indeterminate estimator states paired with their faulty members.
 
-    A product edge follows one estimator transition while moving the
-    faulty class along a consistent single-class step; a cycle here is
-    exactly an indeterminate loop some faulty run can sustain forever.
-    Needs the backing model to resolve single-class successors.
+    A product edge follows one estimator transition between indeterminate
+    states while moving the faulty class along a consistent single-class
+    step; a cycle here is exactly an indeterminate loop some faulty run can
+    sustain forever.  Needs the backing model to resolve single-class
+    successors.  Returns the adjacency, keyed by node in canonical order.
     """
     model = est.model
-    indet, adj = _indeterminate_subgraph(est)
-    nodes = []
-    for sid in sorted(indet):
-        for c in est.states[sid].members:
-            if model.faulty[c]:
-                nodes.append((sid, c))
-    product_adj = {node: [] for node in nodes}
-    for sid in sorted(indet):
+    faulty = {sid: [c for c in est.states[sid].members if model.faulty[c]] for sid in indet}
+    moves = external_moves(model, {c for cs in faulty.values() for c in cs})
+    product = {(sid, c): [] for sid in indet for c in faulty[sid]}
+    for sid in indet:
         for (action, obs), dst in adj[sid]:
-            for c in est.states[sid].members:
-                if not model.faulty[c]:
-                    continue
-                for c2 in sorted(external_successors(model, (c,), action, obs)):
-                    product_adj[(sid, c)].append(((action, obs), (dst, c2)))
-    return nodes, product_adj
+            if dst not in faulty:  # keyed by exactly the indeterminate states
+                continue
+            for c in faulty[sid]:
+                for c2, o in moves[(c, action)]:
+                    if o == obs:
+                        product[(sid, c)].append(((action, obs), (dst, c2)))
+    return product
 
 
 def check_diagnosable(est):
@@ -201,66 +189,25 @@ def check_diagnosable(est):
     from an initial state into the loop and the shortest cycle of
     indeterminate states a faulty run can then repeat forever.
     """
-    indet, adj = _indeterminate_subgraph(est)
-    comps = strongly_connected_components(sorted(indet), lambda s: (d for _, d in adj[s]))
-    if not any(is_cyclic_component(c, lambda s: (d for _, d in adj[s])) for c in comps):
+    adj, indet, indet_succ = _indeterminate_graph(est)
+    comps = strongly_connected_components(indet, indet_succ)
+    if not any(is_cyclic_component(c, indet_succ) for c in comps):
         return DiagnosabilityVerdict(True, None)
 
     if est.model is None:
         raise ValueError(
             "deciding cyclic indeterminate loops needs the estimator's backing model"
         )
-    nodes, product_adj = _fault_product(est)
-    pcomps = strongly_connected_components(
-        nodes, lambda v: (d for _, d in product_adj[v])
-    )
-    cyclic_nodes = set()
-    for comp in pcomps:
-        if is_cyclic_component(comp, lambda v: (d for _, d in product_adj[v])):
-            cyclic_nodes.update(comp)
-    if not cyclic_nodes:
-        return DiagnosabilityVerdict(True, None)
-
-    full = _full_adjacency(est)
+    product = _fault_product(est, adj, indet)
     starts = [sid for _, sid in sorted(est.initials.items())]
-    parents = bfs_parents(starts, lambda s: full[s])
-    candidates = sorted({sid for sid, _ in cyclic_nodes} & set(parents))
-    if not candidates:
+    found = find_lasso(
+        starts, adj.__getitem__, product, product.__getitem__, lambda node: node[0]
+    )
+    if found is None:
         return DiagnosabilityVerdict(True, None)
-    entry_sid = min(
-        candidates,
-        key=lambda sid: (len(path_from_parents(parents, sid)[0]), sid),
-    )
-    prefix_nodes, prefix_labels = path_from_parents(parents, entry_sid)
-    entry = min(node for node in cyclic_nodes if node[0] == entry_sid)
-    comp = next(c for c in pcomps if entry in c)
-    cycle_nodes, cycle_labels = shortest_cycle(
-        entry, lambda v: product_adj[v], set(comp)
-    )
-
-    obs_of = _state_observables(est)
-    prefix = UTrace(obs_of[prefix_nodes[0]])
-    for action, obs in prefix_labels:
-        prefix = prefix.extend(action, obs)
-    cycle = UTrace(obs_of[entry_sid])
-    for action, obs in cycle_labels:
-        cycle = cycle.extend(action, obs)
-    return DiagnosabilityVerdict(False, Lasso(prefix, cycle))
-
-
-def _longest_chain(nodes, adj):
-    """Longest path (in nodes) of an acyclic graph, by memoized descent."""
-    longest = {}
-
-    def chain(v):
-        if v in longest:
-            return longest[v]
-        longest[v] = 1  # placeholder; callers guarantee acyclicity
-        best = 1 + max((chain(d) for _, d in adj[v]), default=0)
-        longest[v] = best
-        return best
-
-    return max((chain(v) for v in nodes), default=0)
+    prefix_nodes, prefix_labels, _, cycle_labels = found
+    head = {sid: obs for obs, sid in est.initials.items()}[prefix_nodes[0]]
+    return DiagnosabilityVerdict(False, Lasso.from_steps(head, prefix_labels, cycle_labels))
 
 
 def detection_delay_bound(est):
@@ -269,17 +216,23 @@ def detection_delay_bound(est):
     After a fault the estimate tracks the true (faulty) class, so the
     ambiguous stretch is a path in the fault product; one more than its
     longest chain bounds the wait for a yes.  Only defined for
-    diagnosable estimators.  Without a backing model (hand-built graphs)
-    the indeterminate subgraph itself is used; any product path projects
-    into it, so that is still a sound bound.
+    diagnosable estimators: a cycle in that graph raises ValueError.
+    Without a backing model (hand-built graphs) the indeterminate subgraph
+    itself is used; any product path projects into it, so that is still a
+    sound bound.
     """
-    if not check_diagnosable(est).diagnosable:
-        raise ValueError("detection delay is undefined for non-diagnosable systems")
+    adj, nodes, succ = _indeterminate_graph(est)
     if est.model is not None:
-        nodes, adj = _fault_product(est)
-        return _longest_chain(nodes, adj) + 1
-    indet, adj = _indeterminate_subgraph(est)
-    return _longest_chain(sorted(indet), adj) + 1
+        product = _fault_product(est, adj, nodes)
+        nodes, succ = product, lambda v: (d for _, d in product[v])
+    # Components arrive successors first, so every chain below is known.
+    longest = {}
+    for comp in strongly_connected_components(nodes, succ):
+        if is_cyclic_component(comp, succ):
+            raise ValueError("detection delay is undefined for non-diagnosable systems")
+        v = comp[0]
+        longest[v] = 1 + max((longest[d] for d in succ(v)), default=0)
+    return max(longest.values(), default=0) + 1
 
 
 def replay_lasso(est, lasso):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .estimator import Classification, EstimatorGraph, _parse_graph_json
+from .estimator import Classification, _graph_data, _parse_graph_json
 
 
 class Status(str, Enum):
@@ -144,16 +144,9 @@ def run_trace(diag, trace):
 
 
 def dumps_diagnoser(diag):
-    data = json.loads(_estimator_json(diag))
+    data = _graph_data(diag)
     data["output"] = {str(i): out for i, out in enumerate(diag.output)}
     return json.dumps(data, indent=2) + "\n"
-
-
-def _estimator_json(diag):
-    from .estimator import dumps_estimator
-
-    est = EstimatorGraph(diag.states, diag.initials, diag.transitions)
-    return dumps_estimator(est)
 
 
 def save_diagnoser(diag, path):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapExceeded, ModelFormatError
-from .quotient import external_successors, unobservable_closure
+from .quotient import unobservable_closure
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -62,16 +62,6 @@ class EstimatorGraph:
     transitions: dict[tuple[int, str, int], int]
     model: object = field(default=None, repr=False)
 
-    def state_observable(self, sid):
-        """The observable shared by all members of a reachable state."""
-        for obs, s in self.initials.items():
-            if s == sid:
-                return obs
-        for (_, _, obs), dst in self.transitions.items():
-            if dst == sid:
-                return obs
-        raise ValueError(f"state {sid} is unreachable, no observable known")
-
 
 def initial_estimates(model):
     """Initial classes grouped by their observable.
@@ -87,21 +77,6 @@ def initial_estimates(model):
         obs: EstimatorState(tuple(sorted(members)), classify(members, model))
         for obs, members in sorted(groups.items())
     }
-
-
-def delta(model, state, action, obs):
-    """Successor estimate for one observed (action, observable) pair.
-
-    Returns None when no execution is consistent with the observation;
-    the transition function is partial by design, a sink state would
-    fabricate runs the system cannot produce.
-    """
-    members = state.members if isinstance(state, EstimatorState) else tuple(state)
-    succ = external_successors(model, members, action, obs)
-    if not succ:
-        return None
-    ordered = tuple(sorted(succ))
-    return EstimatorState(ordered, classify(ordered, model))
 
 
 def build_estimator(model, max_states=DEFAULT_MAX_STATES):
@@ -152,20 +127,24 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES):
     return EstimatorGraph(states, initials, transitions, model)
 
 
-def dumps_estimator(est):
-    """Serialize an estimator graph to its JSON export format."""
-    data = {
+def _graph_data(graph):
+    """The estimator-schema dict of an estimator or diagnoser graph."""
+    return {
         "states": [
             {"id": i, "members": list(s.members), "class": s.classification.value}
-            for i, s in enumerate(est.states)
+            for i, s in enumerate(graph.states)
         ],
-        "initials": {str(obs): sid for obs, sid in sorted(est.initials.items())},
+        "initials": {str(obs): sid for obs, sid in sorted(graph.initials.items())},
         "transitions": [
             {"src": src, "action": action, "obs": obs, "dst": dst}
-            for (src, action, obs), dst in sorted(est.transitions.items())
+            for (src, action, obs), dst in sorted(graph.transitions.items())
         ],
     }
-    return json.dumps(data, indent=2) + "\n"
+
+
+def dumps_estimator(est):
+    """Serialize an estimator graph to its JSON export format."""
+    return json.dumps(_graph_data(est), indent=2) + "\n"
 
 
 def save_estimator(est, path):

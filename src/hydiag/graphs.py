@@ -1,4 +1,4 @@
-"""Small deterministic graph algorithms (SCC, labeled BFS, closure).
+"""Small deterministic graph algorithms (SCC, labeled BFS, lassos, closure).
 
 All functions iterate nodes and successors in the order given, so results
 are reproducible whenever the inputs are.
@@ -135,6 +135,50 @@ def shortest_cycle(start, successors, allowed):
                 parents[w] = (v, label)
                 queue.append(w)
     return None
+
+
+def find_lasso(starts, successors, loop_nodes, loop_successors, project):
+    """Shortest prefix into a reachable cycle of the loop graph, plus the cycle.
+
+    The path graph is explored from ``starts`` through ``successors``; the
+    loop graph has nodes ``loop_nodes`` and edges ``loop_successors``; both
+    successor callables yield ``(label, dst)``.  ``project`` maps a loop
+    node to the path node it sits on.  The prefix ends on the shallowest
+    path node (then the smallest) carrying a loop node that lies on a
+    cycle; the cycle is the shortest one, inside its strongly connected
+    component, through the smallest such loop node.
+
+    Returns ``(prefix_nodes, prefix_labels, cycle_nodes, cycle_labels)``,
+    or None when no cycle of the loop graph sits on a reachable path node.
+    """
+
+    def targets(v):
+        return (d for _, d in loop_successors(v))
+
+    component = {}  # loop node on a cycle -> its component
+    for comp in strongly_connected_components(loop_nodes, targets):
+        if is_cyclic_component(comp, targets):
+            members = set(comp)
+            for v in comp:
+                component[v] = members
+    if not component:
+        return None
+    on_path = {}
+    for v in component:
+        on_path.setdefault(project(v), []).append(v)
+
+    parents = bfs_parents(starts, successors)
+    depth = {}
+    for v, (parent, _) in parents.items():
+        depth[v] = 0 if parent is None else depth[parent] + 1
+    reached = [v for v in parents if v in on_path]
+    if not reached:
+        return None
+    end = min(reached, key=lambda v: (depth[v], v))
+    prefix_nodes, prefix_labels = path_from_parents(parents, end)
+    entry = min(on_path[end])
+    cycle_nodes, cycle_labels = shortest_cycle(entry, loop_successors, component[entry])
+    return prefix_nodes, prefix_labels, cycle_nodes, cycle_labels
 
 
 def reflexive_transitive_closure(n, pairs):

@@ -19,13 +19,7 @@ from .diagnosability import check_diagnosable, check_progressive
 from .diagnoser import ObsEvent, step
 from .errors import CapExceeded
 from .estimator import build_estimator
-from .graphs import (
-    bfs_parents,
-    is_cyclic_component,
-    path_from_parents,
-    shortest_cycle,
-    strongly_connected_components,
-)
+from .graphs import find_lasso
 from .quotient import (
     ActionLabel,
     ClassInfo,
@@ -34,6 +28,7 @@ from .quotient import (
     QuotientModel,
     UTrace,
     dumps_model,
+    external_moves,
     unobservable_closure,
     validate_model,
 )
@@ -61,23 +56,6 @@ class TwinGraph:
     edges: dict[int, list[tuple[str, int, int]]]  # sid -> [(action, obs, dst sid)]
 
 
-def _singleton_closures(model):
-    return [unobservable_closure(model, (c,)) for c in range(len(model.classes))]
-
-
-def _external_moves(model, closures):
-    """Per class and action: the (target, observable) pairs one observed step allows."""
-    moves = {}
-    for c in range(len(model.classes)):
-        for action in model.external_actions:
-            out = set()
-            for mid in closures[c]:
-                for dst in model.external_edges_from(mid, action):
-                    out.add((dst, model.obs[dst]))
-            moves[(c, action.name)] = sorted(out)
-    return moves
-
-
 def twin_product(model):
     """Product of two copies of the quotient synchronized on observations.
 
@@ -85,8 +63,7 @@ def twin_product(model):
     land in the same observable.  Initial states pair initial classes
     that share an observable (including every diagonal pair).
     """
-    closures = _singleton_closures(model)
-    moves = _external_moves(model, closures)
+    moves = external_moves(model, range(len(model.classes)))
 
     states = []
     index = {}
@@ -166,49 +143,22 @@ def brute_force_diagnosable(model):
         if tw.left_faulty and not tw.right_faulty
     }
 
-    def bad_succ(sid):
-        for action, obs, dst in twin.edges[sid]:
-            if dst in bad:
-                yield (action, obs), dst
-
-    comps = strongly_connected_components(
-        sorted(bad), lambda s: (d for _, d in bad_succ(s))
-    )
-    cyclic = set()
-    for comp in comps:
-        if is_cyclic_component(comp, lambda s: (d for _, d in bad_succ(s))):
-            cyclic.update(comp)
-
     def full_succ(sid):
         for action, obs, dst in twin.edges[sid]:
             yield (action, obs), dst
 
-    parents = bfs_parents(twin.initials, full_succ)
-    reachable_cyclic = [sid for sid in parents if sid in cyclic]
-    if not reachable_cyclic:
+    def bad_succ(sid):
+        return ((label, dst) for label, dst in full_succ(sid) if dst in bad)
+
+    found = find_lasso(twin.initials, full_succ, sorted(bad), bad_succ, lambda sid: sid)
+    if found is None:
         return OracleVerdict(True, None)
-
-    entry = min(
-        reachable_cyclic,
-        key=lambda sid: (len(path_from_parents(parents, sid)[0]), sid),
-    )
-    prefix_nodes, prefix_labels = path_from_parents(parents, entry)
-    comp = next(c for c in comps if entry in c)
-    cycle_nodes, cycle_labels = shortest_cycle(entry, bad_succ, set(comp))
-
-    def trace_of(start_obs, labels):
-        trace = UTrace(start_obs)
-        for action, obs in labels:
-            trace = trace.extend(action, obs)
-        return trace
-
-    first = twin.states[prefix_nodes[0]]
-    prefix = trace_of(model.obs[first.left], prefix_labels)
-    cycle = trace_of(model.obs[twin.states[entry].left], cycle_labels)
+    prefix_nodes, prefix_labels, cycle_nodes, cycle_labels = found
+    head = model.obs[twin.states[prefix_nodes[0]].left]
     return OracleVerdict(
         False,
         CounterExample(
-            Lasso(prefix, cycle),
+            Lasso.from_steps(head, prefix_labels, cycle_labels),
             tuple(twin.states[s].left for s in prefix_nodes),
             tuple(twin.states[s].left for s in cycle_nodes),
             tuple(twin.states[s].right for s in prefix_nodes),
@@ -261,8 +211,7 @@ def enumerate_utraces(model, k, max_traces=200_000):
     Ground truth for the estimator: computed by breadth-first search over
     (class, trace) pairs of the raw path relation, never by determinizing.
     """
-    closures = _singleton_closures(model)
-    moves = _external_moves(model, closures)
+    moves = external_moves(model, range(len(model.classes)))
 
     result = {}
     frontier = set()
@@ -321,8 +270,7 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
     are reconstructed and re-fed through the diagnoser event by event.
     """
     deadline = k if yes_deadline is None else yes_deadline
-    closures = _singleton_closures(model)
-    moves = _external_moves(model, closures)
+    moves = external_moves(model, range(len(model.classes)))
 
     losing_nodes = []
     seen_losing = set()

@@ -82,6 +82,13 @@ class Lasso:
     prefix: UTrace
     cycle: UTrace
 
+    @classmethod
+    def from_steps(cls, head, prefix_steps, cycle_steps):
+        """The lasso whose cycle starts in the observable the prefix ends in."""
+        prefix = UTrace(head, tuple((a, int(o)) for a, o in prefix_steps))
+        cycle_head = prefix.steps[-1][1] if prefix.steps else head
+        return cls(prefix, UTrace(cycle_head, tuple((a, int(o)) for a, o in cycle_steps)))
+
     def to_json(self):
         return {"prefix": self.prefix.to_json(), "cycle": self.cycle.to_json()}
 
@@ -315,6 +322,25 @@ def external_successors(model, seed, action, obs):
             if model.obs[dst] == obs:
                 out.add(dst)
     return frozenset(out)
+
+
+def external_moves(model, classes):
+    """Single-class successor table for one observed external action.
+
+    Maps (class, action name) to the sorted (target, observable) pairs the
+    class alone allows, silent evolution first as in ``external_successors``,
+    for every class in ``classes`` and every external action.
+    """
+    moves = {}
+    for c in classes:
+        closure = unobservable_closure(model, (c,))
+        for action in model.external_actions:
+            out = set()
+            for mid in closure:
+                for dst in model.external_edges_from(mid, action):
+                    out.add((dst, model.obs[dst]))
+            moves[(c, action.name)] = sorted(out)
+    return moves
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,25 @@ def q3_model():
     )
 
 
+def linear_chain_model(k):
+    """Faulty branch mimics a healthy o0 chain for ``k`` events.
+
+    Healthy h_0..h_k (ids 0..k) and faulty f_0..f_k (ids k+1..2k+1) all
+    sit in o0; h_i may fault into f_i, both tick along their chain, h_k
+    ticks in place and f_k ticks into a faulty o1 sink (id 2k+2).  The
+    estimator stays ambiguous for exactly ``k`` events after a fault.
+    """
+    healthy = [(False, i == 0, 0) for i in range(k + 1)]
+    faulty = [(True, False, 0) for _ in range(k + 1)]
+    sink = 2 * k + 2
+    edges = [(sink, "tick", sink)]
+    for i in range(k + 1):
+        edges.append((i, "f", k + 1 + i))
+        edges.append((i, "tick", min(i + 1, k)))
+        edges.append((k + 1 + i, "tick", k + 2 + i if i < k else sink))
+    return make_model(healthy + faulty + [(True, False, 1)], edges)
+
+
 def koenig_model():
     """Regression fixture: an indeterminate estimator self-loop that no
     faulty run can sustain, so the system is diagnosable anyway.

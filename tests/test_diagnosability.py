@@ -13,7 +13,15 @@ from hydiag.estimator import Classification, EstimatorGraph, EstimatorState, bui
 from hydiag.oracle import brute_force_diagnosable, random_models
 from hydiag.quotient import QuotientModel
 
-from .helpers import FAULT, HIDDEN, TICK, koenig_model, make_model, q3_model
+from .helpers import (
+    FAULT,
+    HIDDEN,
+    TICK,
+    koenig_model,
+    linear_chain_model,
+    make_model,
+    q3_model,
+)
 
 
 class TestProgressive:
@@ -188,6 +196,15 @@ class TestDelayBound:
     def test_single_faulty_state_estimator(self):
         est = synthetic_estimator([Classification.FAULTY], [(0, 0, 0)])
         assert detection_delay_bound(est) == 1
+
+    def test_linear_chain_of_2000(self):
+        # Deeper than the interpreter's recursion limit, on both paths.
+        assert detection_delay_bound(build_estimator(linear_chain_model(2000))) == 2001
+        est = synthetic_estimator(
+            [Classification.INDETERMINATE] * 2000 + [Classification.FAULTY],
+            [(i, 0, i + 1) for i in range(2000)] + [(2000, 0, 2000)],
+        )
+        assert detection_delay_bound(est) == 2001
 
     def test_rejected_when_not_diagnosable(self, q2):
         with pytest.raises(ValueError):

@@ -5,10 +5,8 @@ import pytest
 from hydiag.errors import CapExceeded
 from hydiag.estimator import (
     Classification,
-    EstimatorState,
     build_estimator,
     classify,
-    delta,
     dumps_estimator,
     initial_estimates,
 )
@@ -43,20 +41,22 @@ class TestInitialEstimates:
 
 class TestDelta:
     def test_q1_step_stays_nonfaulty(self, q1):
-        state = initial_estimates(q1)[0]
-        nxt = delta(q1, state, "tick", 1)
+        est = build_estimator(q1)
+        nxt = est.states[est.transitions[(est.initials[0], "tick", 1)]]
         assert nxt.members == (1,)
         assert nxt.classification is Classification.NONFAULTY
 
     def test_q2_step_is_indeterminate(self, q2):
-        state = initial_estimates(q2)[0]
-        nxt = delta(q2, state, "tick", 1)
+        est = build_estimator(q2)
+        nxt = est.states[est.transitions[(est.initials[0], "tick", 1)]]
         assert nxt.members == (1, 3)
         assert nxt.classification is Classification.INDETERMINATE
 
     def test_inconsistent_observation_gives_none(self, q1):
-        faulty = EstimatorState((2,), Classification.FAULTY)
-        assert delta(q1, faulty, "tick", 1) is None
+        est = build_estimator(q1)
+        faulty = next(sid for sid, s in enumerate(est.states) if s.members == (2,))
+        assert (faulty, "tick", 0) in est.transitions
+        assert (faulty, "tick", 1) not in est.transitions
 
 
 class TestClassify:
@@ -143,10 +143,13 @@ class TestInvariants:
 
     def test_state_observable_is_well_defined(self, q2):
         est = build_estimator(q2)
+        incoming = {sid: {obs} for obs, sid in est.initials.items()}
+        for (_, _, obs), dst in est.transitions.items():
+            incoming.setdefault(dst, set()).add(obs)
         for sid, state in enumerate(est.states):
             observables = {est.model.obs[c] for c in state.members}
             assert len(observables) == 1
-            assert est.state_observable(sid) in observables
+            assert incoming[sid] == observables
 
     def test_members_agree_with_path_enumeration(self, q1, q2):
         for model in (q1, q2):

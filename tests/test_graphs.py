@@ -1,0 +1,181 @@
+"""The graph helpers the decision procedure and the oracle share, checked
+against networkx as a third implementation.
+
+``check_diagnosable`` and ``brute_force_diagnosable`` both search lassos
+with ``find_lasso`` over ``strongly_connected_components`` and both step
+single classes through ``external_moves``; a bug there could hide in
+both verdicts at once, so these tests recompute the same answers with
+networkx.
+"""
+
+import random
+
+import networkx as nx
+
+from hydiag.diagnosability import _fault_product, _indeterminate_graph
+from hydiag.estimator import build_estimator
+from hydiag.graphs import find_lasso, strongly_connected_components
+from hydiag.oracle import random_models, twin_product
+from hydiag.quotient import Kind, external_moves
+from hydiag.regions import region_quotient
+
+CORPUS = list(random_models(100, 2718))
+
+
+def random_digraph(rng, nodes, density):
+    """Labeled digraph ``{node: [(label, dst), ...]}``, self-loops allowed."""
+    return {
+        v: [(rng.choice("ab"), w) for w in nodes if rng.random() < density]
+        for v in nodes
+    }
+
+
+def to_nx(adj):
+    g = nx.DiGraph()
+    g.add_nodes_from(adj)
+    g.add_edges_from((v, w) for v, out in adj.items() for _, w in out)
+    return g
+
+
+def check_scc(adj):
+    comps = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+    g = to_nx(adj)
+    assert sorted(map(sorted, comps)) == sorted(
+        map(sorted, nx.strongly_connected_components(g))
+    )
+    position = {v: i for i, comp in enumerate(comps) for v in comp}
+    for v, w in g.edges:
+        assert position[w] <= position[v]  # successors first
+
+
+def check_lasso(starts, adj, loop_adj, project):
+    """find_lasso against shortest paths and cycles computed by networkx."""
+    found = find_lasso(
+        starts, adj.__getitem__, list(loop_adj), loop_adj.__getitem__, project
+    )
+    g, loop = to_nx(adj), to_nx(loop_adj)
+    on_cycle = {
+        x for x in loop if any(nx.has_path(loop, w, x) for w in loop.successors(x))
+    }
+    dist = nx.multi_source_dijkstra_path_length(g, set(starts))
+    ends = {project(x) for x in on_cycle} & set(dist)
+    if not ends:
+        assert found is None
+        return False
+    prefix_nodes, prefix_labels, cycle_nodes, cycle_labels = found
+
+    depth = min(dist[v] for v in ends)
+    end = min(v for v in ends if dist[v] == depth)
+    assert prefix_nodes[0] in starts and prefix_nodes[-1] == end
+    assert len(prefix_labels) == depth
+    for u, label, v in zip(prefix_nodes, prefix_labels, prefix_nodes[1:]):
+        assert (label, v) in adj[u]
+
+    entry = min(x for x in on_cycle if project(x) == end)
+    assert cycle_nodes[0] == cycle_nodes[-1] == entry
+    shortest = min(
+        nx.shortest_path_length(loop, w, entry) + 1
+        for w in loop.successors(entry)
+        if nx.has_path(loop, w, entry)
+    )
+    assert len(cycle_labels) == shortest
+    for u, label, v in zip(cycle_nodes, cycle_labels, cycle_nodes[1:]):
+        assert (label, v) in loop_adj[u]
+    return True
+
+
+class TestStronglyConnectedComponents:
+    def test_random_digraphs(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            check_scc(random_digraph(rng, range(n), rng.choice([0.1, 0.2, 0.4])))
+
+    def test_twin_graphs_of_corpus(self):
+        for model in CORPUS:
+            twin = twin_product(model)
+            check_scc({s: [(a, d) for a, _, d in out] for s, out in twin.edges.items()})
+
+
+class TestFindLasso:
+    def test_random_subgraphs(self):
+        # Loop graph induced on a random node subset, as in the twin plant.
+        rng = random.Random(12)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            adj = random_digraph(rng, range(n), rng.choice([0.1, 0.2, 0.4]))
+            keep = {v for v in range(n) if rng.random() < 0.6}
+            loop_adj = {v: [(a, w) for a, w in adj[v] if w in keep] for v in sorted(keep)}
+            starts = rng.sample(range(n), rng.randint(1, min(n, 2)))
+            found += check_lasso(starts, adj, loop_adj, lambda v: v)
+        assert found > 50
+
+    def test_random_products(self):
+        # Loop nodes (v, c) over path node v, as in the fault product.
+        rng = random.Random(13)
+        found = 0
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            adj = random_digraph(rng, range(n), rng.choice([0.1, 0.2, 0.4]))
+            nodes = [(v, c) for v in range(n) for c in range(3) if rng.random() < 0.5]
+            node_set = set(nodes)
+            loop_adj = {
+                (v, c): [
+                    (a, (w, c2))
+                    for a, w in adj[v]
+                    for c2 in range(3)
+                    if (w, c2) in node_set and rng.random() < 0.5
+                ]
+                for v, c in nodes
+            }
+            starts = rng.sample(range(n), rng.randint(1, min(n, 2)))
+            found += check_lasso(starts, adj, loop_adj, lambda x: x[0])
+        assert found > 50
+
+    def test_twin_plants_of_corpus(self):
+        found = 0
+        for model in CORPUS:
+            twin = twin_product(model)
+            adj = {s: [((a, o), d) for a, o, d in out] for s, out in twin.edges.items()}
+            bad = {s for s, tw in enumerate(twin.states) if tw.left_faulty and not tw.right_faulty}
+            loop_adj = {s: [(lab, d) for lab, d in adj[s] if d in bad] for s in sorted(bad)}
+            found += check_lasso(twin.initials, adj, loop_adj, lambda s: s)
+        assert found > 0
+
+    def test_fault_products_of_corpus(self):
+        found = 0
+        for model in CORPUS:
+            est = build_estimator(model)
+            adj, indet, _ = _indeterminate_graph(est)
+            product = _fault_product(est, adj, indet)
+            starts = [sid for _, sid in sorted(est.initials.items())]
+            found += check_lasso(starts, adj, product, lambda node: node[0])
+        assert found > 0
+
+
+class TestExternalMoves:
+    def test_against_descendant_closures(self, ta1):
+        for model in CORPUS + [region_quotient(ta1)]:
+            silent = nx.DiGraph()
+            silent.add_nodes_from(range(len(model.classes)))
+            silent.add_edges_from(
+                (s, d) for s, label, d in model.edges if label.kind is not Kind.EXTERNAL
+            )
+            silent.add_edges_from((s, d) for s, d in model.time if s != d)
+            expected = {}
+            for c in range(len(model.classes)):
+                closure = nx.descendants(silent, c) | {c}
+                for action in model.external_actions:
+                    expected[(c, action.name)] = sorted(
+                        {
+                            (d, model.obs[d])
+                            for s, label, d in model.edges
+                            if label == action and s in closure
+                        }
+                    )
+            assert external_moves(model, range(len(model.classes))) == expected
+            odd = range(1, len(model.classes), 2)
+            assert external_moves(model, odd) == {
+                key: moves for key, moves in expected.items() if key[0] in odd
+            }
