@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .estimator import Classification
 from .graphs import (
+    bfs_parents,
     find_lasso,
     is_cyclic_component,
     shortest_cycle,
@@ -91,21 +92,21 @@ def check_progressive(model):
 
     Fails with a witness if some reachable class deadlocks (no discrete
     edge now or after any time elapse) or if a reachable cycle of internal
-    actions and time edges exists.  Reflexive time self-loops introduced
-    by the closure do not count; an explicit divergence mark does, since
-    the system can then let time pass forever in that class.
+    actions and time edges exists.  Time edges are the declared pairs; an
+    explicit divergence mark counts as a time self-loop, since the system
+    can then let time pass forever in that class.
     """
     reachable = sorted(_reachable_classes(model))
 
-    has_discrete = {c: bool(model.discrete_edges_from(c)) for c in reachable}
+    # Classes that reach a discrete edge by letting time pass.
+    time_pred = {}
+    for src, dst in model.time:
+        time_pred.setdefault(dst, []).append(("time", src))
+    has_edge = [c for c in reachable if model.discrete_edges_from(c)]
+    live = bfs_parents(has_edge, lambda c: time_pred.get(c, ()))
     for c in reachable:
-        if c in model.divergent:
-            continue  # handled as a time cycle below
-        if has_discrete[c]:
-            continue
-        if any(has_discrete.get(d, False) for d in model.proper_time_successors(c)):
-            continue
-        return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
+        if c not in live and c not in model.divergent:
+            return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 
     def silent_succ(c):
         for label, dst in model.discrete_edges_from(c):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .estimator import Classification, _graph_data, _parse_graph_json
+from .estimator import Classification, _graph_data, _key_int, _parse_graph_json, _state_id
+from .quotient import _as_object
 
 
 class Status(str, Enum):
@@ -78,15 +79,18 @@ class DiagnoserAutomaton:
         return Verdict(self.output[sid], _STATUS_OF[self.states[sid].classification])
 
 
+def _answer(classification):
+    """The Moore output: yes exactly on all-faulty estimates."""
+    return "yes" if classification is Classification.FAULTY else "no"
+
+
 def synthesize(est):
     """Turn an estimator graph into the diagnoser Moore machine.
 
     Well-defined for any estimator; it is a winning strategy only when
     the underlying system is diagnosable.
     """
-    output = tuple(
-        "yes" if s.classification is Classification.FAULTY else "no" for s in est.states
-    )
+    output = tuple(_answer(s.classification) for s in est.states)
     return DiagnoserAutomaton(
         list(est.states), dict(est.initials), dict(est.transitions), output, est.model
     )
@@ -165,10 +169,11 @@ def loads_diagnoser(text):
         data, "diagnoser", extra_keys={"output"}
     )
     output = [None] * len(states)
-    for key, value in data["output"].items():
-        sid = int(key)
-        if not 0 <= sid < len(states) or value not in ("yes", "no"):
-            raise ModelFormatError(f"output[{key}] is invalid")
+    for key, value in _as_object(data["output"], "output").items():
+        sid = _state_id(_key_int(key, "output"), len(states), f"output[{key}]")
+        cls = states[sid].classification
+        if value != _answer(cls):
+            raise ModelFormatError(f"output[{key}] must be {_answer(cls)!r} on {cls.value} states")
         output[sid] = value
     if any(o is None for o in output):
         raise ModelFormatError("output must cover every state")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapExceeded, ModelFormatError
-from .quotient import unobservable_closure
+from .quotient import _as_int, _as_list, _as_object, _require_keys, unobservable_closure
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -152,46 +152,52 @@ def save_estimator(est, path):
         fh.write(dumps_estimator(est))
 
 
+def _key_int(key, what):
+    """A non-negative integer written as a JSON object key, in canonical form."""
+    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+        raise ModelFormatError(f"{what} key must be an integer, got {key!r}")
+    return int(key)
+
+
+def _state_id(value, n, what):
+    value = _as_int(value, what)
+    if not 0 <= value < n:
+        raise ModelFormatError(f"{what} out of range")
+    return value
+
+
 def _parse_graph_json(data, what, extra_keys=frozenset()):
     """Shared loader for the estimator schema (also used by diagnoser files)."""
-    keys = {"states", "initials", "transitions"} | extra_keys
-    if not isinstance(data, dict):
-        raise ModelFormatError(f"{what} must be an object")
-    unknown = set(data) - keys
-    if unknown:
-        raise ModelFormatError(f"{what} has unknown keys: {sorted(unknown)}")
-    missing = keys - set(data)
-    if missing:
-        raise ModelFormatError(f"{what} is missing keys: {sorted(missing)}")
+    _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
 
     states = []
-    for i, s in enumerate(data["states"]):
-        if set(s) != {"id", "members", "class"}:
-            raise ModelFormatError(f"states[{i}] must have keys id, members, class")
-        if s["id"] != i:
+    for i, s in enumerate(_as_list(data["states"], "states")):
+        _require_keys(s, {"id", "members", "class"}, f"states[{i}]")
+        if _as_int(s["id"], f"states[{i}].id") != i:
             raise ModelFormatError(f"states[{i}].id must be {i}")
         try:
             cls = Classification(s["class"])
         except ValueError:
             raise ModelFormatError(f"states[{i}].class is invalid") from None
-        states.append(EstimatorState(tuple(int(m) for m in s["members"]), cls))
+        members = tuple(_as_list(s["members"], f"states[{i}].members"))
+        if set(map(type, members)) - {int}:
+            raise ModelFormatError(f"states[{i}].members must be integers")
+        states.append(EstimatorState(members, cls))
 
     n = len(states)
     initials = {}
-    for obs, sid in data["initials"].items():
-        sid = int(sid)
-        if not 0 <= sid < n:
-            raise ModelFormatError(f"initials[{obs}] out of range")
-        initials[int(obs)] = sid
+    for obs, sid in _as_object(data["initials"], "initials").items():
+        initials[_key_int(obs, "initials")] = _state_id(sid, n, f"initials[{obs}]")
 
     transitions = {}
-    for i, t in enumerate(data["transitions"]):
-        if set(t) != {"src", "action", "obs", "dst"}:
+    for i, t in enumerate(_as_list(data["transitions"], "transitions")):
+        _require_keys(t, {"src", "action", "obs", "dst"}, f"transitions[{i}]")
+        src, action, obs, dst = t["src"], t["action"], t["obs"], t["dst"]
+        if not (type(src) is type(obs) is type(dst) is int and isinstance(action, str)):
             raise ModelFormatError(
-                f"transitions[{i}] must have keys src, action, obs, dst"
+                f"transitions[{i}] needs integer src, obs and dst and a string action"
             )
-        src, dst = int(t["src"]), int(t["dst"])
         if not (0 <= src < n and 0 <= dst < n):
             raise ModelFormatError(f"transitions[{i}] out of range")
-        transitions[(src, str(t["action"]), int(t["obs"]))] = dst
+        transitions[(src, action, obs)] = dst
     return states, initials, transitions

@@ -1,4 +1,4 @@
-"""Small deterministic graph algorithms (SCC, labeled BFS, lassos, closure).
+"""Small deterministic graph algorithms (SCC, labeled BFS, lassos).
 
 All functions iterate nodes and successors in the order given, so results
 are reproducible whenever the inputs are.
@@ -180,38 +180,3 @@ def find_lasso(starts, successors, loop_nodes, loop_successors, project):
     cycle_nodes, cycle_labels = shortest_cycle(entry, loop_successors, component[entry])
     return prefix_nodes, prefix_labels, cycle_nodes, cycle_labels
 
-
-def reflexive_transitive_closure(n, pairs):
-    """Reflexive-transitive closure of a relation on ``range(n)``.
-
-    Returns a set of (src, dst) pairs including (i, i) for every i.
-    """
-    adj = [[] for _ in range(n)]
-    for s, d in pairs:
-        adj[s].append(d)
-    comps = strongly_connected_components(range(n), lambda v: adj[v])
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    # Components arrive children-first, so successor reach-sets are ready.
-    reach = []
-    for i, comp in enumerate(comps):
-        members = set(comp)
-        r = set()
-        cyclic = len(comp) > 1
-        for v in comp:
-            for w in adj[v]:
-                if w in members:
-                    cyclic = cyclic or w == v
-                else:
-                    r.add(w)
-                    r |= reach[comp_of[w]]
-        if cyclic:
-            r |= members
-        reach.append(r)
-    closure = {(v, v) for v in range(n)}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            closure.update((v, w) for w in reach[i])
-    return closure

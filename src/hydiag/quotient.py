@@ -5,15 +5,14 @@ equivalence classes of system states.  Classes are split into faulty and
 non-faulty, carry the observable (partition cell) their states fall in,
 and are connected by discrete edges (external, internal, or the single
 distinguished fault action) and by time edges abstracting continuous
-evolution.  Time edges are kept reflexively and transitively closed:
-closure is computed at construction rather than rejected, because prefix,
-suffix and concatenation closure of trajectory sets collapse to exactly
-reflexivity plus transitivity at this level of abstraction.
+evolution.  Time edges are kept as the declared generators: continuous
+flow from a class reaches exactly what the reflexive-transitive closure
+of those pairs reaches, and every consumer (the unobservable closure,
+the progress check, the estimator and the oracle) already explores that
+reach by search, so the closure itself is never stored.
 
-A time self-pair (c, c) supplied explicitly (in a file or to the
-constructor) marks class c as genuinely time-divergent: the system can let
-time pass there forever.  Reflexive pairs added by the closure are mere
-artifacts and carry no such meaning.
+A time self-pair (c, c) marks class c as genuinely time-divergent: the
+system can let time pass there forever.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ModelFormatError
-from .graphs import reflexive_transitive_closure
 
 
 class Kind(str, Enum):
@@ -125,7 +123,9 @@ class QuotientModel:
     ``classes`` is a sequence of ClassInfo with dense ids 0..n-1,
     ``actions`` a sequence of ActionLabel with exactly one fault action,
     ``edges`` an iterable of (src, action-name-or-label, dst) and ``time``
-    an iterable of (src, dst) pairs.  Instances never mutate after
+    an iterable of (src, dst) pairs, kept as declared, not closed.  A
+    class in ``divergent`` is marked like a self-pair in ``time``, and
+    ``time`` lists every mark as one.  Instances never mutate after
     construction and are safe to share across threads.
     """
 
@@ -167,7 +167,7 @@ class QuotientModel:
         self.divergent = frozenset(divergent) | {s for s, d in time_pairs if s == d}
         if any(not 0 <= c < n for c in self.divergent):
             raise ValueError("divergent class out of range")
-        self.time = frozenset(reflexive_transitive_closure(n, time_pairs))
+        self.time = frozenset(time_pairs | {(c, c) for c in self.divergent})
 
         self.faulty = tuple(c.faulty for c in self.classes)
         self.obs = tuple(c.obs for c in self.classes)
@@ -352,9 +352,15 @@ _EDGE_KEYS = {"src", "action", "dst"}
 _TIME_KEYS = {"src", "dst"}
 
 
-def _require_keys(obj, keys, what):
-    if not isinstance(obj, dict):
+def _as_object(value, what):
+    if not isinstance(value, dict):
         raise ModelFormatError(f"{what} must be an object")
+    return value
+
+
+def _require_keys(obj, keys, what):
+    if _as_object(obj, what).keys() == keys:
+        return
     extra = set(obj) - keys
     if extra:
         raise ModelFormatError(f"{what} has unknown keys: {sorted(extra)}")
@@ -375,6 +381,12 @@ def _as_bool(value, what):
     return value
 
 
+def _as_list(value, what):
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def loads_model(text):
     """Parse a quotient model from its JSON file format."""
     try:
@@ -386,7 +398,7 @@ def loads_model(text):
     _require_keys(data, {"classes", "actions", "edges", "time"}, "model")
 
     classes = []
-    for i, c in enumerate(data["classes"]):
+    for i, c in enumerate(_as_list(data["classes"], "classes")):
         _require_keys(c, _CLASS_KEYS, f"classes[{i}]")
         classes.append(
             ClassInfo(
@@ -398,7 +410,7 @@ def loads_model(text):
         )
 
     actions = []
-    for i, a in enumerate(data["actions"]):
+    for i, a in enumerate(_as_list(data["actions"], "actions")):
         _require_keys(a, _ACTION_KEYS, f"actions[{i}]")
         try:
             kind = Kind(a["kind"])
@@ -411,7 +423,7 @@ def loads_model(text):
         actions.append(ActionLabel(a["name"], kind))
 
     edges = []
-    for i, e in enumerate(data["edges"]):
+    for i, e in enumerate(_as_list(data["edges"], "edges")):
         _require_keys(e, _EDGE_KEYS, f"edges[{i}]")
         if not isinstance(e["action"], str):
             raise ModelFormatError(f"edges[{i}].action must be a string")
@@ -424,7 +436,7 @@ def loads_model(text):
         )
 
     time = []
-    for i, t in enumerate(data["time"]):
+    for i, t in enumerate(_as_list(data["time"], "time")):
         _require_keys(t, _TIME_KEYS, f"time[{i}]")
         time.append(
             (_as_int(t["src"], f"time[{i}].src"), _as_int(t["dst"], f"time[{i}].dst"))
@@ -444,9 +456,8 @@ def load_model(path):
 def dumps_model(model):
     """Serialize a model to the JSON file format (round-trip stable).
 
-    Only the transitive reduction of time is not recovered; the closed
-    relation is written minus the reflexive artifacts, and self-pairs are
-    emitted exactly for the time-divergent classes.
+    Time is written as the declared pairs, self-pairs exactly for the
+    time-divergent classes.
     """
     time = sorted({(s, d) for s, d in model.time if s != d} | {(c, c) for c in model.divergent})
     data = {

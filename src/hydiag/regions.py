@@ -29,8 +29,13 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
+from .quotient import _as_int, _as_list, _require_keys
 
 DEFAULT_MAX_CLASSES = 100_000
+
+# Most '(' and '!' a predicate may have open at once.  Chains of '&' or
+# '|' are flat nodes, so this bounds the depth of parsing and evaluation.
+MAX_PRED_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +95,8 @@ class _PredParser:
 
     Grammar: or-expr over and-expr over (!factor | (expr) | atom | true),
     atoms being ``clock op int``.  ``true`` is the empty conjunction and
-    exists for observations over zero external clocks.
+    exists for observations over zero external clocks.  A chain of
+    ``&`` (``|``) becomes one n-ary "and" ("or") node.
     """
 
     def __init__(self, text):
@@ -108,6 +114,7 @@ class _PredParser:
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
             pos = m.end()
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
@@ -129,31 +136,36 @@ class _PredParser:
             self.fail("end of predicate")
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[:2] == ("punct", "|"):
+    def chain(self, tag, op, operand):
+        nodes = [operand()]
+        while self.peek()[:2] == ("punct", op):
             self.take()
-            node = ("or", node, self.term())
-        return node
+            nodes.append(operand())
+        return nodes[0] if len(nodes) == 1 else (tag, *nodes)
+
+    def expr(self):
+        return self.chain("or", "|", self.term)
 
     def term(self):
-        node = self.factor()
-        while self.peek()[:2] == ("punct", "&"):
-            self.take()
-            node = ("and", node, self.factor())
-        return node
+        return self.chain("and", "&", self.factor)
 
     def factor(self):
         kind, value, _ = self.peek()
-        if (kind, value) == ("punct", "!"):
+        if (kind, value) in (("punct", "!"), ("punct", "(")):
             self.take()
-            return ("not", self.factor())
-        if (kind, value) == ("punct", "("):
-            self.take()
-            node = self.expr()
-            if self.peek()[:2] != ("punct", ")"):
-                self.fail("')'")
-            self.take()
+            self.nesting += 1
+            if self.nesting > MAX_PRED_DEPTH:
+                raise ModelFormatError(
+                    f"predicate nests deeper than {MAX_PRED_DEPTH} levels in {self.text!r}"
+                )
+            if value == "!":
+                node = ("not", self.factor())
+            else:
+                node = self.expr()
+                if self.peek()[:2] != ("punct", ")"):
+                    self.fail("')'")
+                self.take()
+            self.nesting -= 1
             return node
         if kind == "ident":
             ident = self.take()[1]
@@ -189,9 +201,9 @@ def eval_pred(node, valuation):
     if tag == "not":
         return not eval_pred(node[1], valuation)
     if tag == "and":
-        return eval_pred(node[1], valuation) and eval_pred(node[2], valuation)
+        return all(eval_pred(child, valuation) for child in node[1:])
     if tag == "or":
-        return eval_pred(node[1], valuation) or eval_pred(node[2], valuation)
+        return any(eval_pred(child, valuation) for child in node[1:])
     raise ValueError(f"bad predicate node {node!r}")
 
 
@@ -201,11 +213,9 @@ def pred_atoms(node):
         return
     if tag == "atom":
         yield node[1], node[3]
-    elif tag == "not":
-        yield from pred_atoms(node[1])
     else:
-        yield from pred_atoms(node[1])
-        yield from pred_atoms(node[2])
+        for child in node[1:]:
+            yield from pred_atoms(child)
 
 
 @dataclass(frozen=True)
@@ -753,15 +763,15 @@ _TA_EDGE_KEYS = {"src", "dst", "action", "kind", "guard", "resets"}
 _OBS_KEYS = {"id", "pred"}
 
 
-def _check_keys(obj, keys, what):
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"{what} must be an object")
-    extra = set(obj) - keys
-    if extra:
-        raise ModelFormatError(f"{what} has unknown keys: {sorted(extra)}")
-    missing = keys - set(obj)
-    if missing:
-        raise ModelFormatError(f"{what} is missing keys: {sorted(missing)}")
+def _strings(value, what):
+    for item in _as_list(value, what):
+        if not isinstance(item, str):
+            raise ModelFormatError(f"{what} entries must be strings")
+    return value
+
+
+def _constraints(value, what):
+    return tuple(parse_constraint(c) for c in _strings(value, what))
 
 
 def parse_ta(text):
@@ -772,47 +782,45 @@ def parse_ta(text):
         raise ModelFormatError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
-    _check_keys(data, {"locations", "clocks", "edges", "observation"}, "automaton")
+    _require_keys(data, {"locations", "clocks", "edges", "observation"}, "automaton")
 
     locations = []
-    for i, loc in enumerate(data["locations"]):
-        _check_keys(loc, _LOC_KEYS, f"locations[{i}]")
+    for i, loc in enumerate(_as_list(data["locations"], "locations")):
+        _require_keys(loc, _LOC_KEYS, f"locations[{i}]")
         if not isinstance(loc["name"], str):
             raise ModelFormatError(f"locations[{i}].name must be a string")
         if not isinstance(loc["faulty"], bool) or not isinstance(loc["initial"], bool):
             raise ModelFormatError(f"locations[{i}] flags must be booleans")
-        invariant = tuple(parse_constraint(c) for c in loc["invariant"])
+        invariant = _constraints(loc["invariant"], f"locations[{i}].invariant")
         locations.append(Location(loc["name"], loc["faulty"], loc["initial"], invariant))
 
-    _check_keys(data["clocks"], {"internal", "external"}, "clocks")
-    internal = list(data["clocks"]["internal"])
-    external = list(data["clocks"]["external"])
-    for name in internal + external:
-        if not isinstance(name, str):
-            raise ModelFormatError("clock names must be strings")
+    _require_keys(data["clocks"], {"internal", "external"}, "clocks")
+    internal = _strings(data["clocks"]["internal"], "clocks.internal")
+    external = _strings(data["clocks"]["external"], "clocks.external")
 
     edges = []
-    for i, e in enumerate(data["edges"]):
-        _check_keys(e, _TA_EDGE_KEYS, f"edges[{i}]")
+    for i, e in enumerate(_as_list(data["edges"], "edges")):
+        _require_keys(e, _TA_EDGE_KEYS, f"edges[{i}]")
+        for key in ("src", "dst", "action"):
+            if not isinstance(e[key], str):
+                raise ModelFormatError(f"edges[{i}].{key} must be a string")
         try:
             kind = Kind(e["kind"])
         except ValueError:
             raise ModelFormatError(
                 f"edges[{i}].kind must be one of external|internal|fault"
             ) from None
-        guard = tuple(parse_constraint(c) for c in e["guard"])
-        edges.append(
-            TAEdge(e["src"], e["dst"], e["action"], kind, guard, frozenset(e["resets"]))
-        )
+        guard = _constraints(e["guard"], f"edges[{i}].guard")
+        resets = frozenset(_strings(e["resets"], f"edges[{i}].resets"))
+        edges.append(TAEdge(e["src"], e["dst"], e["action"], kind, guard, resets))
 
     observation = []
-    for i, spec in enumerate(data["observation"]):
-        _check_keys(spec, _OBS_KEYS, f"observation[{i}]")
-        if not isinstance(spec["id"], int) or isinstance(spec["id"], bool):
-            raise ModelFormatError(f"observation[{i}].id must be an integer")
+    for i, spec in enumerate(_as_list(data["observation"], "observation")):
+        _require_keys(spec, _OBS_KEYS, f"observation[{i}]")
+        obs_id = _as_int(spec["id"], f"observation[{i}].id")
         if not isinstance(spec["pred"], str):
             raise ModelFormatError(f"observation[{i}].pred must be a string")
-        observation.append(ObservableSpec(spec["id"], parse_pred(spec["pred"]), spec["pred"]))
+        observation.append(ObservableSpec(obs_id, parse_pred(spec["pred"]), spec["pred"]))
 
     return TimedAutomatonWithFaults(locations, internal, external, edges, observation)
 

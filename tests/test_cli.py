@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import networkx as nx
+
 from hydiag.cli import main
 from hydiag.quotient import load_model, loads_model, save_model
 
@@ -106,6 +108,26 @@ class TestRegionsPipeline:
         direct = capsys.readouterr().out
         assert main(["check", TA1, "--ta"]) == 0
         assert capsys.readouterr().out == direct
+
+    def test_closed_time_file_checks_the_same(self, tmp_path, capsys):
+        # Files written by 0.1.0 list the closure of time; they still load
+        # and check exactly like the generator file written now.
+        out = tmp_path / "ta1.quot.json"
+        main(["regions", TA1, "-o", str(out)])
+        data = json.loads(out.read_text())
+        flow = nx.DiGraph((t["src"], t["dst"]) for t in data["time"] if t["src"] != t["dst"])
+        closed = {(s, d) for s, d in nx.transitive_closure(flow).edges if s != d}
+        closed |= {(t["src"], t["dst"]) for t in data["time"] if t["src"] == t["dst"]}
+        assert len(closed) > len(data["time"])
+        data["time"] = [{"src": s, "dst": d} for s, d in sorted(closed)]
+        closed_file = tmp_path / "ta1.closed.quot.json"
+        closed_file.write_text(json.dumps(data, indent=2) + "\n")
+        capsys.readouterr()
+        for fmt in ("text", "json"):
+            assert main(["check", str(out), "--format", fmt]) == 0
+            direct = capsys.readouterr().out
+            assert main(["check", str(closed_file), "--format", fmt]) == 0
+            assert capsys.readouterr().out == direct
 
     def test_cap_exceeded_exit_five(self, capsys):
         assert main(["regions", TA1, "--max-classes", "3"]) == 5
@@ -211,3 +233,49 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "diagnosable"
+
+
+class TestMalformedInput:
+    """Malformed files exit 1 with a message, never a Python traceback."""
+
+    def run_cli(self, args, stdin=""):
+        return subprocess.run(
+            [sys.executable, "-m", "hydiag", *args],
+            input=stdin,
+            capture_output=True,
+            text=True,
+        )
+
+    def check_rejected(self, proc):
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip()
+
+    def test_quotient_with_non_list_classes(self, tmp_path):
+        data = json.loads(open(Q1).read())
+        data["classes"] = 5
+        path = tmp_path / "bad.quot.json"
+        path.write_text(json.dumps(data))
+        self.check_rejected(self.run_cli(["check", str(path)]))
+
+    def test_automaton_with_non_list_locations(self, tmp_path):
+        data = json.loads(open(TA1).read())
+        data["locations"] = 5
+        path = tmp_path / "bad.ta.json"
+        path.write_text(json.dumps(data))
+        self.check_rejected(self.run_cli(["check", str(path), "--ta"]))
+
+    def test_automaton_with_deep_predicate(self, tmp_path):
+        data = json.loads(open(TA1).read())
+        data["observation"][0]["pred"] = "(" * 2000 + "x<1" + ")" * 2000
+        path = tmp_path / "deep.ta.json"
+        path.write_text(json.dumps(data))
+        self.check_rejected(self.run_cli(["regions", str(path)]))
+
+    def test_diagnoser_with_false_alarm_output(self, tmp_path):
+        diag = tmp_path / "diag.json"
+        assert main(["synthesize", Q1, "-o", str(diag)]) == 0
+        data = json.loads(diag.read_text())
+        data["output"]["0"] = "yes"
+        diag.write_text(json.dumps(data))
+        self.check_rejected(self.run_cli(["run", str(diag)], stdin="init o0\n"))

@@ -1,5 +1,8 @@
 """Tests for progressiveness and the diagnosability decision."""
 
+import random
+
+import networkx as nx
 import pytest
 
 from hydiag.diagnosability import (
@@ -11,7 +14,7 @@ from hydiag.diagnosability import (
 )
 from hydiag.estimator import Classification, EstimatorGraph, EstimatorState, build_estimator
 from hydiag.oracle import brute_force_diagnosable, random_models
-from hydiag.quotient import QuotientModel
+from hydiag.quotient import ClassInfo, QuotientModel
 
 from .helpers import (
     FAULT,
@@ -102,6 +105,85 @@ class TestProgressive:
             [(0, "tick", 0), (0, "f", 1), (1, "tick", 1), (2, "f", 3), (2, "tick", 2)],
         )
         assert check_progressive(model).progressive
+
+
+def random_progress_case(rng):
+    """Random classes, edges, time chains and divergence marks (unvalidated)."""
+    n = rng.randint(1, 10)
+    classes = [
+        ClassInfo(c, rng.random() < 0.4, rng.random() < 0.3, rng.randrange(2))
+        for c in range(n)
+    ]
+    edges = [
+        (rng.randrange(n), rng.choice("tick tick h f".split()), rng.randrange(n))
+        for _ in range(rng.randint(0, n))
+    ]
+    time = []
+    for _ in range(rng.randint(0, 3)):
+        chain = rng.sample(range(n), rng.randint(1, n))
+        time.extend(zip(chain, chain[1:]))
+        if rng.random() < 0.2:
+            time.append((chain[-1], chain[0]))  # closes the chain into a cycle
+    divergent = [c for c in range(n) if rng.random() < 0.1]
+    return classes, edges, time, divergent
+
+
+def expected_progress(n, initial, edges, time, divergent):
+    """(deadlocked class or None, reachable silent cycle?) computed by networkx."""
+    everything = nx.DiGraph()
+    everything.add_nodes_from(range(n))
+    everything.add_edges_from((s, d) for s, _, d in edges)
+    everything.add_edges_from(time)
+    reachable = set(initial).union(*(nx.descendants(everything, c) for c in initial))
+
+    flow = nx.DiGraph()
+    flow.add_nodes_from(range(n))
+    flow.add_edges_from(time)
+    has_edge = {s for s, _, _ in edges}
+    stuck = [
+        c
+        for c in sorted(reachable)
+        if c not in divergent and not ({c} | nx.descendants(flow, c)) & has_edge
+    ]
+
+    silent = nx.DiGraph()
+    silent.add_nodes_from(reachable)
+    silent.add_edges_from(
+        (s, d) for s, a, d in edges if a != "tick" and s in reachable and d in reachable
+    )
+    silent.add_edges_from((s, d) for s, d in time if s in reachable and d in reachable)
+    silent.add_edges_from((c, c) for c in divergent if c in reachable)
+    return (stuck[0] if stuck else None), not nx.is_directed_acyclic_graph(silent)
+
+
+class TestProgressiveAgainstNetworkx:
+    def test_random_quotients(self):
+        rng = random.Random(31)
+        seen = {"deadlock": 0, "cycle": 0, None: 0}
+        for _ in range(2000):
+            classes, edges, time, divergent = random_progress_case(rng)
+            model = QuotientModel(classes, (TICK, FAULT, HIDDEN), edges, time, divergent)
+            n = len(classes)
+            initial = [c.id for c in classes if c.initial]
+            marks = set(divergent) | {s for s, d in time if s == d}
+            stuck, cyclic = expected_progress(n, initial, edges, time, marks)
+            report = check_progressive(model)
+            witness = report.witness
+            assert report.progressive == (stuck is None and not cyclic)
+            seen[witness.kind if witness else None] += 1
+            if stuck is not None:
+                assert witness.kind == "deadlock"
+                assert witness.classes == (stuck,)
+            elif cyclic:
+                assert witness.kind == "cycle"
+                assert witness.classes[0] == witness.classes[-1]
+                for a, label, b in zip(witness.classes, witness.labels, witness.classes[1:]):
+                    if label == "time":
+                        # A declared pair or a divergence mark, never a closure pair.
+                        assert (a, b) in time or (a == b and a in marks)
+                    else:
+                        assert label != "tick" and (a, label, b) in edges
+        assert min(seen.values()) > 200
 
 
 def synthetic_estimator(classifications, edges, initial_obs=0):

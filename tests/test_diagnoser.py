@@ -156,3 +156,88 @@ class TestSerialization:
         data["mystery"] = 1
         with pytest.raises(ModelFormatError):
             loads_diagnoser(json.dumps(data))
+
+
+def q1_diagnoser_json(q1):
+    import json
+
+    return json.loads(dumps_diagnoser(diag_of(q1)))
+
+
+def set_path(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+class TestStrictLoader:
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("states", 0, "id"),
+            ("states", 0, "members", 0),
+            ("initials", "0"),
+            ("transitions", 0, "src"),
+            ("transitions", 0, "dst"),
+            ("transitions", 0, "obs"),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    @pytest.mark.parametrize("value", ["0", 1.7, False], ids=["string", "float", "bool"])
+    def test_non_integer_ids_and_observables_rejected(self, q1, path, value):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        set_path(data, path, value)
+        with pytest.raises(ModelFormatError, match="integer"):
+            loads_diagnoser(json.dumps(data))
+
+    @pytest.mark.parametrize("key", ["00", "+0", " 0", "0.0", "o0", "-0"])
+    @pytest.mark.parametrize("field", ["initials", "output"])
+    def test_non_canonical_integer_keys_rejected(self, q1, field, key):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        data[field][key] = data[field].pop("0")
+        with pytest.raises(ModelFormatError, match="key must be an integer"):
+            loads_diagnoser(json.dumps(data))
+
+    def test_yes_on_a_nonfaulty_state_rejected(self, q1):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        assert data["states"][0]["class"] == "nonfaulty"
+        data["output"]["0"] = "yes"
+        with pytest.raises(ModelFormatError, match="must be 'no' on nonfaulty states"):
+            loads_diagnoser(json.dumps(data))
+
+    def test_no_on_a_faulty_state_rejected(self, q1):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        assert data["states"][1]["class"] == "faulty"
+        data["output"]["1"] = "no"
+        with pytest.raises(ModelFormatError, match="must be 'yes' on faulty states"):
+            loads_diagnoser(json.dumps(data))
+
+    def test_no_on_an_indeterminate_state_loads(self, q2):
+        diag = loads_diagnoser(dumps_diagnoser(diag_of(q2)))
+        assert "indeterminate" in {s.classification.value for s in diag.states}
+
+    @pytest.mark.parametrize("field", ["output", "initials"])
+    def test_non_object_map_rejected(self, q1, field):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        data[field] = list(data[field].values())
+        with pytest.raises(ModelFormatError, match=f"{field} must be an object"):
+            loads_diagnoser(json.dumps(data))
+
+    @pytest.mark.parametrize("field", ["states", "transitions"])
+    def test_non_list_field_rejected(self, q1, field):
+        import json
+
+        data = q1_diagnoser_json(q1)
+        data[field] = {"0": data[field][0]}
+        with pytest.raises(ModelFormatError, match=f"{field} must be a list"):
+            loads_diagnoser(json.dumps(data))

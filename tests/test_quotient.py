@@ -1,5 +1,6 @@
 """Tests for the quotient model: validation, closures, file format."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,8 +203,15 @@ class TestConstruction:
             [(0, "f", 3), (1, "f", 3), (2, "f", 3), (0, "tick", 0), (1, "tick", 1), (2, "tick", 2), (3, "tick", 3)],
             time=[(0, 1), (1, 2)],
         )
-        assert (0, 2) in model.time
-        assert all((c, c) in model.time for c in range(4))
+        # Time is stored as declared; its closure still reaches as before.
+        assert model.time == {(0, 1), (1, 2)}
+        flow = nx.DiGraph()
+        flow.add_nodes_from(range(4))
+        flow.add_edges_from(model.time)
+        closure = set(nx.transitive_closure(flow, reflexive=True).edges)
+        assert (0, 2) in closure
+        assert all((c, c) in closure for c in range(4))
+        assert unobservable_closure(model, {0}) >= {0, 1, 2}
         assert model.divergent == frozenset()
 
     def test_explicit_self_loop_marks_divergence(self):
@@ -274,3 +282,22 @@ class TestFileFormat:
         """
         with pytest.raises(ModelFormatError, match="out of range"):
             loads_model(text)
+
+    @pytest.mark.parametrize("field", ["classes", "actions", "edges", "time"])
+    @pytest.mark.parametrize("value", [5, "abc", {"0": {}}, None])
+    def test_non_list_field_rejected(self, q1, field, value):
+        import json
+
+        data = json.loads(dumps_model(q1))
+        data[field] = value
+        with pytest.raises(ModelFormatError, match=f"{field} must be a list"):
+            loads_model(json.dumps(data))
+
+    @pytest.mark.parametrize("field", ["classes", "actions", "edges", "time"])
+    def test_non_object_entry_rejected(self, q1, field):
+        import json
+
+        data = json.loads(dumps_model(q1))
+        data[field] = [5]
+        with pytest.raises(ModelFormatError, match="must be an object"):
+            loads_model(json.dumps(data))

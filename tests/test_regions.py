@@ -3,17 +3,20 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from hydiag.errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from hydiag.quotient import validate_model
 from hydiag.regions import (
+    MAX_PRED_DEPTH,
     Region,
     all_regions,
     apply_reset,
     build_region_quotient,
     concrete_enabled_edges,
     concrete_region_path,
+    eval_pred,
     initial_region,
     parse_constraint,
     parse_pred,
@@ -69,6 +72,72 @@ class TestParsing:
             parse_pred("x <")
         with pytest.raises(ModelFormatError, match="non-integral"):
             parse_pred("x<1.5")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 2000 + "x<1" + ")" * 2000,
+            "!" * 3000 + "x<1",
+            "(x<1 & " * 1000 + "x<1" + ")" * 1000,
+        ],
+        ids=["parentheses", "negations", "nested-conjunctions"],
+    )
+    def test_deep_predicates_rejected(self, text):
+        with pytest.raises(ModelFormatError, match=f"deeper than {MAX_PRED_DEPTH}"):
+            parse_pred(text)
+
+    def test_long_chains_are_flat(self):
+        valuation = {"x": Fraction(1, 2)}
+        conjunction = parse_pred(" & ".join(["x<1"] * 3000))
+        assert conjunction == ("and",) + (("atom", "x", "<", 1),) * 3000
+        assert eval_pred(conjunction, valuation)
+        assert not eval_pred(parse_pred(" | ".join(["x>1"] * 3000)), valuation)
+
+    def test_predicates_at_the_depth_bound_evaluate(self):
+        valuation = {"x": Fraction(1, 2)}
+        n = MAX_PRED_DEPTH
+        assert eval_pred(parse_pred("(" * n + "x<1" + ")" * n), valuation)
+        assert eval_pred(parse_pred("!" * n + "x<1"), valuation) == (n % 2 == 0)
+        levels = n // 3  # each level opens '(', '!' and '('
+        nested = "(x>1 | !(x<1 & " * levels + "x<1" + "))" * levels
+        assert eval_pred(parse_pred(nested), valuation) == (levels % 2 == 0)
+        with pytest.raises(ModelFormatError, match="deeper"):
+            parse_pred("!" * (n + 1) + "x<1")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("locations",),
+            ("locations", 0, "invariant"),
+            ("clocks", "internal"),
+            ("clocks", "external"),
+            ("edges",),
+            ("edges", 0, "guard"),
+            ("edges", 0, "resets"),
+            ("observation",),
+        ],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    @pytest.mark.parametrize("value", [5, "x", {"a": 1}, None])
+    def test_non_list_field_rejected(self, path, value):
+        import json
+
+        data = json.loads(open("fixtures/ta1.ta.json").read())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ModelFormatError, match="must be a list"):
+            parse_ta(json.dumps(data))
+
+    @pytest.mark.parametrize("field", ["locations", "edges", "observation"])
+    def test_non_object_entry_rejected(self, field):
+        import json
+
+        data = json.loads(open("fixtures/ta1.ta.json").read())
+        data[field][0] = 5
+        with pytest.raises(ModelFormatError, match="must be an object"):
+            parse_ta(json.dumps(data))
 
     def test_fault_edge_between_faulty_locations_is_d2(self, ta1):
         import json
@@ -261,8 +330,9 @@ class TestTA1Quotient:
             (4, "tick", 0),
             (5, "tick", 5),
         }
-        proper_time = {(s, d) for s, d in model.time if s != d}
-        assert proper_time == {(0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (3, 5)}
+        assert model.time == {(0, 2), (1, 3), (2, 4), (3, 5)}
+        closure = set(nx.transitive_closure(nx.DiGraph(model.time)).edges)
+        assert closure == {(0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (3, 5)}
         assert model.divergent == frozenset()
 
     def test_quotient_passes_validation(self, ta1):
