@@ -11,7 +11,7 @@ from hydiag import (
     ClassInfo,
     Kind,
     QuotientModel,
-    external_successors,
+    external_moves,
     unobservable_closure,
     validate_model,
 )
@@ -43,8 +43,8 @@ print("validation:", validate_model(model).ok)
 print("silent closure of {n0}:", sorted(unobservable_closure(model, {0})))
 
 # One tick later, the observable tells the two futures apart:
-print("tick observed in o1 ->", sorted(external_successors(model, {0}, "tick", 1)))
-print("tick observed in o0 ->", sorted(external_successors(model, {0}, "tick", 0)))
+for dst, obs in external_moves(model, [0])[(0, "tick")]:
+    print(f"tick observed in o{obs} -> [{dst}]")
 
 # Validation reports broken axioms as data, with witnesses:
 broken = QuotientModel(

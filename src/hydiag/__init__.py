@@ -43,7 +43,6 @@ from .estimator import (
     build_estimator,
     classify,
     initial_estimates,
-    save_estimator,
 )
 from .oracle import (
     CounterExample,
@@ -65,7 +64,7 @@ from .quotient import (
     QuotientModel,
     UTrace,
     ValidationReport,
-    external_successors,
+    external_moves,
     load_model,
     save_model,
     unobservable_closure,

@@ -57,7 +57,8 @@ def _max_classes(args):
 def _load_quotient(args):
     """Load the model argument: a quotient file, or a TA file with --ta."""
     if args.ta:
-        return region_quotient(load_ta(args.model), max_classes=_max_classes(args))
+        cap = _max_classes(args)
+        return region_quotient(load_ta(args.model, cap), max_classes=cap)
     return load_model(args.model)
 
 
@@ -97,8 +98,8 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
-    ta = load_ta(args.model)
-    model = region_quotient(ta, max_classes=_max_classes(args))
+    cap = _max_classes(args)
+    model = region_quotient(load_ta(args.model, cap), max_classes=cap)
     _write_or_print(dumps_model(model), args.output)
     return EXIT_OK
 
@@ -110,24 +111,24 @@ def cmd_estimator(args):
     return EXIT_OK
 
 
+def _print_not_progressive(progress, fmt):
+    if fmt == "json":
+        payload = {
+            "progressive": False,
+            "witness": progress.witness.to_json(),
+            "diagnosable": None,
+        }
+        print(json.dumps(payload, indent=2))
+    else:
+        print("not progressive")
+        print(progress.witness.pretty())
+
+
 def cmd_check(args):
     model = _validated_model(args)
     progress = check_progressive(model)
     if not progress.progressive:
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "progressive": False,
-                        "witness": progress.witness.to_json(),
-                        "diagnosable": None,
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print("not progressive")
-            print(progress.witness.pretty())
+        _print_not_progressive(progress, args.format)
         return EXIT_NOT_PROGRESSIVE
     est = build_estimator(model)
     verdict = check_diagnosable(est)
@@ -194,8 +195,7 @@ def cmd_oracle(args):
     model = _validated_model(args)
     progress = check_progressive(model)
     if not progress.progressive:
-        print("not progressive")
-        print(progress.witness.pretty())
+        _print_not_progressive(progress, args.format)
         return EXIT_NOT_PROGRESSIVE
     verdict = brute_force_diagnosable(model)
     if args.format == "json":

@@ -73,20 +73,6 @@ class DiagnosabilityVerdict:
         }
 
 
-def _reachable_classes(model):
-    seen = set(model.initial_classes)
-    frontier = list(seen)
-    while frontier:
-        c = frontier.pop()
-        succ = [dst for _, dst in model.discrete_edges_from(c)]
-        succ.extend(model.proper_time_successors(c))
-        for d in succ:
-            if d not in seen:
-                seen.add(d)
-                frontier.append(d)
-    return seen
-
-
 def check_progressive(model):
     """Can every maximal run keep producing external events?
 
@@ -96,7 +82,12 @@ def check_progressive(model):
     explicit divergence mark counts as a time self-loop, since the system
     can then let time pass forever in that class.
     """
-    reachable = sorted(_reachable_classes(model))
+    def step(c):
+        yield from model.discrete_edges_from(c)
+        for dst in model.proper_time_successors(c):
+            yield "time", dst
+
+    reachable = sorted(bfs_parents(model.initial_classes, step))
 
     # Classes that reach a discrete edge by letting time pass.
     time_pred = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapExceeded, ModelFormatError
-from .quotient import _as_int, _as_list, _as_object, _require_keys, unobservable_closure
+from .quotient import _as_int, _as_list, _as_object, _require_keys, external_moves
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -105,17 +105,24 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES):
     for obs, st in initial_estimates(model).items():
         initials[obs] = intern(st)
 
+    # The closure of a set is the union of its members' closures, so a
+    # state's successors are the union of its members' table rows.  Rows
+    # are filled only for classes that turn up as members.
+    moves = {}
+    filled = set()
     queue = deque(range(len(states)))
     seen = len(states)
     while queue:
         sid = queue.popleft()
         members = states[sid].members
-        closure = unobservable_closure(model, members)
+        fresh = [c for c in members if c not in filled]
+        filled.update(fresh)
+        moves.update(external_moves(model, fresh))
         for action in model.external_actions:
             buckets = {}
-            for c in closure:
-                for dst in model.external_edges_from(c, action):
-                    buckets.setdefault(model.obs[dst], set()).add(dst)
+            for c in members:
+                for dst, obs in moves[(c, action.name)]:
+                    buckets.setdefault(obs, set()).add(dst)
             for obs in sorted(buckets):
                 ordered = tuple(sorted(buckets[obs]))
                 succ = EstimatorState(ordered, classify(ordered, model))
@@ -145,11 +152,6 @@ def _graph_data(graph):
 def dumps_estimator(est):
     """Serialize an estimator graph to its JSON export format."""
     return json.dumps(_graph_data(est), indent=2) + "\n"
-
-
-def save_estimator(est, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_estimator(est))
 
 
 def _key_int(key, what):

@@ -172,7 +172,6 @@ class QuotientModel:
         self.faulty = tuple(c.faulty for c in self.classes)
         self.obs = tuple(c.obs for c in self.classes)
         self.initial_classes = tuple(c.id for c in self.classes if c.initial)
-        self.num_observables = max((c.obs for c in self.classes), default=-1) + 1
 
         # Adjacency caches used by the closure and successor operations.
         silent = [set() for _ in range(n)]
@@ -305,31 +304,15 @@ def unobservable_closure(model, seed):
     return frozenset(closure)
 
 
-def external_successors(model, seed, action, obs):
-    """Classes reachable by one observed external action.
-
-    The system may first evolve silently from any class in ``seed``, then
-    takes ``action``; the observable is sampled right after the action, so
-    only targets lying in cell ``obs`` qualify.  An empty result means no
-    execution is consistent with the observation.
-    """
-    label = action if isinstance(action, ActionLabel) else model.action(action)
-    if label.kind is not Kind.EXTERNAL:
-        raise ValueError(f"action {label.name!r} is not external")
-    out = set()
-    for c in unobservable_closure(model, seed):
-        for dst in model.external_edges_from(c, label):
-            if model.obs[dst] == obs:
-                out.add(dst)
-    return frozenset(out)
-
-
 def external_moves(model, classes):
     """Single-class successor table for one observed external action.
 
     Maps (class, action name) to the sorted (target, observable) pairs the
-    class alone allows, silent evolution first as in ``external_successors``,
-    for every class in ``classes`` and every external action.
+    class alone allows, for every class in ``classes`` and every external
+    action.  The system may first evolve silently, then takes the action;
+    the observable is sampled right after it.  The rows of a set of classes
+    together give the successors of the set, since the silent closure of a
+    set is the union of its members' closures.
     """
     moves = {}
     for c in classes:
@@ -459,7 +442,6 @@ def dumps_model(model):
     Time is written as the declared pairs, self-pairs exactly for the
     time-divergent classes.
     """
-    time = sorted({(s, d) for s, d in model.time if s != d} | {(c, c) for c in model.divergent})
     data = {
         "classes": [
             {"id": c.id, "faulty": c.faulty, "initial": c.initial, "obs": c.obs}
@@ -470,7 +452,7 @@ def dumps_model(model):
             {"src": src, "action": label.name, "dst": dst}
             for src, label, dst in model.edges
         ],
-        "time": [{"src": s, "dst": d} for s, d in time],
+        "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
     }
     return json.dumps(data, indent=2) + "\n"
 

@@ -67,16 +67,25 @@ class ClockConstraint:
         return f"{self.clock}{self.op}{self.bound}"
 
 
+def _excerpt(text, pos, width=30):
+    """At most ``2 * width`` characters of ``text`` around index ``pos``, quoted.
+
+    Error messages quote this, not the whole input, which may be long.
+    """
+    start = max(0, min(pos - width, len(text) - 2 * width))
+    return repr(text[start : start + 2 * width])
+
+
 def parse_constraint(text):
     m = _CONSTRAINT_RE.match(text)
     if m is None:
-        raise ModelFormatError(f"cannot parse clock constraint {text!r}")
+        raise ModelFormatError(f"cannot parse clock constraint {_excerpt(text, 0)}")
     clock, op, bound = m.group(1), m.group(2), m.group(3)
     if "." in bound:
-        raise ModelFormatError(f"non-integral constant in constraint {text!r}")
+        raise ModelFormatError(f"non-integral constant in constraint {_excerpt(text, 0)}")
     value = int(bound)
     if value < 0:
-        raise ModelFormatError(f"negative constant in constraint {text!r}")
+        raise ModelFormatError(f"negative constant in constraint {_excerpt(text, 0)}")
     return ClockConstraint(clock, op, value)
 
 
@@ -108,9 +117,7 @@ class _PredParser:
             if m is None or m.end() == pos:
                 if text[pos:].strip() == "":
                     break
-                raise ModelFormatError(
-                    f"pred parse error at column {pos + 1} in {text!r}"
-                )
+                raise self.error("pred parse error", pos)
             self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
             pos = m.end()
         self.i = 0
@@ -124,11 +131,13 @@ class _PredParser:
         self.i += 1
         return tok
 
-    def fail(self, expected):
-        kind, value, pos = self.peek()
-        raise ModelFormatError(
-            f"pred parse error at column {pos + 1} in {self.text!r}: expected {expected}"
+    def error(self, message, pos):
+        return ModelFormatError(
+            f"{message} at column {pos + 1} near {_excerpt(self.text, pos)}"
         )
+
+    def fail(self, expected):
+        raise self.error(f"pred parse error (expected {expected})", self.peek()[2])
 
     def parse(self):
         node = self.expr()
@@ -150,14 +159,12 @@ class _PredParser:
         return self.chain("and", "&", self.factor)
 
     def factor(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if (kind, value) in (("punct", "!"), ("punct", "(")):
             self.take()
             self.nesting += 1
             if self.nesting > MAX_PRED_DEPTH:
-                raise ModelFormatError(
-                    f"predicate nests deeper than {MAX_PRED_DEPTH} levels in {self.text!r}"
-                )
+                raise self.error(f"predicate nests deeper than {MAX_PRED_DEPTH} levels", pos)
             if value == "!":
                 node = ("not", self.factor())
             else:
@@ -174,16 +181,14 @@ class _PredParser:
             op_kind, op, _ = self.take()
             if op_kind != "op":
                 self.fail("comparison operator")
-            num_kind, num, _ = self.take()
+            num_kind, num, num_pos = self.take()
             if num_kind != "num":
                 self.fail("integer constant")
             if "." in num:
-                raise ModelFormatError(
-                    f"non-integral constant in predicate {self.text!r}"
-                )
+                raise self.error("non-integral constant in predicate", num_pos)
             bound = int(num)
             if bound < 0:
-                raise ModelFormatError(f"negative constant in predicate {self.text!r}")
+                raise self.error("negative constant in predicate", num_pos)
             return ("atom", ident, op, bound)
         self.fail("clock atom, '!', or '('")
 
@@ -426,10 +431,19 @@ class TimedAutomatonWithFaults:
     valuation space (checked exhaustively at region granularity, with a
     witness valuation on failure).  Whether every *state* of a non-faulty
     location can actually fault is settled later on the region quotient,
-    where the check is exact.
+    where the check is exact.  The partition check visits every region of
+    the external clocks and raises CapExceeded past ``max_classes`` of them.
     """
 
-    def __init__(self, locations, internal_clocks, external_clocks, edges, observation):
+    def __init__(
+        self,
+        locations,
+        internal_clocks,
+        external_clocks,
+        edges,
+        observation,
+        max_classes=DEFAULT_MAX_CLASSES,
+    ):
         self.locations = tuple(locations)
         if not self.locations:
             raise ModelFormatError("automaton needs at least one location")
@@ -489,7 +503,7 @@ class TimedAutomatonWithFaults:
 
         self._validate_axioms()
         self.ceilings = self._compute_ceilings()
-        self._validate_partition()
+        self._validate_partition(max_classes)
 
     def location(self, name):
         return self._loc_by_name[name]
@@ -545,10 +559,18 @@ class TimedAutomatonWithFaults:
                 bump(clock, bound)
         return tuple(ceilings[name] for name in self.clocks)
 
-    def _validate_partition(self):
+    def _validate_partition(self, max_classes):
         ext_index = {name: i for i, name in enumerate(self.external_clocks)}
         ext_ceilings = tuple(self.ceilings[self._clock_index[n]] for n in self.external_clocks)
-        for region in all_regions(ext_ceilings):
+        # Each clock has 2c+2 positions and every combination of them holds
+        # at least one region, so this product bounds the count from below
+        # before all_regions builds its per-clock lists.
+        at_least = math.prod(2 * c + 2 for c in ext_ceilings)
+        if at_least > max_classes:
+            raise CapExceeded("observation partition regions", at_least, max_classes)
+        for count, region in enumerate(all_regions(ext_ceilings), 1):
+            if count > max_classes:
+                raise CapExceeded("observation partition regions", count, max_classes)
             values = sample_region(region, ext_ceilings)
             valuation = {name: values[ext_index[name]] for name in self.external_clocks}
             hits = [spec.id for spec in self.observation if eval_pred(spec.pred, valuation)]
@@ -774,7 +796,7 @@ def _constraints(value, what):
     return tuple(parse_constraint(c) for c in _strings(value, what))
 
 
-def parse_ta(text):
+def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     """Parse and validate a timed automaton from its JSON file format."""
     try:
         data = json.loads(text)
@@ -822,12 +844,14 @@ def parse_ta(text):
             raise ModelFormatError(f"observation[{i}].pred must be a string")
         observation.append(ObservableSpec(obs_id, parse_pred(spec["pred"]), spec["pred"]))
 
-    return TimedAutomatonWithFaults(locations, internal, external, edges, observation)
+    return TimedAutomatonWithFaults(
+        locations, internal, external, edges, observation, max_classes
+    )
 
 
-def load_ta(path):
+def load_ta(path, max_classes=DEFAULT_MAX_CLASSES):
     with open(path, encoding="utf-8") as fh:
-        return parse_ta(fh.read())
+        return parse_ta(fh.read(), max_classes)
 
 
 def dumps_ta(ta):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,9 +10,24 @@ from hydiag.quotient import load_model
 from hydiag.regions import load_ta
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CORPUS_SEED = 20260809
 CORPUS_SIZE = 500
+
+
+def run_python(args, stdin="", timeout=120):
+    """Run the interpreter on ``args`` with this tree's ``src`` importable,
+    as pytest's ``pythonpath`` setting makes it for the tests themselves."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
+
 from hydiag.quotient import ActionLabel, ClassInfo, Kind, QuotientModel, UTrace
 from hydiag.regions import (
     ClockConstraint,
@@ -143,6 +145,35 @@ def koenig_model():
         time=[(3, 2), (4, 1)],
         actions=(E0, E1, FAULT),
     )
+
+
+def nx_silent_graph(model):
+    """The silent moves of ``model`` (internal, fault, time) as a networkx graph."""
+    silent = nx.DiGraph()
+    silent.add_nodes_from(range(len(model.classes)))
+    silent.add_edges_from(
+        (s, d) for s, label, d in model.edges if label.kind is not Kind.EXTERNAL
+    )
+    silent.add_edges_from((s, d) for s, d in model.time if s != d)
+    return silent
+
+
+def nx_observed_step(model):
+    """Reference estimator step: ``step(seed, action, obs)`` is the set of
+    classes in cell ``obs`` that some class of ``seed`` reaches by silent
+    moves and then one ``action`` edge.  The closure comes from networkx
+    descendants, not from the quotient's own search."""
+    silent = nx_silent_graph(model)
+    targets = {}
+    for s, label, d in model.edges:
+        if label.kind is Kind.EXTERNAL:
+            targets.setdefault((s, label.name, model.obs[d]), set()).add(d)
+
+    def step(seed, action, obs):
+        closure = set(seed).union(*(nx.descendants(silent, c) for c in seed))
+        return set().union(*(targets.get((c, action, obs), ()) for c in closure))
+
+    return step
 
 
 def estimator_trace_map(est, k):

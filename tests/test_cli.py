@@ -2,7 +2,6 @@
 
 import io
 import json
-import subprocess
 import sys
 
 import networkx as nx
@@ -10,7 +9,7 @@ import networkx as nx
 from hydiag.cli import main
 from hydiag.quotient import load_model, loads_model, save_model
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, run_python
 from .helpers import make_model
 
 Q1 = str(FIXTURES / "q1.quot.json")
@@ -210,6 +209,20 @@ class TestOracleCommand:
         assert payload["diagnosable"] is False
         assert payload["counterexample"]["left"]["cycle"] == [3, 2, 3]
 
+    def test_json_not_progressive(self, tmp_path, capsys):
+        model = make_model([(False, True, 0), (True, False, 0)], [(0, "tick", 0), (0, "f", 1)])
+        path = str(tmp_path / "dead.quot.json")
+        save_model(model, path)
+        assert main(["oracle", path, "--format", "json"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "progressive": False,
+            "witness": {"kind": "deadlock", "classes": [1], "labels": []},
+            "diagnosable": None,
+        }
+        assert main(["check", path, "--format", "json"]) == 3
+        assert json.loads(capsys.readouterr().out) == payload
+
 
 class TestFuzzCommand:
     def test_small_suite(self, capsys):
@@ -226,11 +239,7 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hydiag", "check", Q1],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "hydiag", "check", Q1])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "diagnosable"
 
@@ -239,12 +248,7 @@ class TestMalformedInput:
     """Malformed files exit 1 with a message, never a Python traceback."""
 
     def run_cli(self, args, stdin=""):
-        return subprocess.run(
-            [sys.executable, "-m", "hydiag", *args],
-            input=stdin,
-            capture_output=True,
-            text=True,
-        )
+        return run_python(["-m", "hydiag", *args], stdin, timeout=60)
 
     def check_rejected(self, proc):
         assert proc.returncode == 1
@@ -270,7 +274,19 @@ class TestMalformedInput:
         data["observation"][0]["pred"] = "(" * 2000 + "x<1" + ")" * 2000
         path = tmp_path / "deep.ta.json"
         path.write_text(json.dumps(data))
-        self.check_rejected(self.run_cli(["regions", str(path)]))
+        proc = self.run_cli(["regions", str(path)])
+        self.check_rejected(proc)
+        assert len(proc.stderr) < 200  # an excerpt, not the 4,003-character predicate
+
+    def test_automaton_with_huge_constant_hits_the_cap(self, tmp_path):
+        data = json.loads(open(TA1).read())
+        data["edges"][0]["guard"] = ["x<=99999999999999999999"]
+        path = tmp_path / "huge.ta.json"
+        path.write_text(json.dumps(data))
+        proc = self.run_cli(["check", "--ta", str(path), "--max-classes", "1000"])
+        assert proc.returncode == 5
+        assert "Traceback" not in proc.stderr
+        assert "observation partition regions" in proc.stderr
 
     def test_diagnoser_with_false_alarm_output(self, tmp_path):
         diag = tmp_path / "diag.json"

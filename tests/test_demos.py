@@ -1,18 +1,16 @@
 """The demo scripts must run clean; they double as living documentation."""
 
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from .conftest import run_python
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
-    )
+    proc = run_python([str(script)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -23,6 +23,7 @@ from .helpers import (
     koenig_model,
     linear_chain_model,
     make_model,
+    nx_observed_step,
     q3_model,
 )
 
@@ -344,8 +345,7 @@ class TestWitnessProperties:
 
 def _witness_product_sustained(model, est, lasso):
     """Does some faulty class follow the witness cycle forever?"""
-    from hydiag.quotient import external_successors
-
+    step = nx_observed_step(model)
     sid = est.initials.get(lasso.prefix.head)
     for action, obs in lasso.prefix.steps:
         sid = est.transitions.get((sid, action, obs))
@@ -354,9 +354,7 @@ def _witness_product_sustained(model, est, lasso):
     # Iterate the cycle enough times to detect a stable nonempty core.
     for _ in range(len(est.states) * len(model.classes) + 1):
         for action, obs in lasso.cycle.steps:
-            nxt = set()
-            for c in faulty_here:
-                nxt |= external_successors(model, (c,), action, obs)
+            nxt = step(faulty_here, action, obs)
             sid = est.transitions.get((sid, action, obs))
             faulty_here = {c for c in nxt if sid is not None and c in est.states[sid].members}
         if not faulty_here:

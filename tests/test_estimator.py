@@ -12,7 +12,7 @@ from hydiag.estimator import (
 )
 from hydiag.oracle import enumerate_utraces, random_models
 
-from .helpers import estimator_trace_map, make_model, q2_model
+from .helpers import estimator_trace_map, make_model, nx_observed_step, q2_model
 
 
 class TestInitialEstimates:
@@ -162,15 +162,29 @@ class TestInvariants:
         # irreversible, so a run ending healthy was healthy throughout.
         # (This is why transient ambiguity never refutes diagnosability
         # on the healthy side.)
-        from hydiag.quotient import external_successors
-
         for model in random_models(40, 321):
             est = build_estimator(model)
+            step = nx_observed_step(model)
             for (src, action, obs), dst in est.transitions.items():
                 healthy_src = [c for c in est.states[src].members if not model.faulty[c]]
                 healthy_dst = {c for c in est.states[dst].members if not model.faulty[c]}
-                reachable = external_successors(model, healthy_src, action, obs)
-                assert healthy_dst <= reachable
+                assert healthy_dst <= step(healthy_src, action, obs)
+
+
+class TestAgainstNetworkx:
+    def test_transitions_are_set_successors(self, corpus):
+        # The estimator and enumerate_utraces both read external_moves, so
+        # their agreement alone would not catch a fault in that table.
+        for model in corpus:
+            est = build_estimator(model)
+            step = nx_observed_step(model)
+            cells = sorted(set(model.obs))
+            for sid, state in enumerate(est.states):
+                for action in model.external_actions:
+                    for obs in cells:
+                        dst = est.transitions.get((sid, action.name, obs))
+                        members = set() if dst is None else set(est.states[dst].members)
+                        assert members == step(state.members, action.name, obs)
 
 
 class TestExport:

@@ -16,8 +16,10 @@ from hydiag.diagnosability import _fault_product, _indeterminate_graph
 from hydiag.estimator import build_estimator
 from hydiag.graphs import find_lasso, strongly_connected_components
 from hydiag.oracle import random_models, twin_product
-from hydiag.quotient import Kind, external_moves
+from hydiag.quotient import external_moves
 from hydiag.regions import region_quotient
+
+from .helpers import nx_silent_graph
 
 CORPUS = list(random_models(100, 2718))
 
@@ -157,12 +159,7 @@ class TestFindLasso:
 class TestExternalMoves:
     def test_against_descendant_closures(self, ta1):
         for model in CORPUS + [region_quotient(ta1)]:
-            silent = nx.DiGraph()
-            silent.add_nodes_from(range(len(model.classes)))
-            silent.add_edges_from(
-                (s, d) for s, label, d in model.edges if label.kind is not Kind.EXTERNAL
-            )
-            silent.add_edges_from((s, d) for s, d in model.time if s != d)
+            silent = nx_silent_graph(model)
             expected = {}
             for c in range(len(model.classes)):
                 closure = nx.descendants(silent, c) | {c}

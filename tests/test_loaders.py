@@ -1,13 +1,16 @@
 """Every file format rejects malformed input with ModelFormatError.
 
-Each test replaces one JSON value of a valid file, at every position in
-it, by values of every JSON type; loading must then succeed or raise the
-documented format or validation error, never anything else.
+One test replaces one JSON value of a valid file, at every position in
+it, by values of every JSON type; another feeds arbitrary JSON documents
+built from the schemas' key names.  Loading must then succeed or raise
+the documented format or validation error, never anything else.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydiag.diagnoser import dumps_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import ModelFormatError, TAValidationError
@@ -71,3 +74,49 @@ def test_every_replaced_value_loads_or_is_rejected(data, load):
             except (ModelFormatError, TAValidationError):
                 rejected += 1
     assert rejected > 0
+
+
+# Objects carry one schema's exact key set, or arbitrary keys, so that
+# documents get past the key checks and reach the loaders' deeper checks.
+KEY_SETS = [
+    ("classes", "actions", "edges", "time"),
+    ("id", "faulty", "initial", "obs"),
+    ("name", "kind"),
+    ("src", "action", "dst"),
+    ("src", "dst"),
+    ("locations", "clocks", "edges", "observation"),
+    ("name", "faulty", "initial", "invariant"),
+    ("internal", "external"),
+    ("src", "dst", "action", "kind", "guard", "resets"),
+    ("id", "pred"),
+    ("states", "initials", "transitions", "output"),
+    ("id", "members", "class"),
+    ("src", "action", "obs", "dst"),
+]
+STRINGS = ["external", "internal", "fault", "x", "x<1", "!(x<1)", "true", "tick",
+           "faulty", "nonfaulty", "indeterminate", "yes", "no", "maybe"]
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(STRINGS) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.sampled_from(KEY_SETS).flatmap(
+        lambda keys: st.fixed_dictionaries({k: inner for k in keys})
+    )
+    | st.dictionaries(st.sampled_from(["0", "1", "x"]) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=40,
+)
+
+
+@pytest.mark.parametrize(
+    "load, keys",
+    [(loads_model, KEY_SETS[0]), (parse_ta, KEY_SETS[5]), (loads_diagnoser, KEY_SETS[10])],
+    ids=["quotient", "automaton", "diagnoser"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arbitrary_documents_load_or_are_rejected(load, keys, data):
+    doc = data.draw(JSON_DOCS | st.fixed_dictionaries({k: JSON_DOCS for k in keys}))
+    try:
+        load(json.dumps(doc))
+    except (ModelFormatError, TAValidationError):
+        pass

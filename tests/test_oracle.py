@@ -168,7 +168,7 @@ class TestRandomModels:
             assert check_progressive(model).progressive
             assert len(model.classes) <= 6
             assert len(model.external_actions) <= 2
-            assert model.num_observables <= 2
+            assert set(model.obs) <= {0, 1}
 
     def test_generator_is_deterministic(self):
         a = list(random_models(10, 42))

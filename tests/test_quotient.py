@@ -12,7 +12,7 @@ from hydiag.quotient import (
     Kind,
     QuotientModel,
     dumps_model,
-    external_successors,
+    external_moves,
     loads_model,
     unobservable_closure,
     validate_model,
@@ -153,26 +153,22 @@ class TestClosureProperties:
     @settings(max_examples=60, deadline=None)
     def test_faulty_seeds_have_faulty_successors(self, data):
         model, small, _ = data
-        faulty_only = frozenset(c for c in small if model.faulty[c])
-        for action in model.external_actions:
-            for obs in range(model.num_observables):
-                succ = external_successors(model, faulty_only, action, obs)
-                assert all(model.faulty[c] for c in succ)
+        faulty_only = [c for c in small if model.faulty[c]]
+        for moves in external_moves(model, faulty_only).values():
+            assert all(model.faulty[c] for c, _ in moves)
 
 
 class TestExternalSuccessors:
     def test_tick_into_o1(self, q1):
-        assert external_successors(q1, {0}, "tick", 1) == {1}
+        moves = external_moves(q1, [0])[(0, "tick")]
+        assert [c for c, obs in moves if obs == 1] == [1]
 
     def test_tick_into_o0_reveals_fault(self, q1):
-        assert external_successors(q1, {0}, "tick", 0) == {2}
+        moves = external_moves(q1, [0])[(0, "tick")]
+        assert [c for c, obs in moves if obs == 0] == [2]
 
     def test_empty_seed(self, q1):
-        assert external_successors(q1, set(), "tick", 0) == frozenset()
-
-    def test_rejects_non_external_action(self, q1):
-        with pytest.raises(ValueError):
-            external_successors(q1, {0}, "f", 0)
+        assert external_moves(q1, []) == {}
 
 
 class TestConstruction:

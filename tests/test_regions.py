@@ -181,6 +181,21 @@ class TestParsing:
         with pytest.raises(PartitionError):
             parse_ta(json.dumps(data))
 
+    def test_partition_check_is_capped(self):
+        import json
+
+        data = json.loads(open("fixtures/ta1.ta.json").read())
+        data["clocks"]["external"] = ["x", "y", "z"]
+        cell = "x<1 & y<=1 & z<=1"
+        data["observation"] = [{"id": 0, "pred": cell}, {"id": 1, "pred": f"!({cell})"}]
+        text = json.dumps(data)
+        regions = len(list(all_regions((1, 1, 1))))  # 94, above 4**3 = 64
+        assert parse_ta(text, max_classes=regions).external_clocks == ("x", "y", "z")
+        for cap, count in [(regions - 1, regions), (63, 64)]:
+            with pytest.raises(CapExceeded) as err:
+                parse_ta(text, max_classes=cap)
+            assert (err.value.what, err.value.count) == ("observation partition regions", count)
+
     def test_observation_must_use_external_clocks(self):
         import json
 
