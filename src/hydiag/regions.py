@@ -14,7 +14,11 @@ fine enough, because each region lies entirely inside one cell.
 The construction is deliberately classical: per-clock integer parts up
 to the ceiling plus the ordering of fractional parts.  Regions whose
 clocks all sit above their ceilings are time-divergent, and the quotient
-marks them so (as explicit time self-loops).
+marks them so (as explicit time self-loops).  Guards, invariants and
+observation cells are decided on the region itself, from each clock's
+integer part and whether it sits at an exact integer or past its ceiling
+(``atom_holds``); a concrete valuation is built only for the witness of
+a failed partition check.
 """
 
 from __future__ import annotations
@@ -60,9 +64,6 @@ class ClockConstraint:
     op: str
     bound: int
 
-    def holds(self, valuation):
-        return _OPS[self.op](valuation[self.clock], self.bound)
-
     def pretty(self):
         return f"{self.clock}{self.op}{self.bound}"
 
@@ -89,10 +90,6 @@ def parse_constraint(text):
     return ClockConstraint(clock, op, value)
 
 
-def eval_constraints(constraints, valuation):
-    return all(c.holds(valuation) for c in constraints)
-
-
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<num>-?\d+(?:\.\d+)?)"
     r"|(?P<op><=|>=|==|<|>)|(?P<punct>[!&|()]))"
@@ -114,11 +111,12 @@ class _PredParser:
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
-            if m is None or m.end() == pos:
-                if text[pos:].strip() == "":
+            if m is None:
+                rest = text[pos:].lstrip()
+                if not rest:
                     break
-                raise self.error("pred parse error", pos)
-            self.tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
+                raise self.error("pred parse error", len(text) - len(rest))
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
             pos = m.end()
         self.i = 0
         self.nesting = 0
@@ -178,12 +176,12 @@ class _PredParser:
             ident = self.take()[1]
             if ident == "true":
                 return ("true",)
-            op_kind, op, _ = self.take()
-            if op_kind != "op":
+            if self.peek()[0] != "op":
                 self.fail("comparison operator")
-            num_kind, num, num_pos = self.take()
-            if num_kind != "num":
+            op = self.take()[1]
+            if self.peek()[0] != "num":
                 self.fail("integer constant")
+            _, num, num_pos = self.take()
             if "." in num:
                 raise self.error("non-integral constant in predicate", num_pos)
             bound = int(num)
@@ -195,21 +193,6 @@ class _PredParser:
 
 def parse_pred(text):
     return _PredParser(text).parse()
-
-
-def eval_pred(node, valuation):
-    tag = node[0]
-    if tag == "true":
-        return True
-    if tag == "atom":
-        return _OPS[node[2]](valuation[node[1]], node[3])
-    if tag == "not":
-        return not eval_pred(node[1], valuation)
-    if tag == "and":
-        return all(eval_pred(child, valuation) for child in node[1:])
-    if tag == "or":
-        return any(eval_pred(child, valuation) for child in node[1:])
-    raise ValueError(f"bad predicate node {node!r}")
 
 
 def pred_atoms(node):
@@ -281,30 +264,50 @@ def initial_region(num_clocks):
     return Region((0,) * num_clocks, tuple(range(num_clocks)), ())
 
 
-def region_of(values, ceilings):
-    """The region containing a concrete (non-negative rational) valuation."""
-    ints = []
-    zero = []
-    fracs = {}
-    for i, v in enumerate(values):
-        if v < 0:
-            raise ValueError("clock values must be non-negative")
-        if v > ceilings[i]:
-            ints.append(ceilings[i] + 1)
-            continue
-        whole = int(v)
-        ints.append(whole)
-        frac = v - whole
-        if frac == 0:
-            zero.append(i)
-        else:
-            fracs.setdefault(frac, []).append(i)
-    groups = tuple(tuple(sorted(g)) for _, g in sorted(fracs.items()))
-    return Region(tuple(ints), tuple(sorted(zero)), groups)
+def atom_holds(region, i, op, bound):
+    """Whether ``x_i op bound`` holds at every valuation in ``region``.
+
+    A clock at an exact integer compares its integer part.  A clock strictly
+    between two integers or past its ceiling equals no integer; ``<`` and
+    ``<=`` hold iff its integer part is below ``bound``, ``>=`` and ``>`` iff
+    not.  Exact only when ``bound`` is at most clock i's ceiling, which holds
+    for every guard, invariant and observation constant because the
+    ceilings are their maxima (``_compute_ceilings``).
+    """
+    whole = region.ints[i]
+    if i in region.zero:
+        return _OPS[op](whole, bound)
+    if op == "==":
+        return False
+    if op[0] == "<":
+        return whole < bound
+    return whole >= bound
+
+
+def pred_holds(node, region, index):
+    """Whether predicate ``node`` holds throughout ``region``, atom by atom
+    with ``atom_holds``; ``index`` maps clock names to region positions.
+
+    Chains are flat nodes, so the recursion is at most MAX_PRED_DEPTH deep
+    on parsed predicates.
+    """
+    tag = node[0]
+    if tag == "atom":
+        return atom_holds(region, index[node[1]], node[2], node[3])
+    if tag == "true":
+        return True
+    if tag == "not":
+        return not pred_holds(node[1], region, index)
+    if tag == "and":
+        return all(pred_holds(child, region, index) for child in node[1:])
+    if tag == "or":
+        return any(pred_holds(child, region, index) for child in node[1:])
+    raise ValueError(f"bad predicate node {node!r}")
 
 
 def sample_region(region, ceilings, rng=None):
-    """A concrete valuation inside the region (exact rationals).
+    """A concrete valuation inside the region (exact rationals), as the
+    witness of a failed partition check.
 
     With ``rng`` the fractional parts and the above-ceiling excesses are
     randomized while preserving the region; otherwise a fixed canonical
@@ -379,18 +382,45 @@ def reset_region(region, clock_indices, ceilings):
 
 
 def _ordered_partitions(items):
-    if not items:
-        yield ()
-        return
+    """Ordered set partitions of ``items``, as tuples of sorted blocks.
+
+    They come in the lexicographic order of their block assignments (item
+    j in block a[j], every block 0..max(a) used), which fixes the witness
+    and the count of the partition check.  An assignment grows one item at
+    a time, and a prefix is dropped once the unused blocks below its
+    highest one outnumber the items left, so every prefix kept extends to
+    a partition.
+    """
     n = len(items)
-    for assignment in itertools.product(range(n), repeat=n):
-        blocks_used = max(assignment) + 1
-        if set(assignment) != set(range(blocks_used)):
-            continue
-        blocks = [[] for _ in range(blocks_used)]
-        for item, a in zip(items, assignment):
-            blocks[a].append(item)
-        yield tuple(tuple(sorted(b)) for b in blocks)
+    used = [0] * n  # items of the prefix in each block
+    stack = []  # per placed item: its block, and top and missing before it
+    top, missing = -1, 0  # highest block of the prefix, unused blocks below it
+    block = 0  # next block to try for item len(stack)
+    while True:
+        left = n - len(stack)
+        if left:
+            if block <= top:
+                new_top, new_missing = top, missing - (used[block] == 0)
+            else:
+                new_top, new_missing = block, missing + block - top - 1
+            if new_missing < left:
+                stack.append((block, top, missing))
+                used[block] += 1
+                top, missing, block = new_top, new_missing, 0
+                continue
+            if block < top:
+                block += 1
+                continue
+        else:
+            blocks = [[] for _ in range(top + 1)]
+            for item, (b, _, _) in zip(items, stack):
+                blocks[b].append(item)
+            yield tuple(tuple(sorted(b)) for b in blocks)
+        if not stack:
+            return
+        block, top, missing = stack.pop()
+        used[block] -= 1
+        block += 1
 
 
 def all_regions(ceilings):
@@ -571,11 +601,10 @@ class TimedAutomatonWithFaults:
         for count, region in enumerate(all_regions(ext_ceilings), 1):
             if count > max_classes:
                 raise CapExceeded("observation partition regions", count, max_classes)
-            values = sample_region(region, ext_ceilings)
-            valuation = {name: values[ext_index[name]] for name in self.external_clocks}
-            hits = [spec.id for spec in self.observation if eval_pred(spec.pred, valuation)]
+            hits = [s.id for s in self.observation if pred_holds(s.pred, region, ext_index)]
             if len(hits) != 1:
-                witness = {name: str(valuation[name]) for name in self.external_clocks}
+                values = sample_region(region, ext_ceilings)
+                witness = {name: str(v) for name, v in zip(self.external_clocks, values)}
                 what = "no cell covers" if not hits else f"cells {hits} overlap at"
                 raise PartitionError(
                     f"observation is not a partition: {what} {witness or 'the empty valuation'}",
@@ -584,25 +613,16 @@ class TimedAutomatonWithFaults:
 
     # -- region-level helpers -------------------------------------------------
 
-    def sample_valuation(self, region, rng=None):
-        values = sample_region(region, self.ceilings, rng)
-        return {name: values[i] for i, name in enumerate(self.clocks)}
-
     def region_satisfies(self, region, constraints):
-        if not constraints:
-            return True
-        return eval_constraints(constraints, self.sample_valuation(region))
+        index = self._clock_index
+        return all(atom_holds(region, index[c.clock], c.op, c.bound) for c in constraints)
 
     def observable_of_region(self, region):
-        valuation = self.sample_valuation(region)
-        hits = [s.id for s in self.observation if eval_pred(s.pred, valuation)]
+        index = self._clock_index
+        hits = [s.id for s in self.observation if pred_holds(s.pred, region, index)]
         if len(hits) != 1:
             raise RuntimeError(f"region not covered by exactly one observable: {hits}")
         return hits[0]
-
-    def observable_of_valuation(self, valuation):
-        hits = [s.id for s in self.observation if eval_pred(s.pred, valuation)]
-        return hits[0] if len(hits) == 1 else None
 
     def reset_indices(self, resets):
         return tuple(sorted(self._clock_index[name] for name in resets))
@@ -719,62 +739,6 @@ def region_count_bound(ta):
         bound *= 2 * c + 2
     k = len(ta.clocks)
     return bound * math.factorial(k) * 2**k
-
-
-# ---------------------------------------------------------------------------
-# Concrete-semantics helpers (used by the sampling-based equivalence tests)
-
-def apply_reset(valuation, resets):
-    out = dict(valuation)
-    for name in resets:
-        out[name] = Fraction(0)
-    return out
-
-
-def concrete_enabled_edges(ta, loc_name, valuation):
-    """Indices of automaton edges enabled at a concrete state."""
-    enabled = []
-    for i, e in enumerate(ta.edges):
-        if e.src != loc_name:
-            continue
-        if not eval_constraints(e.guard, valuation):
-            continue
-        after = apply_reset(valuation, e.resets)
-        if eval_constraints(ta.location(e.dst).invariant, after):
-            enabled.append(i)
-    return tuple(enabled)
-
-
-def concrete_region_path(values, ceilings):
-    """Regions visited as time flows from a concrete valuation.
-
-    Independent of time_successor: advances the valuation by explicit
-    exact delays until every clock has passed its ceiling.
-    """
-    v = list(values)
-    path = [region_of(v, ceilings)]
-    while True:
-        pending = [
-            (i, x) for i, x in enumerate(v) if x <= ceilings[i]
-        ]
-        if not pending:
-            return path
-        distances = []
-        any_zero = False
-        for i, x in pending:
-            frac = x - int(x)
-            if frac == 0:
-                any_zero = True
-                distances.append(Fraction(1))
-            else:
-                distances.append(1 - frac)
-        delta = min(distances)
-        if any_zero:
-            delta = delta / 2  # leave the integer hyperplane but cross nothing
-        v = [x + delta for x in v]
-        r = region_of(v, ceilings)
-        if r != path[-1]:
-            path.append(r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import operator
 import random
+from fractions import Fraction
 
 import networkx as nx
 
@@ -11,9 +13,11 @@ from hydiag.regions import (
     ClockConstraint,
     Location,
     ObservableSpec,
+    Region,
     TAEdge,
     TimedAutomatonWithFaults,
     parse_pred,
+    sample_region,
 )
 
 TICK = ActionLabel("tick", Kind.EXTERNAL)
@@ -326,3 +330,118 @@ def random_progressive_ta(seed):
 
     observation = _threshold_observation("x", rng)
     return TimedAutomatonWithFaults(locations, [], ["x"], edges, observation)
+
+
+# ---------------------------------------------------------------------------
+# Concrete semantics: exact Fraction valuations, the oracle that the
+# region-level evaluator and the region construction are checked against.
+
+OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
+def constraint_holds(constraint, valuation):
+    return OPS[constraint.op](valuation[constraint.clock], constraint.bound)
+
+
+def eval_constraints(constraints, valuation):
+    return all(constraint_holds(c, valuation) for c in constraints)
+
+
+def eval_pred(node, valuation):
+    tag = node[0]
+    if tag == "true":
+        return True
+    if tag == "atom":
+        return OPS[node[2]](valuation[node[1]], node[3])
+    if tag == "not":
+        return not eval_pred(node[1], valuation)
+    if tag == "and":
+        return all(eval_pred(child, valuation) for child in node[1:])
+    if tag == "or":
+        return any(eval_pred(child, valuation) for child in node[1:])
+    raise ValueError(f"bad predicate node {node!r}")
+
+
+def sample_valuation(ta, region, rng=None):
+    values = sample_region(region, ta.ceilings, rng)
+    return {name: values[i] for i, name in enumerate(ta.clocks)}
+
+
+def observable_of_valuation(ta, valuation):
+    hits = [s.id for s in ta.observation if eval_pred(s.pred, valuation)]
+    return hits[0] if len(hits) == 1 else None
+
+
+def region_of(values, ceilings):
+    """The region containing a concrete (non-negative rational) valuation."""
+    ints = []
+    zero = []
+    fracs = {}
+    for i, v in enumerate(values):
+        if v < 0:
+            raise ValueError("clock values must be non-negative")
+        if v > ceilings[i]:
+            ints.append(ceilings[i] + 1)
+            continue
+        whole = int(v)
+        ints.append(whole)
+        frac = v - whole
+        if frac == 0:
+            zero.append(i)
+        else:
+            fracs.setdefault(frac, []).append(i)
+    groups = tuple(tuple(sorted(g)) for _, g in sorted(fracs.items()))
+    return Region(tuple(ints), tuple(sorted(zero)), groups)
+
+
+def apply_reset(valuation, resets):
+    out = dict(valuation)
+    for name in resets:
+        out[name] = Fraction(0)
+    return out
+
+
+def concrete_enabled_edges(ta, loc_name, valuation):
+    """Indices of automaton edges enabled at a concrete state."""
+    enabled = []
+    for i, e in enumerate(ta.edges):
+        if e.src != loc_name:
+            continue
+        if not eval_constraints(e.guard, valuation):
+            continue
+        after = apply_reset(valuation, e.resets)
+        if eval_constraints(ta.location(e.dst).invariant, after):
+            enabled.append(i)
+    return tuple(enabled)
+
+
+def concrete_region_path(values, ceilings):
+    """Regions visited as time flows from a concrete valuation.
+
+    Independent of time_successor: advances the valuation by explicit
+    exact delays until every clock has passed its ceiling.
+    """
+    v = list(values)
+    path = [region_of(v, ceilings)]
+    while True:
+        pending = [
+            (i, x) for i, x in enumerate(v) if x <= ceilings[i]
+        ]
+        if not pending:
+            return path
+        distances = []
+        any_zero = False
+        for i, x in pending:
+            frac = x - int(x)
+            if frac == 0:
+                any_zero = True
+                distances.append(Fraction(1))
+            else:
+                distances.append(1 - frac)
+        delta = min(distances)
+        if any_zero:
+            delta = delta / 2  # leave the integer hyperplane but cross nothing
+        v = [x + delta for x in v]
+        r = region_of(v, ceilings)
+        if r != path[-1]:
+            path.append(r)

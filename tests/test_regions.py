@@ -1,5 +1,7 @@
 """Tests for the timed-automaton front-end and region construction."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,25 +13,35 @@ from hydiag.quotient import validate_model
 from hydiag.regions import (
     MAX_PRED_DEPTH,
     Region,
+    _ordered_partitions,
     all_regions,
-    apply_reset,
+    atom_holds,
     build_region_quotient,
-    concrete_enabled_edges,
-    concrete_region_path,
-    eval_pred,
     initial_region,
     parse_constraint,
     parse_pred,
     parse_ta,
+    pred_holds,
     region_count_bound,
-    region_of,
     region_quotient,
     reset_region,
     sample_region,
     time_successor,
 )
 
-from .helpers import random_ta
+from .helpers import (
+    OPS,
+    apply_reset,
+    concrete_enabled_edges,
+    concrete_region_path,
+    eval_constraints,
+    eval_pred,
+    observable_of_valuation,
+    random_progressive_ta,
+    random_ta,
+    region_of,
+    sample_valuation,
+)
 
 ZERO_CLOCK_TA = """
 {
@@ -88,21 +100,39 @@ class TestParsing:
 
     def test_long_chains_are_flat(self):
         valuation = {"x": Fraction(1, 2)}
+        region = region_of([valuation["x"]], (1,))
         conjunction = parse_pred(" & ".join(["x<1"] * 3000))
+        disjunction = parse_pred(" | ".join(["x>1"] * 3000))
         assert conjunction == ("and",) + (("atom", "x", "<", 1),) * 3000
         assert eval_pred(conjunction, valuation)
-        assert not eval_pred(parse_pred(" | ".join(["x>1"] * 3000)), valuation)
+        assert not eval_pred(disjunction, valuation)
+        assert pred_holds(conjunction, region, {"x": 0})
+        assert not pred_holds(disjunction, region, {"x": 0})
 
     def test_predicates_at_the_depth_bound_evaluate(self):
         valuation = {"x": Fraction(1, 2)}
+        region = region_of([valuation["x"]], (1,))
         n = MAX_PRED_DEPTH
-        assert eval_pred(parse_pred("(" * n + "x<1" + ")" * n), valuation)
-        assert eval_pred(parse_pred("!" * n + "x<1"), valuation) == (n % 2 == 0)
         levels = n // 3  # each level opens '(', '!' and '('
-        nested = "(x>1 | !(x<1 & " * levels + "x<1" + "))" * levels
-        assert eval_pred(parse_pred(nested), valuation) == (levels % 2 == 0)
+        cases = [
+            ("(" * n + "x<1" + ")" * n, True),
+            ("!" * n + "x<1", n % 2 == 0),
+            ("(x>1 | !(x<1 & " * levels + "x<1" + "))" * levels, levels % 2 == 0),
+        ]
+        for text, expected in cases:
+            pred = parse_pred(text)
+            assert eval_pred(pred, valuation) == expected
+            assert pred_holds(pred, region, {"x": 0}) == expected
         with pytest.raises(ModelFormatError, match="deeper"):
             parse_pred("!" * (n + 1) + "x<1")
+
+    def test_error_column_is_the_token_column(self):
+        with pytest.raises(ModelFormatError, match="negative constant in predicate at column 5 "):
+            parse_pred("x < -3")
+        with pytest.raises(ModelFormatError, match=r"expected integer constant\) at column 8 "):
+            parse_pred("x <    y")
+        with pytest.raises(ModelFormatError, match="pred parse error at column 5 "):
+            parse_pred("x < $")
 
     @pytest.mark.parametrize(
         "path",
@@ -277,6 +307,89 @@ class TestRegionOps:
                 assert region_of(concrete, ceilings) == reset_region(region, resets, ceilings)
 
 
+def reference_ordered_partitions(items):
+    """The ordered set partitions by filtering all n**n block assignments."""
+    if not items:
+        yield ()
+        return
+    n = len(items)
+    for assignment in itertools.product(range(n), repeat=n):
+        blocks_used = max(assignment) + 1
+        if set(assignment) != set(range(blocks_used)):
+            continue
+        blocks = [[] for _ in range(blocks_used)]
+        for item, a in zip(items, assignment):
+            blocks[a].append(item)
+        yield tuple(tuple(sorted(b)) for b in blocks)
+
+
+def region_samples(region, ceilings, rng, count=5):
+    """The canonical sample of ``region`` and ``count`` randomized ones."""
+    yield sample_region(region, ceilings)
+    for _ in range(count):
+        yield sample_region(region, ceilings, rng)
+
+
+class TestRegionEvaluator:
+    """The region-level evaluator against exact Fraction evaluation."""
+
+    @pytest.mark.parametrize("ceilings", [(1,), (3,), (2, 3), (1, 1, 2)], ids=str)
+    def test_atoms_agree_with_concrete_evaluation(self, ceilings):
+        rng = random.Random(11)
+        atoms = [
+            (i, op, bound)
+            for i, ceiling in enumerate(ceilings)
+            for op in OPS
+            for bound in range(ceiling + 1)
+        ]
+        for region in all_regions(ceilings):
+            expected = [atom_holds(region, i, op, bound) for i, op, bound in atoms]
+            for values in region_samples(region, ceilings, rng):
+                assert [OPS[op](values[i], bound) for i, op, bound in atoms] == expected, region
+
+    @pytest.mark.parametrize("builder", [random_ta, random_progressive_ta])
+    def test_random_automata_agree_with_concrete_evaluation(self, builder):
+        rng = random.Random(5)
+        for seed in range(50):
+            ta = builder(seed)
+            index = {name: i for i, name in enumerate(ta.clocks)}
+            preds = [spec.pred for spec in ta.observation]
+            constraints = [e.guard for e in ta.edges] + [loc.invariant for loc in ta.locations]
+            for region in all_regions(ta.ceilings):
+                on_region = (
+                    [pred_holds(p, region, index) for p in preds],
+                    [ta.region_satisfies(region, c) for c in constraints],
+                )
+                for values in region_samples(region, ta.ceilings, rng):
+                    valuation = dict(zip(ta.clocks, values))
+                    concrete = (
+                        [eval_pred(p, valuation) for p in preds],
+                        [eval_constraints(c, valuation) for c in constraints],
+                    )
+                    assert concrete == on_region, (seed, region)
+                hits = [spec.id for spec, hit in zip(ta.observation, on_region[0]) if hit]
+                assert hits == [ta.observable_of_region(region)]
+
+    def test_region_build_makes_no_fraction(self, monkeypatch):
+        def no_fraction(*args):
+            raise AssertionError("Fraction built")
+
+        text = json.dumps(three_clock_ta_data())
+        monkeypatch.setattr("hydiag.regions.Fraction", no_fraction)
+        rq = build_region_quotient(parse_ta(text))
+        assert len(rq.model.classes) == len(rq.class_regions) > 0
+        with pytest.raises(AssertionError, match="Fraction built"):
+            sample_region(Region((0,), (), ((0,),)), (1,))
+
+    def test_ordered_partitions_match_assignment_enumeration(self):
+        for n in range(7):
+            items = tuple(range(2, 2 + n))
+            assert list(_ordered_partitions(items)) == list(reference_ordered_partitions(items))
+
+    def test_ordered_partitions_of_seven_is_the_fubini_number(self):
+        assert sum(1 for _ in _ordered_partitions(tuple(range(7)))) == 47_293
+
+
 class TestCountBound:
     def test_one_clock_ceiling_one(self):
         ta = parse_ta(
@@ -383,8 +496,8 @@ def assert_region_equivalence(ta, rq, rng, pairs_per_class):
             (label.name, dst) for src, label, dst in model.edges if src == cid
         }
         for _ in range(pairs_per_class):
-            v1 = ta.sample_valuation(region, rng)
-            v2 = ta.sample_valuation(region, rng)
+            v1 = sample_valuation(ta, region, rng)
+            v2 = sample_valuation(ta, region, rng)
             enabled1 = concrete_enabled_edges(ta, loc, v1)
             enabled2 = concrete_enabled_edges(ta, loc, v2)
             assert enabled1 == enabled2, f"edge sets differ inside class {cid}"
@@ -396,9 +509,37 @@ def assert_region_equivalence(ta, rq, rng, pairs_per_class):
                 concrete_edges.add((e.action, index[(e.dst, target)]))
             assert concrete_edges == quotient_edges, f"class {cid} edges mismatch"
             for v in (v1, v2):
-                assert ta.observable_of_valuation(v) == model.obs[cid]
+                assert observable_of_valuation(ta, v) == model.obs[cid]
                 path = concrete_region_path([v[n] for n in ta.clocks], ceilings)
                 assert path == chain, f"time future differs inside class {cid}"
+
+
+def three_clock_ta_data():
+    """Three clocks, two of them external and observed through three cells.
+
+    Healthy tick ``t_i`` needs ``x_i == 2`` (the invariant forces it),
+    faulty ``t_i`` only ``x_i >= 1``; every tick resets its clock.
+    """
+    names = ["x0", "x1", "x2"]
+    inv = [f"{x}<=2" for x in names]
+    edges = [{"src": "ok", "dst": "bad", "action": "f", "kind": "fault", "guard": [], "resets": []}]
+    for i, x in enumerate(names):
+        for src, guard in (("ok", f"{x}==2"), ("bad", f"{x}>=1")):
+            edges.append(
+                {"src": src, "dst": src, "action": f"t{i}", "kind": "external",
+                 "guard": [guard], "resets": [x]}
+            )
+    low = "x0<2 & x1<2"
+    cells = [low, f"!({low}) & x0<2", "!(x0<2)"]
+    return {
+        "locations": [
+            {"name": "ok", "faulty": False, "initial": True, "invariant": inv},
+            {"name": "bad", "faulty": True, "initial": False, "invariant": inv},
+        ],
+        "clocks": {"internal": names[2:], "external": names[:2]},
+        "edges": edges,
+        "observation": [{"id": i, "pred": p} for i, p in enumerate(cells)],
+    }
 
 
 class TestSampledBisimulation:
@@ -414,3 +555,10 @@ class TestSampledBisimulation:
             assert validate_model(rq.model).ok
             assert len(rq.model.classes) <= region_count_bound(ta)
             assert_region_equivalence(ta, rq, rng, pairs_per_class=5)
+
+    def test_three_clocks(self):
+        ta = parse_ta(json.dumps(three_clock_ta_data()))
+        rq = build_region_quotient(ta)
+        assert len(ta.clocks) == 3
+        assert len(set(rq.model.obs)) == 3
+        assert_region_equivalence(ta, rq, random.Random(23), pairs_per_class=2)
