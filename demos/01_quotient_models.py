@@ -43,7 +43,7 @@ print("validation:", validate_model(model).ok)
 print("silent closure of {n0}:", sorted(unobservable_closure(model, {0})))
 
 # One tick later, the observable tells the two futures apart:
-for dst, obs in external_moves(model, [0])[(0, "tick")]:
+for dst, obs in external_moves(model)[(0, "tick")]:
     print(f"tick observed in o{obs} -> [{dst}]")
 
 # Validation reports broken axioms as data, with witnesses:

@@ -25,7 +25,6 @@ from .diagnoser import (
     events_of,
     load_diagnoser,
     run_trace,
-    save_diagnoser,
     step,
     synthesize,
 )
@@ -77,7 +76,6 @@ from .regions import (
     parse_ta,
     region_count_bound,
     region_quotient,
-    save_ta,
 )
 
 __version__ = "0.1.0"

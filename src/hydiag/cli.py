@@ -220,20 +220,19 @@ def cmd_oracle(args):
 
     if args.depth:
         est = build_estimator(model)
-        mismatches = _utrace_mismatches(model, est, args.depth)
+        expected = enumerate_utraces(model, args.depth)
+        mismatches = _utrace_mismatches(est, expected)
         if args.format != "json":
             if mismatches:
                 print(f"estimator disagrees with enumeration: {mismatches[0]}")
             else:
-                traces = len(enumerate_utraces(model, args.depth))
-                print(f"utrace agreement up to depth {args.depth}: ok ({traces} traces)")
+                print(f"utrace agreement up to depth {args.depth}: ok ({len(expected)} traces)")
         if mismatches:
             return EXIT_INVALID
     return EXIT_OK if verdict.diagnosable else EXIT_NOT_DIAGNOSABLE
 
 
-def _utrace_mismatches(model, est, depth):
-    expected = enumerate_utraces(model, depth)
+def _utrace_mismatches(est, expected):
     mismatches = []
     for trace, classes in sorted(expected.items(), key=lambda kv: kv[0].pretty()):
         sid = est.initials.get(trace.head)

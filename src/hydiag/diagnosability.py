@@ -157,7 +157,7 @@ def _fault_product(est, adj, indet):
     """
     model = est.model
     faulty = {sid: [c for c in est.states[sid].members if model.faulty[c]] for sid in indet}
-    moves = external_moves(model, {c for cs in faulty.values() for c in cs})
+    moves = external_moves(model)
     product = {(sid, c): [] for sid in indet for c in faulty[sid]}
     for sid in indet:
         for (action, obs), dst in adj[sid]:

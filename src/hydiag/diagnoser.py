@@ -15,7 +15,7 @@ from enum import Enum
 
 from .errors import ModelFormatError, NoConsistentExecution
 from .estimator import Classification, _graph_data, _key_int, _parse_graph_json, _state_id
-from .quotient import _as_object
+from .quotient import _as_object, _loads_json
 
 
 class Status(str, Enum):
@@ -153,18 +153,8 @@ def dumps_diagnoser(diag):
     return json.dumps(data, indent=2) + "\n"
 
 
-def save_diagnoser(diag, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_diagnoser(diag))
-
-
 def loads_diagnoser(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    data = _loads_json(text)
     states, initials, transitions = _parse_graph_json(
         data, "diagnoser", extra_keys={"output"}
     )

@@ -105,19 +105,12 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES):
     for obs, st in initial_estimates(model).items():
         initials[obs] = intern(st)
 
-    # The closure of a set is the union of its members' closures, so a
-    # state's successors are the union of its members' table rows.  Rows
-    # are filled only for classes that turn up as members.
-    moves = {}
-    filled = set()
+    moves = external_moves(model)
     queue = deque(range(len(states)))
     seen = len(states)
     while queue:
         sid = queue.popleft()
         members = states[sid].members
-        fresh = [c for c in members if c not in filled]
-        filled.update(fresh)
-        moves.update(external_moves(model, fresh))
         for action in model.external_actions:
             buckets = {}
             for c in members:

@@ -1,16 +1,17 @@
 """Independent brute-force oracle for diagnosability and diagnoser testing.
 
 Everything here deliberately avoids the subset construction: the twin
-plant pairs two copies of the quotient synchronized on observations and
-looks for a lasso along which exactly one copy has faulted; bounded trace
-enumeration walks the raw path relation; run simulation drives a
-diagnoser with every environment behavior up to a horizon.  Agreement of
-these with the estimator-based decision procedures is the core evidence
-the implementation is right.
+plant pairs a copy of the quotient with a healthy copy, synchronized on
+observations, and looks for a lasso along which the first has faulted;
+bounded trace enumeration walks the raw path relation; run simulation
+drives a diagnoser with every environment behavior up to a horizon.
+Agreement of these with the estimator-based decision procedures is the
+core evidence the implementation is right.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -36,17 +37,11 @@ from .quotient import (
 
 @dataclass(frozen=True)
 class TwinState:
-    """A pair of synchronized runs and whether each has faulted.
-
-    With valid models the flags coincide with the classes' fault status
-    (fault edges are the only way in and nothing leads back out), but
-    they spell out what the state means for a run pair.
-    """
+    """A pair of synchronized runs: the left one may have faulted, the
+    right one has not."""
 
     left: int
     right: int
-    left_faulty: bool
-    right_faulty: bool
 
 
 @dataclass
@@ -57,13 +52,26 @@ class TwinGraph:
 
 
 def twin_product(model):
-    """Product of two copies of the quotient synchronized on observations.
+    """Product of two copies of the quotient synchronized on observations,
+    the right copy kept healthy (a verifier in the sense of Yoo and
+    Lafortune).
 
     Both copies silently evolve, then take the same external action and
     land in the same observable.  Initial states pair initial classes
-    that share an observable (including every diagonal pair).
+    that share an observable (including every diagonal pair).  Pairs
+    whose right class is faulty are never built: assuming F2 (no edge or
+    time pair leads from a faulty class to a non-faulty one), nothing
+    reachable from them has a healthy right copy, so no lasso that tells
+    a faulty run from a healthy one passes through them.  Raises
+    ValueError on a model that breaks F2.
     """
-    moves = external_moves(model, range(len(model.classes)))
+    for src, dst in itertools.chain(((s, d) for s, _, d in model.edges), model.time):
+        if model.faulty[src] and not model.faulty[dst]:
+            raise ValueError(
+                f"faulty class {src} leads to non-faulty class {dst}: "
+                "the twin plant assumes faults are irreversible (F2)"
+            )
+    moves = external_moves(model)
 
     states = []
     index = {}
@@ -75,16 +83,14 @@ def twin_product(model):
         if sid is None:
             sid = len(states)
             index[key] = sid
-            states.append(
-                TwinState(left, right, model.faulty[left], model.faulty[right])
-            )
+            states.append(TwinState(left, right))
             edges[sid] = []
         return sid
 
     initials = []
     for left in model.initial_classes:
         for right in model.initial_classes:
-            if model.obs[left] == model.obs[right]:
+            if model.obs[left] == model.obs[right] and not model.faulty[right]:
                 initials.append(intern(left, right))
 
     queue = deque(range(len(states)))
@@ -96,7 +102,7 @@ def twin_product(model):
             rights = moves[(tw.right, action.name)]
             for l_dst, l_obs in lefts:
                 for r_dst, r_obs in rights:
-                    if l_obs != r_obs:
+                    if l_obs != r_obs or model.faulty[r_dst]:
                         continue
                     before = len(states)
                     did = intern(l_dst, r_dst)
@@ -137,11 +143,7 @@ def brute_force_diagnosable(model):
     infinite synchronized pair eventually loops in the finite twin graph.
     """
     twin = twin_product(model)
-    bad = {
-        sid
-        for sid, tw in enumerate(twin.states)
-        if tw.left_faulty and not tw.right_faulty
-    }
+    bad = {sid for sid, tw in enumerate(twin.states) if model.faulty[tw.left]}
 
     def full_succ(sid):
         for action, obs, dst in twin.edges[sid]:
@@ -211,7 +213,7 @@ def enumerate_utraces(model, k, max_traces=200_000):
     Ground truth for the estimator: computed by breadth-first search over
     (class, trace) pairs of the raw path relation, never by determinizing.
     """
-    moves = external_moves(model, range(len(model.classes)))
+    moves = external_moves(model)
 
     result = {}
     frontier = set()
@@ -270,7 +272,7 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
     are reconstructed and re-fed through the diagnoser event by event.
     """
     deadline = k if yes_deadline is None else yes_deadline
-    moves = external_moves(model, range(len(model.classes)))
+    moves = external_moves(model)
 
     losing_nodes = []
     seen_losing = set()

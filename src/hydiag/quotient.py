@@ -304,26 +304,42 @@ def unobservable_closure(model, seed):
     return frozenset(closure)
 
 
-def external_moves(model, classes):
+def external_moves(model):
     """Single-class successor table for one observed external action.
 
     Maps (class, action name) to the sorted (target, observable) pairs the
-    class alone allows, for every class in ``classes`` and every external
-    action.  The system may first evolve silently, then takes the action;
-    the observable is sampled right after it.  The rows of a set of classes
-    together give the successors of the set, since the silent closure of a
-    set is the union of its members' closures.
+    class alone allows.  The system may first evolve silently, then takes
+    the action; the observable is sampled right after it.  The rows of a
+    set of classes together give the successors of the set, since the
+    silent closure of a set is the union of its members' closures.
+
+    The table starts empty and fills itself: the first lookup of any
+    (c, action) key computes the rows of class c for every external
+    action.  A key with another action or an out-of-range class raises
+    KeyError.  ``get`` and ``in`` see only the rows filled so far.
     """
-    moves = {}
-    for c in classes:
+    return _MoveTable(model)
+
+
+class _MoveTable(dict):
+    def __init__(self, model):
+        super().__init__()
+        self._model = model
+        self._names = {a.name for a in model.external_actions}
+
+    def __missing__(self, key):
+        c, name = key
+        model = self._model
+        if name not in self._names or c not in range(len(model.classes)):
+            raise KeyError(key)
         closure = unobservable_closure(model, (c,))
         for action in model.external_actions:
             out = set()
             for mid in closure:
                 for dst in model.external_edges_from(mid, action):
                     out.add((dst, model.obs[dst]))
-            moves[(c, action.name)] = sorted(out)
-    return moves
+            self[(c, action.name)] = sorted(out)
+        return self[key]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +349,16 @@ _CLASS_KEYS = {"id", "faulty", "initial", "obs"}
 _ACTION_KEYS = {"name", "kind"}
 _EDGE_KEYS = {"src", "action", "dst"}
 _TIME_KEYS = {"src", "dst"}
+
+
+def _loads_json(text):
+    """Decode a JSON document, reporting a syntax error as a format error."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ModelFormatError(
+            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
 
 
 def _as_object(value, what):
@@ -372,12 +398,7 @@ def _as_list(value, what):
 
 def loads_model(text):
     """Parse a quotient model from its JSON file format."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    data = _loads_json(text)
     _require_keys(data, {"classes", "actions", "edges", "time"}, "model")
 
     classes = []

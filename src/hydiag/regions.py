@@ -24,7 +24,6 @@ a failed partition check.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from collections import deque
@@ -33,7 +32,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
-from .quotient import _as_int, _as_list, _require_keys
+from .quotient import _as_int, _as_list, _loads_json, _require_keys
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -305,24 +304,11 @@ def pred_holds(node, region, index):
     raise ValueError(f"bad predicate node {node!r}")
 
 
-def sample_region(region, ceilings, rng=None):
+def sample_region(region, ceilings):
     """A concrete valuation inside the region (exact rationals), as the
-    witness of a failed partition check.
-
-    With ``rng`` the fractional parts and the above-ceiling excesses are
-    randomized while preserving the region; otherwise a fixed canonical
-    sample is returned.
-    """
+    witness of a failed partition check."""
     g = len(region.groups)
-    if rng is None:
-        fracs = [Fraction(j, g + 1) for j in range(1, g + 1)]
-    else:
-        denom = 997
-        while True:
-            draws = sorted(rng.randint(1, denom - 1) for _ in range(g))
-            if len(set(draws)) == g:
-                break
-        fracs = [Fraction(d, denom) for d in draws]
+    fracs = [Fraction(j, g + 1) for j in range(1, g + 1)]
     group_of = {}
     for j, grp in enumerate(region.groups):
         for i in grp:
@@ -330,8 +316,7 @@ def sample_region(region, ceilings, rng=None):
     values = []
     for i, whole in enumerate(region.ints):
         if whole > ceilings[i]:
-            excess = Fraction(1, 2) if rng is None else Fraction(rng.randint(1, 300), 100)
-            values.append(Fraction(ceilings[i]) + excess)
+            values.append(Fraction(ceilings[i]) + Fraction(1, 2))
         elif i in group_of:
             values.append(Fraction(whole) + fracs[group_of[i]])
         else:
@@ -366,7 +351,7 @@ def time_successor(region, ceilings):
     return Region(tuple(ints), tuple(sorted(promoted)), region.groups[:-1])
 
 
-def reset_region(region, clock_indices, ceilings):
+def reset_region(region, clock_indices):
     reset = set(clock_indices)
     ints = list(region.ints)
     zero = set(region.zero)
@@ -688,7 +673,7 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
                 continue
             if not ta.region_satisfies(region, e.guard):
                 continue
-            target = reset_region(region, ta.reset_indices(e.resets), ceilings)
+            target = reset_region(region, ta.reset_indices(e.resets))
             if not ta.region_satisfies(target, ta.location(e.dst).invariant):
                 continue
             before = len(metas)
@@ -762,12 +747,7 @@ def _constraints(value, what):
 
 def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     """Parse and validate a timed automaton from its JSON file format."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    data = _loads_json(text)
     _require_keys(data, {"locations", "clocks", "edges", "observation"}, "automaton")
 
     locations = []
@@ -816,41 +796,3 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
 def load_ta(path, max_classes=DEFAULT_MAX_CLASSES):
     with open(path, encoding="utf-8") as fh:
         return parse_ta(fh.read(), max_classes)
-
-
-def dumps_ta(ta):
-    data = {
-        "locations": [
-            {
-                "name": loc.name,
-                "faulty": loc.faulty,
-                "initial": loc.initial,
-                "invariant": [c.pretty() for c in loc.invariant],
-            }
-            for loc in ta.locations
-        ],
-        "clocks": {
-            "internal": list(ta.internal_clocks),
-            "external": list(ta.external_clocks),
-        },
-        "edges": [
-            {
-                "src": e.src,
-                "dst": e.dst,
-                "action": e.action,
-                "kind": e.kind.value,
-                "guard": [c.pretty() for c in e.guard],
-                "resets": sorted(e.resets),
-            }
-            for e in ta.edges
-        ],
-        "observation": [
-            {"id": spec.id, "pred": spec.source} for spec in ta.observation
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def save_ta(ta, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_ta(ta))

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import operator
 import random
+from collections import deque
 from fractions import Fraction
 
 import networkx as nx
 
-from hydiag.quotient import ActionLabel, ClassInfo, Kind, QuotientModel, UTrace
+from hydiag.quotient import ActionLabel, ClassInfo, Kind, QuotientModel, UTrace, external_moves
 from hydiag.regions import (
     ClockConstraint,
     Location,
@@ -17,7 +18,6 @@ from hydiag.regions import (
     TAEdge,
     TimedAutomatonWithFaults,
     parse_pred,
-    sample_region,
 )
 
 TICK = ActionLabel("tick", Kind.EXTERNAL)
@@ -62,6 +62,17 @@ def q2_model():
             (3, "tick", 2),
         ],
     )
+
+
+def f2_violating_model(time=False):
+    """q1 plus a move from faulty class 2 back to healthy class 0: a tick
+    edge, or with ``time`` a time pair.  Faults are then reversible."""
+    q1 = q1_model()
+    classes = [(c.faulty, c.initial, c.obs) for c in q1.classes]
+    edges = [(s, a.name, d) for s, a, d in q1.edges]
+    if time:
+        return make_model(classes, edges, time=[(2, 0)])
+    return make_model(classes, edges + [(2, "tick", 0)])
 
 
 def q3_model():
@@ -205,6 +216,50 @@ def estimator_trace_map(est, k):
                     nxt.append((dst, t2))
         frontier = nxt
     return out
+
+
+def reference_twin_product(model):
+    """The full twin plant, both copies free to fault.
+
+    Returns ``(states, initials, edges)``: the (left, right) class pairs
+    in breadth-first discovery order, the initial state ids, and
+    ``edges[sid]`` as (action, obs, dst sid) triples.
+    """
+    moves = external_moves(model)
+    states = []
+    index = {}
+    edges = {}
+
+    def intern(left, right):
+        sid = index.get((left, right))
+        if sid is None:
+            sid = len(states)
+            index[(left, right)] = sid
+            states.append((left, right))
+            edges[sid] = []
+        return sid
+
+    initials = []
+    for left in model.initial_classes:
+        for right in model.initial_classes:
+            if model.obs[left] == model.obs[right]:
+                initials.append(intern(left, right))
+
+    queue = deque(range(len(states)))
+    while queue:
+        sid = queue.popleft()
+        left, right = states[sid]
+        for action in model.external_actions:
+            for l_dst, l_obs in moves[(left, action.name)]:
+                for r_dst, r_obs in moves[(right, action.name)]:
+                    if l_obs != r_obs:
+                        continue
+                    before = len(states)
+                    did = intern(l_dst, r_dst)
+                    edges[sid].append((action.name, l_obs, did))
+                    if did == before:
+                        queue.append(did)
+    return states, initials, edges
 
 
 def random_ta(seed):
@@ -362,8 +417,33 @@ def eval_pred(node, valuation):
     raise ValueError(f"bad predicate node {node!r}")
 
 
-def sample_valuation(ta, region, rng=None):
-    values = sample_region(region, ta.ceilings, rng)
+def random_sample_region(region, ceilings, rng):
+    """A random valuation inside the region (exact rationals).
+
+    The fractional parts of the groups are distinct draws over 997 in
+    the groups' order, and a clock past its ceiling exceeds it by a
+    random amount up to 3.
+    """
+    g = len(region.groups)
+    denom = 997
+    while True:
+        draws = sorted(rng.randint(1, denom - 1) for _ in range(g))
+        if len(set(draws)) == g:
+            break
+    group_of = {i: j for j, grp in enumerate(region.groups) for i in grp}
+    values = []
+    for i, whole in enumerate(region.ints):
+        if whole > ceilings[i]:
+            values.append(Fraction(ceilings[i]) + Fraction(rng.randint(1, 300), 100))
+        elif i in group_of:
+            values.append(Fraction(whole) + Fraction(draws[group_of[i]], denom))
+        else:
+            values.append(Fraction(whole))
+    return values
+
+
+def sample_valuation(ta, region, rng):
+    values = random_sample_region(region, ta.ceilings, rng)
     return {name: values[i] for i, name in enumerate(ta.clocks)}
 
 

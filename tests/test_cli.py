@@ -10,7 +10,7 @@ from hydiag.cli import main
 from hydiag.quotient import load_model, loads_model, save_model
 
 from .conftest import FIXTURES, run_python
-from .helpers import make_model
+from .helpers import f2_violating_model, make_model
 
 Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
@@ -222,6 +222,30 @@ class TestOracleCommand:
         }
         assert main(["check", path, "--format", "json"]) == 3
         assert json.loads(capsys.readouterr().out) == payload
+
+
+    def test_enumerates_traces_once(self, capsys, monkeypatch):
+        from hydiag import cli
+
+        real = cli.enumerate_utraces
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enumerate_utraces", counted)
+        assert main(["oracle", Q1, "--depth", "3"]) == 0
+        assert "utrace agreement up to depth 3: ok" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_reversible_fault_is_rejected(self, tmp_path):
+        path = tmp_path / "f2.quot.json"
+        save_model(f2_violating_model(), path)
+        proc = run_python(["-m", "hydiag", "oracle", str(path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "violation D3 [(2, 'tick', 0)]" in proc.stdout
 
 
 class TestFuzzCommand:

@@ -120,3 +120,11 @@ def test_arbitrary_documents_load_or_are_rejected(load, keys, data):
         load(json.dumps(doc))
     except (ModelFormatError, TAValidationError):
         pass
+
+
+@pytest.mark.parametrize("load", [loads_model, parse_ta, loads_diagnoser],
+                         ids=["quotient", "automaton", "diagnoser"])
+def test_broken_json_gives_one_message(load):
+    with pytest.raises(ModelFormatError) as info:
+        load('{\n  "classes": [1,\n}')
+    assert str(info.value) == "invalid JSON at line 3, column 1: Expecting value"

@@ -6,8 +6,10 @@ from hydiag.diagnosability import check_diagnosable, check_progressive, detectio
 from hydiag.diagnoser import synthesize
 from hydiag.errors import CapExceeded
 from hydiag.estimator import build_estimator
-from hydiag.graphs import is_cyclic_component, strongly_connected_components
+from hydiag.graphs import find_lasso, is_cyclic_component, strongly_connected_components
 from hydiag.oracle import (
+    CounterExample,
+    OracleVerdict,
     brute_force_diagnosable,
     enumerate_utraces,
     random_model,
@@ -17,17 +19,13 @@ from hydiag.oracle import (
     twin_product,
     verify_counterexample,
 )
-from hydiag.quotient import UTrace, validate_model
+from hydiag.quotient import Lasso, UTrace, validate_model
 
-from .helpers import q3_model
+from .helpers import f2_violating_model, q3_model, reference_twin_product
 
 
-def _bad_cycle_states(twin):
-    bad = {
-        sid
-        for sid, tw in enumerate(twin.states)
-        if tw.left_faulty and not tw.right_faulty
-    }
+def _bad_cycle_states(model, twin):
+    bad = {sid for sid, tw in enumerate(twin.states) if model.faulty[tw.left]}
 
     def succ(sid):
         return (dst for _, _, dst in twin.edges[sid] if dst in bad)
@@ -39,12 +37,43 @@ def _bad_cycle_states(twin):
     return cyclic
 
 
+def _full_twin_plant_verdict(model):
+    """The lasso search of ``brute_force_diagnosable`` run on the full twin plant."""
+    states, initials, edges = reference_twin_product(model)
+    bad = {
+        sid
+        for sid, (left, right) in enumerate(states)
+        if model.faulty[left] and not model.faulty[right]
+    }
+
+    def full_succ(sid):
+        return (((a, o), d) for a, o, d in edges[sid])
+
+    def bad_succ(sid):
+        return ((label, d) for label, d in full_succ(sid) if d in bad)
+
+    found = find_lasso(initials, full_succ, sorted(bad), bad_succ, lambda sid: sid)
+    if found is None:
+        return OracleVerdict(True, None)
+    prefix_nodes, prefix_labels, cycle_nodes, cycle_labels = found
+    return OracleVerdict(
+        False,
+        CounterExample(
+            Lasso.from_steps(model.obs[states[prefix_nodes[0]][0]], prefix_labels, cycle_labels),
+            tuple(states[s][0] for s in prefix_nodes),
+            tuple(states[s][0] for s in cycle_nodes),
+            tuple(states[s][1] for s in prefix_nodes),
+            tuple(states[s][1] for s in cycle_nodes),
+        ),
+    )
+
+
 class TestTwinProduct:
     def test_q1_has_no_bad_cycle(self, q1):
-        assert _bad_cycle_states(twin_product(q1)) == set()
+        assert _bad_cycle_states(q1, twin_product(q1)) == set()
 
     def test_q2_has_a_bad_cycle(self, q2):
-        assert _bad_cycle_states(twin_product(q2))
+        assert _bad_cycle_states(q2, twin_product(q2))
 
     def test_diagonal_initials(self, q1, q2):
         for model in (q1, q2, q3_model()):
@@ -57,14 +86,43 @@ class TestTwinProduct:
 
     def test_flags_mirror_class_status(self, q2):
         twin = twin_product(q2)
+        assert any(q2.faulty[tw.left] for tw in twin.states)
         for tw in twin.states:
-            assert tw.left_faulty == q2.faulty[tw.left]
-            assert tw.right_faulty == q2.faulty[tw.right]
+            assert not q2.faulty[tw.right]
+            assert q2.obs[tw.left] == q2.obs[tw.right]
 
     def test_twin_states_share_observables(self, q2):
         twin = twin_product(q2)
         for tw in twin.states:
             assert q2.obs[tw.left] == q2.obs[tw.right]
+
+    def test_verifier_is_the_healthy_right_part_of_the_full_twin_plant(self):
+        for model in random_models(200, 31):
+            states, initials, edges = reference_twin_product(model)
+            kept = [sid for sid, (_, right) in enumerate(states) if not model.faulty[right]]
+            renumber = {old: new for new, old in enumerate(kept)}
+            twin = twin_product(model)
+            assert [(tw.left, tw.right) for tw in twin.states] == [states[s] for s in kept]
+            assert twin.initials == [renumber[s] for s in initials if s in renumber]
+            assert twin.edges == {
+                renumber[s]: [(a, o, renumber[d]) for a, o, d in edges[s] if d in renumber]
+                for s in kept
+            }
+
+    def test_verdicts_match_the_full_twin_plant(self):
+        not_diagnosable = 0
+        for model in random_models(200, 32):
+            verdict = brute_force_diagnosable(model)
+            assert verdict == _full_twin_plant_verdict(model)
+            not_diagnosable += not verdict.diagnosable
+        assert not_diagnosable > 50
+
+    @pytest.mark.parametrize("time", [False, True], ids=["edge", "time"])
+    def test_rejects_reversible_faults(self, time):
+        model = f2_violating_model(time)
+        assert {"D3", "T1"} & {v.rule for v in validate_model(model).violations}
+        with pytest.raises(ValueError, match=r"faulty class 2 leads to non-faulty class 0"):
+            twin_product(model)
 
 
 class TestBruteForce:

@@ -153,22 +153,31 @@ class TestClosureProperties:
     @settings(max_examples=60, deadline=None)
     def test_faulty_seeds_have_faulty_successors(self, data):
         model, small, _ = data
-        faulty_only = [c for c in small if model.faulty[c]]
-        for moves in external_moves(model, faulty_only).values():
-            assert all(model.faulty[c] for c, _ in moves)
+        moves = external_moves(model)
+        for c in small:
+            if model.faulty[c]:
+                for action in model.external_actions:
+                    assert all(model.faulty[d] for d, _ in moves[(c, action.name)])
 
 
 class TestExternalSuccessors:
     def test_tick_into_o1(self, q1):
-        moves = external_moves(q1, [0])[(0, "tick")]
+        moves = external_moves(q1)[(0, "tick")]
         assert [c for c, obs in moves if obs == 1] == [1]
 
     def test_tick_into_o0_reveals_fault(self, q1):
-        moves = external_moves(q1, [0])[(0, "tick")]
+        moves = external_moves(q1)[(0, "tick")]
         assert [c for c, obs in moves if obs == 0] == [2]
 
     def test_empty_seed(self, q1):
-        assert external_moves(q1, []) == {}
+        assert external_moves(q1) == {}
+
+    @pytest.mark.parametrize("key", [(0, "f"), (0, "nope"), (-1, "tick"), (4, "tick")])
+    def test_bad_keys_raise_key_error(self, q1, key):
+        moves = external_moves(q1)
+        with pytest.raises(KeyError):
+            moves[key]
+        assert moves == {}
 
 
 class TestConstruction:

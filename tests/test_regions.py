@@ -38,6 +38,7 @@ from .helpers import (
     eval_pred,
     observable_of_valuation,
     random_progressive_ta,
+    random_sample_region,
     random_ta,
     region_of,
     sample_valuation,
@@ -258,7 +259,7 @@ class TestRegionOps:
         ceilings = (2, 3)
         for region in all_regions(ceilings):
             for _ in range(5):
-                values = sample_region(region, ceilings, rng)
+                values = random_sample_region(region, ceilings, rng)
                 assert region_of(values, ceilings) == region
 
     def test_initial_region(self):
@@ -292,19 +293,19 @@ class TestRegionOps:
                         break
                     chain.append(nxt)
                 for _ in range(3):
-                    values = sample_region(region, ceilings, rng)
+                    values = random_sample_region(region, ceilings, rng)
                     assert concrete_region_path(values, ceilings) == chain
 
     def test_reset_matches_concrete_reset(self):
         rng = random.Random(3)
         ceilings = (2, 1)
         for region in all_regions(ceilings):
-            values = sample_region(region, ceilings, rng)
+            values = random_sample_region(region, ceilings, rng)
             for resets in [(0,), (1,), (0, 1)]:
                 concrete = list(values)
                 for i in resets:
                     concrete[i] = Fraction(0)
-                assert region_of(concrete, ceilings) == reset_region(region, resets, ceilings)
+                assert region_of(concrete, ceilings) == reset_region(region, resets)
 
 
 def reference_ordered_partitions(items):
@@ -327,7 +328,7 @@ def region_samples(region, ceilings, rng, count=5):
     """The canonical sample of ``region`` and ``count`` randomized ones."""
     yield sample_region(region, ceilings)
     for _ in range(count):
-        yield sample_region(region, ceilings, rng)
+        yield random_sample_region(region, ceilings, rng)
 
 
 class TestRegionEvaluator:
