@@ -39,7 +39,19 @@ class _Parser(argparse.ArgumentParser):
     # "not diagnosable" exit code; remap to the validation/parse code.
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
+
+
+def _count(text):
+    """A non-negative integer: the type of every count option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _max_classes(args):
@@ -48,9 +60,9 @@ def _max_classes(args):
     env = os.environ.get("HYDIAG_MAX_CLASSES")
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise ModelFormatError(f"HYDIAG_MAX_CLASSES must be an integer, got {env!r}")
+            return _count(env)
+        except argparse.ArgumentTypeError as e:
+            raise ModelFormatError(f"HYDIAG_MAX_CLASSES: {e}") from None
     return DEFAULT_MAX_CLASSES
 
 
@@ -272,7 +284,7 @@ def _add_model_arg(sub, ta_flag=True):
         )
     sub.add_argument(
         "--max-classes",
-        type=int,
+        type=_count,
         default=None,
         help=f"region explosion guard (default {DEFAULT_MAX_CLASSES}, env HYDIAG_MAX_CLASSES)",
     )
@@ -291,7 +303,7 @@ def build_parser():
     p = commands.add_parser("regions", help="build the region quotient of a timed automaton")
     p.add_argument("model", help="timed-automaton file (JSON)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p.add_argument("--max-classes", type=int, default=None)
+    p.add_argument("--max-classes", type=_count, default=None)
     p.set_defaults(func=cmd_regions)
 
     p = commands.add_parser("estimator", help="build and export the state estimator")
@@ -317,7 +329,7 @@ def build_parser():
     _add_model_arg(p)
     p.add_argument(
         "--depth",
-        type=int,
+        type=_count,
         default=4,
         help="also cross-check bounded trace enumeration against the estimator",
     )
@@ -325,7 +337,7 @@ def build_parser():
     p.set_defaults(func=cmd_oracle)
 
     p = commands.add_parser("fuzz", help="randomized oracle/estimator agreement suite")
-    p.add_argument("--models", type=int, default=100)
+    p.add_argument("--models", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_fuzz)
 

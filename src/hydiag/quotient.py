@@ -123,13 +123,12 @@ class QuotientModel:
     ``classes`` is a sequence of ClassInfo with dense ids 0..n-1,
     ``actions`` a sequence of ActionLabel with exactly one fault action,
     ``edges`` an iterable of (src, action-name-or-label, dst) and ``time``
-    an iterable of (src, dst) pairs, kept as declared, not closed.  A
-    class in ``divergent`` is marked like a self-pair in ``time``, and
-    ``time`` lists every mark as one.  Instances never mutate after
-    construction and are safe to share across threads.
+    an iterable of (src, dst) pairs, kept as declared, not closed.
+    ``divergent`` holds the classes with a time self-pair.  Instances
+    never mutate after construction and are safe to share across threads.
     """
 
-    def __init__(self, classes, actions, edges, time=(), divergent=()):
+    def __init__(self, classes, actions, edges, time=()):
         self.classes = tuple(classes)
         for i, c in enumerate(self.classes):
             if c.id != i:
@@ -164,10 +163,8 @@ class QuotientModel:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"time edge ({src}, {dst}) out of range")
             time_pairs.add((src, dst))
-        self.divergent = frozenset(divergent) | {s for s, d in time_pairs if s == d}
-        if any(not 0 <= c < n for c in self.divergent):
-            raise ValueError("divergent class out of range")
-        self.time = frozenset(time_pairs | {(c, c) for c in self.divergent})
+        self.time = frozenset(time_pairs)
+        self.divergent = frozenset(s for s, d in time_pairs if s == d)
 
         self.faulty = tuple(c.faulty for c in self.classes)
         self.obs = tuple(c.obs for c in self.classes)
@@ -218,7 +215,6 @@ class QuotientModel:
             and self.actions == other.actions
             and self.edges == other.edges
             and self.time == other.time
-            and self.divergent == other.divergent
         )
 
     def __repr__(self):

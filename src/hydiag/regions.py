@@ -17,8 +17,10 @@ clocks all sit above their ceilings are time-divergent, and the quotient
 marks them so (as explicit time self-loops).  Guards, invariants and
 observation cells are decided on the region itself, from each clock's
 integer part and whether it sits at an exact integer or past its ceiling
-(``atom_holds``); a concrete valuation is built only for the witness of
-a failed partition check.
+(``atom_holds``), so the observation is decided once per combination of
+external clock positions and each class reads its cell from that table.
+A concrete valuation is built only for the witness of a failed partition
+check.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ class ClockConstraint:
     clock: str
     op: str
     bound: int
-
-    def pretty(self):
-        return f"{self.clock}{self.op}{self.bound}"
 
 
 def _excerpt(text, pos, width=30):
@@ -366,71 +365,24 @@ def reset_region(region, clock_indices):
     return Region(tuple(ints), tuple(sorted(zero)), tuple(groups))
 
 
-def _ordered_partitions(items):
-    """Ordered set partitions of ``items``, as tuples of sorted blocks.
+def position_regions(ceilings):
+    """One region per combination of clock positions.
 
-    They come in the lexicographic order of their block assignments (item
-    j in block a[j], every block 0..max(a) used), which fixes the witness
-    and the count of the partition check.  An assignment grows one item at
-    a time, and a prefix is dropped once the unused blocks below its
-    highest one outnumber the items left, so every prefix kept extends to
-    a partition.
+    A clock is past its ceiling, at an integer 0..c, or strictly inside
+    (v, v+1) with v < c: 2c+2 positions per clock.  The fractional clocks
+    of a combination share one group.  ``atom_holds`` reads positions
+    only, never the order of fractional parts, so every region of a
+    combination lies in the same cells as the one yielded here.
     """
-    n = len(items)
-    used = [0] * n  # items of the prefix in each block
-    stack = []  # per placed item: its block, and top and missing before it
-    top, missing = -1, 0  # highest block of the prefix, unused blocks below it
-    block = 0  # next block to try for item len(stack)
-    while True:
-        left = n - len(stack)
-        if left:
-            if block <= top:
-                new_top, new_missing = top, missing - (used[block] == 0)
-            else:
-                new_top, new_missing = block, missing + block - top - 1
-            if new_missing < left:
-                stack.append((block, top, missing))
-                used[block] += 1
-                top, missing, block = new_top, new_missing, 0
-                continue
-            if block < top:
-                block += 1
-                continue
-        else:
-            blocks = [[] for _ in range(top + 1)]
-            for item, (b, _, _) in zip(items, stack):
-                blocks[b].append(item)
-            yield tuple(tuple(sorted(b)) for b in blocks)
-        if not stack:
-            return
-        block, top, missing = stack.pop()
-        used[block] -= 1
-        block += 1
-
-
-def all_regions(ceilings):
-    """Exhaustive enumeration of the regions for the given ceilings."""
-    per_clock = []
-    for c in ceilings:
-        options = [("above", 0)]
-        options.extend(("zero", v) for v in range(c + 1))
-        options.extend(("frac", v) for v in range(c))
-        per_clock.append(options)
+    per_clock = [
+        [("above", c + 1)] + [("zero", v) for v in range(c + 1)] + [("frac", v) for v in range(c)]
+        for c in ceilings
+    ]
     for combo in itertools.product(*per_clock):
-        ints = []
-        zero = []
-        fractional = []
-        for i, (kind, v) in enumerate(combo):
-            if kind == "above":
-                ints.append(ceilings[i] + 1)
-            elif kind == "zero":
-                ints.append(v)
-                zero.append(i)
-            else:
-                ints.append(v)
-                fractional.append(i)
-        for groups in _ordered_partitions(fractional):
-            yield Region(tuple(ints), tuple(zero), groups)
+        ints = tuple(v for _, v in combo)
+        zero = tuple(i for i, (kind, _) in enumerate(combo) if kind == "zero")
+        frac = tuple(i for i, (kind, _) in enumerate(combo) if kind == "frac")
+        yield Region(ints, zero, (frac,) if frac else ())
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +395,12 @@ class TimedAutomatonWithFaults:
     initial locations are non-faulty, fault edges go non-faulty to
     faulty, other edges preserve faultiness, every non-faulty location
     has a fault edge, and the observation cells partition the external
-    valuation space (checked exhaustively at region granularity, with a
-    witness valuation on failure).  Whether every *state* of a non-faulty
-    location can actually fault is settled later on the region quotient,
-    where the check is exact.  The partition check visits every region of
-    the external clocks and raises CapExceeded past ``max_classes`` of them.
+    valuation space (checked exhaustively, one region per combination of
+    external clock positions, with a witness valuation on failure).
+    Whether every *state* of a non-faulty location can actually fault is
+    settled later on the region quotient, where the check is exact.  The
+    partition check raises CapExceeded when the combinations outnumber
+    ``max_classes``.
     """
 
     def __init__(
@@ -575,18 +528,17 @@ class TimedAutomatonWithFaults:
         return tuple(ceilings[name] for name in self.clocks)
 
     def _validate_partition(self, max_classes):
-        ext_index = {name: i for i, name in enumerate(self.external_clocks)}
-        ext_ceilings = tuple(self.ceilings[self._clock_index[n]] for n in self.external_clocks)
-        # Each clock has 2c+2 positions and every combination of them holds
-        # at least one region, so this product bounds the count from below
-        # before all_regions builds its per-clock lists.
-        at_least = math.prod(2 * c + 2 for c in ext_ceilings)
-        if at_least > max_classes:
-            raise CapExceeded("observation partition regions", at_least, max_classes)
-        for count, region in enumerate(all_regions(ext_ceilings), 1):
-            if count > max_classes:
-                raise CapExceeded("observation partition regions", count, max_classes)
-            hits = [s.id for s in self.observation if pred_holds(s.pred, region, ext_index)]
+        # External clocks come first in self.clocks, so their positions are
+        # a prefix of every region's; cells are decided once per position
+        # combination, and observable_of_region looks them up.
+        ext_ceilings = self.ceilings[: len(self.external_clocks)]
+        count = math.prod(2 * c + 2 for c in ext_ceilings)
+        if count > max_classes:
+            raise CapExceeded("observation partition regions", count, max_classes)
+        index = self._clock_index
+        self._cell_of = {}
+        for region in position_regions(ext_ceilings):
+            hits = [s.id for s in self.observation if pred_holds(s.pred, region, index)]
             if len(hits) != 1:
                 values = sample_region(region, ext_ceilings)
                 witness = {name: str(v) for name, v in zip(self.external_clocks, values)}
@@ -595,6 +547,7 @@ class TimedAutomatonWithFaults:
                     f"observation is not a partition: {what} {witness or 'the empty valuation'}",
                     witness,
                 )
+            self._cell_of[(region.ints, region.zero)] = hits[0]
 
     # -- region-level helpers -------------------------------------------------
 
@@ -603,11 +556,8 @@ class TimedAutomatonWithFaults:
         return all(atom_holds(region, index[c.clock], c.op, c.bound) for c in constraints)
 
     def observable_of_region(self, region):
-        index = self._clock_index
-        hits = [s.id for s in self.observation if pred_holds(s.pred, region, index)]
-        if len(hits) != 1:
-            raise RuntimeError(f"region not covered by exactly one observable: {hits}")
-        return hits[0]
+        m = len(self.external_clocks)
+        return self._cell_of[(region.ints[:m], tuple(i for i in region.zero if i < m))]
 
     def reset_indices(self, resets):
         return tuple(sorted(self._clock_index[name] for name in resets))

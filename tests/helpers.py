@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 import random
 from collections import deque
@@ -18,6 +19,7 @@ from hydiag.regions import (
     TAEdge,
     TimedAutomatonWithFaults,
     parse_pred,
+    position_regions,
 )
 
 TICK = ActionLabel("tick", Kind.EXTERNAL)
@@ -25,13 +27,13 @@ FAULT = ActionLabel("f", Kind.FAULT)
 HIDDEN = ActionLabel("h", Kind.INTERNAL)
 
 
-def make_model(classes, edges, time=(), actions=(TICK, FAULT), divergent=()):
+def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
     """Build a QuotientModel from (faulty, initial, obs) class triples."""
     infos = [
         ClassInfo(i, faulty, initial, obs)
         for i, (faulty, initial, obs) in enumerate(classes)
     ]
-    return QuotientModel(infos, actions, edges, time, divergent)
+    return QuotientModel(infos, actions, edges, time)
 
 
 def q1_model():
@@ -415,6 +417,34 @@ def eval_pred(node, valuation):
     if tag == "or":
         return any(eval_pred(child, valuation) for child in node[1:])
     raise ValueError(f"bad predicate node {node!r}")
+
+
+def reference_ordered_partitions(items):
+    """The ordered set partitions by filtering all n**n block assignments,
+    in the lexicographic order of the assignments."""
+    if not items:
+        yield ()
+        return
+    n = len(items)
+    for assignment in itertools.product(range(n), repeat=n):
+        blocks_used = max(assignment) + 1
+        if set(assignment) != set(range(blocks_used)):
+            continue
+        blocks = [[] for _ in range(blocks_used)]
+        for item, a in zip(items, assignment):
+            blocks[a].append(item)
+        yield tuple(tuple(sorted(b)) for b in blocks)
+
+
+def all_regions(ceilings):
+    """Every region for the given ceilings: each ``position_regions``
+    representative expanded by every ordering of its fractional clocks.
+    The representative itself, all fractional clocks in one group, comes
+    first."""
+    for rep in position_regions(ceilings):
+        fractional = rep.groups[0] if rep.groups else ()
+        for groups in reference_ordered_partitions(fractional):
+            yield Region(rep.ints, rep.zero, groups)
 
 
 def random_sample_region(region, ceilings, rng):

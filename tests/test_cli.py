@@ -5,6 +5,7 @@ import json
 import sys
 
 import networkx as nx
+import pytest
 
 from hydiag.cli import main
 from hydiag.quotient import load_model, loads_model, save_model
@@ -266,6 +267,36 @@ class TestUsage:
         proc = run_python(["-m", "hydiag", "check", Q1])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "diagnosable"
+
+
+class TestNegativeCounts:
+    """A negative count is invalid input: exit 1, one error line, no output."""
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["regions", TA1, "--max-classes", "-5"], None),
+            (["regions", TA1], "-5"),
+            (["oracle", Q1, "--depth", "-1"], None),
+            (["fuzz", "--models", "-3"], None),
+        ],
+        ids=["max-classes", "env", "depth", "models"],
+    )
+    def test_rejected(self, argv, env, capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("HYDIAG_MAX_CLASSES", env)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "expected a non-negative integer" in errors[0]
+
+    def test_zero_is_a_count(self, capsys):
+        assert main(["regions", TA1, "--max-classes", "0"]) == 5
+        assert main(["oracle", Q1, "--depth", "0"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["diagnosable"]  # no trace cross-check
 
 
 class TestMalformedInput:

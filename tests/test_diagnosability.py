@@ -163,7 +163,8 @@ class TestProgressiveAgainstNetworkx:
         seen = {"deadlock": 0, "cycle": 0, None: 0}
         for _ in range(2000):
             classes, edges, time, divergent = random_progress_case(rng)
-            model = QuotientModel(classes, (TICK, FAULT, HIDDEN), edges, time, divergent)
+            marked = time + [(c, c) for c in divergent]
+            model = QuotientModel(classes, (TICK, FAULT, HIDDEN), edges, marked)
             n = len(classes)
             initial = [c.id for c in classes if c.initial]
             marks = set(divergent) | {s for s, d in time if s == d}
@@ -331,8 +332,7 @@ class TestWitnessProperties:
                 model.classes,
                 model.actions,
                 list(model.edges) + [(src, action, dst)],
-                [(s, d) for s, d in model.time if s != d],
-                model.divergent,
+                model.time,
             )
             est2 = build_estimator(bigger)
             if replay_lasso(est2, verdict.witness):

@@ -1,6 +1,5 @@
 """Tests for the timed-automaton front-end and region construction."""
 
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -13,14 +12,13 @@ from hydiag.quotient import validate_model
 from hydiag.regions import (
     MAX_PRED_DEPTH,
     Region,
-    _ordered_partitions,
-    all_regions,
     atom_holds,
     build_region_quotient,
     initial_region,
     parse_constraint,
     parse_pred,
     parse_ta,
+    pred_atoms,
     pred_holds,
     region_count_bound,
     region_quotient,
@@ -31,6 +29,7 @@ from hydiag.regions import (
 
 from .helpers import (
     OPS,
+    all_regions,
     apply_reset,
     concrete_enabled_edges,
     concrete_region_path,
@@ -220,12 +219,13 @@ class TestParsing:
         cell = "x<1 & y<=1 & z<=1"
         data["observation"] = [{"id": 0, "pred": cell}, {"id": 1, "pred": f"!({cell})"}]
         text = json.dumps(data)
-        regions = len(list(all_regions((1, 1, 1))))  # 94, above 4**3 = 64
-        assert parse_ta(text, max_classes=regions).external_clocks == ("x", "y", "z")
-        for cap, count in [(regions - 1, regions), (63, 64)]:
-            with pytest.raises(CapExceeded) as err:
-                parse_ta(text, max_classes=cap)
-            assert (err.value.what, err.value.count) == ("observation partition regions", count)
+        # The check visits one region per combination of positions: 4**3 = 64
+        # of them, although the three clocks have 94 regions.
+        assert len(list(all_regions((1, 1, 1)))) == 94
+        assert parse_ta(text, max_classes=64).external_clocks == ("x", "y", "z")
+        with pytest.raises(CapExceeded) as err:
+            parse_ta(text, max_classes=63)
+        assert (err.value.what, err.value.count) == ("observation partition regions", 64)
 
     def test_observation_must_use_external_clocks(self):
         import json
@@ -308,22 +308,6 @@ class TestRegionOps:
                 assert region_of(concrete, ceilings) == reset_region(region, resets)
 
 
-def reference_ordered_partitions(items):
-    """The ordered set partitions by filtering all n**n block assignments."""
-    if not items:
-        yield ()
-        return
-    n = len(items)
-    for assignment in itertools.product(range(n), repeat=n):
-        blocks_used = max(assignment) + 1
-        if set(assignment) != set(range(blocks_used)):
-            continue
-        blocks = [[] for _ in range(blocks_used)]
-        for item, a in zip(items, assignment):
-            blocks[a].append(item)
-        yield tuple(tuple(sorted(b)) for b in blocks)
-
-
 def region_samples(region, ceilings, rng, count=5):
     """The canonical sample of ``region`` and ``count`` randomized ones."""
     yield sample_region(region, ceilings)
@@ -382,13 +366,118 @@ class TestRegionEvaluator:
         with pytest.raises(AssertionError, match="Fraction built"):
             sample_region(Region((0,), (), ((0,),)), (1,))
 
-    def test_ordered_partitions_match_assignment_enumeration(self):
-        for n in range(7):
-            items = tuple(range(2, 2 + n))
-            assert list(_ordered_partitions(items)) == list(reference_ordered_partitions(items))
 
-    def test_ordered_partitions_of_seven_is_the_fubini_number(self):
-        assert sum(1 for _ in _ordered_partitions(tuple(range(7)))) == 47_293
+def random_cells(rng, clocks):
+    """Random observation cells over ``clocks`` using all five operators.
+
+    Half the time a partition by construction (p1, !p1 & p2, ...,
+    !p1 & ... & !pk); otherwise arbitrary cells, which may overlap or
+    leave gaps.
+    """
+
+    def atom():
+        return f"{rng.choice(clocks)}{rng.choice(list(OPS))}{rng.randint(0, 2)}"
+
+    def pred(depth=0):
+        roll = rng.random()
+        if depth >= 2 or roll < 0.4:
+            return atom()
+        if roll < 0.55:
+            return f"!({pred(depth + 1)})"
+        op = rng.choice("&|")
+        return f"({pred(depth + 1)}){op}({pred(depth + 1)})"
+
+    preds = [pred() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        return preds
+    cells = []
+    for k, p in enumerate(preds):
+        cells.append(" & ".join([f"!({q})" for q in preds[:k]] + [f"({p})"]))
+    cells.append(" & ".join(f"!({q})" for q in preds))
+    return cells
+
+
+def cells_ta_text(external, cells, internal=(), guard=()):
+    """A two-location automaton observed through ``cells``."""
+    return json.dumps(
+        {
+            "locations": [
+                {"name": "ok", "faulty": False, "initial": True, "invariant": []},
+                {"name": "bad", "faulty": True, "initial": False, "invariant": []},
+            ],
+            "clocks": {"internal": list(internal), "external": list(external)},
+            "edges": [
+                {"src": "ok", "dst": "bad", "action": "f", "kind": "fault", "guard": [], "resets": []},
+                {"src": "ok", "dst": "ok", "action": "a", "kind": "external",
+                 "guard": list(guard), "resets": list(external[:1]) + list(internal)},
+                {"src": "bad", "dst": "bad", "action": "a", "kind": "external",
+                 "guard": [], "resets": []},
+            ],
+            "observation": [{"id": i, "pred": p} for i, p in enumerate(cells)],
+        }
+    )
+
+
+class TestObservationByPosition:
+    """The partition check and each class's cell, decided on clock
+    positions, against every region and the Fraction semantics."""
+
+    def test_partition_errors_match_the_first_failing_region(self):
+        rng = random.Random(23)
+        outcomes = {"partition": 0, "error": 0}
+        for _ in range(300):
+            clocks = ["x", "y", "z"][: rng.randint(1, 3)]
+            cells = random_cells(rng, clocks)
+            nodes = [parse_pred(c) for c in cells]
+            ceilings = tuple(
+                max([b for n in nodes for c, b in pred_atoms(n) if c == x], default=0)
+                for x in clocks
+            )
+            text = cells_ta_text(clocks, cells)
+            expected = None
+            for region in all_regions(ceilings):
+                values = sample_region(region, ceilings)
+                valuation = dict(zip(clocks, values))
+                hits = [i for i, n in enumerate(nodes) if eval_pred(n, valuation)]
+                if len(hits) != 1:
+                    witness = {x: str(v) for x, v in valuation.items()}
+                    what = "no cell covers" if not hits else f"cells {hits} overlap at"
+                    message = f"ObsPartition: observation is not a partition: {what} {witness}"
+                    expected = (message, witness)
+                    break
+            if expected is not None:
+                with pytest.raises(PartitionError) as err:
+                    parse_ta(text)
+                assert (str(err.value), err.value.witness) == expected, cells
+                outcomes["error"] += 1
+                continue
+            ta = parse_ta(text)
+            assert ta.ceilings == ceilings
+            for region in all_regions(ceilings):
+                valuation = dict(zip(clocks, sample_region(region, ceilings)))
+                assert ta.observable_of_region(region) == observable_of_valuation(ta, valuation)
+            outcomes["partition"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    def test_interval_cells_are_told_apart(self):
+        # x = 1 and 1 < x < 2 share an integer part but not a cell, and so
+        # do x = 2 and 2 < x < 3; the internal clock y follows x in regions.
+        cells = ["x<=1", "x>1 & x<2", "x==2", "x>2"]
+        ta = parse_ta(cells_ta_text(["x"], cells, internal=["y"], guard=["y>=1"]))
+        assert ta.clocks == ("x", "y") and ta.ceilings == (2, 1)
+        rng = random.Random(4)
+        seen = set()
+        for region in all_regions(ta.ceilings):
+            obs = ta.observable_of_region(region)
+            for values in region_samples(region, ta.ceilings, rng):
+                valuation = dict(zip(ta.clocks, values))
+                assert obs == observable_of_valuation(ta, valuation), region
+            seen.add(obs)
+        assert seen == {0, 1, 2, 3}
+        rq = build_region_quotient(ta)
+        for cls, (_, region) in zip(rq.model.classes, rq.class_regions):
+            valuation = dict(zip(ta.clocks, sample_region(region, ta.ceilings)))
+            assert cls.obs == observable_of_valuation(ta, valuation)
 
 
 class TestCountBound:
