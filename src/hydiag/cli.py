@@ -351,10 +351,7 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INVALID
-    except (ModelFormatError, TAValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except FileNotFoundError as e:
+    except (ModelFormatError, TAValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except CapExceeded as e:

@@ -147,10 +147,10 @@ def _indeterminate_graph(est):
 
 
 def _fault_product(est, adj, indet):
-    """Indeterminate estimator states paired with their faulty members.
+    """The sorted indeterminate states ``indet`` paired with their faulty members.
 
-    A product edge follows one estimator transition between indeterminate
-    states while moving the faulty class along a consistent single-class
+    A product edge follows one estimator transition between states of
+    ``indet`` while moving the faulty class along a consistent single-class
     step; a cycle here is exactly an indeterminate loop some faulty run can
     sustain forever.  Needs the backing model to resolve single-class
     successors.  Returns the adjacency, keyed by node in canonical order.
@@ -183,14 +183,17 @@ def check_diagnosable(est):
     """
     adj, indet, indet_succ = _indeterminate_graph(est)
     comps = strongly_connected_components(indet, indet_succ)
-    if not any(is_cyclic_component(c, indet_succ) for c in comps):
+    cyclic = sorted(s for c in comps if is_cyclic_component(c, indet_succ) for s in c)
+    if not cyclic:
         return DiagnosabilityVerdict(True, None)
 
     if est.model is None:
         raise ValueError(
             "deciding cyclic indeterminate loops needs the estimator's backing model"
         )
-    product = _fault_product(est, adj, indet)
+    # A product cycle projects onto a cycle inside one cyclic component,
+    # so the product over those states alone has every cycle there is.
+    product = _fault_product(est, adj, cyclic)
     starts = [sid for _, sid in sorted(est.initials.items())]
     found = find_lasso(
         starts, adj.__getitem__, product, product.__getitem__, lambda node: node[0]

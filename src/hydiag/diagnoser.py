@@ -9,13 +9,12 @@ richer status field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ModelFormatError, NoConsistentExecution
 from .estimator import Classification, _graph_data, _key_int, _parse_graph_json, _state_id
-from .quotient import _as_object, _loads_json
+from .quotient import _as_object, _dumps_json, _loads_json, _read_text
 
 
 class Status(str, Enum):
@@ -150,7 +149,7 @@ def run_trace(diag, trace):
 def dumps_diagnoser(diag):
     data = _graph_data(diag)
     data["output"] = {str(i): out for i, out in enumerate(diag.output)}
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps_json(data)
 
 
 def loads_diagnoser(text):
@@ -171,5 +170,4 @@ def loads_diagnoser(text):
 
 
 def load_diagnoser(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads_diagnoser(fh.read())
+    return loads_diagnoser(_read_text(path))

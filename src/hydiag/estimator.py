@@ -9,13 +9,12 @@ and irrelevant for diagnosability.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CapExceeded, ModelFormatError
-from .quotient import _as_int, _as_list, _as_object, _require_keys, external_moves
+from .quotient import _as_int, _as_list, _as_object, _dumps_json, _require_keys, external_moves
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -144,7 +143,7 @@ def _graph_data(graph):
 
 def dumps_estimator(est):
     """Serialize an estimator graph to its JSON export format."""
-    return json.dumps(_graph_data(est), indent=2) + "\n"
+    return _dumps_json(_graph_data(est))
 
 
 def _key_int(key, what):

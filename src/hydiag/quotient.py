@@ -347,6 +347,15 @@ _EDGE_KEYS = {"src", "action", "dst"}
 _TIME_KEYS = {"src", "dst"}
 
 
+def _read_text(path):
+    """The contents of an input file, which must be UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"{path} is not UTF-8 text") from None
+
+
 def _loads_json(text):
     """Decode a JSON document, reporting a syntax error as a format error."""
     try:
@@ -355,6 +364,17 @@ def _loads_json(text):
         raise ModelFormatError(
             f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise ModelFormatError("invalid JSON: nested too deeply") from None
+
+
+def _dumps_json(data):
+    """Encode a file as one line of compact JSON plus a newline.
+
+    Without ``indent`` the json module runs its C encoder, several times
+    faster than the pure-Python one any indentation selects.
+    """
+    return json.dumps(data, separators=(",", ":")) + "\n"
 
 
 def _as_object(value, what):
@@ -449,8 +469,7 @@ def loads_model(text):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return loads_model(fh.read())
+    return loads_model(_read_text(path))
 
 
 def dumps_model(model):
@@ -471,7 +490,7 @@ def dumps_model(model):
         ],
         "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _dumps_json(data)
 
 
 def save_model(model, path):

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
-from .quotient import _as_int, _as_list, _loads_json, _require_keys
+from .quotient import _as_int, _as_list, _loads_json, _read_text, _require_keys
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -744,5 +744,4 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
 
 
 def load_ta(path, max_classes=DEFAULT_MAX_CLASSES):
-    with open(path, encoding="utf-8") as fh:
-        return parse_ta(fh.read(), max_classes)
+    return parse_ta(_read_text(path), max_classes)

@@ -10,7 +10,17 @@ from fractions import Fraction
 
 import networkx as nx
 
-from hydiag.quotient import ActionLabel, ClassInfo, Kind, QuotientModel, UTrace, external_moves
+from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
+from hydiag.graphs import find_lasso
+from hydiag.quotient import (
+    ActionLabel,
+    ClassInfo,
+    Kind,
+    Lasso,
+    QuotientModel,
+    UTrace,
+    external_moves,
+)
 from hydiag.regions import (
     ClockConstraint,
     Location,
@@ -218,6 +228,22 @@ def estimator_trace_map(est, k):
                     nxt.append((dst, t2))
         frontier = nxt
     return out
+
+
+def unpruned_check_diagnosable(est):
+    """``check_diagnosable`` over the fault product of every indeterminate
+    state, not only those on a cycle of indeterminate states."""
+    adj, indet, _ = _indeterminate_graph(est)
+    product = _fault_product(est, adj, indet)
+    starts = [sid for _, sid in sorted(est.initials.items())]
+    found = find_lasso(
+        starts, adj.__getitem__, product, product.__getitem__, lambda node: node[0]
+    )
+    if found is None:
+        return DiagnosabilityVerdict(True, None)
+    prefix_nodes, prefix_labels, _, cycle_labels = found
+    head = {sid: obs for obs, sid in est.initials.items()}[prefix_nodes[0]]
+    return DiagnosabilityVerdict(False, Lasso.from_steps(head, prefix_labels, cycle_labels))
 
 
 def reference_twin_product(model):

@@ -3,11 +3,14 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from hydiag.cli import main
+from hydiag.diagnoser import load_diagnoser, synthesize
+from hydiag.estimator import build_estimator, dumps_estimator
 from hydiag.quotient import load_model, loads_model, save_model
 
 from .conftest import FIXTURES, run_python
@@ -17,6 +20,32 @@ Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
 BAD_D1 = str(FIXTURES / "bad-d1.quot.json")
 TA1 = str(FIXTURES / "ta1.ta.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = [
+    ("check-q1", ["check", Q1], 0),
+    ("check-q1-json", ["check", Q1, "--format", "json"], 0),
+    ("check-q2", ["check", Q2], 2),
+    ("check-q2-json", ["check", Q2, "--format", "json"], 2),
+    ("oracle-q2", ["oracle", Q2], 2),
+    ("oracle-q2-json", ["oracle", Q2, "--format", "json"], 2),
+    ("validate-bad-d1", ["validate", BAD_D1], 1),
+    ("check-ta-ta1", ["check", "--ta", TA1], 0),
+]
+
+
+class TestGoldenOutput:
+    """Verdicts, witnesses and counterexamples, byte for byte.
+
+    The files in ``golden/`` were printed while hydiag still wrote its
+    own files indented, so a change to the file layout cannot leak into
+    what these commands print.
+    """
+
+    @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES,
+                             ids=[name for name, _, _ in GOLDEN_CASES])
+    def test_stdout_and_exit_code(self, name, argv, code, capsys):
+        assert main(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
 
 class TestCheck:
@@ -103,11 +132,13 @@ class TestRegionsPipeline:
     def test_ta_flag_equivalent_to_regions(self, tmp_path, capsys):
         out = tmp_path / "ta1.quot.json"
         main(["regions", TA1, "-o", str(out)])
+        assert out.read_text().count("\n") == 1  # one line of compact JSON
         capsys.readouterr()
-        assert main(["check", str(out)]) == 0
-        direct = capsys.readouterr().out
-        assert main(["check", TA1, "--ta"]) == 0
-        assert capsys.readouterr().out == direct
+        for fmt in ("text", "json"):
+            assert main(["check", str(out), "--format", fmt]) == 0
+            direct = capsys.readouterr().out
+            assert main(["check", TA1, "--ta", "--format", fmt]) == 0
+            assert capsys.readouterr().out == direct
 
     def test_closed_time_file_checks_the_same(self, tmp_path, capsys):
         # Files written by 0.1.0 list the closure of time; they still load
@@ -153,6 +184,18 @@ class TestEstimatorExport:
 
     def test_invalid_input_exit_one(self, capsys):
         assert main(["estimator", BAD_D1]) == 1
+
+    def test_estimator_and_diagnoser_files_load(self, tmp_path):
+        est, diag = tmp_path / "q2.est.json", tmp_path / "q2.diag.json"
+        assert main(["estimator", Q2, "-o", str(est)]) == 0
+        assert main(["synthesize", Q2, "-o", str(diag)]) == 0
+        built = build_estimator(load_model(Q2))
+        assert est.read_text() == dumps_estimator(built)
+        loaded = load_diagnoser(diag)
+        expected = synthesize(built)
+        assert (loaded.states, loaded.initials, loaded.transitions, loaded.output) == (
+            expected.states, expected.initials, expected.transitions, expected.output
+        )
 
 
 class TestRunCommand:
@@ -300,7 +343,8 @@ class TestNegativeCounts:
 
 
 class TestMalformedInput:
-    """Malformed files exit 1 with a message, never a Python traceback."""
+    """Malformed or unreadable files exit 1 with a message, never a Python
+    traceback."""
 
     def run_cli(self, args, stdin=""):
         return run_python(["-m", "hydiag", *args], stdin, timeout=60)
@@ -309,6 +353,12 @@ class TestMalformedInput:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.strip()
+
+    def check_one_error_line(self, proc):
+        self.check_rejected(proc)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
 
     def test_quotient_with_non_list_classes(self, tmp_path):
         data = json.loads(open(Q1).read())
@@ -350,3 +400,28 @@ class TestMalformedInput:
         data["output"]["0"] = "yes"
         diag.write_text(json.dumps(data))
         self.check_rejected(self.run_cli(["run", str(diag)], stdin="init o0\n"))
+
+    def test_directory_as_input(self, tmp_path):
+        line = self.check_one_error_line(self.run_cli(["check", str(tmp_path)]))
+        assert "Is a directory" in line
+
+    def test_directory_as_output(self, tmp_path):
+        proc = self.run_cli(["regions", TA1, "-o", str(tmp_path)])
+        assert "Is a directory" in self.check_one_error_line(proc)
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("args", [["check"], ["check", "--ta"], ["run"]],
+                             ids=["check", "check-ta", "run"])
+    def test_file_that_is_not_utf8(self, args, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        line = self.check_one_error_line(self.run_cli([*args, str(path)], "init o0\n"))
+        assert line == f"error: {path} is not UTF-8 text"
+
+    @pytest.mark.parametrize("args", [["check"], ["check", "--ta"], ["run"]],
+                             ids=["check", "check-ta", "run"])
+    def test_deeply_nested_file(self, args, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        line = self.check_one_error_line(self.run_cli([*args, str(path)], "init o0\n"))
+        assert line == "error: invalid JSON: nested too deeply"

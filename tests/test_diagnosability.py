@@ -15,6 +15,7 @@ from hydiag.diagnosability import (
 from hydiag.estimator import Classification, EstimatorGraph, EstimatorState, build_estimator
 from hydiag.oracle import brute_force_diagnosable, random_models
 from hydiag.quotient import ClassInfo, QuotientModel
+from hydiag.regions import region_quotient
 
 from .helpers import (
     FAULT,
@@ -25,6 +26,8 @@ from .helpers import (
     make_model,
     nx_observed_step,
     q3_model,
+    random_progressive_ta,
+    unpruned_check_diagnosable,
 )
 
 
@@ -256,6 +259,23 @@ class TestDiagnosable:
         )
         with pytest.raises(ValueError):
             check_diagnosable(est)
+
+
+class TestPrunedProduct:
+    """The fault product over cyclic indeterminate components alone gives
+    the verdict and witness of the product over every indeterminate state."""
+
+    def test_corpus(self, corpus, ta1):
+        models = [*corpus, q3_model(), koenig_model(), linear_chain_model(40),
+                  region_quotient(ta1)]
+        models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+        refuted = 0
+        for model in models:
+            est = build_estimator(model)
+            verdict = check_diagnosable(est)
+            assert verdict == unpruned_check_diagnosable(est)
+            refuted += not verdict.diagnosable
+        assert 0 < refuted < len(models)
 
 
 class TestDelayBound:

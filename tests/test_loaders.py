@@ -1,4 +1,8 @@
-"""Every file format rejects malformed input with ModelFormatError.
+"""File formats: what hydiag writes loads back, and malformed input is
+rejected with ModelFormatError.
+
+hydiag writes each file as one line of compact JSON; the loaders accept
+any whitespace, so the same data indented loads back equal too.
 
 One test replaces one JSON value of a valid file, at every position in
 it, by values of every JSON type; another feeds arbitrary JSON documents
@@ -7,19 +11,72 @@ the documented format or validation error, never anything else.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydiag.diagnoser import dumps_diagnoser, loads_diagnoser, synthesize
+from hydiag.diagnoser import (
+    DiagnoserAutomaton,
+    dumps_diagnoser,
+    load_diagnoser,
+    loads_diagnoser,
+    synthesize,
+)
 from hydiag.errors import ModelFormatError, TAValidationError
-from hydiag.estimator import build_estimator
-from hydiag.quotient import dumps_model, loads_model
-from hydiag.regions import parse_ta
+from hydiag.estimator import EstimatorGraph, _parse_graph_json, build_estimator, dumps_estimator
+from hydiag.oracle import random_models
+from hydiag.quotient import dumps_model, load_model, loads_model
+from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
-from .helpers import q2_model
+from .helpers import q1_model, q2_model, q3_model
+
+
+def loads_estimator(text):
+    return EstimatorGraph(*_parse_graph_json(json.loads(text), "estimator"))
+
+
+def fields(written):
+    """What a file holds of a model or graph: all but the backing model."""
+    if isinstance(written, (EstimatorGraph, DiagnoserAutomaton)):
+        return {k: v for k, v in vars(written).items() if k != "model"}
+    return written
+
+
+WRITERS = {
+    "quotient": (lambda model: model, dumps_model, loads_model),
+    "estimator": (build_estimator, dumps_estimator, loads_estimator),
+    "diagnoser": (lambda model: synthesize(build_estimator(model)), dumps_diagnoser,
+                  loads_diagnoser),
+}
+MODELS = [q1_model(), q2_model(), q3_model(), region_quotient(load_ta(FIXTURES / "ta1.ta.json")),
+          *random_models(20, 0)]
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+class TestWrittenFiles:
+    def test_one_line(self, kind):
+        build, dumps, _ = WRITERS[kind]
+        for model in MODELS:
+            text = dumps(build(model))
+            assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_loads_back_equal(self, kind):
+        build, dumps, loads = WRITERS[kind]
+        for model in MODELS:
+            written = build(model)
+            assert fields(loads(dumps(written))) == fields(written)
+
+    def test_indented_loads_back_equal(self, kind):
+        build, dumps, loads = WRITERS[kind]
+        for model in MODELS:
+            written = build(model)
+            indented = json.dumps(json.loads(dumps(written)), indent=2) + "\n"
+            assert indented.count("\n") > 1
+            assert fields(loads(indented)) == fields(written)
+
 
 VALUES = [5, -1, 10**30, 1.5, True, None, "x", "0", "x<1", [], [5], [[1]], {}, {"a": 1}]
 
@@ -128,3 +185,22 @@ def test_broken_json_gives_one_message(load):
     with pytest.raises(ModelFormatError) as info:
         load('{\n  "classes": [1,\n}')
     assert str(info.value) == "invalid JSON at line 3, column 1: Expecting value"
+
+
+@pytest.mark.parametrize("load", [loads_model, parse_ta, loads_diagnoser],
+                         ids=["quotient", "automaton", "diagnoser"])
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000,
+                                  '{"a":' * 100_000 + "1" + "}" * 100_000],
+                         ids=["open", "closed", "objects"])
+def test_deeply_nested_document_is_rejected(load, text):
+    with pytest.raises(ModelFormatError, match="nested too deeply"):
+        load(text)
+
+
+@pytest.mark.parametrize("load", [load_model, load_ta, load_diagnoser],
+                         ids=["quotient", "automaton", "diagnoser"])
+def test_file_that_is_not_utf8_is_rejected(load, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
+    with pytest.raises(ModelFormatError, match=re.escape(f"{path} is not UTF-8 text")):
+        load(path)
