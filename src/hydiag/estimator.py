@@ -9,11 +9,11 @@ and irrelevant for diagnosability.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import CapExceeded, ModelFormatError
+from .errors import ModelFormatError
+from .graphs import explore
 from .quotient import _as_int, _as_list, _as_object, _dumps_json, _require_keys, external_moves
 
 DEFAULT_MAX_STATES = 1_000_000
@@ -86,44 +86,25 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES):
     yield identical graphs.  Raises CapExceeded beyond ``max_states``
     (the reachable part may still be exponential in the class count).
     """
-    states = []
-    index = {}
-    initials = {}
-    transitions = {}
-
-    def intern(est_state):
-        sid = index.get(est_state.members)
-        if sid is None:
-            if max_states is not None and len(states) >= max_states:
-                raise CapExceeded("estimator states", len(states) + 1, max_states)
-            sid = len(states)
-            states.append(est_state)
-            index[est_state.members] = sid
-        return sid
-
-    for obs, st in initial_estimates(model).items():
-        initials[obs] = intern(st)
-
     moves = external_moves(model)
-    queue = deque(range(len(states)))
-    seen = len(states)
-    while queue:
-        sid = queue.popleft()
-        members = states[sid].members
+
+    def successors(members):
         for action in model.external_actions:
             buckets = {}
             for c in members:
                 for dst, obs in moves[(c, action.name)]:
                     buckets.setdefault(obs, set()).add(dst)
             for obs in sorted(buckets):
-                ordered = tuple(sorted(buckets[obs]))
-                succ = EstimatorState(ordered, classify(ordered, model))
-                tid = intern(succ)
-                transitions[(sid, action.name, obs)] = tid
-                if tid >= seen:
-                    queue.append(tid)
-                    seen = tid + 1
-    return EstimatorGraph(states, initials, transitions, model)
+                yield (action.name, obs), tuple(sorted(buckets[obs]))
+
+    initial = initial_estimates(model)
+    starts = [st.members for st in initial.values()]
+    nodes, start_ids, edges = explore(starts, successors, max_states, "estimator states")
+    # The starts are distinct, so the initial estimates are the first states.
+    states = list(initial.values())
+    states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
+    transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
+    return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
 
 
 def _graph_data(graph):

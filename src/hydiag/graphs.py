@@ -1,4 +1,4 @@
-"""Small deterministic graph algorithms (SCC, labeled BFS, lassos).
+"""Small deterministic graph algorithms (exploration, SCC, labeled BFS, lassos).
 
 All functions iterate nodes and successors in the order given, so results
 are reproducible whenever the inputs are.
@@ -7,6 +7,37 @@ are reproducible whenever the inputs are.
 from __future__ import annotations
 
 from collections import deque
+
+from .errors import CapExceeded
+
+
+def explore(starts, successors, max_nodes=None, what="states"):
+    """Number the nodes reachable from ``starts`` in breadth-first order.
+
+    ``successors(node)`` yields ``(label, dst)`` pairs.  Nodes are numbered
+    as discovered, ``starts`` first and in the order given.  Returns
+    ``(nodes, start_ids, edges)``: ``nodes[i]`` is node i, ``start_ids``
+    the id of each start, and ``edges[i]`` the ``(label, dst id)`` pairs
+    of node i in the order yielded.  Raises ``CapExceeded(what, ...)``
+    when more than ``max_nodes`` nodes are reachable.
+    """
+    nodes = []
+    index = {}
+
+    def node_id(node):
+        nid = index.get(node)
+        if nid is None:
+            if max_nodes is not None and len(nodes) >= max_nodes:
+                raise CapExceeded(what, len(nodes) + 1, max_nodes)
+            nid = index[node] = len(nodes)
+            nodes.append(node)
+        return nid
+
+    start_ids = [node_id(s) for s in starts]
+    edges = []  # the queue is nodes[len(edges):]
+    while len(edges) < len(nodes):
+        edges.append([(label, node_id(dst)) for label, dst in successors(nodes[len(edges)])])
+    return nodes, start_ids, edges
 
 
 def strongly_connected_components(nodes, successors):

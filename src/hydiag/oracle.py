@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .diagnosability import check_diagnosable, check_progressive
 from .diagnoser import ObsEvent, step
 from .errors import CapExceeded
-from .estimator import build_estimator
-from .graphs import find_lasso
+from .estimator import DEFAULT_MAX_STATES, build_estimator
+from .graphs import explore, find_lasso
 from .quotient import (
     ActionLabel,
     ClassInfo,
@@ -63,7 +62,8 @@ def twin_product(model):
     time pair leads from a faulty class to a non-faulty one), nothing
     reachable from them has a healthy right copy, so no lasso that tells
     a faulty run from a healthy one passes through them.  Raises
-    ValueError on a model that breaks F2.
+    ValueError on a model that breaks F2, and CapExceeded beyond
+    ``DEFAULT_MAX_STATES`` twin states.
     """
     for src, dst in itertools.chain(((s, d) for s, _, d in model.edges), model.time):
         if model.faulty[src] and not model.faulty[dst]:
@@ -73,43 +73,25 @@ def twin_product(model):
             )
     moves = external_moves(model)
 
-    states = []
-    index = {}
-    edges = {}
-
-    def intern(left, right):
-        key = (left, right)
-        sid = index.get(key)
-        if sid is None:
-            sid = len(states)
-            index[key] = sid
-            states.append(TwinState(left, right))
-            edges[sid] = []
-        return sid
-
-    initials = []
-    for left in model.initial_classes:
-        for right in model.initial_classes:
-            if model.obs[left] == model.obs[right] and not model.faulty[right]:
-                initials.append(intern(left, right))
-
-    queue = deque(range(len(states)))
-    while queue:
-        sid = queue.popleft()
-        tw = states[sid]
+    def successors(node):
+        left, right = node
         for action in model.external_actions:
-            lefts = moves[(tw.left, action.name)]
-            rights = moves[(tw.right, action.name)]
+            lefts = moves[(left, action.name)]
+            rights = moves[(right, action.name)]
             for l_dst, l_obs in lefts:
                 for r_dst, r_obs in rights:
-                    if l_obs != r_obs or model.faulty[r_dst]:
-                        continue
-                    before = len(states)
-                    did = intern(l_dst, r_dst)
-                    edges[sid].append((action.name, l_obs, did))
-                    if did == before:
-                        queue.append(did)
-    return TwinGraph(states, initials, edges)
+                    if l_obs == r_obs and not model.faulty[r_dst]:
+                        yield (action.name, l_obs), (l_dst, r_dst)
+
+    starts = [
+        (left, right)
+        for left in model.initial_classes
+        for right in model.initial_classes
+        if model.obs[left] == model.obs[right] and not model.faulty[right]
+    ]
+    nodes, initials, out = explore(starts, successors, DEFAULT_MAX_STATES, "twin states")
+    edges = {sid: [(a, obs, did) for (a, obs), did in row] for sid, row in enumerate(out)}
+    return TwinGraph([TwinState(left, right) for left, right in nodes], initials, edges)
 
 
 @dataclass(frozen=True)

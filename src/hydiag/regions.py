@@ -28,11 +28,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
+from .graphs import explore
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
 from .quotient import _as_int, _as_list, _loads_json, _read_text, _require_keys
 
@@ -591,55 +591,30 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     """
     ceilings = ta.ceilings
     r0 = initial_region(len(ta.clocks))
-
-    metas = []  # (location name, region)
-    index = {}
-    edges_out = []
-    time_out = []
-
-    def intern(loc_name, region):
-        key = (loc_name, region)
-        cid = index.get(key)
-        if cid is None:
-            if len(metas) >= max_classes:
-                raise CapExceeded("region classes", len(metas) + 1, max_classes)
-            cid = len(metas)
-            index[key] = cid
-            metas.append(key)
-        return cid
-
-    queue = deque()
-    for loc in ta.locations:
-        if loc.initial and ta.region_satisfies(r0, loc.invariant):
-            queue.append(intern(loc.name, r0))
-
     label_of = {a.name: a for a in ta.actions}
-    while queue:
-        cid = queue.popleft()
-        loc_name, region = metas[cid]
-        loc = ta.location(loc_name)
+
+    def successors(node):  # enabled edges, then the time step labelled None
+        loc_name, region = node
         for e in ta.edges:
-            if e.src != loc_name:
-                continue
-            if not ta.region_satisfies(region, e.guard):
+            if e.src != loc_name or not ta.region_satisfies(region, e.guard):
                 continue
             target = reset_region(region, ta.reset_indices(e.resets))
-            if not ta.region_satisfies(target, ta.location(e.dst).invariant):
-                continue
-            before = len(metas)
-            did = intern(e.dst, target)
-            edges_out.append((cid, label_of[e.action], did))
-            if did == before:
-                queue.append(did)
+            if ta.region_satisfies(target, ta.location(e.dst).invariant):
+                yield label_of[e.action], (e.dst, target)
         succ = time_successor(region, ceilings)
         if succ is None:
-            time_out.append((cid, cid))  # genuinely time-divergent region
-        elif ta.region_satisfies(succ, loc.invariant):
-            before = len(metas)
-            did = intern(loc_name, succ)
-            time_out.append((cid, did))
-            if did == before:
-                queue.append(did)
+            yield None, node  # genuinely time-divergent region
+        elif ta.region_satisfies(succ, ta.location(loc_name).invariant):
+            yield None, (loc_name, succ)
+
+    starts = [
+        (loc.name, r0)
+        for loc in ta.locations
+        if loc.initial and ta.region_satisfies(r0, loc.invariant)
+    ]
+    metas, _, out = explore(starts, successors, max_classes, "region classes")
+    edges_out = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
+    time_out = [(cid, did) for cid, row in enumerate(out) for a, did in row if a is None]
 
     classes = []
     for cid, (loc_name, region) in enumerate(metas):
