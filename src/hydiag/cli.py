@@ -94,6 +94,14 @@ def _print_validation(report, fmt):
         print(f"violation {v.rule}{subject}: {v.message}")
 
 
+def _probe_output(output):
+    """Fail before the work when ``output`` cannot be written.  Appending
+    creates a missing file and keeps an existing one as it is."""
+    if output is not None:
+        with open(output, "a", encoding="utf-8"):
+            pass
+
+
 def _write_or_print(text, output):
     if output is None:
         sys.stdout.write(text)
@@ -110,6 +118,7 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
+    _probe_output(args.output)
     cap = _max_classes(args)
     model = region_quotient(load_ta(args.model, cap), max_classes=cap)
     _write_or_print(dumps_model(model), args.output)
@@ -117,6 +126,7 @@ def cmd_regions(args):
 
 
 def cmd_estimator(args):
+    _probe_output(args.output)
     model = _validated_model(args)
     est = build_estimator(model)
     _write_or_print(dumps_estimator(est), args.output)
@@ -160,6 +170,7 @@ def cmd_check(args):
 
 
 def cmd_synthesize(args):
+    _probe_output(args.output)
     model = _validated_model(args)
     diag = synthesize(build_estimator(model))
     _write_or_print(dumps_diagnoser(diag), args.output)

@@ -14,7 +14,8 @@ from enum import Enum
 
 from .errors import ModelFormatError
 from .graphs import explore
-from .quotient import _as_int, _as_list, _as_object, _dumps_json, _require_keys, external_moves
+from .quotient import _as_int, _as_list, _as_object, _dumps_json, _int_literal, _require_keys
+from .quotient import external_moves
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -129,9 +130,9 @@ def dumps_estimator(est):
 
 def _key_int(key, what):
     """A non-negative integer written as a JSON object key, in canonical form."""
-    if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+    if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
         raise ModelFormatError(f"{what} key must be an integer, got {key!r}")
-    return int(key)
+    return _int_literal(key, f"{what} key")
 
 
 def _state_id(value, n, what):

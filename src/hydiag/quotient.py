@@ -18,6 +18,7 @@ system can let time pass there forever.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -366,6 +367,10 @@ def _loads_json(text):
         ) from None
     except RecursionError:
         raise ModelFormatError("invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ModelFormatError(
+            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _dumps_json(data):
@@ -392,6 +397,18 @@ def _require_keys(obj, keys, what):
     missing = keys - set(obj)
     if missing:
         raise ModelFormatError(f"{what} is missing keys: {sorted(missing)}")
+
+
+def _int_literal(digits, what):
+    """``int(digits)`` for a string of decimal digits, reporting one longer
+    than the interpreter converts (``sys.get_int_max_str_digits``) as a
+    format error."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ModelFormatError(
+            f"{what} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _as_int(value, what):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .graphs import explore
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
-from .quotient import _as_int, _as_list, _loads_json, _read_text, _require_keys
+from .quotient import _as_int, _as_list, _int_literal, _loads_json, _read_text, _require_keys
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -82,7 +82,7 @@ def parse_constraint(text):
     clock, op, bound = m.group(1), m.group(2), m.group(3)
     if "." in bound:
         raise ModelFormatError(f"non-integral constant in constraint {_excerpt(text, 0)}")
-    value = int(bound)
+    value = _int_literal(bound, f"constant in constraint {_excerpt(text, 0)}")
     if value < 0:
         raise ModelFormatError(f"negative constant in constraint {_excerpt(text, 0)}")
     return ClockConstraint(clock, op, value)
@@ -182,7 +182,8 @@ class _PredParser:
             _, num, num_pos = self.take()
             if "." in num:
                 raise self.error("non-integral constant in predicate", num_pos)
-            bound = int(num)
+            where = f"column {num_pos + 1} near {_excerpt(self.text, num_pos)}"
+            bound = _int_literal(num, f"constant at {where}")
             if bound < 0:
                 raise self.error("negative constant in predicate", num_pos)
             return ("atom", ident, op, bound)

@@ -410,6 +410,47 @@ class TestMalformedInput:
         assert "Is a directory" in self.check_one_error_line(proc)
         assert proc.stdout == ""
 
+    def test_unwritable_output_is_reported_before_the_cap(self, tmp_path):
+        proc = self.run_cli(["regions", TA1, "--max-classes", "1", "-o", str(tmp_path)])
+        assert "Is a directory" in self.check_one_error_line(proc)
+
+    def test_unwritable_output_is_reported_before_validation(self, tmp_path):
+        proc = self.run_cli(["synthesize", BAD_D1, "-o", str(tmp_path / "missing" / "x.json")])
+        assert "No such file or directory" in self.check_one_error_line(proc)
+        assert proc.stdout == ""
+
+    def test_failed_run_keeps_an_existing_output(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("kept\n")
+        assert main(["regions", TA1, "--max-classes", "1", "-o", str(out)]) == 5
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("where", ["quotient-obs", "guard", "predicate", "diagnoser-key"])
+    def test_integer_past_the_digit_limit(self, where, tmp_path):
+        digits = "1" * 5000
+        path = tmp_path / "big.json"
+        if where == "quotient-obs":
+            args = ["check", str(path)]
+            text = open(Q1).read().replace('"obs": 0', f'"obs": {digits}', 1)
+        elif where == "diagnoser-key":
+            args = ["run", str(path)]
+            assert main(["synthesize", Q1, "-o", str(path)]) == 0
+            data = json.loads(path.read_text())
+            data["initials"] = {digits: 0}
+            text = json.dumps(data)
+        else:
+            args = ["check", "--ta", str(path)]
+            data = json.loads(open(TA1).read())
+            if where == "guard":
+                data["edges"][0]["guard"] = [f"x<={digits}"]
+            else:
+                data["observation"][0]["pred"] = f"x<{digits}"
+            text = json.dumps(data)
+        assert digits in text
+        path.write_text(text)
+        line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
+        assert line.endswith("digits") and len(line) < 200
+
     @pytest.mark.parametrize("args", [["check"], ["check", "--ta"], ["run"]],
                              ids=["check", "check-ta", "run"])
     def test_file_that_is_not_utf8(self, args, tmp_path):

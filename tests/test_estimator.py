@@ -117,8 +117,9 @@ class TestBuild:
         assert est.transitions == {}
 
     def test_state_cap(self, q2):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as err:
             build_estimator(q2, max_states=2)
+        assert (err.value.what, err.value.count, err.value.cap) == ("estimator states", 3, 2)
 
     def test_build_is_deterministic(self, q2):
         a = build_estimator(q2)

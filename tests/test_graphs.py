@@ -2,19 +2,21 @@
 against networkx as a third implementation.
 
 ``check_diagnosable`` and ``brute_force_diagnosable`` both search lassos
-with ``find_lasso`` over ``strongly_connected_components`` and both step
-single classes through ``external_moves``; a bug there could hide in
-both verdicts at once, so these tests recompute the same answers with
-networkx.
+with ``find_lasso`` over ``strongly_connected_components``, build the
+estimator and the twin plant with ``explore``, and step single classes
+through ``external_moves``; a bug there could hide in both verdicts at
+once, so these tests recompute the same answers with networkx.
 """
 
 import random
 
 import networkx as nx
+import pytest
 
 from hydiag.diagnosability import _fault_product, _indeterminate_graph
 from hydiag.estimator import build_estimator
-from hydiag.graphs import find_lasso, strongly_connected_components
+from hydiag.errors import CapExceeded
+from hydiag.graphs import explore, find_lasso, strongly_connected_components
 from hydiag.oracle import random_models, twin_product
 from hydiag.quotient import external_moves
 from hydiag.regions import region_quotient
@@ -84,6 +86,44 @@ def check_lasso(starts, adj, loop_adj, project):
     for u, label, v in zip(cycle_nodes, cycle_labels, cycle_nodes[1:]):
         assert (label, v) in loop_adj[u]
     return True
+
+
+def check_explore(starts, adj):
+    """explore against descendants and shortest distances computed by networkx."""
+    nodes, start_ids, edges = explore(starts, adj.__getitem__)
+    g = to_nx(adj)
+    reached = set(starts).union(*(nx.descendants(g, s) for s in starts))
+    assert len(nodes) == len(set(nodes)) and set(nodes) == reached
+    assert nodes[: len(set(starts))] == list(dict.fromkeys(starts))
+    assert [nodes[i] for i in start_ids] == starts
+    dist = nx.multi_source_dijkstra_path_length(g, set(starts))
+    depths = [dist[v] for v in nodes]
+    assert depths == sorted(depths)
+    assert len(edges) == len(nodes)
+    for v, out in zip(nodes, edges):
+        assert [(label, nodes[i]) for label, i in out] == adj[v]
+
+    for cap in range(len(nodes) + 2):
+        if len(nodes) > cap:
+            with pytest.raises(CapExceeded) as err:
+                explore(starts, adj.__getitem__, cap, "things")
+            assert (err.value.what, err.value.count, err.value.cap) == ("things", cap + 1, cap)
+        else:
+            assert explore(starts, adj.__getitem__, cap, "things") == (nodes, start_ids, edges)
+
+
+class TestExplore:
+    def test_random_digraphs(self):
+        # Named nodes, so a node mistaken for its id shows.
+        rng = random.Random(14)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            names = [f"v{i}" for i in range(n)]
+            adj = random_digraph(rng, names, rng.choice([0.1, 0.2, 0.4]))
+            check_explore(rng.choices(names, k=rng.randint(1, 3)), adj)
+
+    def test_no_starts(self):
+        assert explore([], lambda v: [], 0) == ([], [], [])
 
 
 class TestStronglyConnectedComponents:

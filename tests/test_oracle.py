@@ -2,6 +2,7 @@
 
 import pytest
 
+from hydiag.cli import main
 from hydiag.diagnosability import check_diagnosable, check_progressive, detection_delay_bound
 from hydiag.diagnoser import synthesize
 from hydiag.errors import CapExceeded
@@ -21,7 +22,10 @@ from hydiag.oracle import (
 )
 from hydiag.quotient import Lasso, UTrace, validate_model
 
+from .conftest import FIXTURES
 from .helpers import f2_violating_model, q3_model, reference_twin_product
+
+Q2 = str(FIXTURES / "q2.quot.json")
 
 
 def _bad_cycle_states(model, twin):
@@ -116,6 +120,14 @@ class TestTwinProduct:
             assert verdict == _full_twin_plant_verdict(model)
             not_diagnosable += not verdict.diagnosable
         assert not_diagnosable > 50
+
+    def test_state_cap(self, q2, monkeypatch, capsys):
+        monkeypatch.setattr("hydiag.oracle.DEFAULT_MAX_STATES", 2)
+        with pytest.raises(CapExceeded) as err:
+            twin_product(q2)
+        assert (err.value.what, err.value.count, err.value.cap) == ("twin states", 3, 2)
+        assert main(["oracle", Q2]) == 5
+        assert capsys.readouterr().err == "error: twin states: 3 exceeds cap 2\n"
 
     @pytest.mark.parametrize("time", [False, True], ids=["edge", "time"])
     def test_rejects_reversible_faults(self, time):

@@ -565,8 +565,9 @@ class TestTA1Quotient:
         assert region_quotient(ta1) == region_quotient(ta1)
 
     def test_explosion_guard(self, ta1):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as err:
             region_quotient(ta1, max_classes=3)
+        assert (err.value.what, err.value.count, err.value.cap) == ("region classes", 4, 3)
 
 
 def assert_region_equivalence(ta, rq, rng, pairs_per_class):
