@@ -23,7 +23,7 @@ from .errors import (
 )
 from .estimator import build_estimator, dumps_estimator
 from .oracle import brute_force_diagnosable, enumerate_utraces, run_fuzz
-from .quotient import dumps_model, load_model, validate_model
+from .quotient import _excerpt, _int_literal, dumps_model, load_model, validate_model
 from .regions import DEFAULT_MAX_CLASSES, load_ta, region_quotient
 
 EXIT_OK = 0
@@ -178,11 +178,11 @@ def cmd_synthesize(args):
 
 
 def _parse_obs(token):
+    """An observable written ``o3`` or ``3``: ASCII decimal digits."""
     raw = token[1:] if token.startswith("o") else token
-    try:
-        return int(raw)
-    except ValueError:
-        raise ModelFormatError(f"cannot parse observable {token!r}")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ModelFormatError(f"cannot parse observable {_excerpt(token, 0)}")
+    return _int_literal(raw, "observable")
 
 
 def cmd_run(args):
@@ -196,13 +196,11 @@ def cmd_run(args):
         parts = line.split()
         if index == 0:
             if len(parts) != 2 or parts[0] != "init":
-                print(f"expected 'init <obs>', got {line!r}", file=sys.stderr)
-                return EXIT_INVALID
+                raise ModelFormatError(f"expected 'init <obs>', got {_excerpt(line, 0)}")
             event = ObsEvent.init(_parse_obs(parts[1]))
         else:
             if len(parts) != 2:
-                print(f"expected '<action> <obs>', got {line!r}", file=sys.stderr)
-                return EXIT_INVALID
+                raise ModelFormatError(f"expected '<action> <obs>', got {_excerpt(line, 0)}")
             event = ObsEvent.step(parts[0], _parse_obs(parts[1]))
         try:
             current, verdict = step(diag, current, event)

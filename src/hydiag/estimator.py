@@ -14,8 +14,8 @@ from enum import Enum
 
 from .errors import ModelFormatError
 from .graphs import explore
-from .quotient import _as_int, _as_list, _as_object, _dumps_json, _int_literal, _require_keys
-from .quotient import external_moves
+from .quotient import _as_object, _dumps_json, _excerpt, _int_literal, _member, _require_keys
+from .quotient import _rows, external_moves
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -131,15 +131,20 @@ def dumps_estimator(est):
 def _key_int(key, what):
     """A non-negative integer written as a JSON object key, in canonical form."""
     if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
-        raise ModelFormatError(f"{what} key must be an integer, got {key!r}")
+        raise ModelFormatError(f"{what} key must be an integer, got {_excerpt(key, 0)}")
     return _int_literal(key, f"{what} key")
 
 
 def _state_id(value, n, what):
-    value = _as_int(value, what)
+    if type(value) is not int:
+        raise ModelFormatError(f"{what} must be an integer, got {type(value).__name__}")
     if not 0 <= value < n:
         raise ModelFormatError(f"{what} out of range")
     return value
+
+
+_STATE_SCHEMA = {"id": int, "members": list, "class": str}
+_TRANSITION_SCHEMA = {"src": int, "action": str, "obs": int, "dst": int}
 
 
 def _parse_graph_json(data, what, extra_keys=frozenset()):
@@ -147,18 +152,14 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
 
     states = []
-    for i, s in enumerate(_as_list(data["states"], "states")):
-        _require_keys(s, {"id", "members", "class"}, f"states[{i}]")
-        if _as_int(s["id"], f"states[{i}].id") != i:
+    for i, (sid, members, cls) in enumerate(_rows(data["states"], "states", _STATE_SCHEMA)):
+        if sid != i:
             raise ModelFormatError(f"states[{i}].id must be {i}")
-        try:
-            cls = Classification(s["class"])
-        except ValueError:
-            raise ModelFormatError(f"states[{i}].class is invalid") from None
-        members = tuple(_as_list(s["members"], f"states[{i}].members"))
         if set(map(type, members)) - {int}:
             raise ModelFormatError(f"states[{i}].members must be integers")
-        states.append(EstimatorState(members, cls))
+        states.append(
+            EstimatorState(tuple(members), _member(Classification, cls, f"states[{i}].class"))
+        )
 
     n = len(states)
     initials = {}
@@ -166,13 +167,8 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
         initials[_key_int(obs, "initials")] = _state_id(sid, n, f"initials[{obs}]")
 
     transitions = {}
-    for i, t in enumerate(_as_list(data["transitions"], "transitions")):
-        _require_keys(t, {"src", "action", "obs", "dst"}, f"transitions[{i}]")
-        src, action, obs, dst = t["src"], t["action"], t["obs"], t["dst"]
-        if not (type(src) is type(obs) is type(dst) is int and isinstance(action, str)):
-            raise ModelFormatError(
-                f"transitions[{i}] needs integer src, obs and dst and a string action"
-            )
+    rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)
+    for i, (src, action, obs, dst) in enumerate(rows):
         if not (0 <= src < n and 0 <= dst < n):
             raise ModelFormatError(f"transitions[{i}] out of range")
         transitions[(src, action, obs)] = dst

@@ -21,6 +21,7 @@ import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .errors import ModelFormatError
 
@@ -342,10 +343,10 @@ class _MoveTable(dict):
 # ---------------------------------------------------------------------------
 # Model file format (JSON)
 
-_CLASS_KEYS = {"id", "faulty", "initial", "obs"}
-_ACTION_KEYS = {"name", "kind"}
-_EDGE_KEYS = {"src", "action", "dst"}
-_TIME_KEYS = {"src", "dst"}
+_CLASS_SCHEMA = {"id": int, "faulty": bool, "initial": bool, "obs": int}
+_ACTION_SCHEMA = {"name": str, "kind": str}
+_EDGE_SCHEMA = {"src": int, "action": str, "dst": int}
+_TIME_SCHEMA = {"src": int, "dst": int}
 
 
 def _read_text(path):
@@ -411,16 +412,13 @@ def _int_literal(digits, what):
         ) from None
 
 
-def _as_int(value, what):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
-    return value
+def _excerpt(text, pos, width=30):
+    """At most ``2 * width`` characters of ``text`` around index ``pos``, quoted.
 
-
-def _as_bool(value, what):
-    if not isinstance(value, bool):
-        raise ModelFormatError(f"{what} must be a boolean, got {value!r}")
-    return value
+    Error messages quote this, not the whole input, which may be long.
+    """
+    start = max(0, min(pos - width, len(text) - 2 * width))
+    return repr(text[start : start + 2 * width])
 
 
 def _as_list(value, what):
@@ -429,56 +427,56 @@ def _as_list(value, what):
     return value
 
 
+_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
+
+
+def _rows(value, what, schema):
+    """Each object of the list ``value`` as the tuple of its fields in
+    ``schema`` order.
+
+    ``schema`` maps every key an object must have to the exact type of its
+    value: ``int``, ``bool``, ``str`` or ``list`` (a bool is not an int).
+    It has at least two keys.  No message is built unless a check fails.
+    """
+    keys = schema.keys()
+    fields = itemgetter(*keys)
+    types = tuple(schema.values())
+    rows = []
+    for i, obj in enumerate(_as_list(value, what)):
+        if type(obj) is not dict or obj.keys() != keys:
+            _require_keys(obj, keys, f"{what}[{i}]")
+        row = fields(obj)
+        if tuple(map(type, row)) != types:
+            for key, item, expected in zip(keys, row, types):
+                if type(item) is not expected:
+                    raise ModelFormatError(
+                        f"{what}[{i}].{key} must be {_TYPE_NAMES[expected]}, "
+                        f"got {type(item).__name__}"
+                    )
+        rows.append(row)
+    return rows
+
+
+def _member(enum, value, what):
+    """The member of ``enum`` whose value is ``value``."""
+    try:
+        return enum(value)
+    except ValueError:
+        names = "|".join(m.value for m in enum)
+        raise ModelFormatError(f"{what} must be one of {names}") from None
+
+
 def loads_model(text):
     """Parse a quotient model from its JSON file format."""
     data = _loads_json(text)
     _require_keys(data, {"classes", "actions", "edges", "time"}, "model")
-
-    classes = []
-    for i, c in enumerate(_as_list(data["classes"], "classes")):
-        _require_keys(c, _CLASS_KEYS, f"classes[{i}]")
-        classes.append(
-            ClassInfo(
-                _as_int(c["id"], f"classes[{i}].id"),
-                _as_bool(c["faulty"], f"classes[{i}].faulty"),
-                _as_bool(c["initial"], f"classes[{i}].initial"),
-                _as_int(c["obs"], f"classes[{i}].obs"),
-            )
-        )
-
-    actions = []
-    for i, a in enumerate(_as_list(data["actions"], "actions")):
-        _require_keys(a, _ACTION_KEYS, f"actions[{i}]")
-        try:
-            kind = Kind(a["kind"])
-        except ValueError:
-            raise ModelFormatError(
-                f"actions[{i}].kind must be one of external|internal|fault"
-            ) from None
-        if not isinstance(a["name"], str):
-            raise ModelFormatError(f"actions[{i}].name must be a string")
-        actions.append(ActionLabel(a["name"], kind))
-
-    edges = []
-    for i, e in enumerate(_as_list(data["edges"], "edges")):
-        _require_keys(e, _EDGE_KEYS, f"edges[{i}]")
-        if not isinstance(e["action"], str):
-            raise ModelFormatError(f"edges[{i}].action must be a string")
-        edges.append(
-            (
-                _as_int(e["src"], f"edges[{i}].src"),
-                e["action"],
-                _as_int(e["dst"], f"edges[{i}].dst"),
-            )
-        )
-
-    time = []
-    for i, t in enumerate(_as_list(data["time"], "time")):
-        _require_keys(t, _TIME_KEYS, f"time[{i}]")
-        time.append(
-            (_as_int(t["src"], f"time[{i}].src"), _as_int(t["dst"], f"time[{i}].dst"))
-        )
-
+    classes = [ClassInfo(*row) for row in _rows(data["classes"], "classes", _CLASS_SCHEMA)]
+    actions = [
+        ActionLabel(name, _member(Kind, kind, f"actions[{i}].kind"))
+        for i, (name, kind) in enumerate(_rows(data["actions"], "actions", _ACTION_SCHEMA))
+    ]
+    edges = _rows(data["edges"], "edges", _EDGE_SCHEMA)
+    time = _rows(data["time"], "time", _TIME_SCHEMA)
     try:
         return QuotientModel(classes, actions, edges, time)
     except ValueError as e:

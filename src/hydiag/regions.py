@@ -34,7 +34,8 @@ from fractions import Fraction
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .graphs import explore
 from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
-from .quotient import _as_int, _as_list, _int_literal, _loads_json, _read_text, _require_keys
+from .quotient import _as_list, _excerpt, _int_literal, _loads_json, _member, _read_text
+from .quotient import _require_keys, _rows
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -64,15 +65,6 @@ class ClockConstraint:
     clock: str
     op: str
     bound: int
-
-
-def _excerpt(text, pos, width=30):
-    """At most ``2 * width`` characters of ``text`` around index ``pos``, quoted.
-
-    Error messages quote this, not the whole input, which may be long.
-    """
-    start = max(0, min(pos - width, len(text) - 2 * width))
-    return repr(text[start : start + 2 * width])
 
 
 def parse_constraint(text):
@@ -454,10 +446,7 @@ class TimedAutomatonWithFaults:
             raise TAValidationError(
                 "FaultAction", f"more than one fault action: {fault_names}"
             )
-        self.actions = tuple(
-            ActionLabel(name, kind)
-            for name, kind in sorted(kinds.items(), key=lambda kv: _first_use(self.edges, kv[0]))
-        )
+        self.actions = tuple(ActionLabel(name, kind) for name, kind in kinds.items())
 
         self.observation = tuple(observation)
         ids = sorted(spec.id for spec in self.observation)
@@ -564,13 +553,6 @@ class TimedAutomatonWithFaults:
         return tuple(sorted(self._clock_index[name] for name in resets))
 
 
-def _first_use(edges, action):
-    for i, e in enumerate(edges):
-        if e.action == action:
-            return i
-    return len(edges)
-
-
 # ---------------------------------------------------------------------------
 # Region quotient construction
 
@@ -655,9 +637,11 @@ def region_count_bound(ta):
 # ---------------------------------------------------------------------------
 # File format (JSON)
 
-_LOC_KEYS = {"name", "faulty", "initial", "invariant"}
-_TA_EDGE_KEYS = {"src", "dst", "action", "kind", "guard", "resets"}
-_OBS_KEYS = {"id", "pred"}
+_LOC_SCHEMA = {"name": str, "faulty": bool, "initial": bool, "invariant": list}
+_TA_EDGE_SCHEMA = {
+    "src": str, "dst": str, "action": str, "kind": str, "guard": list, "resets": list
+}
+_OBS_SCHEMA = {"id": int, "pred": str}
 
 
 def _strings(value, what):
@@ -676,43 +660,33 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     data = _loads_json(text)
     _require_keys(data, {"locations", "clocks", "edges", "observation"}, "automaton")
 
-    locations = []
-    for i, loc in enumerate(_as_list(data["locations"], "locations")):
-        _require_keys(loc, _LOC_KEYS, f"locations[{i}]")
-        if not isinstance(loc["name"], str):
-            raise ModelFormatError(f"locations[{i}].name must be a string")
-        if not isinstance(loc["faulty"], bool) or not isinstance(loc["initial"], bool):
-            raise ModelFormatError(f"locations[{i}] flags must be booleans")
-        invariant = _constraints(loc["invariant"], f"locations[{i}].invariant")
-        locations.append(Location(loc["name"], loc["faulty"], loc["initial"], invariant))
+    locations = [
+        Location(name, faulty, initial, _constraints(invariant, f"locations[{i}].invariant"))
+        for i, (name, faulty, initial, invariant)
+        in enumerate(_rows(data["locations"], "locations", _LOC_SCHEMA))
+    ]
 
     _require_keys(data["clocks"], {"internal", "external"}, "clocks")
     internal = _strings(data["clocks"]["internal"], "clocks.internal")
     external = _strings(data["clocks"]["external"], "clocks.external")
 
-    edges = []
-    for i, e in enumerate(_as_list(data["edges"], "edges")):
-        _require_keys(e, _TA_EDGE_KEYS, f"edges[{i}]")
-        for key in ("src", "dst", "action"):
-            if not isinstance(e[key], str):
-                raise ModelFormatError(f"edges[{i}].{key} must be a string")
-        try:
-            kind = Kind(e["kind"])
-        except ValueError:
-            raise ModelFormatError(
-                f"edges[{i}].kind must be one of external|internal|fault"
-            ) from None
-        guard = _constraints(e["guard"], f"edges[{i}].guard")
-        resets = frozenset(_strings(e["resets"], f"edges[{i}].resets"))
-        edges.append(TAEdge(e["src"], e["dst"], e["action"], kind, guard, resets))
+    edges = [
+        TAEdge(
+            src,
+            dst,
+            action,
+            _member(Kind, kind, f"edges[{i}].kind"),
+            _constraints(guard, f"edges[{i}].guard"),
+            frozenset(_strings(resets, f"edges[{i}].resets")),
+        )
+        for i, (src, dst, action, kind, guard, resets)
+        in enumerate(_rows(data["edges"], "edges", _TA_EDGE_SCHEMA))
+    ]
 
-    observation = []
-    for i, spec in enumerate(_as_list(data["observation"], "observation")):
-        _require_keys(spec, _OBS_KEYS, f"observation[{i}]")
-        obs_id = _as_int(spec["id"], f"observation[{i}].id")
-        if not isinstance(spec["pred"], str):
-            raise ModelFormatError(f"observation[{i}].pred must be a string")
-        observation.append(ObservableSpec(obs_id, parse_pred(spec["pred"]), spec["pred"]))
+    observation = [
+        ObservableSpec(obs_id, parse_pred(pred), pred)
+        for obs_id, pred in _rows(data["observation"], "observation", _OBS_SCHEMA)
+    ]
 
     return TimedAutomatonWithFaults(
         locations, internal, external, edges, observation, max_classes

@@ -451,6 +451,44 @@ class TestMalformedInput:
         line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
         assert line.endswith("digits") and len(line) < 200
 
+    @pytest.mark.parametrize("where", ["quotient-id", "automaton-id", "diagnoser-obs",
+                                       "diagnoser-key"])
+    def test_long_string_in_an_integer_field(self, where, tmp_path):
+        long = "x" * 100_000
+        path = tmp_path / "long.json"
+        if where == "quotient-id":
+            args = ["check", str(path)]
+            data = json.loads(open(Q1).read())
+            data["classes"][0]["id"] = long
+        elif where == "automaton-id":
+            args = ["check", "--ta", str(path)]
+            data = json.loads(open(TA1).read())
+            data["observation"][0]["id"] = long
+        else:
+            args = ["run", str(path)]
+            assert main(["synthesize", Q1, "-o", str(path)]) == 0
+            data = json.loads(path.read_text())
+            if where == "diagnoser-obs":
+                data["transitions"][0]["obs"] = long
+            else:
+                data["initials"] = {long: 0}
+        path.write_text(json.dumps(data))
+        line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
+        assert len(line) < 200
+
+    @pytest.mark.parametrize(
+        "stdin",
+        ["init o0_0\n", "init +0\n", "init o\u0660\n", "init -1\n", "init o" + "1" * 5000 + "\n",
+         "init o0\ntick o1_0\n", "x" * 100_000 + "\n", "init o0\n" + "tick " * 20_000 + "\n"],
+        ids=["underscore", "plus", "arabic-indic", "negative", "too-many-digits", "step",
+             "long-line", "long-step"],
+    )
+    def test_run_reads_only_ascii_digit_observables(self, stdin, tmp_path):
+        diag = tmp_path / "diag.json"
+        assert main(["synthesize", Q1, "-o", str(diag)]) == 0
+        proc = self.run_cli(["run", str(diag)], stdin)
+        assert len(self.check_one_error_line(proc)) < 200
+
     @pytest.mark.parametrize("args", [["check"], ["check", "--ta"], ["run"]],
                              ids=["check", "check-ta", "run"])
     def test_file_that_is_not_utf8(self, args, tmp_path):

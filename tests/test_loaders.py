@@ -108,6 +108,10 @@ def quotient_file():
     return data
 
 
+def automaton_file():
+    return json.loads((FIXTURES / "ta1.ta.json").read_text())
+
+
 def diagnoser_file():
     return json.loads(dumps_diagnoser(synthesize(build_estimator(q2_model()))))
 
@@ -116,7 +120,7 @@ def diagnoser_file():
     "data, load",
     [
         (quotient_file(), loads_model),
-        (json.loads((FIXTURES / "ta1.ta.json").read_text()), parse_ta),
+        (automaton_file(), parse_ta),
         (diagnoser_file(), loads_diagnoser),
     ],
     ids=["quotient", "automaton", "diagnoser"],
@@ -204,3 +208,25 @@ def test_file_that_is_not_utf8_is_rejected(load, tmp_path):
     path.write_bytes("{}".encode("utf-16"))  # starts with the bytes ff fe
     with pytest.raises(ModelFormatError, match=re.escape(f"{path} is not UTF-8 text")):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "data, load, path, value, message",
+    [
+        (quotient_file(), loads_model, ("classes", 0, "faulty"), 1,
+         "classes[0].faulty must be a boolean, got int"),
+        (automaton_file(), parse_ta, ("locations", 0, "initial"), None,
+         "locations[0].initial must be a boolean, got NoneType"),
+        (diagnoser_file(), loads_diagnoser, ("transitions", 0, "obs"), "1",
+         "transitions[0].obs must be an integer, got str"),
+        (diagnoser_file(), loads_diagnoser, ("states", 0, "class"), "x",
+         "states[0].class must be one of faulty|nonfaulty|indeterminate"),
+        (automaton_file(), parse_ta, ("edges", 0, "kind"), "x",
+         "edges[0].kind must be one of external|internal|fault"),
+    ],
+    ids=["quotient-bool", "automaton-bool", "diagnoser-int", "diagnoser-enum", "automaton-enum"],
+)
+def test_malformed_field_message(data, load, path, value, message):
+    with pytest.raises(ModelFormatError) as info:
+        load(json.dumps(replaced(data, path, value)))
+    assert str(info.value) == message
