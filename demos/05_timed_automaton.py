@@ -9,6 +9,7 @@ is observed at x = 1.
 from pathlib import Path
 
 from hydiag import (
+    Classification,
     build_estimator,
     check_diagnosable,
     detection_delay_bound,
@@ -39,4 +40,8 @@ print("diagnosable:", verdict.diagnosable)
 print("detection delay bound:", detection_delay_bound(est))
 
 diag = synthesize(est)
-print("diagnoser outputs:", dict(enumerate(diag.output)))
+outputs = {
+    i: "yes" if s.classification is Classification.FAULTY else "no"
+    for i, s in enumerate(diag.states)
+}
+print("diagnoser outputs:", outputs)

@@ -18,11 +18,8 @@ from .diagnosability import (
     replay_lasso,
 )
 from .diagnoser import (
-    DiagnoserAutomaton,
     ObsEvent,
-    Status,
     Verdict,
-    events_of,
     load_diagnoser,
     run_trace,
     step,
@@ -65,7 +62,6 @@ from .quotient import (
     ValidationReport,
     external_moves,
     load_model,
-    save_model,
     unobservable_closure,
     validate_model,
 )
@@ -79,5 +75,3 @@ from .regions import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,42 +1,37 @@
 """Executable diagnoser: a Moore machine over estimator states.
 
-The winning strategy factors through the estimator, so two observation
-prefixes reaching the same estimate always get the same answer.  The
-machine answers yes exactly on states whose members are all faulty;
-indeterminate states answer no but expose their ambiguity through the
-richer status field.
+The winning strategy factors through the estimator, so the diagnoser is
+the estimator graph itself and two observation prefixes reaching the
+same estimate always get the same answer.  The Moore output is read off
+each state's classification: yes exactly on states whose members are
+all faulty; indeterminate states answer no but expose their ambiguity
+through the richer status field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .estimator import Classification, _graph_data, _key_int, _parse_graph_json, _state_id
+from .estimator import Classification, EstimatorGraph, _graph_data, _key_int
+from .estimator import _parse_graph_json, _state_id
 from .quotient import _as_object, _dumps_json, _loads_json, _read_text
-
-
-class Status(str, Enum):
-    FAULTY = "determinate-faulty"
-    NONFAULTY = "determinate-nonfaulty"
-    INDETERMINATE = "indeterminate"
-
-
-_STATUS_OF = {
-    Classification.FAULTY: Status.FAULTY,
-    Classification.NONFAULTY: Status.NONFAULTY,
-    Classification.INDETERMINATE: Status.INDETERMINATE,
-}
 
 
 @dataclass(frozen=True)
 class Verdict:
     answer: str  # "yes" | "no"
-    status: Status
+    status: Classification
 
     def pretty(self):
-        return f"{self.answer} {self.status.value}"
+        if self.status is Classification.INDETERMINATE:
+            return f"{self.answer} indeterminate"
+        return f"{self.answer} determinate-{self.status.value}"
+
+
+_VERDICTS = {
+    c: Verdict("yes" if c is Classification.FAULTY else "no", c) for c in Classification
+}
 
 
 @dataclass(frozen=True)
@@ -59,40 +54,15 @@ class ObsEvent:
         return self.action is None
 
 
-@dataclass
-class DiagnoserAutomaton:
-    """Moore machine emitting yes/no along an observation stream.
-
-    Structurally the estimator graph plus an output per state.  The
-    machine itself is immutable; the online cursor (current state id) is
-    owned by the caller, so concurrent sessions over one machine are safe.
-    """
-
-    states: list
-    initials: dict[int, int]
-    transitions: dict[tuple[int, str, int], int]
-    output: tuple[str, ...]
-    model: object = field(default=None, repr=False)
-
-    def verdict(self, sid):
-        return Verdict(self.output[sid], _STATUS_OF[self.states[sid].classification])
-
-
-def _answer(classification):
-    """The Moore output: yes exactly on all-faulty estimates."""
-    return "yes" if classification is Classification.FAULTY else "no"
-
-
 def synthesize(est):
-    """Turn an estimator graph into the diagnoser Moore machine.
+    """The diagnoser Moore machine of an estimator graph: the graph itself.
 
     Well-defined for any estimator; it is a winning strategy only when
-    the underlying system is diagnosable.
+    the underlying system is diagnosable.  The machine is immutable; the
+    online cursor (current state id) is owned by the caller, so
+    concurrent sessions over one machine are safe.
     """
-    output = tuple(_answer(s.classification) for s in est.states)
-    return DiagnoserAutomaton(
-        list(est.states), dict(est.initials), dict(est.transitions), output, est.model
-    )
+    return est
 
 
 def step(diag, current, event):
@@ -118,14 +88,7 @@ def step(diag, current, event):
             raise NoConsistentExecution(
                 f"no execution continues with {event.action} into o{event.obs}"
             )
-    return sid, diag.verdict(sid)
-
-
-def events_of(trace):
-    """The streaming event form of an untimed observation trace."""
-    out = [ObsEvent.init(trace.head)]
-    out.extend(ObsEvent.step(a, o) for a, o in trace.steps)
-    return out
+    return sid, _VERDICTS[diag.states[sid].classification]
 
 
 def run_trace(diag, trace):
@@ -134,9 +97,10 @@ def run_trace(diag, trace):
     Raises NoConsistentExecution carrying the index of the failing event
     (0 is the initial observation).
     """
+    events = [ObsEvent.init(trace.head), *(ObsEvent.step(a, o) for a, o in trace.steps)]
     verdicts = []
     current = None
-    for i, event in enumerate(events_of(trace)):
+    for i, event in enumerate(events):
         try:
             current, verdict = step(diag, current, event)
         except NoConsistentExecution as e:
@@ -147,26 +111,32 @@ def run_trace(diag, trace):
 
 
 def dumps_diagnoser(diag):
+    """The estimator file plus ``output``, each state's Moore output."""
     data = _graph_data(diag)
-    data["output"] = {str(i): out for i, out in enumerate(diag.output)}
+    data["output"] = {
+        str(i): _VERDICTS[s.classification].answer for i, s in enumerate(diag.states)
+    }
     return _dumps_json(data)
 
 
 def loads_diagnoser(text):
+    """Parse a diagnoser file, checking ``output`` against each state's class."""
     data = _loads_json(text)
     states, initials, transitions = _parse_graph_json(
         data, "diagnoser", extra_keys={"output"}
     )
-    output = [None] * len(states)
+    covered = set()
     for key, value in _as_object(data["output"], "output").items():
-        sid = _state_id(_key_int(key, "output"), len(states), f"output[{key}]")
-        cls = states[sid].classification
-        if value != _answer(cls):
-            raise ModelFormatError(f"output[{key}] must be {_answer(cls)!r} on {cls.value} states")
-        output[sid] = value
-    if any(o is None for o in output):
+        sid = _state_id(_key_int(key, "output"), len(states), "output", key)
+        verdict = _VERDICTS[states[sid].classification]
+        if value != verdict.answer:
+            raise ModelFormatError(
+                f"output[{sid}] must be {verdict.answer!r} on {verdict.status.value} states"
+            )
+        covered.add(sid)
+    if len(covered) != len(states):
         raise ModelFormatError("output must cover every state")
-    return DiagnoserAutomaton(states, initials, transitions, tuple(output))
+    return EstimatorGraph(states, initials, transitions)
 
 
 def load_diagnoser(path):

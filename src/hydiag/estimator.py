@@ -135,11 +135,14 @@ def _key_int(key, what):
     return _int_literal(key, f"{what} key")
 
 
-def _state_id(value, n, what):
+def _state_id(value, n, table, key):
+    """``value``, the state id that ``table[key]`` names, checked against ``n`` states."""
     if type(value) is not int:
-        raise ModelFormatError(f"{what} must be an integer, got {type(value).__name__}")
+        raise ModelFormatError(
+            f"{table}[{_excerpt(key, 0)}] must be an integer, got {type(value).__name__}"
+        )
     if not 0 <= value < n:
-        raise ModelFormatError(f"{what} out of range")
+        raise ModelFormatError(f"{table}[{_excerpt(key, 0)}] out of range")
     return value
 
 
@@ -164,7 +167,7 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     n = len(states)
     initials = {}
     for obs, sid in _as_object(data["initials"], "initials").items():
-        initials[_key_int(obs, "initials")] = _state_id(sid, n, f"initials[{obs}]")
+        initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
 
     transitions = {}
     rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .diagnosability import check_diagnosable, check_progressive
 from .diagnoser import ObsEvent, step
 from .errors import CapExceeded
-from .estimator import DEFAULT_MAX_STATES, build_estimator
+from .estimator import DEFAULT_MAX_STATES, Classification, build_estimator
 from .graphs import explore, find_lasso
 from .quotient import (
     ActionLabel,
@@ -261,7 +261,7 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
 
     def is_losing(node):
         sid, cls, age, said_yes = node
-        answer_yes = diag.output[sid] == "yes"
+        answer_yes = diag.states[sid].classification is Classification.FAULTY
         if answer_yes and not model.faulty[cls]:
             return "false-alarm"
         if age >= deadline and not (said_yes or answer_yes):
@@ -276,7 +276,7 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
         sid = diag.initials.get(model.obs[c])
         if sid is None:
             raise ValueError(f"diagnoser has no initial state for observable o{model.obs[c]}")
-        node = (sid, c, 0, diag.output[sid] == "yes")
+        node = (sid, c, 0, diag.states[sid].classification is Classification.FAULTY)
         key = (0, node)
         counts[key] = counts.get(key, 0) + 1
         if key not in parents:
@@ -314,7 +314,7 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
                     )
                 nage = age + 1 if age > 0 else (1 if model.faulty[dst] else 0)
                 nage = min(nage, deadline)
-                nsaid = said_yes or diag.output[tid] == "yes"
+                nsaid = said_yes or diag.states[tid].classification is Classification.FAULTY
                 nnode = (tid, dst, nage, nsaid)
                 nkey = (depth + 1, nnode)
                 counts[nkey] = counts.get(nkey, 0) + counts[(depth, node)]

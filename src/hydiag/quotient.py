@@ -141,7 +141,7 @@ class QuotientModel:
         by_name = {}
         for a in self.actions:
             if a.name in by_name:
-                raise ValueError(f"duplicate action name {a.name!r}")
+                raise ValueError(f"duplicate action name {_excerpt(a.name, 0)}")
             by_name[a.name] = a
         self._by_name = by_name
         faults = [a for a in self.actions if a.kind is Kind.FAULT]
@@ -154,7 +154,8 @@ class QuotientModel:
         for src, action, dst in edges:
             label = action if isinstance(action, ActionLabel) else by_name.get(action)
             if label is None or label not in self.actions:
-                raise ValueError(f"edge action {action!r} is not a declared action")
+                name = _excerpt(str(getattr(action, "name", action)), 0)
+                raise ValueError(f"edge action {name} is not a declared action")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {label.name}, {dst}) out of range")
             resolved.add((src, label, dst))
@@ -392,9 +393,11 @@ def _as_object(value, what):
 def _require_keys(obj, keys, what):
     if _as_object(obj, what).keys() == keys:
         return
-    extra = set(obj) - keys
+    extra = sorted(set(obj) - keys)
     if extra:
-        raise ModelFormatError(f"{what} has unknown keys: {sorted(extra)}")
+        names = ", ".join(_excerpt(k, 0) for k in extra[:3])
+        more = f" and {len(extra) - 3} more" if len(extra) > 3 else ""
+        raise ModelFormatError(f"{what} has unknown keys: [{names}]{more}")
     missing = keys - set(obj)
     if missing:
         raise ModelFormatError(f"{what} is missing keys: {sorted(missing)}")
@@ -506,8 +509,3 @@ def dumps_model(model):
         "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
     }
     return _dumps_json(data)
-
-
-def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model))

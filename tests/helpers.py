@@ -19,6 +19,7 @@ from hydiag.quotient import (
     Lasso,
     QuotientModel,
     UTrace,
+    dumps_model,
     external_moves,
 )
 from hydiag.regions import (
@@ -44,6 +45,11 @@ def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
         for i, (faulty, initial, obs) in enumerate(classes)
     ]
     return QuotientModel(infos, actions, edges, time)
+
+
+def save_model(model, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dumps_model(model))
 
 
 def q1_model():

@@ -11,10 +11,10 @@ import pytest
 from hydiag.cli import main
 from hydiag.diagnoser import load_diagnoser, synthesize
 from hydiag.estimator import build_estimator, dumps_estimator
-from hydiag.quotient import load_model, loads_model, save_model
+from hydiag.quotient import load_model, loads_model
 
 from .conftest import FIXTURES, run_python
-from .helpers import f2_violating_model, make_model
+from .helpers import f2_violating_model, make_model, save_model
 
 Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
@@ -30,6 +30,11 @@ GOLDEN_CASES = [
     ("oracle-q2-json", ["oracle", Q2, "--format", "json"], 2),
     ("validate-bad-d1", ["validate", BAD_D1], 1),
     ("check-ta-ta1", ["check", "--ta", TA1], 0),
+    ("synthesize-q2", ["synthesize", Q2], 0),
+]
+RUN_GOLDEN_CASES = [
+    ("run-q1", Q1, "init o0\ntick o1\ntick o0\ntick o1\ntick o1\ntick o1\n"),
+    ("run-q2", Q2, "init o0\ntick o1\ntick o0\ntick o1\n"),
 ]
 
 
@@ -46,6 +51,21 @@ class TestGoldenOutput:
     def test_stdout_and_exit_code(self, name, argv, code, capsys):
         assert main(argv) == code
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+    @pytest.mark.parametrize("name, model, stdin", RUN_GOLDEN_CASES,
+                             ids=[name for name, _, _ in RUN_GOLDEN_CASES])
+    def test_run_verdict_lines(self, name, model, stdin, tmp_path, capsys, monkeypatch):
+        diag = tmp_path / "diag.json"
+        assert main(["synthesize", model, "-o", str(diag)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main(["run", str(diag)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+    def test_run_goldens_print_every_status(self):
+        lines = {line for name, _, _ in RUN_GOLDEN_CASES
+                 for line in (GOLDEN / f"{name}.out").read_text().splitlines()}
+        assert lines == {"yes determinate-faulty", "no determinate-nonfaulty",
+                         "no indeterminate"}
 
 
 class TestCheck:
@@ -193,8 +213,8 @@ class TestEstimatorExport:
         assert est.read_text() == dumps_estimator(built)
         loaded = load_diagnoser(diag)
         expected = synthesize(built)
-        assert (loaded.states, loaded.initials, loaded.transitions, loaded.output) == (
-            expected.states, expected.initials, expected.transitions, expected.output
+        assert (loaded.states, loaded.initials, loaded.transitions) == (
+            expected.states, expected.initials, expected.transitions
         )
 
 
@@ -475,6 +495,29 @@ class TestMalformedInput:
         path.write_text(json.dumps(data))
         line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
         assert len(line) < 200
+
+    @pytest.mark.parametrize("where", ["unknown-key", "undeclared-action", "initials-key",
+                                       "output-key"])
+    def test_long_name_is_quoted_as_an_excerpt(self, where, tmp_path):
+        path = tmp_path / "long.json"
+        if where in ("unknown-key", "undeclared-action"):
+            args = ["check", str(path)]
+            data = json.loads(open(Q1).read())
+            if where == "unknown-key":
+                data["classes"][0]["k" * 100_000] = 0
+            else:
+                data["edges"][0]["action"] = "a" * 100_000
+        else:
+            args = ["run", str(path)]
+            assert main(["synthesize", Q1, "-o", str(path)]) == 0
+            data = json.loads(path.read_text())
+            if where == "initials-key":
+                data["initials"] = {"1" * 4000: 99}
+            else:
+                data["output"]["1" * 4000] = "no"
+        path.write_text(json.dumps(data))
+        line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
+        assert len(line) < 300
 
     @pytest.mark.parametrize(
         "stdin",

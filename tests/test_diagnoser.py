@@ -1,10 +1,12 @@
 """Tests for diagnoser synthesis and online stepping."""
 
+import json
+
 import pytest
 
 from hydiag.diagnoser import (
     ObsEvent,
-    Status,
+    Verdict,
     dumps_diagnoser,
     loads_diagnoser,
     run_trace,
@@ -12,7 +14,7 @@ from hydiag.diagnoser import (
     synthesize,
 )
 from hydiag.errors import ModelFormatError, NoConsistentExecution
-from hydiag.estimator import build_estimator
+from hydiag.estimator import Classification, build_estimator
 from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import UTrace
 
@@ -23,16 +25,26 @@ def diag_of(model):
     return synthesize(build_estimator(model))
 
 
+def outputs(diag):
+    """The Moore output per state id, as the diagnoser file writes it."""
+    return {int(k): v for k, v in json.loads(dumps_diagnoser(diag))["output"].items()}
+
+
 class TestSynthesize:
     def test_q1_outputs(self, q1):
         diag = diag_of(q1)
         assert len(diag.states) == 4
-        by_members = {s.members: diag.output[i] for i, s in enumerate(diag.states)}
+        out = outputs(diag)
+        by_members = {s.members: out[i] for i, s in enumerate(diag.states)}
         assert by_members == {(0,): "no", (2,): "yes", (1,): "no", (3,): "yes"}
+
+    def test_the_diagnoser_is_the_estimator_graph(self, q1):
+        est = build_estimator(q1)
+        assert synthesize(est) is est
 
     def test_q2_answers_no_on_indeterminate_cycle(self, q2):
         diag = diag_of(q2)
-        assert set(diag.output) == {"no"}
+        assert set(outputs(diag).values()) == {"no"}
 
     def test_empty_transition_machine(self):
         from .helpers import FAULT, make_model
@@ -51,7 +63,7 @@ class TestStep:
         sid, verdict = step(diag, None, ObsEvent.init(0))
         assert diag.states[sid].members == (0,)
         assert verdict.answer == "no"
-        assert verdict.status is Status.NONFAULTY
+        assert verdict.status is Classification.NONFAULTY
 
     def test_fault_revealed_by_observable(self, q1):
         diag = diag_of(q1)
@@ -59,7 +71,17 @@ class TestStep:
         sid, verdict = step(diag, sid, ObsEvent.step("tick", 0))
         assert diag.states[sid].members == (2,)
         assert verdict.answer == "yes"
-        assert verdict.status is Status.FAULTY
+        assert verdict.status is Classification.FAULTY
+
+    def test_one_shared_verdict_per_classification(self, q2):
+        diag = diag_of(q2)
+        sid, first = step(diag, None, ObsEvent.init(0))
+        sid, second = step(diag, sid, ObsEvent.step("tick", 1))
+        sid, third = step(diag, sid, ObsEvent.step("tick", 0))
+        sid, fourth = step(diag, sid, ObsEvent.step("tick", 1))
+        assert second is third is fourth
+        assert first == Verdict("no", Classification.NONFAULTY)
+        assert second == Verdict("no", Classification.INDETERMINATE)
 
     def test_inconsistent_step(self, q1):
         diag = diag_of(q1)
@@ -97,7 +119,7 @@ class TestRunTrace:
         diag = diag_of(q2)
         verdicts = run_trace(diag, UTrace(0, (("tick", 1), ("tick", 0))))
         assert [v.answer for v in verdicts] == ["no", "no", "no"]
-        assert [v.status for v in verdicts[1:]] == [Status.INDETERMINATE] * 2
+        assert [v.status for v in verdicts[1:]] == [Classification.INDETERMINATE] * 2
 
     def test_failure_index_reported(self, q1):
         diag = diag_of(q1)
@@ -124,9 +146,9 @@ class TestSoundness:
                 flags = {model.faulty[c] for c in classes}
                 if verdict.answer == "yes":
                     assert flags == {True}
-                if verdict.status is Status.NONFAULTY:
+                if verdict.status is Classification.NONFAULTY:
                     assert flags == {False}
-                if verdict.status is Status.INDETERMINATE:
+                if verdict.status is Classification.INDETERMINATE:
                     assert flags == {True, False}
 
 
@@ -137,21 +159,17 @@ class TestSerialization:
         assert again.states == diag.states
         assert again.initials == diag.initials
         assert again.transitions == diag.transitions
-        assert tuple(again.output) == tuple(diag.output)
+        assert dumps_diagnoser(again) == dumps_diagnoser(diag)
         verdicts = run_trace(again, UTrace(0, (("tick", 0),)))
         assert [v.answer for v in verdicts] == ["no", "yes"]
 
     def test_output_must_cover_states(self, q1):
-        import json
-
         data = json.loads(dumps_diagnoser(diag_of(q1)))
         del data["output"]["0"]
         with pytest.raises(ModelFormatError):
             loads_diagnoser(json.dumps(data))
 
     def test_unknown_key_rejected(self, q1):
-        import json
-
         data = json.loads(dumps_diagnoser(diag_of(q1)))
         data["mystery"] = 1
         with pytest.raises(ModelFormatError):
@@ -159,8 +177,6 @@ class TestSerialization:
 
 
 def q1_diagnoser_json(q1):
-    import json
-
     return json.loads(dumps_diagnoser(diag_of(q1)))
 
 
@@ -185,8 +201,6 @@ class TestStrictLoader:
     )
     @pytest.mark.parametrize("value", ["0", 1.7, False], ids=["string", "float", "bool"])
     def test_non_integer_ids_and_observables_rejected(self, q1, path, value):
-        import json
-
         data = q1_diagnoser_json(q1)
         set_path(data, path, value)
         with pytest.raises(ModelFormatError, match="integer"):
@@ -195,16 +209,12 @@ class TestStrictLoader:
     @pytest.mark.parametrize("key", ["00", "+0", " 0", "0.0", "o0", "-0"])
     @pytest.mark.parametrize("field", ["initials", "output"])
     def test_non_canonical_integer_keys_rejected(self, q1, field, key):
-        import json
-
         data = q1_diagnoser_json(q1)
         data[field][key] = data[field].pop("0")
         with pytest.raises(ModelFormatError, match="key must be an integer"):
             loads_diagnoser(json.dumps(data))
 
     def test_yes_on_a_nonfaulty_state_rejected(self, q1):
-        import json
-
         data = q1_diagnoser_json(q1)
         assert data["states"][0]["class"] == "nonfaulty"
         data["output"]["0"] = "yes"
@@ -212,8 +222,6 @@ class TestStrictLoader:
             loads_diagnoser(json.dumps(data))
 
     def test_no_on_a_faulty_state_rejected(self, q1):
-        import json
-
         data = q1_diagnoser_json(q1)
         assert data["states"][1]["class"] == "faulty"
         data["output"]["1"] = "no"
@@ -226,8 +234,6 @@ class TestStrictLoader:
 
     @pytest.mark.parametrize("field", ["output", "initials"])
     def test_non_object_map_rejected(self, q1, field):
-        import json
-
         data = q1_diagnoser_json(q1)
         data[field] = list(data[field].values())
         with pytest.raises(ModelFormatError, match=f"{field} must be an object"):
@@ -235,8 +241,6 @@ class TestStrictLoader:
 
     @pytest.mark.parametrize("field", ["states", "transitions"])
     def test_non_list_field_rejected(self, q1, field):
-        import json
-
         data = q1_diagnoser_json(q1)
         data[field] = {"0": data[field][0]}
         with pytest.raises(ModelFormatError, match=f"{field} must be a list"):

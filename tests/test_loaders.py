@@ -17,13 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydiag.diagnoser import (
-    DiagnoserAutomaton,
-    dumps_diagnoser,
-    load_diagnoser,
-    loads_diagnoser,
-    synthesize,
-)
+from hydiag.diagnoser import dumps_diagnoser, load_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import ModelFormatError, TAValidationError
 from hydiag.estimator import EstimatorGraph, _parse_graph_json, build_estimator, dumps_estimator
 from hydiag.oracle import random_models
@@ -40,7 +34,7 @@ def loads_estimator(text):
 
 def fields(written):
     """What a file holds of a model or graph: all but the backing model."""
-    if isinstance(written, (EstimatorGraph, DiagnoserAutomaton)):
+    if isinstance(written, EstimatorGraph):
         return {k: v for k, v in vars(written).items() if k != "model"}
     return written
 
