@@ -152,7 +152,7 @@ def cmd_check(args):
     if not progress.progressive:
         _print_not_progressive(progress, args.format)
         return EXIT_NOT_PROGRESSIVE
-    est = build_estimator(model)
+    est = build_estimator(model, expand_faulty=False)
     verdict = check_diagnosable(est)
     if args.format == "json":
         payload = {"progressive": True, **verdict.to_json()}

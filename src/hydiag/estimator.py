@@ -79,17 +79,27 @@ def initial_estimates(model):
     }
 
 
-def build_estimator(model, max_states=DEFAULT_MAX_STATES):
+def build_estimator(model, max_states=DEFAULT_MAX_STATES, *, expand_faulty=True):
     """Subset construction over the reachable estimates.
 
     Deterministic: states are numbered in BFS discovery order with
     observables and actions visited in a fixed order, so repeated builds
     yield identical graphs.  Raises CapExceeded beyond ``max_states``
     (the reachable part may still be exponential in the class count).
+
+    With ``expand_faulty=False`` an all-faulty estimate is kept as a leaf:
+    it is numbered but gets no transitions.  Faults are irreversible in a
+    valid model, so such an estimate only leads to all-faulty estimates,
+    and deciding diagnosability reads none of them.  The non-faulty and
+    indeterminate states keep their members, transitions and relative
+    order; only the ids of the faulty states change.
     """
     moves = external_moves(model)
+    faulty = model.faulty
 
     def successors(members):
+        if not expand_faulty and all(faulty[c] for c in members):
+            return
         for action in model.external_actions:
             buckets = {}
             for c in members:

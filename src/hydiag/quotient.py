@@ -152,12 +152,17 @@ class QuotientModel:
 
         resolved = set()
         for src, action, dst in edges:
-            label = action if isinstance(action, ActionLabel) else by_name.get(action)
-            if label is None or label not in self.actions:
+            if isinstance(action, ActionLabel):
+                label = by_name.get(action.name)
+                if label != action:
+                    label = None
+            else:
+                label = by_name.get(action)
+            if label is None:
                 name = _excerpt(str(getattr(action, "name", action)), 0)
                 raise ValueError(f"edge action {name} is not a declared action")
             if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {label.name}, {dst}) out of range")
+                raise ValueError(f"edge ({src}, {_excerpt(label.name, 0)}, {dst}) out of range")
             resolved.add((src, label, dst))
         self.edges = tuple(sorted(resolved, key=lambda e: (e[0], e[1].name, e[2])))
 

@@ -411,7 +411,7 @@ class TimedAutomatonWithFaults:
         self._loc_by_name = {}
         for loc in self.locations:
             if loc.name in self._loc_by_name:
-                raise ModelFormatError(f"duplicate location {loc.name!r}")
+                raise ModelFormatError(f"duplicate location {_excerpt(loc.name, 0)}")
             self._loc_by_name[loc.name] = loc
 
         internal = tuple(internal_clocks)
@@ -428,24 +428,27 @@ class TimedAutomatonWithFaults:
         for e in self.edges:
             for loc in (e.src, e.dst):
                 if loc not in self._loc_by_name:
-                    raise ModelFormatError(f"edge references unknown location {loc!r}")
+                    raise ModelFormatError(
+                        f"edge references unknown location {_excerpt(loc, 0)}"
+                    )
             if kinds.setdefault(e.action, e.kind) is not e.kind:
-                raise ModelFormatError(f"action {e.action!r} used with two kinds")
+                raise ModelFormatError(f"action {_excerpt(e.action, 0)} used with two kinds")
             for c in e.guard:
                 if c.clock not in self._clock_index:
-                    raise ModelFormatError(f"guard uses unknown clock {c.clock!r}")
+                    raise ModelFormatError(f"guard uses unknown clock {_excerpt(c.clock, 0)}")
             for r in e.resets:
                 if r not in self._clock_index:
-                    raise ModelFormatError(f"reset uses unknown clock {r!r}")
+                    raise ModelFormatError(f"reset uses unknown clock {_excerpt(r, 0)}")
         for loc in self.locations:
             for c in loc.invariant:
                 if c.clock not in self._clock_index:
-                    raise ModelFormatError(f"invariant uses unknown clock {c.clock!r}")
+                    raise ModelFormatError(
+                        f"invariant uses unknown clock {_excerpt(c.clock, 0)}"
+                    )
         fault_names = sorted(n for n, k in kinds.items() if k is Kind.FAULT)
         if len(fault_names) > 1:
-            raise TAValidationError(
-                "FaultAction", f"more than one fault action: {fault_names}"
-            )
+            names = ", ".join(_excerpt(n, 0) for n in fault_names)
+            raise TAValidationError("FaultAction", f"more than one fault action: {names}")
         self.actions = tuple(ActionLabel(name, kind) for name, kind in kinds.items())
 
         self.observation = tuple(observation)
@@ -456,7 +459,7 @@ class TimedAutomatonWithFaults:
             for clock, _ in pred_atoms(spec.pred):
                 if clock not in external:
                     raise ModelFormatError(
-                        f"observable {spec.id} uses non-external clock {clock!r}"
+                        f"observable {spec.id} uses non-external clock {_excerpt(clock, 0)}"
                     )
 
         self._validate_axioms()
@@ -473,7 +476,7 @@ class TimedAutomatonWithFaults:
                 any_initial = True
                 if loc.faulty:
                     raise TAValidationError(
-                        "InitNonFaulty", f"initial location {loc.name!r} is faulty"
+                        "InitNonFaulty", f"initial location {_excerpt(loc.name, 0)} is faulty"
                     )
         if not any_initial:
             raise TAValidationError("Nonempty", "no initial location")
@@ -487,17 +490,19 @@ class TimedAutomatonWithFaults:
                 if src_f or not dst_f:
                     raise TAValidationError(
                         "D2",
-                        f"fault edge {e.src!r} -> {e.dst!r} must go non-faulty to faulty",
+                        f"fault edge {_excerpt(e.src, 0)} -> {_excerpt(e.dst, 0)} "
+                        "must go non-faulty to faulty",
                     )
             elif src_f != dst_f:
                 raise TAValidationError(
                     "D3",
-                    f"edge {e.src!r} -{e.action}-> {e.dst!r} changes the fault status",
+                    f"edge {_excerpt(e.src, 0)} -{_excerpt(e.action, 0)}-> "
+                    f"{_excerpt(e.dst, 0)} changes the fault status",
                 )
         for loc in self.locations:
             if not loc.faulty and loc.name not in fault_sources:
                 raise TAValidationError(
-                    "D1", f"non-faulty location {loc.name!r} has no fault edge"
+                    "D1", f"non-faulty location {_excerpt(loc.name, 0)} has no fault edge"
                 )
 
     def _compute_ceilings(self):

@@ -20,6 +20,9 @@ Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
 BAD_D1 = str(FIXTURES / "bad-d1.quot.json")
 TA1 = str(FIXTURES / "ta1.ta.json")
+# Its estimator interleaves faulty and indeterminate states, so a check
+# that leaves all-faulty estimates unexpanded numbers them differently.
+KCLOCK2 = str(FIXTURES / "kclock2.ta.json")
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = [
     ("check-q1", ["check", Q1], 0),
@@ -30,6 +33,8 @@ GOLDEN_CASES = [
     ("oracle-q2-json", ["oracle", Q2, "--format", "json"], 2),
     ("validate-bad-d1", ["validate", BAD_D1], 1),
     ("check-ta-ta1", ["check", "--ta", TA1], 0),
+    ("check-ta-kclock2", ["check", "--ta", KCLOCK2], 2),
+    ("check-ta-kclock2-json", ["check", "--ta", KCLOCK2, "--format", "json"], 2),
     ("synthesize-q2", ["synthesize", Q2], 0),
 ]
 RUN_GOLDEN_CASES = [
@@ -496,17 +501,28 @@ class TestMalformedInput:
         line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
         assert len(line) < 200
 
-    @pytest.mark.parametrize("where", ["unknown-key", "undeclared-action", "initials-key",
-                                       "output-key"])
+    @pytest.mark.parametrize("where", ["unknown-key", "undeclared-action", "edge-out-of-range",
+                                       "initials-key", "output-key", "automaton-location"])
     def test_long_name_is_quoted_as_an_excerpt(self, where, tmp_path):
         path = tmp_path / "long.json"
-        if where in ("unknown-key", "undeclared-action"):
+        if where in ("unknown-key", "undeclared-action", "edge-out-of-range"):
             args = ["check", str(path)]
             data = json.loads(open(Q1).read())
             if where == "unknown-key":
                 data["classes"][0]["k" * 100_000] = 0
-            else:
+            elif where == "undeclared-action":
                 data["edges"][0]["action"] = "a" * 100_000
+            else:
+                long = "t" * 100_000
+                data["actions"][0]["name"] = long
+                for edge in data["edges"]:
+                    if edge["action"] == "tick":
+                        edge["action"] = long
+                data["edges"][0]["dst"] = 9
+        elif where == "automaton-location":
+            args = ["check", "--ta", str(path)]
+            data = json.loads(open(TA1).read())
+            data["edges"][0]["src"] = "l" * 100_000
         else:
             args = ["run", str(path)]
             assert main(["synthesize", Q1, "-o", str(path)]) == 0

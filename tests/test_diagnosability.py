@@ -12,11 +12,13 @@ from hydiag.diagnosability import (
     detection_delay_bound,
     replay_lasso,
 )
+from hydiag.errors import CapExceeded
 from hydiag.estimator import Classification, EstimatorGraph, EstimatorState, build_estimator
 from hydiag.oracle import brute_force_diagnosable, random_models
 from hydiag.quotient import ClassInfo, QuotientModel
-from hydiag.regions import region_quotient
+from hydiag.regions import load_ta, region_quotient
 
+from .conftest import FIXTURES
 from .helpers import (
     FAULT,
     HIDDEN,
@@ -29,6 +31,8 @@ from .helpers import (
     random_progressive_ta,
     unpruned_check_diagnosable,
 )
+
+KCLOCK2 = FIXTURES / "kclock2.ta.json"
 
 
 class TestProgressive:
@@ -276,6 +280,64 @@ class TestPrunedProduct:
             assert verdict == unpruned_check_diagnosable(est)
             refuted += not verdict.diagnosable
         assert 0 < refuted < len(models)
+
+
+class TestFaultyLeaves:
+    """``build_estimator(expand_faulty=False)`` gives what the full build
+    gives wherever diagnosability looks: the same verdict, witness and
+    delay bound, and the same non-faulty and indeterminate states."""
+
+    @pytest.fixture(scope="class")
+    def models(self, corpus, ta1):
+        models = [*corpus, q3_model(), koenig_model(), linear_chain_model(40),
+                  region_quotient(ta1), region_quotient(load_ta(KCLOCK2))]
+        models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+        return models
+
+    def test_verdict_witness_and_bound(self, models):
+        refuted = 0
+        for model in models:
+            full = build_estimator(model)
+            est = build_estimator(model, expand_faulty=False)
+            verdict = check_diagnosable(full)
+            assert check_diagnosable(est) == verdict
+            if verdict.diagnosable:
+                assert detection_delay_bound(est) == detection_delay_bound(full)
+            refuted += not verdict.diagnosable
+        assert 0 < refuted < len(models)
+
+    def test_faulty_states_are_leaves(self, models):
+        pruned = 0
+        for model in models:
+            full = build_estimator(model)
+            est = build_estimator(model, expand_faulty=False)
+            faulty = {
+                sid for sid, st in enumerate(est.states)
+                if st.classification is Classification.FAULTY
+            }
+            assert not any(src in faulty for src, _, _ in est.transitions)
+            pruned += len(est.states) < len(full.states)
+        assert pruned > 0
+
+    def test_other_states_keep_their_members_and_order(self, models):
+        def kept(est):
+            return [
+                (st.members, st.classification) for st in est.states
+                if st.classification is not Classification.FAULTY
+            ]
+
+        for model in models:
+            assert kept(build_estimator(model, expand_faulty=False)) == kept(
+                build_estimator(model)
+            )
+
+    def test_cap_counts_the_explored_states(self):
+        model = region_quotient(load_ta(KCLOCK2))
+        assert len(build_estimator(model, 6, expand_faulty=False).states) == 6
+        with pytest.raises(CapExceeded) as err:
+            build_estimator(model, 6)
+        assert (err.value.what, err.value.cap) == ("estimator states", 6)
+        assert len(build_estimator(model).states) == 13
 
 
 class TestDelayBound:

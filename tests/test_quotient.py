@@ -202,6 +202,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_model([(False, True, 0)], [(0, "zap", 0)])
 
+    def test_edge_label_must_equal_the_declared_one(self):
+        classes = [(False, True, 0), (True, False, 0)]
+        model = make_model(classes, [(0, FAULT, 1), (0, ActionLabel("tick", Kind.EXTERNAL), 0)])
+        assert model.discrete_edges_from(0) == ((FAULT, 1), (TICK, 0))
+        with pytest.raises(ValueError, match="'tick' is not a declared action"):
+            make_model(classes, [(0, ActionLabel("tick", Kind.INTERNAL), 0)])
+
     def test_time_edges_closed_at_construction(self):
         model = make_model(
             [(False, True, 0), (False, False, 0), (False, False, 0), (True, False, 0)],
