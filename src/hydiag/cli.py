@@ -50,7 +50,9 @@ def _count(text):
     except ValueError:
         value = None
     if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {_excerpt(text, 0)}"
+        )
     return value
 
 

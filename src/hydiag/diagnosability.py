@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .estimator import Classification
+from .errors import CapExceeded
+from .estimator import DEFAULT_MAX_STATES, Classification
 from .graphs import (
     bfs_parents,
     find_lasso,
@@ -154,9 +155,14 @@ def _fault_product(est, adj, indet):
     step; a cycle here is exactly an indeterminate loop some faulty run can
     sustain forever.  Needs the backing model to resolve single-class
     successors.  Returns the adjacency, keyed by node in canonical order.
+    Raises CapExceeded when it would have more than ``DEFAULT_MAX_STATES``
+    nodes.
     """
     model = est.model
     faulty = {sid: [c for c in est.states[sid].members if model.faulty[c]] for sid in indet}
+    nodes = sum(map(len, faulty.values()))
+    if nodes > DEFAULT_MAX_STATES:
+        raise CapExceeded("fault product nodes", nodes, DEFAULT_MAX_STATES)
     moves = external_moves(model)
     product = {(sid, c): [] for sid in indet for c in faulty[sid]}
     for sid in indet:

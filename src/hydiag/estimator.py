@@ -86,6 +86,8 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES, *, expand_faulty=True)
     observables and actions visited in a fixed order, so repeated builds
     yield identical graphs.  Raises CapExceeded beyond ``max_states``
     (the reachable part may still be exponential in the class count).
+    Each class's rows are read from ``external_moves`` once per build;
+    a successor estimate merges its members' target sets whole.
 
     With ``expand_faulty=False`` an all-faulty estimate is kept as a leaf:
     it is numbered but gets no transitions.  Faults are irreversible in a
@@ -96,17 +98,35 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES, *, expand_faulty=True)
     """
     moves = external_moves(model)
     faulty = model.faulty
+    names = [a.name for a in model.external_actions]
+    # Per class, its rows grouped once: ((action index, obs), frozenset of targets).
+    groups = [None] * len(model.classes)
+
+    def grouped(c):
+        by_key = {}
+        for i, name in enumerate(names):
+            for dst, obs in moves[(c, name)]:
+                by_key.setdefault((i, obs), []).append(dst)
+        groups[c] = rows = [(key, frozenset(dsts)) for key, dsts in by_key.items()]
+        return rows
 
     def successors(members):
         if not expand_faulty and all(faulty[c] for c in members):
             return
-        for action in model.external_actions:
-            buckets = {}
-            for c in members:
-                for dst, obs in moves[(c, action.name)]:
-                    buckets.setdefault(obs, set()).add(dst)
-            for obs in sorted(buckets):
-                yield (action.name, obs), tuple(sorted(buckets[obs]))
+        buckets = {}
+        for c in members:
+            rows = groups[c]
+            if rows is None:
+                rows = grouped(c)
+            for key, dsts in rows:
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = set(dsts)
+                else:
+                    bucket |= dsts
+        # Actions in declaration order, then observables ascending.
+        for key in sorted(buckets):
+            yield (names[key[0]], key[1]), tuple(sorted(buckets[key]))
 
     initial = initial_estimates(model)
     starts = [st.members for st in initial.values()]

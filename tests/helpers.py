@@ -11,7 +11,8 @@ from fractions import Fraction
 import networkx as nx
 
 from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
-from hydiag.graphs import find_lasso
+from hydiag.estimator import EstimatorGraph, EstimatorState, classify, initial_estimates
+from hydiag.graphs import explore, find_lasso
 from hydiag.quotient import (
     ActionLabel,
     ClassInfo,
@@ -250,6 +251,33 @@ def unpruned_check_diagnosable(est):
     prefix_nodes, prefix_labels, _, cycle_labels = found
     head = {sid: obs for obs, sid in est.initials.items()}[prefix_nodes[0]]
     return DiagnosabilityVerdict(False, Lasso.from_steps(head, prefix_labels, cycle_labels))
+
+
+def reference_build_estimator(model, *, expand_faulty=True):
+    """``build_estimator`` as a per-member loop: for every action, each
+    member's rows are read and grouped by observable one target at a time,
+    on every visit to the member."""
+    moves = external_moves(model)
+    faulty = model.faulty
+
+    def successors(members):
+        if not expand_faulty and all(faulty[c] for c in members):
+            return
+        for action in model.external_actions:
+            buckets = {}
+            for c in members:
+                for dst, obs in moves[(c, action.name)]:
+                    buckets.setdefault(obs, set()).add(dst)
+            for obs in sorted(buckets):
+                yield (action.name, obs), tuple(sorted(buckets[obs]))
+
+    initial = initial_estimates(model)
+    starts = [st.members for st in initial.values()]
+    nodes, start_ids, edges = explore(starts, successors)
+    states = list(initial.values())
+    states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
+    transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
+    return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
 
 
 def reference_twin_product(model):

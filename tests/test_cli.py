@@ -36,6 +36,8 @@ GOLDEN_CASES = [
     ("check-ta-kclock2", ["check", "--ta", KCLOCK2], 2),
     ("check-ta-kclock2-json", ["check", "--ta", KCLOCK2, "--format", "json"], 2),
     ("synthesize-q2", ["synthesize", Q2], 0),
+    ("estimator-ta-kclock2", ["estimator", "--ta", KCLOCK2], 0),
+    ("synthesize-ta-kclock2", ["synthesize", "--ta", KCLOCK2], 0),
 ]
 RUN_GOLDEN_CASES = [
     ("run-q1", Q1, "init o0\ntick o1\ntick o0\ntick o1\ntick o1\ntick o1\n"),
@@ -502,10 +504,17 @@ class TestMalformedInput:
         assert len(line) < 200
 
     @pytest.mark.parametrize("where", ["unknown-key", "undeclared-action", "edge-out-of-range",
-                                       "initials-key", "output-key", "automaton-location"])
-    def test_long_name_is_quoted_as_an_excerpt(self, where, tmp_path):
+                                       "initials-key", "output-key", "automaton-location",
+                                       "count-option", "count-env"])
+    def test_long_name_is_quoted_as_an_excerpt(self, where, tmp_path, monkeypatch):
         path = tmp_path / "long.json"
-        if where in ("unknown-key", "undeclared-action", "edge-out-of-range"):
+        data = None
+        if where == "count-option":
+            args = ["fuzz", "--models", "x" * 100_000]
+        elif where == "count-env":
+            args = ["check", "--ta", TA1]
+            monkeypatch.setenv("HYDIAG_MAX_CLASSES", "x" * 100_000)
+        elif where in ("unknown-key", "undeclared-action", "edge-out-of-range"):
             args = ["check", str(path)]
             data = json.loads(open(Q1).read())
             if where == "unknown-key":
@@ -531,8 +540,13 @@ class TestMalformedInput:
                 data["initials"] = {"1" * 4000: 99}
             else:
                 data["output"]["1" * 4000] = "no"
-        path.write_text(json.dumps(data))
-        line = self.check_one_error_line(self.run_cli(args, "init o0\n"))
+        if data is not None:
+            path.write_text(json.dumps(data))
+        proc = self.run_cli(args, "init o0\n")
+        if where == "count-option":  # argparse prints its usage line first
+            usage, proc.stderr = proc.stderr.split("\n", 1)
+            assert usage.startswith("usage: hydiag fuzz")
+        line = self.check_one_error_line(proc)
         assert len(line) < 300
 
     @pytest.mark.parametrize(

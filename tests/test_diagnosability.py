@@ -5,6 +5,8 @@ import random
 import networkx as nx
 import pytest
 
+from hydiag import diagnosability
+from hydiag.cli import main
 from hydiag.diagnosability import (
     DiagnosabilityVerdict,
     check_diagnosable,
@@ -442,3 +444,37 @@ def _witness_product_sustained(model, est, lasso):
         if not faulty_here:
             return False
     return bool(faulty_here)
+
+
+class TestFaultProductCap:
+    """The fault product counts its nodes, the faulty members of the states
+    it pairs, before building them, and stops past the state cap."""
+
+    def lower_cap(self, monkeypatch, cap):
+        monkeypatch.setattr(diagnosability, "DEFAULT_MAX_STATES", cap)
+
+    def test_check_diagnosable(self, monkeypatch):
+        est = build_estimator(region_quotient(load_ta(KCLOCK2)))
+        self.lower_cap(monkeypatch, 2)
+        with pytest.raises(CapExceeded) as err:
+            check_diagnosable(est)
+        assert (err.value.what, err.value.count, err.value.cap) == ("fault product nodes", 3, 2)
+        self.lower_cap(monkeypatch, 3)
+        assert not check_diagnosable(est).diagnosable
+
+    def test_detection_delay_bound(self, monkeypatch):
+        est = build_estimator(q3_model())
+        bound = detection_delay_bound(est)
+        self.lower_cap(monkeypatch, 3)
+        with pytest.raises(CapExceeded) as err:
+            detection_delay_bound(est)
+        assert (err.value.what, err.value.count, err.value.cap) == ("fault product nodes", 4, 3)
+        self.lower_cap(monkeypatch, 4)
+        assert detection_delay_bound(est) == bound
+
+    def test_check_exits_5(self, monkeypatch, capsys):
+        self.lower_cap(monkeypatch, 2)
+        assert main(["check", "--ta", str(KCLOCK2)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fault product nodes: 3 exceeds cap 2\n"

@@ -1,7 +1,12 @@
 """Tests for the subset-construction state estimator."""
 
+import importlib
+import json
+from pathlib import Path
+
 import pytest
 
+from hydiag import estimator
 from hydiag.errors import CapExceeded
 from hydiag.estimator import (
     Classification,
@@ -11,8 +16,25 @@ from hydiag.estimator import (
     initial_estimates,
 )
 from hydiag.oracle import enumerate_utraces, random_models
+from hydiag.quotient import external_moves
+from hydiag.regions import parse_ta, region_quotient
 
-from .helpers import estimator_trace_map, make_model, nx_observed_step, q2_model
+from .helpers import (
+    estimator_trace_map,
+    make_model,
+    nx_observed_step,
+    q2_model,
+    random_progressive_ta,
+    reference_build_estimator,
+)
+
+
+def _family_model(name, *args):
+    """The region quotient of a benchmark model family."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        families = importlib.import_module("families")
+    return region_quotient(parse_ta(json.dumps(getattr(families, name)(*args))))
 
 
 class TestInitialEstimates:
@@ -188,10 +210,46 @@ class TestAgainstNetworkx:
                         assert members == step(state.members, action.name, obs)
 
 
+class TestAgainstReferenceBuild:
+    """The build reads each class's rows once and merges whole target sets;
+    the per-member loop it replaced gives the same graph, ids included."""
+
+    @pytest.fixture(scope="class")
+    def models(self, corpus):
+        models = [*corpus, _family_model("leak_ta", 20)]
+        models += [_family_model("kclock_ta", *args) for args in [(2, 4), (3, 2), (3, 4)]]
+        models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+        return models
+
+    @pytest.mark.parametrize("expand_faulty", [True, False])
+    def test_same_graph(self, models, expand_faulty):
+        for model in models:
+            est = build_estimator(model, expand_faulty=expand_faulty)
+            ref = reference_build_estimator(model, expand_faulty=expand_faulty)
+            assert est.states == ref.states
+            assert est.initials == ref.initials
+            assert est.transitions == ref.transitions
+
+    def test_one_row_lookup_per_class_and_action(self, monkeypatch):
+        model = _family_model("kclock_ta", 3, 4)
+        lookups = []
+
+        class Counted:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, key):
+                lookups.append(key)
+                return self.table[key]
+
+        monkeypatch.setattr(estimator, "external_moves", lambda m: Counted(external_moves(m)))
+        est = build_estimator(model)
+        assert len(est.states) == 1383
+        assert len(lookups) == len(set(lookups)) == 960
+
+
 class TestExport:
     def test_export_shape(self, q1):
-        import json
-
         est = build_estimator(q1)
         data = json.loads(dumps_estimator(est))
         assert set(data) == {"states", "initials", "transitions"}
