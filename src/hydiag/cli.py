@@ -43,17 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
+def _decimal(text, what):
+    """``text`` read as ``what``, a non-negative integer written in ASCII
+    decimal digits: no sign, space, underscore or digit of another script."""
+    if not (text.isascii() and text.isdigit()):
+        raise ModelFormatError(f"expected {what}, got {_excerpt(text, 0)}")
+    return _int_literal(text, what)
+
+
 def _count(text):
     """A non-negative integer: the type of every count option."""
     try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {_excerpt(text, 0)}"
-        )
-    return value
+        return _decimal(text, "a non-negative integer")
+    except ModelFormatError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _max_classes(args):
@@ -180,11 +183,8 @@ def cmd_synthesize(args):
 
 
 def _parse_obs(token):
-    """An observable written ``o3`` or ``3``: ASCII decimal digits."""
-    raw = token[1:] if token.startswith("o") else token
-    if not (raw.isascii() and raw.isdigit()):
-        raise ModelFormatError(f"cannot parse observable {_excerpt(token, 0)}")
-    return _int_literal(raw, "observable")
+    """An observable written ``o3`` or ``3``."""
+    return _decimal(token[1:] if token.startswith("o") else token, "an observable number")
 
 
 def cmd_run(args):
@@ -285,14 +285,13 @@ def cmd_fuzz(args):
     return EXIT_OK
 
 
-def _add_model_arg(sub, ta_flag=True):
+def _add_model_arg(sub):
     sub.add_argument("model", help="quotient model file (JSON)")
-    if ta_flag:
-        sub.add_argument(
-            "--ta",
-            action="store_true",
-            help="treat the input as a timed-automaton file and build its region quotient",
-        )
+    sub.add_argument(
+        "--ta",
+        action="store_true",
+        help="treat the input as a timed-automaton file and build its region quotient",
+    )
     sub.add_argument(
         "--max-classes",
         type=_count,

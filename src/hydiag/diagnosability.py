@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification
-from .graphs import (
-    bfs_parents,
-    find_lasso,
-    is_cyclic_component,
-    shortest_cycle,
-    strongly_connected_components,
-)
+from .graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
 from .quotient import Kind, Lasso, external_moves
 
 
@@ -88,14 +82,14 @@ def check_progressive(model):
         for dst in model.proper_time_successors(c):
             yield "time", dst
 
-    reachable = sorted(bfs_parents(model.initial_classes, step))
+    reachable = sorted(explore(model.initial_classes, step)[0])
 
     # Classes that reach a discrete edge by letting time pass.
     time_pred = {}
     for src, dst in model.time:
         time_pred.setdefault(dst, []).append(("time", src))
     has_edge = [c for c in reachable if model.discrete_edges_from(c)]
-    live = bfs_parents(has_edge, lambda c: time_pred.get(c, ()))
+    live = set(explore(has_edge, lambda c: time_pred.get(c, ()))[0])
     for c in reachable:
         if c not in live and c not in model.divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
@@ -109,19 +103,13 @@ def check_progressive(model):
         if c in model.divergent:
             yield "time", c
 
-    reach_set = set(reachable)
-    comps = strongly_connected_components(
-        reachable, lambda c: (d for _, d in silent_succ(c) if d in reach_set)
-    )
-    for comp in comps:
-        if not is_cyclic_component(comp, lambda c: (d for _, d in silent_succ(c))):
-            continue
-        start = min(comp)
-        found = shortest_cycle(start, silent_succ, set(comp))
-        if found is None:
-            continue
-        nodes, labels = found
-        return ProgressReport(False, ProgressWitness("cycle", tuple(nodes), tuple(labels)))
+    # Silent moves stay among reachable classes, and a cycle runs through
+    # every node of a cyclic component.
+    comps = strongly_connected_components(reachable, lambda c: (d for _, d in silent_succ(c)))
+    for comp, cyclic in comps:
+        if cyclic:
+            nodes, labels = shortest_cycle(min(comp), silent_succ, set(comp))
+            return ProgressReport(False, ProgressWitness("cycle", tuple(nodes), tuple(labels)))
     return ProgressReport(True, None)
 
 
@@ -189,7 +177,7 @@ def check_diagnosable(est):
     """
     adj, indet, indet_succ = _indeterminate_graph(est)
     comps = strongly_connected_components(indet, indet_succ)
-    cyclic = sorted(s for c in comps if is_cyclic_component(c, indet_succ) for s in c)
+    cyclic = sorted(s for comp, loops in comps if loops for s in comp)
     if not cyclic:
         return DiagnosabilityVerdict(True, None)
 
@@ -228,8 +216,8 @@ def detection_delay_bound(est):
         nodes, succ = product, lambda v: (d for _, d in product[v])
     # Components arrive successors first, so every chain below is known.
     longest = {}
-    for comp in strongly_connected_components(nodes, succ):
-        if is_cyclic_component(comp, succ):
+    for comp, cyclic in strongly_connected_components(nodes, succ):
+        if cyclic:
             raise ValueError("detection delay is undefined for non-diagnosable systems")
         v = comp[0]
         longest[v] = 1 + max((longest[d] for d in succ(v)), default=0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ModelFormatError, NoConsistentExecution
 from .estimator import Classification, EstimatorGraph, _graph_data, _key_int
 from .estimator import _parse_graph_json, _state_id
-from .quotient import _as_object, _dumps_json, _loads_json, _read_text
+from .quotient import _as_object, _dumps_json, _excerpt, _loads_json, _read_text
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def step(diag, current, event):
         sid = diag.initials.get(event.obs)
         if sid is None:
             raise NoConsistentExecution(
-                f"no execution starts in observable o{event.obs}", index=0
+                f"no execution starts in observable {_excerpt(f'o{event.obs}', 0)}", index=0
             )
     else:
         if current is None:
@@ -86,7 +86,8 @@ def step(diag, current, event):
         sid = diag.transitions.get((current, event.action, event.obs))
         if sid is None:
             raise NoConsistentExecution(
-                f"no execution continues with {event.action} into o{event.obs}"
+                f"no execution continues with {_excerpt(event.action, 0)} "
+                f"into {_excerpt(f'o{event.obs}', 0)}"
             )
     return sid, _VERDICTS[diag.states[sid].classification]
 

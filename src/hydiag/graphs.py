@@ -1,12 +1,13 @@
-"""Small deterministic graph algorithms (exploration, SCC, labeled BFS, lassos).
+"""Small deterministic graph algorithms, built on two searches.
 
-All functions iterate nodes and successors in the order given, so results
-are reproducible whenever the inputs are.
+``explore`` numbers the nodes reachable from a start set breadth-first;
+shortest cycles and lasso prefixes are read off its numbering.  Tarjan's
+``strongly_connected_components`` also says which components hold a
+cycle.  All functions iterate nodes and successors in the order given, so
+results are reproducible whenever the inputs are.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import CapExceeded
 
@@ -44,14 +45,17 @@ def strongly_connected_components(nodes, successors):
     """Tarjan's algorithm, iterative.
 
     ``nodes`` is an iterable of hashable nodes, ``successors`` a callable
-    returning an iterable of successor nodes.  Components are returned in
-    reverse topological order (every successor component appears before
-    the components that reach it).
+    returning an iterable of successor nodes.  Returns ``(component,
+    cyclic)`` pairs in reverse topological order (every successor
+    component appears before the components that reach it); ``cyclic``
+    is true when the component holds a cycle: it has more than one node,
+    or a self-loop.
     """
     index = {}
     low = {}
     on_stack = set()
     stack = []
+    looped = set()  # nodes with a self-loop
     out = []
     counter = 0
 
@@ -77,6 +81,8 @@ def strongly_connected_components(nodes, successors):
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
+                    if w == v:
+                        looped.add(v)
             if pushed:
                 continue
             work.pop()
@@ -91,53 +97,33 @@ def strongly_connected_components(nodes, successors):
                     comp.append(w)
                     if w == v:
                         break
-                out.append(comp)
+                out.append((comp, len(comp) > 1 or v in looped))
     return out
 
 
-def is_cyclic_component(comp, successors):
-    """A component contains a cycle iff it has >1 node or a self-loop."""
-    if len(comp) > 1:
-        return True
-    v = comp[0]
-    return any(w == v for w in successors(v))
+def _bfs_tree(edges, roots):
+    """The breadth-first tree of an ``explore`` numbering with ``roots`` starts.
 
-
-def bfs_parents(starts, successors):
-    """Breadth-first search over labeled edges.
-
-    ``successors(node)`` yields ``(label, dst)`` pairs.  Returns a dict
-    mapping every reached node to ``(parent, label)`` (``(None, None)``
-    for the start nodes), in BFS discovery order.
+    Ids follow discovery order, so the parent of a later node is the first
+    node whose edge row reaches it.  Returns ``parent``: ``parent[i]`` is
+    ``(parent id, label)``, or None for a start.
     """
-    parents = {}
-    queue = deque()
-    for s in starts:
-        if s not in parents:
-            parents[s] = (None, None)
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for label, w in successors(v):
-            if w not in parents:
-                parents[w] = (v, label)
-                queue.append(w)
-    return parents
+    parent = [None] * roots
+    for i, row in enumerate(edges):
+        for label, j in row:
+            if j == len(parent):
+                parent.append((i, label))
+    return parent
 
 
-def path_from_parents(parents, node):
-    """Reconstruct ``([nodes...], [labels...])`` from a bfs_parents dict."""
-    nodes = [node]
-    labels = []
-    while True:
-        parent, label = parents[nodes[-1]]
-        if parent is None:
-            break
-        nodes.append(parent)
+def _tree_path(parent, i):
+    """The ids and labels along the ``_bfs_tree`` path from a start to ``i``."""
+    ids, labels = [i], []
+    while parent[i] is not None:
+        i, label = parent[i]
+        ids.append(i)
         labels.append(label)
-    nodes.reverse()
-    labels.reverse()
-    return nodes, labels
+    return ids[::-1], labels[::-1]
 
 
 def shortest_cycle(start, successors, allowed):
@@ -145,26 +131,19 @@ def shortest_cycle(start, successors, allowed):
 
     ``successors(node)`` yields ``(label, dst)``; every intermediate node
     must belong to ``allowed``.  Returns ``([nodes...], [labels...])`` with
-    nodes[0] == nodes[-1] == start, or None if no cycle exists.
+    nodes[0] == nodes[-1] == start, or None if no cycle exists.  The cycle
+    closes on the first edge back to ``start`` in breadth-first order.
     """
-    parents = {}
-    queue = deque()
-    for label, w in successors(start):
-        if w == start:
-            return [start, start], [label]
-        if w in allowed and w not in parents:
-            parents[w] = (None, label)
-            queue.append(w)
-    while queue:
-        v = queue.popleft()
-        for label, w in successors(v):
-            if w == start:
-                nodes, labels = path_from_parents(parents, v)
-                first_label = parents[nodes[0]][1]
-                return [start] + nodes + [start], [first_label] + labels + [label]
-            if w in allowed and w not in parents:
-                parents[w] = (v, label)
-                queue.append(w)
+
+    def inside(v):
+        return ((label, w) for label, w in successors(v) if w == start or w in allowed)
+
+    nodes, _, edges = explore([start], inside)
+    for i, row in enumerate(edges):
+        for label, j in row:
+            if j == 0:
+                ids, labels = _tree_path(_bfs_tree(edges, 1), i)
+                return [nodes[k] for k in ids] + [start], labels + [label]
     return None
 
 
@@ -187,8 +166,8 @@ def find_lasso(starts, successors, loop_nodes, loop_successors, project):
         return (d for _, d in loop_successors(v))
 
     component = {}  # loop node on a cycle -> its component
-    for comp in strongly_connected_components(loop_nodes, targets):
-        if is_cyclic_component(comp, targets):
+    for comp, cyclic in strongly_connected_components(loop_nodes, targets):
+        if cyclic:
             members = set(comp)
             for v in comp:
                 component[v] = members
@@ -198,16 +177,16 @@ def find_lasso(starts, successors, loop_nodes, loop_successors, project):
     for v in component:
         on_path.setdefault(project(v), []).append(v)
 
-    parents = bfs_parents(starts, successors)
-    depth = {}
-    for v, (parent, _) in parents.items():
-        depth[v] = 0 if parent is None else depth[parent] + 1
-    reached = [v for v in parents if v in on_path]
+    nodes, start_ids, edges = explore(starts, successors)
+    parent = _bfs_tree(edges, len(set(start_ids)))
+    depth = []
+    for p in parent:
+        depth.append(0 if p is None else depth[p[0]] + 1)
+    reached = [i for i, v in enumerate(nodes) if v in on_path]
     if not reached:
         return None
-    end = min(reached, key=lambda v: (depth[v], v))
-    prefix_nodes, prefix_labels = path_from_parents(parents, end)
-    entry = min(on_path[end])
+    end = min(reached, key=lambda i: (depth[i], nodes[i]))
+    ids, prefix_labels = _tree_path(parent, end)
+    entry = min(on_path[nodes[end]])
     cycle_nodes, cycle_labels = shortest_cycle(entry, loop_successors, component[entry])
-    return prefix_nodes, prefix_labels, cycle_nodes, cycle_labels
-
+    return [nodes[i] for i in ids], prefix_labels, cycle_nodes, cycle_labels

@@ -201,7 +201,6 @@ def pred_atoms(node):
 class ObservableSpec:
     id: int
     pred: tuple
-    source: str
 
 
 @dataclass(frozen=True)
@@ -689,7 +688,7 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     ]
 
     observation = [
-        ObservableSpec(obs_id, parse_pred(pred), pred)
+        ObservableSpec(obs_id, parse_pred(pred))
         for obs_id, pred in _rows(data["observation"], "observation", _OBS_SCHEMA)
     ]
 

@@ -393,7 +393,7 @@ def _threshold_observation(watched, rng):
             cells.append(f"!({watched}<{lower}) & {watched}<{cut}")
         lower = cut
     cells.append(f"!({watched}<{lower})")
-    return tuple(ObservableSpec(i, parse_pred(src), src) for i, src in enumerate(cells))
+    return tuple(ObservableSpec(i, parse_pred(src)) for i, src in enumerate(cells))
 
 
 def random_progressive_ta(seed):

@@ -551,6 +551,29 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "stdin",
+        ["init o" + "9" * 4000 + "\n", "init o0\ntick o" + "9" * 4000 + "\n",
+         "init o0\n" + "a" * 100_000 + " o1\n"],
+        ids=["init-observable", "step-observable", "step-action"],
+    )
+    def test_inconsistent_event_is_quoted_as_an_excerpt(self, stdin, tmp_path):
+        diag = tmp_path / "diag.json"
+        assert main(["synthesize", Q1, "-o", str(diag)]) == 0
+        proc = self.run_cli(["run", str(diag)], stdin)
+        assert proc.returncode == 4
+        line = proc.stderr.splitlines()[-1]
+        assert line.startswith("inconsistent at event") and len(line) < 200
+
+    @pytest.mark.parametrize("count", ["\u0663", "5_0", "+5", " 5"],
+                             ids=["arabic-indic", "underscore", "plus", "space"])
+    def test_count_reads_only_ascii_digits(self, count):
+        proc = self.run_cli(["fuzz", "--models", count])
+        usage, proc.stderr = proc.stderr.split("\n", 1)  # argparse prints its usage first
+        assert usage.startswith("usage: hydiag fuzz")
+        assert "expected a non-negative integer" in self.check_one_error_line(proc)
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "stdin",
         ["init o0_0\n", "init +0\n", "init o\u0660\n", "init -1\n", "init o" + "1" * 5000 + "\n",
          "init o0\ntick o1_0\n", "x" * 100_000 + "\n", "init o0\n" + "tick " * 20_000 + "\n"],
         ids=["underscore", "plus", "arabic-indic", "negative", "too-many-digits", "step",

@@ -1,11 +1,14 @@
 """The graph helpers the decision procedure and the oracle share, checked
 against networkx as a third implementation.
 
+``graphs.py`` has two searches: ``explore`` numbers nodes breadth-first
+and ``strongly_connected_components`` (Tarjan) also flags the cyclic
+components.  ``shortest_cycle`` and ``find_lasso`` are read off them.
 ``check_diagnosable`` and ``brute_force_diagnosable`` both search lassos
-with ``find_lasso`` over ``strongly_connected_components``, build the
-estimator and the twin plant with ``explore``, and step single classes
-through ``external_moves``; a bug there could hide in both verdicts at
-once, so these tests recompute the same answers with networkx.
+with ``find_lasso``, build the estimator and the twin plant with
+``explore``, and step single classes through ``external_moves``; a bug
+there could hide in both verdicts at once, so these tests recompute the
+same answers with networkx.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 from hydiag.diagnosability import _fault_product, _indeterminate_graph
 from hydiag.estimator import build_estimator
 from hydiag.errors import CapExceeded
-from hydiag.graphs import explore, find_lasso, strongly_connected_components
+from hydiag.graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
 from hydiag.oracle import random_models, twin_product
 from hydiag.quotient import external_moves
 from hydiag.regions import region_quotient
@@ -42,11 +45,14 @@ def to_nx(adj):
 
 
 def check_scc(adj):
-    comps = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+    pairs = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+    comps = [comp for comp, _ in pairs]
     g = to_nx(adj)
     assert sorted(map(sorted, comps)) == sorted(
         map(sorted, nx.strongly_connected_components(g))
     )
+    for comp, cyclic in pairs:
+        assert cyclic == (len(comp) > 1 or g.has_edge(comp[0], comp[0]))
     position = {v: i for i, comp in enumerate(comps) for v in comp}
     for v, w in g.edges:
         assert position[w] <= position[v]  # successors first
@@ -133,10 +139,64 @@ class TestStronglyConnectedComponents:
             n = rng.randint(1, 12)
             check_scc(random_digraph(rng, range(n), rng.choice([0.1, 0.2, 0.4])))
 
+    def test_self_loops_and_isolated_nodes(self):
+        adj = {0: [("a", 0)], 1: [], 2: [("a", 3)], 3: [("a", 2)], 4: [("a", 1)]}
+        comps = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+        assert sorted((sorted(comp), cyclic) for comp, cyclic in comps) == [
+            ([0], True), ([1], False), ([2, 3], True), ([4], False)
+        ]
+        check_scc(adj)
+
     def test_twin_graphs_of_corpus(self):
         for model in CORPUS:
             twin = twin_product(model)
             check_scc({s: [(a, d) for a, _, d in out] for s, out in twin.edges.items()})
+
+
+def check_shortest_cycle(start, adj, allowed):
+    """shortest_cycle against shortest paths computed by networkx."""
+    found = shortest_cycle(start, adj.__getitem__, allowed)
+    h = to_nx(adj).subgraph(set(allowed) | {start})
+    lengths = [
+        1 if w == start else nx.shortest_path_length(h, w, start) + 1
+        for w in h.successors(start)
+        if nx.has_path(h, w, start)
+    ]
+    if not lengths:
+        assert found is None
+        return False
+    nodes, labels = found
+    assert nodes[0] == nodes[-1] == start
+    assert len(labels) == len(nodes) - 1 == min(lengths)
+    assert all(v in allowed for v in nodes[1:-1])
+    for u, label, v in zip(nodes, labels, nodes[1:]):
+        assert (label, v) in adj[u]
+    return True
+
+
+class TestShortestCycle:
+    def test_random_digraphs(self):
+        # The start may or may not lie in ``allowed``; only the nodes in
+        # between must.
+        rng = random.Random(15)
+        found = self_loops = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            adj = random_digraph(rng, range(n), rng.choice([0.1, 0.2, 0.4]))
+            allowed = {v for v in range(n) if rng.random() < 0.6}
+            start = rng.randrange(n)
+            found += check_shortest_cycle(start, adj, allowed)
+            self_loops += any(w == start for _, w in adj[start])
+        assert found > 50 and self_loops > 10
+
+    def test_self_loop(self):
+        adj = {0: [("a", 1), ("b", 0)], 1: [("c", 0)]}
+        assert shortest_cycle(0, adj.__getitem__, {1}) == ([0, 0], ["b"])
+
+    def test_no_cycle(self):
+        adj = {0: [("a", 1)], 1: [("b", 0)], 2: []}
+        assert shortest_cycle(0, adj.__getitem__, set()) is None
+        assert shortest_cycle(2, adj.__getitem__, {0, 1, 2}) is None
 
 
 class TestFindLasso:

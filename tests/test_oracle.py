@@ -7,7 +7,7 @@ from hydiag.diagnosability import check_diagnosable, check_progressive, detectio
 from hydiag.diagnoser import synthesize
 from hydiag.errors import CapExceeded
 from hydiag.estimator import build_estimator
-from hydiag.graphs import find_lasso, is_cyclic_component, strongly_connected_components
+from hydiag.graphs import find_lasso, strongly_connected_components
 from hydiag.oracle import (
     CounterExample,
     OracleVerdict,
@@ -34,11 +34,12 @@ def _bad_cycle_states(model, twin):
     def succ(sid):
         return (dst for _, _, dst in twin.edges[sid] if dst in bad)
 
-    cyclic = set()
-    for comp in strongly_connected_components(sorted(bad), succ):
-        if is_cyclic_component(comp, succ):
-            cyclic.update(comp)
-    return cyclic
+    return {
+        v
+        for comp, cyclic in strongly_connected_components(sorted(bad), succ)
+        if cyclic
+        for v in comp
+    }
 
 
 def _full_twin_plant_verdict(model):
