@@ -59,6 +59,17 @@ def _count(text):
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
+def _seed(text):
+    """An integer, the type of ``fuzz --seed``: an optional '-', then
+    ASCII decimal digits."""
+    digits = text.removeprefix("-")
+    try:
+        value = _decimal(digits, "an integer")
+    except ModelFormatError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_excerpt(text, 0)}") from None
+    return value if digits == text else -value
+
+
 def _max_classes(args):
     if args.max_classes is not None:
         return args.max_classes
@@ -348,7 +359,7 @@ def build_parser():
 
     p = commands.add_parser("fuzz", help="randomized oracle/estimator agreement suite")
     p.add_argument("--models", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_fuzz)
 
     return parser

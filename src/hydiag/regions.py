@@ -5,6 +5,11 @@ constraints, a partition of clocks into internal and external
 (observable) ones, and an observation: a finite partition of the
 external-clock valuation space given by boolean predicate cells.
 
+Guards, invariants and cells share one grammar: atoms ``clock op int``,
+the int in ASCII digits, parse to ``("atom", clock, op, bound)``.  A cell
+combines atoms with ``! & |``; a guard or invariant lists them and is
+held as their conjunction ``("and", atom, ...)``.
+
 Region equivalence is a time-abstract bisimulation with finitely many
 classes.  To make it respect the observation without running a generic
 partition refinement, every clock ceiling also includes the constants of
@@ -14,11 +19,11 @@ fine enough, because each region lies entirely inside one cell.
 The construction is deliberately classical: per-clock integer parts up
 to the ceiling plus the ordering of fractional parts.  Regions whose
 clocks all sit above their ceilings are time-divergent, and the quotient
-marks them so (as explicit time self-loops).  Guards, invariants and
-observation cells are decided on the region itself, from each clock's
-integer part and whether it sits at an exact integer or past its ceiling
-(``atom_holds``), so the observation is decided once per combination of
-external clock positions and each class reads its cell from that table.
+marks them so (as explicit time self-loops).  ``pred_holds`` decides all
+three on the region itself, from each clock's integer part and whether
+it sits at an exact integer or past its ceiling (``atom_holds``), so the
+observation is decided once per combination of external clock
+positions and each class reads its cell from that table.
 A concrete valuation is built only for the witness of a failed partition
 check.
 """
@@ -55,33 +60,8 @@ _OPS = {
     ">": lambda a, b: a > b,
 }
 
-_CONSTRAINT_RE = re.compile(
-    r"^\s*([A-Za-z_]\w*)\s*(<=|>=|==|<|>)\s*(-?\d+(?:\.\d+)?)\s*$"
-)
-
-
-@dataclass(frozen=True)
-class ClockConstraint:
-    clock: str
-    op: str
-    bound: int
-
-
-def parse_constraint(text):
-    m = _CONSTRAINT_RE.match(text)
-    if m is None:
-        raise ModelFormatError(f"cannot parse clock constraint {_excerpt(text, 0)}")
-    clock, op, bound = m.group(1), m.group(2), m.group(3)
-    if "." in bound:
-        raise ModelFormatError(f"non-integral constant in constraint {_excerpt(text, 0)}")
-    value = _int_literal(bound, f"constant in constraint {_excerpt(text, 0)}")
-    if value < 0:
-        raise ModelFormatError(f"negative constant in constraint {_excerpt(text, 0)}")
-    return ClockConstraint(clock, op, value)
-
-
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<num>-?\d+(?:\.\d+)?)"
+    r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<num>-?[0-9]+(?:\.[0-9]+)?)"
     r"|(?P<op><=|>=|==|<|>)|(?P<punct>[!&|()]))"
 )
 
@@ -127,10 +107,10 @@ class _PredParser:
     def fail(self, expected):
         raise self.error(f"pred parse error (expected {expected})", self.peek()[2])
 
-    def parse(self):
-        node = self.expr()
+    def parse(self, rule, what):
+        node = rule()
         if self.i != len(self.tokens):
-            self.fail("end of predicate")
+            self.fail(f"end of {what}")
         return node
 
     def chain(self, tag, op, operand):
@@ -162,28 +142,41 @@ class _PredParser:
                 self.take()
             self.nesting -= 1
             return node
-        if kind == "ident":
-            ident = self.take()[1]
-            if ident == "true":
-                return ("true",)
-            if self.peek()[0] != "op":
-                self.fail("comparison operator")
-            op = self.take()[1]
-            if self.peek()[0] != "num":
-                self.fail("integer constant")
-            _, num, num_pos = self.take()
-            if "." in num:
-                raise self.error("non-integral constant in predicate", num_pos)
-            where = f"column {num_pos + 1} near {_excerpt(self.text, num_pos)}"
-            bound = _int_literal(num, f"constant at {where}")
-            if bound < 0:
-                raise self.error("negative constant in predicate", num_pos)
-            return ("atom", ident, op, bound)
-        self.fail("clock atom, '!', or '('")
+        if kind != "ident":
+            self.fail("clock atom, '!', or '('")
+        if value == "true":
+            self.take()
+            return ("true",)
+        return self.atom()
+
+    def atom(self):
+        if self.peek()[0] != "ident":
+            self.fail("clock name")
+        clock = self.take()[1]
+        if self.peek()[0] != "op":
+            self.fail("comparison operator")
+        op = self.take()[1]
+        if self.peek()[0] != "num":
+            self.fail("integer constant")
+        _, num, num_pos = self.take()
+        if "." in num:
+            raise self.error("non-integral constant in predicate", num_pos)
+        where = f"column {num_pos + 1} near {_excerpt(self.text, num_pos)}"
+        bound = _int_literal(num, f"constant at {where}")
+        if bound < 0:
+            raise self.error("negative constant in predicate", num_pos)
+        return ("atom", clock, op, bound)
 
 
 def parse_pred(text):
-    return _PredParser(text).parse()
+    parser = _PredParser(text)
+    return parser.parse(parser.expr, "predicate")
+
+
+def parse_constraint(text):
+    """One clock atom, the whole of a guard or invariant entry."""
+    parser = _PredParser(text)
+    return parser.parse(parser.atom, "clock constraint")
 
 
 def pred_atoms(node):
@@ -208,7 +201,7 @@ class Location:
     name: str
     faulty: bool
     initial: bool
-    invariant: tuple[ClockConstraint, ...]
+    invariant: tuple  # ("and", atom, ...)
 
 
 @dataclass(frozen=True)
@@ -217,7 +210,7 @@ class TAEdge:
     dst: str
     action: str
     kind: Kind
-    guard: tuple[ClockConstraint, ...]
+    guard: tuple  # ("and", atom, ...)
     resets: frozenset[str]
 
 
@@ -432,18 +425,16 @@ class TimedAutomatonWithFaults:
                     )
             if kinds.setdefault(e.action, e.kind) is not e.kind:
                 raise ModelFormatError(f"action {_excerpt(e.action, 0)} used with two kinds")
-            for c in e.guard:
-                if c.clock not in self._clock_index:
-                    raise ModelFormatError(f"guard uses unknown clock {_excerpt(c.clock, 0)}")
+            for clock, _ in pred_atoms(e.guard):
+                if clock not in self._clock_index:
+                    raise ModelFormatError(f"guard uses unknown clock {_excerpt(clock, 0)}")
             for r in e.resets:
                 if r not in self._clock_index:
                     raise ModelFormatError(f"reset uses unknown clock {_excerpt(r, 0)}")
         for loc in self.locations:
-            for c in loc.invariant:
-                if c.clock not in self._clock_index:
-                    raise ModelFormatError(
-                        f"invariant uses unknown clock {_excerpt(c.clock, 0)}"
-                    )
+            for clock, _ in pred_atoms(loc.invariant):
+                if clock not in self._clock_index:
+                    raise ModelFormatError(f"invariant uses unknown clock {_excerpt(clock, 0)}")
         fault_names = sorted(n for n, k in kinds.items() if k is Kind.FAULT)
         if len(fault_names) > 1:
             names = ", ".join(_excerpt(n, 0) for n in fault_names)
@@ -506,19 +497,10 @@ class TimedAutomatonWithFaults:
 
     def _compute_ceilings(self):
         ceilings = {name: 0 for name in self.clocks}
-
-        def bump(clock, bound):
-            ceilings[clock] = max(ceilings[clock], bound)
-
-        for loc in self.locations:
-            for c in loc.invariant:
-                bump(c.clock, c.bound)
-        for e in self.edges:
-            for c in e.guard:
-                bump(c.clock, c.bound)
-        for spec in self.observation:
-            for clock, bound in pred_atoms(spec.pred):
-                bump(clock, bound)
+        preds = [loc.invariant for loc in self.locations] + [e.guard for e in self.edges]
+        for pred in preds + [spec.pred for spec in self.observation]:
+            for clock, bound in pred_atoms(pred):
+                ceilings[clock] = max(ceilings[clock], bound)
         return tuple(ceilings[name] for name in self.clocks)
 
     def _validate_partition(self, max_classes):
@@ -544,10 +526,6 @@ class TimedAutomatonWithFaults:
             self._cell_of[(region.ints, region.zero)] = hits[0]
 
     # -- region-level helpers -------------------------------------------------
-
-    def region_satisfies(self, region, constraints):
-        index = self._clock_index
-        return all(atom_holds(region, index[c.clock], c.op, c.bound) for c in constraints)
 
     def observable_of_region(self, region):
         m = len(self.external_clocks)
@@ -577,27 +555,28 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     is part of the contract.
     """
     ceilings = ta.ceilings
+    index = ta._clock_index
     r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
 
     def successors(node):  # enabled edges, then the time step labelled None
         loc_name, region = node
         for e in ta.edges:
-            if e.src != loc_name or not ta.region_satisfies(region, e.guard):
+            if e.src != loc_name or not pred_holds(e.guard, region, index):
                 continue
             target = reset_region(region, ta.reset_indices(e.resets))
-            if ta.region_satisfies(target, ta.location(e.dst).invariant):
+            if pred_holds(ta.location(e.dst).invariant, target, index):
                 yield label_of[e.action], (e.dst, target)
         succ = time_successor(region, ceilings)
         if succ is None:
             yield None, node  # genuinely time-divergent region
-        elif ta.region_satisfies(succ, ta.location(loc_name).invariant):
+        elif pred_holds(ta.location(loc_name).invariant, succ, index):
             yield None, (loc_name, succ)
 
     starts = [
         (loc.name, r0)
         for loc in ta.locations
-        if loc.initial and ta.region_satisfies(r0, loc.invariant)
+        if loc.initial and pred_holds(loc.invariant, r0, index)
     ]
     metas, _, out = explore(starts, successors, max_classes, "region classes")
     edges_out = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
@@ -656,7 +635,7 @@ def _strings(value, what):
 
 
 def _constraints(value, what):
-    return tuple(parse_constraint(c) for c in _strings(value, what))
+    return ("and", *(parse_constraint(c) for c in _strings(value, what)))
 
 
 def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from hydiag.quotient import (
     external_moves,
 )
 from hydiag.regions import (
-    ClockConstraint,
     Location,
     ObservableSpec,
     Region,
@@ -344,26 +344,26 @@ def random_ta(seed):
     locations = []
     for i, name in enumerate(loc_names):
         faulty = i >= n_locs - n_faulty
-        invariant = ()
+        invariant = ("and",)
         if not faulty and rng.random() < 0.6:
             clock = rng.choice(names)
-            invariant = (ClockConstraint(clock, "<=", rng.randint(1, 3)),)
+            invariant = ("and", ("atom", clock, "<=", rng.randint(1, 3)))
         locations.append(Location(name, faulty, initial=(i == 0), invariant=invariant))
 
     nonfaulty = [l.name for l in locations if not l.faulty]
     faulty = [l.name for l in locations if l.faulty]
 
     def random_guard():
-        guard = []
+        guard = ["and"]
         for _ in range(rng.randint(0, 2)):
             clock = rng.choice(names)
             op = rng.choice(["<", "<=", "==", ">=", ">"])
-            guard.append(ClockConstraint(clock, op, rng.randint(0, 3)))
+            guard.append(("atom", clock, op, rng.randint(0, 3)))
         return tuple(guard)
 
     edges = []
     for name in nonfaulty:
-        edges.append(TAEdge(name, rng.choice(faulty), "boom", Kind.FAULT, (), frozenset()))
+        edges.append(TAEdge(name, rng.choice(faulty), "boom", Kind.FAULT, ("and",), frozenset()))
     ext_actions = ["a", "b"][: rng.randint(1, 2)]
     for _ in range(rng.randint(2, 5)):
         group = nonfaulty if rng.random() < 0.5 else faulty
@@ -407,7 +407,7 @@ def random_progressive_ta(seed):
     """
     rng = random.Random(seed)
     cap = rng.randint(1, 2)
-    pacer_inv = (ClockConstraint("x", "<=", cap),)
+    pacer_inv = ("and", ("atom", "x", "<=", cap))
     n_locs = rng.randint(2, 3)
     n_faulty = rng.randint(1, n_locs - 1)
     locations = []
@@ -419,8 +419,8 @@ def random_progressive_ta(seed):
 
     edges = []
     for name in nonfaulty:
-        edges.append(TAEdge(name, rng.choice(faulty), "boom", Kind.FAULT, (), frozenset()))
-    pace_guard = (ClockConstraint("x", "==", cap),)
+        edges.append(TAEdge(name, rng.choice(faulty), "boom", Kind.FAULT, ("and",), frozenset()))
+    pace_guard = ("and", ("atom", "x", "==", cap))
     for loc in locations:
         group = nonfaulty if loc.name in nonfaulty else faulty
         # Faulty locations may stop resetting the pacer (a "leak"): ticks
@@ -432,7 +432,7 @@ def random_progressive_ta(seed):
             TAEdge(loc.name, rng.choice(group), "a", Kind.EXTERNAL, pace_guard, net_resets)
         )
         for _ in range(rng.randint(0, 2)):
-            guard = (ClockConstraint("x", rng.choice(["==", "<=", ">="]), rng.randint(0, cap)),)
+            guard = ("and", ("atom", "x", rng.choice(["==", "<=", ">="]), rng.randint(0, cap)))
             resets = frozenset({"x"}) if rng.random() < 0.6 else frozenset()
             edges.append(
                 TAEdge(
@@ -455,13 +455,18 @@ def random_progressive_ta(seed):
 
 OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
+# The clock-constraint grammar as one regular expression, with ASCII
+# digits: the reference that ``parse_constraint`` is checked against.
+CONSTRAINT_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*(<=|>=|==|<|>)\s*(-?[0-9]+(?:\.[0-9]+)?)\s*$")
 
-def constraint_holds(constraint, valuation):
-    return OPS[constraint.op](valuation[constraint.clock], constraint.bound)
 
-
-def eval_constraints(constraints, valuation):
-    return all(constraint_holds(c, valuation) for c in constraints)
+def reference_constraint(text):
+    """``(clock, op, bound)`` of a constraint by ``CONSTRAINT_RE``, or None
+    when the text does not match or its constant is non-integral or negative."""
+    m = CONSTRAINT_RE.match(text)
+    if m is None or "." in m.group(3) or int(m.group(3)) < 0:
+        return None
+    return m.group(1), m.group(2), int(m.group(3))
 
 
 def eval_pred(node, valuation):
@@ -577,10 +582,10 @@ def concrete_enabled_edges(ta, loc_name, valuation):
     for i, e in enumerate(ta.edges):
         if e.src != loc_name:
             continue
-        if not eval_constraints(e.guard, valuation):
+        if not eval_pred(e.guard, valuation):
             continue
         after = apply_reset(valuation, e.resets)
-        if eval_constraints(ta.location(e.dst).invariant, after):
+        if eval_pred(ta.location(e.dst).invariant, after):
             enabled.append(i)
     return tuple(enabled)
 

@@ -563,14 +563,39 @@ class TestMalformedInput:
         line = proc.stderr.splitlines()[-1]
         assert line.startswith("inconsistent at event") and len(line) < 200
 
-    @pytest.mark.parametrize("count", ["\u0663", "5_0", "+5", " 5"],
-                             ids=["arabic-indic", "underscore", "plus", "space"])
-    def test_count_reads_only_ascii_digits(self, count):
-        proc = self.run_cli(["fuzz", "--models", count])
+    @pytest.mark.parametrize(
+        "option, count",
+        [(option, count) for option in ("--models", "--seed")
+         for count in ("\u0663", "5_0", "+5", " 5")],
+        ids=["arabic-indic", "underscore", "plus", "space",
+             "seed-arabic-indic", "seed-underscore", "seed-plus", "seed-space"],
+    )
+    def test_count_reads_only_ascii_digits(self, option, count):
+        proc = self.run_cli(["fuzz", option, count])
         usage, proc.stderr = proc.stderr.split("\n", 1)  # argparse prints its usage first
         assert usage.startswith("usage: hydiag fuzz")
-        assert "expected a non-negative integer" in self.check_one_error_line(proc)
+        expected = "a non-negative integer" if option == "--models" else "an integer"
+        assert f"expected {expected}, got " in self.check_one_error_line(proc)
         assert proc.stdout == ""
+
+    def test_seed_may_be_negative(self):
+        proc = self.run_cli(["fuzz", "--models", "2", "--seed", "-3"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "models tested: 2" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "where, text",
+        [(("edges", 0, "guard"), ["x<=\u0661"]), (("observation", 0, "pred"), "x<\u0661")],
+        ids=["guard", "cell"],
+    )
+    def test_automaton_constant_reads_only_ascii_digits(self, where, text, tmp_path):
+        data = json.loads(open(TA1).read())
+        section, i, key = where
+        data[section][i][key] = text
+        path = tmp_path / "digit.ta.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        line = self.check_one_error_line(self.run_cli(["check", "--ta", str(path)]))
+        assert "pred parse error at column" in line
 
     @pytest.mark.parametrize(
         "stdin",

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydiag.errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from hydiag.quotient import validate_model
@@ -33,12 +35,12 @@ from .helpers import (
     apply_reset,
     concrete_enabled_edges,
     concrete_region_path,
-    eval_constraints,
     eval_pred,
     observable_of_valuation,
     random_progressive_ta,
     random_sample_region,
     random_ta,
+    reference_constraint,
     region_of,
     sample_valuation,
 )
@@ -60,6 +62,32 @@ ZERO_CLOCK_TA = """
 """
 
 
+# Strings shaped like one clock constraint: whitespace, identifiers (``true``
+# among them), valid and broken operators, signed, decimal and zero-padded
+# numbers, parentheses and trailing tokens.  Valid pieces are listed more
+# than once, so that a good share of the strings are constraints.
+_IDENT = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+    st.sampled_from(["true", "x\u00e9", "1x", "\u00e9", ""]),
+)
+CONSTRAINT_TEXTS = st.tuples(
+    st.sampled_from([""] * 8 + ["(", "!"]),
+    st.sampled_from(["", " ", "  ", "\t", "\n", "\u3000"]),
+    _IDENT,
+    st.sampled_from(["", " ", "\u3000"]),
+    st.sampled_from(["<", "<=", "==", ">=", ">"] * 3 + ["", "=", "<==>", "=<", "!="]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from([""] * 6 + ["-", "+", "--"]),
+    st.one_of(
+        st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+        st.sampled_from(["0", "00", "\u0661", "1_0", ""]),
+    ),
+    st.sampled_from([""] * 6 + [".", ".5", ".0", "e3"]),
+    st.sampled_from(["", " ", "\n"]),
+    st.sampled_from([""] * 8 + [")", " & y<2", " x", "$", "1", "<"]),
+).map("".join)
+
+
 class TestParsing:
     def test_ta1_shape(self, ta1):
         assert len(ta1.locations) == 2
@@ -68,14 +96,24 @@ class TestParsing:
         assert ta1.ceilings == (1,)
 
     def test_constraint_grammar(self):
-        c = parse_constraint("x<=1")
-        assert (c.clock, c.op, c.bound) == ("x", "<=", 1)
+        assert parse_constraint("x<=1") == ("atom", "x", "<=", 1)
         with pytest.raises(ModelFormatError, match="non-integral"):
             parse_constraint("x<=1.5")
         with pytest.raises(ModelFormatError, match="negative"):
             parse_constraint("x<=-1")
         with pytest.raises(ModelFormatError):
             parse_constraint("x <==> 1")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(CONSTRAINT_TEXTS)
+    def test_constraint_grammar_matches_the_reference(self, text):
+        expected = reference_constraint(text)
+        try:
+            got = parse_constraint(text)
+        except ModelFormatError:
+            assert expected is None, text
+        else:
+            assert expected is not None and got == ("atom", *expected), text
 
     def test_pred_grammar(self):
         pred = parse_pred("!(x<1) & (x<2 | x==3)")
@@ -338,21 +376,15 @@ class TestRegionEvaluator:
         for seed in range(50):
             ta = builder(seed)
             index = {name: i for i, name in enumerate(ta.clocks)}
-            preds = [spec.pred for spec in ta.observation]
-            constraints = [e.guard for e in ta.edges] + [loc.invariant for loc in ta.locations]
+            cells = [spec.pred for spec in ta.observation]
+            preds = cells + [e.guard for e in ta.edges] + [loc.invariant for loc in ta.locations]
             for region in all_regions(ta.ceilings):
-                on_region = (
-                    [pred_holds(p, region, index) for p in preds],
-                    [ta.region_satisfies(region, c) for c in constraints],
-                )
+                on_region = [pred_holds(p, region, index) for p in preds]
                 for values in region_samples(region, ta.ceilings, rng):
                     valuation = dict(zip(ta.clocks, values))
-                    concrete = (
-                        [eval_pred(p, valuation) for p in preds],
-                        [eval_constraints(c, valuation) for c in constraints],
-                    )
+                    concrete = [eval_pred(p, valuation) for p in preds]
                     assert concrete == on_region, (seed, region)
-                hits = [spec.id for spec, hit in zip(ta.observation, on_region[0]) if hit]
+                hits = [spec.id for spec, hit in zip(ta.observation, on_region) if hit]
                 assert hits == [ta.observable_of_region(region)]
 
     def test_region_build_makes_no_fraction(self, monkeypatch):
