@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 
 from .diagnosability import check_diagnosable, check_progressive
-from .diagnoser import ObsEvent, step
+from .diagnoser import ObsEvent, run_trace
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification, build_estimator
-from .graphs import explore, find_lasso
+from .graphs import _bfs_tree, _tree_path, explore, find_lasso
 from .quotient import (
     ActionLabel,
     ClassInfo,
@@ -239,7 +239,10 @@ class SimulationReport:
         return not self.losing
 
 
-def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
+MAX_LOSING = 10  # losing runs reported, shallowest first
+
+
+def simulate_runs(model, diag, k, yes_deadline=None):
     """Drive the diagnoser with every environment behavior up to ``k``
     external events and score it against the two winning conditions.
 
@@ -249,124 +252,74 @@ def simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
     goes ``yes_deadline`` external events (default: the whole horizon)
     without a yes.  Behaviors are counted at observation-boundary
     granularity; exhaustiveness comes from covering every reachable
-    combination of diagnoser state, current class, and fault age rather
-    than expanding each interleaving separately.  Reported losing runs
-    are reconstructed and re-fed through the diagnoser event by event.
+    combination of depth, diagnoser state, current class, and fault age
+    rather than expanding each interleaving separately.  Reported losing
+    runs are read off the breadth-first tree and re-fed through the
+    diagnoser event by event.
     """
     deadline = k if yes_deadline is None else yes_deadline
     moves = external_moves(model)
+    yes = [st.classification is Classification.FAULTY for st in diag.states]
 
-    losing_nodes = []
-    seen_losing = set()
+    def successors(node):
+        depth, sid, cls, age, said_yes = node
+        if said_yes or depth >= k:
+            return  # the run is settled: after a yes nothing can be lost
+        steps = {(a.name, dst) for a in model.external_actions for dst, _ in moves[(cls, a.name)]}
+        for action, dst in sorted(steps):
+            obs = model.obs[dst]
+            tid = diag.transitions.get((sid, action, obs))
+            if tid is None:
+                raise ValueError(f"diagnoser is incomplete: no move for ({action}, o{obs})")
+            nage = min(age + 1 if age > 0 else int(model.faulty[dst]), deadline)
+            yield (action, obs), (depth + 1, tid, dst, nage, yes[tid])
 
-    def is_losing(node):
-        sid, cls, age, said_yes = node
-        answer_yes = diag.states[sid].classification is Classification.FAULTY
-        if answer_yes and not model.faulty[cls]:
-            return "false-alarm"
-        if age >= deadline and not (said_yes or answer_yes):
-            return "missed-fault"
-        return None
-
-    # Layered exhaustive search with parent links for run reconstruction.
-    parents = {}
-    counts = {}
-    layer = {}
+    starts = []
     for c in model.initial_classes:
         sid = diag.initials.get(model.obs[c])
         if sid is None:
             raise ValueError(f"diagnoser has no initial state for observable o{model.obs[c]}")
-        node = (sid, c, 0, diag.states[sid].classification is Classification.FAULTY)
-        key = (0, node)
-        counts[key] = counts.get(key, 0) + 1
-        if key not in parents:
-            parents[key] = (None, None)
-            layer[node] = None
-    for node in sorted(layer):
-        reason = is_losing(node)
-        if reason and node not in seen_losing:
-            seen_losing.add(node)
-            losing_nodes.append(((0, node), reason))
+        starts.append((0, sid, c, 0, yes[sid]))
+    nodes, start_ids, edges = explore(starts, successors)
 
-    total_runs = 0
-    for depth in range(k):
-        nxt = {}
-        for node in sorted(layer):
-            sid, cls, age, said_yes = node
-            if said_yes:
-                # A yes is absorbing for the scoring: nothing can be lost later,
-                # so count the remaining extensions as settled runs.
-                total_runs += counts[(depth, node)]
-                continue
-            steps = set()
-            for action in model.external_actions:
-                for dst, _ in moves[(cls, action.name)]:
-                    steps.add((action.name, dst))
-            if not steps:
-                total_runs += counts[(depth, node)]  # run dead-ends here
-                continue
-            for action, dst in sorted(steps):
-                obs = model.obs[dst]
-                tid = diag.transitions.get((sid, action, obs))
-                if tid is None:
-                    raise ValueError(
-                        f"diagnoser is incomplete: no move for ({action}, o{obs})"
-                    )
-                nage = age + 1 if age > 0 else (1 if model.faulty[dst] else 0)
-                nage = min(nage, deadline)
-                nsaid = said_yes or diag.states[tid].classification is Classification.FAULTY
-                nnode = (tid, dst, nage, nsaid)
-                nkey = (depth + 1, nnode)
-                counts[nkey] = counts.get(nkey, 0) + counts[(depth, node)]
-                if nkey not in parents:
-                    parents[nkey] = ((depth, node), (action, obs))
-                    nxt[nnode] = None
-                    reason = is_losing(nnode)
-                    if reason and nnode not in seen_losing:
-                        seen_losing.add(nnode)
-                        losing_nodes.append((nkey, reason))
-        layer = nxt
-    total_runs += sum(counts[(k, node)] for node in layer)
+    # Ids follow depth, so each node's count is complete before its row is read.
+    count = [1] * len(start_ids) + [0] * (len(nodes) - len(start_ids))
+    runs = 0
+    for i, row in enumerate(edges):
+        if not row:
+            runs += count[i]  # the run ends here: horizon, yes, or dead end
+        for _, j in row:
+            count[j] += count[i]
 
-    losing = []
-    for key, reason in losing_nodes[:max_losing]:
-        events = _reconstruct_events(model, parents, key)
-        verdicts = []
-        current = None
-        for ev in events:
-            current, verdict = step(diag, current, ev)
-            verdicts.append(verdict)
-        losing.append(LosingRun(tuple(events), tuple(verdicts), reason))
-    return SimulationReport(total_runs, losing, k)
+    losing = {}  # node without its depth -> (shallowest id, reason)
+    for i, (_, sid, cls, age, said_yes) in enumerate(nodes):
+        if yes[sid] and not model.faulty[cls]:
+            losing.setdefault(nodes[i][1:], (i, "false-alarm"))
+        elif age >= deadline and not said_yes:
+            losing.setdefault(nodes[i][1:], (i, "missed-fault"))
 
-
-def _reconstruct_events(model, parents, key):
-    chain = []
-    while True:
-        parent, label = parents[key]
-        if parent is None:
-            break
-        chain.append(label)
-        key = parent
-    chain.reverse()
-    _, (_, cls, _, _) = key  # key is now an initial-layer node
-    return [ObsEvent.init(model.obs[cls])] + [
-        ObsEvent.step(action, obs) for action, obs in chain
-    ]
+    parent = _bfs_tree(edges, len(start_ids))
+    reports = []
+    for i, reason in itertools.islice(losing.values(), MAX_LOSING):
+        ids, labels = _tree_path(parent, i)
+        trace = UTrace(model.obs[nodes[ids[0]][2]], tuple(labels))
+        events = [ObsEvent.init(trace.head), *(ObsEvent.step(a, o) for a, o in labels)]
+        reports.append(LosingRun(tuple(events), tuple(run_trace(diag, trace)), reason))
+    return SimulationReport(runs, reports, k)
 
 
 # ---------------------------------------------------------------------------
 # Randomized model generation
 
 
-def random_model(
-    seed,
-    max_classes=6,
-    max_external=2,
-    max_observables=2,
-    edge_density=0.35,
-    max_attempts=500,
-):
+MAX_CLASSES = 6
+MAX_EXTERNAL = 2
+MAX_OBSERVABLES = 2
+EDGE_DENSITY = 0.35
+MAX_ATTEMPTS = 500
+
+
+def random_model(seed):
     """A valid, progressive quotient model drawn at random.
 
     Candidates are generated axiom-true by construction where cheap
@@ -374,29 +327,25 @@ def random_model(
     full validation and the progressiveness check otherwise.
     """
     rng = random.Random(seed)
-    for _ in range(max_attempts):
-        model = _draw_model(rng, max_classes, max_external, max_observables, edge_density)
+    for _ in range(MAX_ATTEMPTS):
+        model = _draw_model(rng)
         if validate_model(model).ok and check_progressive(model).progressive:
             return model
-    raise RuntimeError(f"no valid progressive model after {max_attempts} attempts")
+    raise RuntimeError(f"no valid progressive model after {MAX_ATTEMPTS} attempts")
 
 
-def _draw_model(rng, max_classes, max_external, max_observables, edge_density):
-    n = rng.randint(2, max_classes)
+def _draw_model(rng):
+    n = rng.randint(2, MAX_CLASSES)
     n_faulty = rng.randint(1, n - 1)
     nonfaulty = list(range(n - n_faulty))
     faulty = list(range(n - n_faulty, n))
-    n_obs = rng.randint(1, max_observables)
-    n_ext = rng.randint(1, max_external)
+    n_obs = rng.randint(1, MAX_OBSERVABLES)
+    n_ext = rng.randint(1, MAX_EXTERNAL)
 
-    classes = []
     initials = [c for c in nonfaulty if rng.random() < 0.5]
     if not initials:
         initials = [rng.choice(nonfaulty)]
-    for c in range(n):
-        classes.append(
-            ClassInfo(c, c in set(faulty), c in set(initials), rng.randrange(n_obs))
-        )
+    classes = [ClassInfo(c, c in faulty, c in initials, rng.randrange(n_obs)) for c in range(n)]
 
     actions = [ActionLabel(f"e{i}", Kind.EXTERNAL) for i in range(n_ext)]
     actions.append(ActionLabel("f", Kind.FAULT))
@@ -415,7 +364,7 @@ def _draw_model(rng, max_classes, max_external, max_observables, edge_density):
         placed = False
         for a in actions[:n_ext]:
             for dst in same_flag(c):
-                if rng.random() < edge_density:
+                if rng.random() < EDGE_DENSITY:
                     edges.append((c, a.name, dst))
                     placed = True
         if not placed:
@@ -424,7 +373,7 @@ def _draw_model(rng, max_classes, max_external, max_observables, edge_density):
     if has_internal:
         for c in range(n):
             for dst in same_flag(c):
-                if rng.random() < edge_density * 0.4:
+                if rng.random() < EDGE_DENSITY * 0.4:
                     edges.append((c, "h", dst))
 
     time = []

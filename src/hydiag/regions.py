@@ -634,8 +634,17 @@ def _strings(value, what):
     return value
 
 
+def _parsed(parse, text, what):
+    """``parse(text)``, a rejection named by the entry ``what``."""
+    try:
+        return parse(text)
+    except ModelFormatError as e:
+        raise ModelFormatError(f"{what}: {e}") from None
+
+
 def _constraints(value, what):
-    return ("and", *(parse_constraint(c) for c in _strings(value, what)))
+    entries = enumerate(_strings(value, what))
+    return ("and", *(_parsed(parse_constraint, c, f"{what}[{j}]") for j, c in entries))
 
 
 def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
@@ -667,8 +676,8 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     ]
 
     observation = [
-        ObservableSpec(obs_id, parse_pred(pred))
-        for obs_id, pred in _rows(data["observation"], "observation", _OBS_SCHEMA)
+        ObservableSpec(obs_id, _parsed(parse_pred, pred, f"observation[{i}].pred"))
+        for i, (obs_id, pred) in enumerate(_rows(data["observation"], "observation", _OBS_SCHEMA))
     ]
 
     return TimedAutomatonWithFaults(

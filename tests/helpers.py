@@ -12,8 +12,16 @@ from fractions import Fraction
 import networkx as nx
 
 from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
-from hydiag.estimator import EstimatorGraph, EstimatorState, classify, initial_estimates
+from hydiag.diagnoser import ObsEvent, step
+from hydiag.estimator import (
+    Classification,
+    EstimatorGraph,
+    EstimatorState,
+    classify,
+    initial_estimates,
+)
 from hydiag.graphs import explore, find_lasso
+from hydiag.oracle import LosingRun, SimulationReport
 from hydiag.quotient import (
     ActionLabel,
     ClassInfo,
@@ -278,6 +286,125 @@ def reference_build_estimator(model, *, expand_faulty=True):
     states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
     transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
     return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
+
+
+def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
+    """``simulate_runs`` as a layered search: one dict of nodes per depth,
+    with its own parent links and path rebuild.
+
+    Drives the diagnoser with every environment behavior up to ``k``
+    external events and scores it against the two winning conditions.
+
+    The environment picks the run and the fault timing (it may fault
+    during any silent stretch).  A behavior loses if the diagnoser ever
+    answers yes while the run is still fault-free, or if a faulted run
+    goes ``yes_deadline`` external events (default: the whole horizon)
+    without a yes.  Behaviors are counted at observation-boundary
+    granularity; exhaustiveness comes from covering every reachable
+    combination of diagnoser state, current class, and fault age rather
+    than expanding each interleaving separately.  Reported losing runs
+    are reconstructed and re-fed through the diagnoser event by event.
+    """
+    deadline = k if yes_deadline is None else yes_deadline
+    moves = external_moves(model)
+
+    losing_nodes = []
+    seen_losing = set()
+
+    def is_losing(node):
+        sid, cls, age, said_yes = node
+        answer_yes = diag.states[sid].classification is Classification.FAULTY
+        if answer_yes and not model.faulty[cls]:
+            return "false-alarm"
+        if age >= deadline and not (said_yes or answer_yes):
+            return "missed-fault"
+        return None
+
+    # Layered exhaustive search with parent links for run reconstruction.
+    parents = {}
+    counts = {}
+    layer = {}
+    for c in model.initial_classes:
+        sid = diag.initials.get(model.obs[c])
+        if sid is None:
+            raise ValueError(f"diagnoser has no initial state for observable o{model.obs[c]}")
+        node = (sid, c, 0, diag.states[sid].classification is Classification.FAULTY)
+        key = (0, node)
+        counts[key] = counts.get(key, 0) + 1
+        if key not in parents:
+            parents[key] = (None, None)
+            layer[node] = None
+    for node in sorted(layer):
+        reason = is_losing(node)
+        if reason and node not in seen_losing:
+            seen_losing.add(node)
+            losing_nodes.append(((0, node), reason))
+
+    total_runs = 0
+    for depth in range(k):
+        nxt = {}
+        for node in sorted(layer):
+            sid, cls, age, said_yes = node
+            if said_yes:
+                # A yes is absorbing for the scoring: nothing can be lost later,
+                # so count the remaining extensions as settled runs.
+                total_runs += counts[(depth, node)]
+                continue
+            steps = set()
+            for action in model.external_actions:
+                for dst, _ in moves[(cls, action.name)]:
+                    steps.add((action.name, dst))
+            if not steps:
+                total_runs += counts[(depth, node)]  # run dead-ends here
+                continue
+            for action, dst in sorted(steps):
+                obs = model.obs[dst]
+                tid = diag.transitions.get((sid, action, obs))
+                if tid is None:
+                    raise ValueError(
+                        f"diagnoser is incomplete: no move for ({action}, o{obs})"
+                    )
+                nage = age + 1 if age > 0 else (1 if model.faulty[dst] else 0)
+                nage = min(nage, deadline)
+                nsaid = said_yes or diag.states[tid].classification is Classification.FAULTY
+                nnode = (tid, dst, nage, nsaid)
+                nkey = (depth + 1, nnode)
+                counts[nkey] = counts.get(nkey, 0) + counts[(depth, node)]
+                if nkey not in parents:
+                    parents[nkey] = ((depth, node), (action, obs))
+                    nxt[nnode] = None
+                    reason = is_losing(nnode)
+                    if reason and nnode not in seen_losing:
+                        seen_losing.add(nnode)
+                        losing_nodes.append((nkey, reason))
+        layer = nxt
+    total_runs += sum(counts[(k, node)] for node in layer)
+
+    losing = []
+    for key, reason in losing_nodes[:max_losing]:
+        events = _reference_events(model, parents, key)
+        verdicts = []
+        current = None
+        for ev in events:
+            current, verdict = step(diag, current, ev)
+            verdicts.append(verdict)
+        losing.append(LosingRun(tuple(events), tuple(verdicts), reason))
+    return SimulationReport(total_runs, losing, k)
+
+
+def _reference_events(model, parents, key):
+    chain = []
+    while True:
+        parent, label = parents[key]
+        if parent is None:
+            break
+        chain.append(label)
+        key = parent
+    chain.reverse()
+    _, (_, cls, _, _) = key  # key is now an initial-layer node
+    return [ObsEvent.init(model.obs[cls])] + [
+        ObsEvent.step(action, obs) for action, obs in chain
+    ]
 
 
 def reference_twin_product(model):

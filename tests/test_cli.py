@@ -452,6 +452,27 @@ class TestMalformedInput:
         assert main(["regions", TA1, "--max-classes", "1", "-o", str(out)]) == 5
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("entry, text, message", [
+        ("edges[0].guard[0]", "x<1.5",
+         "non-integral constant in predicate at column 3 near 'x<1.5'"),
+        ("locations[1].invariant[1]", "x<=-1",
+         "negative constant in predicate at column 4 near 'x<=-1'"),
+        ("observation[1].pred", "!(x<1",
+         "pred parse error (expected ')') at column 6 near '!(x<1'"),
+    ], ids=["guard", "invariant", "cell"])
+    def test_predicate_error_names_its_entry(self, entry, text, message, tmp_path, capsys):
+        data = json.loads(open(TA1).read())
+        if entry.startswith("edges"):
+            data["edges"][0]["guard"] = [text]
+        elif entry.startswith("locations"):
+            data["locations"][1]["invariant"].append(text)
+        else:
+            data["observation"][1]["pred"] = text
+        path = tmp_path / "bad.ta.json"
+        path.write_text(json.dumps(data))
+        assert main(["check", "--ta", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {entry}: {message}\n"
+
     @pytest.mark.parametrize("where", ["quotient-obs", "guard", "predicate", "diagnoser-key"])
     def test_integer_past_the_digit_limit(self, where, tmp_path):
         digits = "1" * 5000

@@ -8,12 +8,16 @@ exception escaping ``main``.  A rejection (exit 1, 4 or 5) prints exactly
 one diagnostic line under 300 characters: an ``error:`` line, or for an
 event stream that the model cannot produce, ``run``'s ``inconsistent at
 event N:`` line.  ``validate`` is exempt, since it lists every violation.
+Copies of ``ta1`` and ``kclock2`` with one token of a guard, invariant or
+observation cell replaced or added also go through it, and a rejected
+predicate must name its entry.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -30,6 +34,7 @@ from .helpers import q2_model
 LONG = 100_000
 QUOTIENT = json.loads((FIXTURES / "q1.quot.json").read_text())
 AUTOMATON = json.loads((FIXTURES / "ta1.ta.json").read_text())
+KCLOCK2 = json.loads((FIXTURES / "kclock2.ta.json").read_text())
 DIAGNOSER = json.loads(dumps_diagnoser(synthesize(build_estimator(q2_model()))))
 
 # The argument lists each file goes through; "{out}" is an output path.
@@ -60,6 +65,11 @@ EVENT_LINES = (
     st.tuples(st.sampled_from(["init", "tick", "tock", "f", "a" * LONG]), OBSERVABLES).map(" ".join)
     | st.text(max_size=6)
     | st.just("x" * LONG)
+)
+PRED_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|-?[0-9]+(?:\.[0-9]+)?|<=|>=|==|[<>!&|()]")
+PRED_TOKENS = st.sampled_from(
+    ["x", "x0", "y", "true", "<", "<=", "==", "=", ">", "0", "2", "-1", "1.5", "9" * 5000,
+     "(", ")", "!", "&", "|", "$", "x" * LONG]
 )
 # Mostly an initial observation first, so that the steps after it are read.
 STREAMS = st.tuples(
@@ -99,6 +109,29 @@ def mutated(draw, base):
     return data
 
 
+@st.composite
+def mutated_predicate(draw, base):
+    """``base`` with one token of one guard, invariant or cell replaced or
+    added, and the path of that entry."""
+    data = json.loads(json.dumps(base))
+    entries = [
+        (f"{rows}[{i}].{field}[{j}]", row[field], j)
+        for rows, field in (("locations", "invariant"), ("edges", "guard"))
+        for i, row in enumerate(data[rows])
+        for j in range(len(row[field]))
+    ]
+    entries += [(f"observation[{i}].pred", row, "pred") for i, row in enumerate(data["observation"])]
+    entry, holder, key = draw(st.sampled_from(entries))
+    tokens = PRED_TOKEN_RE.findall(holder[key])
+    i = draw(st.integers(0, len(tokens)))
+    if i < len(tokens) and draw(st.booleans()):
+        tokens[i] = draw(PRED_TOKENS)
+    else:
+        tokens.insert(i, draw(PRED_TOKENS))
+    holder[key] = " ".join(tokens)
+    return data, entry
+
+
 def run_main(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
@@ -111,7 +144,7 @@ def run_main(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-def check_runs(kind, data, stdin=""):
+def check_runs(kind, data, stdin="", entry=None):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -126,6 +159,8 @@ def check_runs(kind, data, stdin=""):
             elif code in (1, 4, 5):
                 lines = [x for x in err.splitlines() if x.startswith(DIAGNOSTICS)]
                 assert len(lines) == 1, (argv, err[:500])
+                if entry is not None and code == 1 and " at column " in lines[0]:
+                    assert lines[0].startswith(f"error: {entry}: "), (argv, lines[0][:500])
             else:
                 continue
             assert max(map(len, lines)) < 300, (argv, max(lines, key=len)[:500])
@@ -141,6 +176,14 @@ def test_mutated_quotient(data):
 @given(data=st.data())
 def test_mutated_automaton(data):
     check_runs("automaton", data.draw(mutated(AUTOMATON)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_predicate(data):
+    base = data.draw(st.sampled_from([AUTOMATON, KCLOCK2]))
+    automaton, entry = data.draw(mutated_predicate(base))
+    check_runs("automaton", automaton, entry=entry)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,12 +1,14 @@
 """Tests for the twin-plant oracle, trace enumeration, and simulation."""
 
+from dataclasses import replace
+
 import pytest
 
 from hydiag.cli import main
 from hydiag.diagnosability import check_diagnosable, check_progressive, detection_delay_bound
-from hydiag.diagnoser import synthesize
+from hydiag.diagnoser import ObsEvent, run_trace, synthesize
 from hydiag.errors import CapExceeded
-from hydiag.estimator import build_estimator
+from hydiag.estimator import Classification, build_estimator
 from hydiag.graphs import find_lasso, strongly_connected_components
 from hydiag.oracle import (
     CounterExample,
@@ -23,7 +25,14 @@ from hydiag.oracle import (
 from hydiag.quotient import Lasso, UTrace, validate_model
 
 from .conftest import FIXTURES
-from .helpers import f2_violating_model, q3_model, reference_twin_product
+from .helpers import (
+    f2_violating_model,
+    linear_chain_model,
+    q3_model,
+    random_progressive_ta,
+    reference_simulate_runs,
+    reference_twin_product,
+)
 
 Q2 = str(FIXTURES / "q2.quot.json")
 
@@ -230,6 +239,66 @@ class TestSimulateRuns:
         # A tighter deadline is not met: the bound is exact here.
         report = simulate_runs(model, diag, 7, yes_deadline=bound - 1)
         assert not report.ok
+
+
+class TestSimulateRunsReference:
+    """The search on ``explore`` counts and scores the runs the layered
+    reference does.  Which equally short run represents a losing node, and
+    the order of the list, may differ."""
+
+    HORIZONS = [(5, None), (6, 1), (6, 2), (7, 4)]
+
+    @pytest.fixture(scope="class")
+    def models(self, q1, q2):
+        from hydiag.regions import region_quotient
+
+        models = [m for s in (0, 1, 777) for m in random_models(300, s)]
+        models += [q1, q2, q3_model(), linear_chain_model(30)]
+        models += [region_quotient(random_progressive_ta(seed)) for seed in range(60)]
+        return models
+
+    @staticmethod
+    def summary(report):
+        return report.runs, report.ok, sorted((lr.reason, len(lr.events)) for lr in report.losing)
+
+    @staticmethod
+    def check_losing_run(diag, lr):
+        head, *rest = lr.events
+        assert head == ObsEvent.init(head.obs) and not any(ev.is_init for ev in rest)
+        trace = UTrace(head.obs, tuple((ev.action, ev.obs) for ev in rest))
+        assert tuple(run_trace(diag, trace)) == lr.verdicts
+        answers = [v.answer for v in lr.verdicts]
+        if lr.reason == "missed-fault":
+            assert set(answers) == {"no"}
+        else:
+            assert lr.reason == "false-alarm" and answers[-1] == "yes"
+
+    def compare(self, model, diag, k, yes_deadline):
+        """Check one case against the reference; return the losing reasons."""
+        report = simulate_runs(model, diag, k, yes_deadline)
+        ref = reference_simulate_runs(model, diag, k, yes_deadline)
+        assert self.summary(report) == self.summary(ref)
+        for lr in report.losing:
+            self.check_losing_run(diag, lr)
+        return {lr.reason for lr in report.losing}
+
+    @pytest.mark.parametrize("k, yes_deadline", HORIZONS)
+    def test_same_runs_and_losing_runs(self, models, k, yes_deadline):
+        for model in models:
+            self.compare(model, synthesize(build_estimator(model)), k, yes_deadline)
+
+    def test_tampered_diagnosers(self, models):
+        # Every third state answers yes, so runs also lose by false alarm.
+        reasons = set()
+        for model in models[:300] + models[900:904]:
+            diag = synthesize(build_estimator(model))
+            diag.states = [
+                replace(st, classification=Classification.FAULTY) if sid % 3 == 1 else st
+                for sid, st in enumerate(diag.states)
+            ]
+            for k, yes_deadline in self.HORIZONS:
+                reasons |= self.compare(model, diag, k, yes_deadline)
+        assert reasons == {"false-alarm", "missed-fault"}
 
 
 class TestRandomModels:
