@@ -9,7 +9,6 @@ from pathlib import Path
 
 from hydiag import (
     NoConsistentExecution,
-    ObsEvent,
     build_estimator,
     load_model,
     run_trace,
@@ -33,13 +32,13 @@ for verdict in run_trace(diag, UTrace(0, (("tick", 1), ("tick", 1)))):
 
 print("event-by-event session:")
 cursor = None
-for event in [ObsEvent.init(0), ObsEvent.step("tick", 0), ObsEvent.step("tick", 0)]:
-    cursor, verdict = step(diag, cursor, event)
-    label = f"init o{event.obs}" if event.is_init else f"{event.action} o{event.obs}"
+for action, obs in [(None, 0), ("tick", 0), ("tick", 0)]:
+    cursor, verdict = step(diag, cursor, action, obs)
+    label = f"{action or 'init'} o{obs}"
     print(f"  {label:12s} -> {verdict.pretty()}")
 
 print("an impossible observation raises:")
 try:
-    step(diag, cursor, ObsEvent.step("tick", 1))
+    step(diag, cursor, "tick", 1)
 except NoConsistentExecution as err:
     print("  NoConsistentExecution:", err)

@@ -40,10 +40,7 @@ print("counterexample replays:", verify_counterexample(q2, cx))
 report = simulate_runs(q2, synthesize(build_estimator(q2)), 6)
 print(f"simulated {report.runs} behaviors, losing: {len(report.losing)}")
 for run in report.losing:
-    events = " ".join(
-        f"o{e.obs}" if e.is_init else f"{e.action} o{e.obs}" for e in run.events
-    )
-    print("  losing:", events, f"({run.reason})")
+    print("  losing:", run.trace.pretty(), f"({run.reason})")
 
 print("randomized agreement suite:")
 fuzz = run_fuzz(models=150, seed=20260809)

@@ -18,7 +18,6 @@ from .diagnosability import (
     replay_lasso,
 )
 from .diagnoser import (
-    ObsEvent,
     Verdict,
     load_diagnoser,
     run_trace,
@@ -43,7 +42,6 @@ from .estimator import (
 from .oracle import (
     CounterExample,
     OracleVerdict,
-    TwinState,
     brute_force_diagnosable,
     enumerate_utraces,
     random_model,

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__
 from .diagnosability import check_diagnosable, check_progressive, detection_delay_bound
-from .diagnoser import ObsEvent, dumps_diagnoser, load_diagnoser, step, synthesize
+from .diagnoser import dumps_diagnoser, load_diagnoser, step, synthesize
 from .errors import (
     CapExceeded,
     ModelFormatError,
@@ -207,16 +207,12 @@ def cmd_run(args):
         if not line:
             continue
         parts = line.split()
-        if index == 0:
-            if len(parts) != 2 or parts[0] != "init":
-                raise ModelFormatError(f"expected 'init <obs>', got {_excerpt(line, 0)}")
-            event = ObsEvent.init(_parse_obs(parts[1]))
-        else:
-            if len(parts) != 2:
-                raise ModelFormatError(f"expected '<action> <obs>', got {_excerpt(line, 0)}")
-            event = ObsEvent.step(parts[0], _parse_obs(parts[1]))
+        if len(parts) != 2 or (index == 0 and parts[0] != "init"):
+            form = "'<action> <obs>'" if index else "'init <obs>'"
+            raise ModelFormatError(f"expected {form}, got {_excerpt(line, 0)}")
+        action = parts[0] if index else None
         try:
-            current, verdict = step(diag, current, event)
+            current, verdict = step(diag, current, action, _parse_obs(parts[1]))
         except NoConsistentExecution as e:
             print(f"inconsistent at event {index}: {e}", file=sys.stderr)
             return EXIT_INCONSISTENT

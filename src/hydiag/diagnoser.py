@@ -1,11 +1,12 @@
 """Executable diagnoser: a Moore machine over estimator states.
 
-The winning strategy factors through the estimator, so the diagnoser is
-the estimator graph itself and two observation prefixes reaching the
-same estimate always get the same answer.  The Moore output is read off
-each state's classification: yes exactly on states whose members are
-all faulty; indeterminate states answer no but expose their ambiguity
-through the richer status field.
+It reads what the observer sees: the initial observable, then one
+``(action, obs)`` pair per external event.  The winning strategy factors
+through the estimator, so the diagnoser is the estimator graph itself and
+two observation prefixes reaching the same estimate always get the same
+answer.  The Moore output is read off each state's classification: yes
+exactly on states whose members are all faulty; indeterminate states
+answer no but expose their ambiguity through the richer status field.
 """
 
 from __future__ import annotations
@@ -34,26 +35,6 @@ _VERDICTS = {
 }
 
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """One streamed observation: the initial cell, or an action plus cell."""
-
-    obs: int
-    action: str | None = None
-
-    @classmethod
-    def init(cls, obs):
-        return cls(int(obs), None)
-
-    @classmethod
-    def step(cls, action, obs):
-        return cls(int(obs), action)
-
-    @property
-    def is_init(self):
-        return self.action is None
-
-
 def synthesize(est):
     """The diagnoser Moore machine of an estimator graph: the graph itself.
 
@@ -65,29 +46,27 @@ def synthesize(est):
     return est
 
 
-def step(diag, current, event):
-    """Advance the online diagnoser by one event.
+def step(diag, current, action, obs):
+    """Advance the online diagnoser by one ``(action, obs)`` step.
 
-    ``current`` is None before the initial observation and a state id
-    afterwards.  Raises NoConsistentExecution when no execution of the
-    model can produce the event from here.
+    ``current`` is None before the initial observation, whose ``action``
+    is None, and a state id afterwards.  Raises NoConsistentExecution
+    when no execution of the model can produce the step from here.
     """
-    if event.is_init:
-        if current is not None:
-            raise ValueError("initial observation only allowed as the first event")
-        sid = diag.initials.get(event.obs)
+    if (current is None) != (action is None):
+        raise ValueError("only the initial observation, the first step, has no action")
+    if current is None:
+        sid = diag.initials.get(obs)
         if sid is None:
             raise NoConsistentExecution(
-                f"no execution starts in observable {_excerpt(f'o{event.obs}', 0)}", index=0
+                f"no execution starts in observable {_excerpt(f'o{obs}', 0)}", index=0
             )
     else:
-        if current is None:
-            raise ValueError("the first event must be the initial observation")
-        sid = diag.transitions.get((current, event.action, event.obs))
+        sid = diag.transitions.get((current, action, obs))
         if sid is None:
             raise NoConsistentExecution(
-                f"no execution continues with {_excerpt(event.action, 0)} "
-                f"into {_excerpt(f'o{event.obs}', 0)}"
+                f"no execution continues with {_excerpt(action, 0)} "
+                f"into {_excerpt(f'o{obs}', 0)}"
             )
     return sid, _VERDICTS[diag.states[sid].classification]
 
@@ -98,12 +77,11 @@ def run_trace(diag, trace):
     Raises NoConsistentExecution carrying the index of the failing event
     (0 is the initial observation).
     """
-    events = [ObsEvent.init(trace.head), *(ObsEvent.step(a, o) for a, o in trace.steps)]
     verdicts = []
     current = None
-    for i, event in enumerate(events):
+    for i, (action, obs) in enumerate([(None, trace.head), *trace.steps]):
         try:
-            current, verdict = step(diag, current, event)
+            current, verdict = step(diag, current, action, obs)
         except NoConsistentExecution as e:
             e.index = i
             raise

@@ -79,12 +79,12 @@ def initial_estimates(model):
     }
 
 
-def build_estimator(model, max_states=DEFAULT_MAX_STATES, *, expand_faulty=True):
+def build_estimator(model, *, expand_faulty=True):
     """Subset construction over the reachable estimates.
 
     Deterministic: states are numbered in BFS discovery order with
     observables and actions visited in a fixed order, so repeated builds
-    yield identical graphs.  Raises CapExceeded beyond ``max_states``
+    yield identical graphs.  Raises CapExceeded beyond ``DEFAULT_MAX_STATES``
     (the reachable part may still be exponential in the class count).
     Each class's rows are read from ``external_moves`` once per build;
     a successor estimate merges its members' target sets whole.
@@ -130,7 +130,7 @@ def build_estimator(model, max_states=DEFAULT_MAX_STATES, *, expand_faulty=True)
 
     initial = initial_estimates(model)
     starts = [st.members for st in initial.values()]
-    nodes, start_ids, edges = explore(starts, successors, max_states, "estimator states")
+    nodes, start_ids, edges = explore(starts, successors, DEFAULT_MAX_STATES, "estimator states")
     # The starts are distinct, so the initial estimates are the first states.
     states = list(initial.values())
     states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]

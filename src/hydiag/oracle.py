@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the subset construction: the twin
 plant pairs a copy of the quotient with a healthy copy, synchronized on
-observations, and looks for a lasso along which the first has faulted;
-bounded trace enumeration walks the raw path relation; run simulation
-drives a diagnoser with every environment behavior up to a horizon.
+observations, and looks for a lasso along which the first has faulted
+(a twin state is a plain ``(left, right)`` class pair); bounded trace
+enumeration walks the raw path relation; run simulation drives a
+diagnoser with every environment behavior up to a horizon and reports
+each losing run as the ``UTrace`` it observed.
 Agreement of these with the estimator-based decision procedures is the
 core evidence the implementation is right.
 """
@@ -16,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .diagnosability import check_diagnosable, check_progressive
-from .diagnoser import ObsEvent, run_trace
+from .diagnoser import run_trace
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification, build_estimator
 from .graphs import _bfs_tree, _tree_path, explore, find_lasso
@@ -34,20 +36,16 @@ from .quotient import (
 )
 
 
-@dataclass(frozen=True)
-class TwinState:
-    """A pair of synchronized runs: the left one may have faulted, the
-    right one has not."""
-
-    left: int
-    right: int
-
-
 @dataclass
 class TwinGraph:
-    states: list[TwinState]
+    """The twin plant as ``explore`` numbers it: ``states[sid]`` is a
+    ``(left, right)`` pair of synchronized runs, the left one may have
+    faulted, the right one has not; ``edges[sid]`` is its row of
+    ``((action, obs), dst sid)`` pairs."""
+
+    states: list[tuple[int, int]]
     initials: list[int]
-    edges: dict[int, list[tuple[str, int, int]]]  # sid -> [(action, obs, dst sid)]
+    edges: dict[int, list[tuple[tuple[str, int], int]]]
 
 
 def twin_product(model):
@@ -89,9 +87,8 @@ def twin_product(model):
         for right in model.initial_classes
         if model.obs[left] == model.obs[right] and not model.faulty[right]
     ]
-    nodes, initials, out = explore(starts, successors, DEFAULT_MAX_STATES, "twin states")
-    edges = {sid: [(a, obs, did) for (a, obs), did in row] for sid, row in enumerate(out)}
-    return TwinGraph([TwinState(left, right) for left, right in nodes], initials, edges)
+    nodes, initials, edges = explore(starts, successors, DEFAULT_MAX_STATES, "twin states")
+    return TwinGraph(nodes, initials, dict(enumerate(edges)))
 
 
 @dataclass(frozen=True)
@@ -125,29 +122,22 @@ def brute_force_diagnosable(model):
     infinite synchronized pair eventually loops in the finite twin graph.
     """
     twin = twin_product(model)
-    bad = {sid for sid, tw in enumerate(twin.states) if model.faulty[tw.left]}
-
-    def full_succ(sid):
-        for action, obs, dst in twin.edges[sid]:
-            yield (action, obs), dst
+    bad = {sid for sid, (left, _) in enumerate(twin.states) if model.faulty[left]}
 
     def bad_succ(sid):
-        return ((label, dst) for label, dst in full_succ(sid) if dst in bad)
+        return ((label, dst) for label, dst in twin.edges[sid] if dst in bad)
 
-    found = find_lasso(twin.initials, full_succ, sorted(bad), bad_succ, lambda sid: sid)
+    found = find_lasso(
+        twin.initials, twin.edges.__getitem__, sorted(bad), bad_succ, lambda sid: sid
+    )
     if found is None:
         return OracleVerdict(True, None)
     prefix_nodes, prefix_labels, cycle_nodes, cycle_labels = found
-    head = model.obs[twin.states[prefix_nodes[0]].left]
+    left_prefix, right_prefix = zip(*(twin.states[s] for s in prefix_nodes))
+    left_cycle, right_cycle = zip(*(twin.states[s] for s in cycle_nodes))
+    lasso = Lasso.from_steps(model.obs[left_prefix[0]], prefix_labels, cycle_labels)
     return OracleVerdict(
-        False,
-        CounterExample(
-            Lasso.from_steps(head, prefix_labels, cycle_labels),
-            tuple(twin.states[s].left for s in prefix_nodes),
-            tuple(twin.states[s].left for s in cycle_nodes),
-            tuple(twin.states[s].right for s in prefix_nodes),
-            tuple(twin.states[s].right for s in cycle_nodes),
-        ),
+        False, CounterExample(lasso, left_prefix, left_cycle, right_prefix, right_cycle)
     )
 
 
@@ -188,12 +178,16 @@ def verify_counterexample(model, cx):
     return left_faulty != right_faulty
 
 
-def enumerate_utraces(model, k, max_traces=200_000):
+MAX_TRACES = 200_000
+
+
+def enumerate_utraces(model, k):
     """All untimed observation traces with at most ``k`` external actions,
     each mapped to the classes reachable right after its last action.
 
     Ground truth for the estimator: computed by breadth-first search over
     (class, trace) pairs of the raw path relation, never by determinizing.
+    Raises CapExceeded beyond ``MAX_TRACES`` traces.
     """
     moves = external_moves(model)
 
@@ -212,8 +206,8 @@ def enumerate_utraces(model, k, max_traces=200_000):
                     nxt.add((dst, trace.extend(action.name, obs)))
         for c, trace in nxt:
             result.setdefault(trace, set()).add(c)
-            if len(result) > max_traces:
-                raise CapExceeded("enumerated traces", len(result), max_traces)
+            if len(result) > MAX_TRACES:
+                raise CapExceeded("enumerated traces", len(result), MAX_TRACES)
         frontier = nxt
 
     return {trace: frozenset(classes) for trace, classes in result.items()}
@@ -223,7 +217,7 @@ def enumerate_utraces(model, k, max_traces=200_000):
 class LosingRun:
     """One environment behavior the diagnoser handles wrongly."""
 
-    events: tuple[ObsEvent, ...]
+    trace: UTrace
     verdicts: tuple
     reason: str  # "false-alarm" | "missed-fault"
 
@@ -295,7 +289,7 @@ def simulate_runs(model, diag, k, yes_deadline=None):
     for i, (_, sid, cls, age, said_yes) in enumerate(nodes):
         if yes[sid] and not model.faulty[cls]:
             losing.setdefault(nodes[i][1:], (i, "false-alarm"))
-        elif age >= deadline and not said_yes:
+        elif model.faulty[cls] and age >= deadline and not said_yes:
             losing.setdefault(nodes[i][1:], (i, "missed-fault"))
 
     parent = _bfs_tree(edges, len(start_ids))
@@ -303,8 +297,7 @@ def simulate_runs(model, diag, k, yes_deadline=None):
     for i, reason in itertools.islice(losing.values(), MAX_LOSING):
         ids, labels = _tree_path(parent, i)
         trace = UTrace(model.obs[nodes[ids[0]][2]], tuple(labels))
-        events = [ObsEvent.init(trace.head), *(ObsEvent.step(a, o) for a, o in labels)]
-        reports.append(LosingRun(tuple(events), tuple(run_trace(diag, trace)), reason))
+        reports.append(LosingRun(trace, tuple(run_trace(diag, trace)), reason))
     return SimulationReport(runs, reports, k)
 
 

@@ -415,26 +415,28 @@ class TimedAutomatonWithFaults:
         self.internal_clocks = internal
         self._clock_index = {name: i for i, name in enumerate(self.clocks)}
 
+        # Errors name the entry's path: rows, guard and invariant atoms keep file order.
+        def check_clock(clock, what):
+            if clock not in self._clock_index:
+                raise ModelFormatError(f"{what}: unknown clock {_excerpt(clock, 0)}")
+
         self.edges = tuple(edges)
         kinds = {}
-        for e in self.edges:
-            for loc in (e.src, e.dst):
+        for i, e in enumerate(self.edges):
+            for end, loc in (("src", e.src), ("dst", e.dst)):
                 if loc not in self._loc_by_name:
                     raise ModelFormatError(
-                        f"edge references unknown location {_excerpt(loc, 0)}"
+                        f"edges[{i}].{end}: unknown location {_excerpt(loc, 0)}"
                     )
             if kinds.setdefault(e.action, e.kind) is not e.kind:
                 raise ModelFormatError(f"action {_excerpt(e.action, 0)} used with two kinds")
-            for clock, _ in pred_atoms(e.guard):
-                if clock not in self._clock_index:
-                    raise ModelFormatError(f"guard uses unknown clock {_excerpt(clock, 0)}")
-            for r in e.resets:
-                if r not in self._clock_index:
-                    raise ModelFormatError(f"reset uses unknown clock {_excerpt(r, 0)}")
-        for loc in self.locations:
-            for clock, _ in pred_atoms(loc.invariant):
-                if clock not in self._clock_index:
-                    raise ModelFormatError(f"invariant uses unknown clock {_excerpt(clock, 0)}")
+            for j, (_, clock, _, _) in enumerate(e.guard[1:]):
+                check_clock(clock, f"edges[{i}].guard[{j}]")
+            for clock in sorted(e.resets):
+                check_clock(clock, f"edges[{i}].resets")
+        for i, loc in enumerate(self.locations):
+            for j, (_, clock, _, _) in enumerate(loc.invariant[1:]):
+                check_clock(clock, f"locations[{i}].invariant[{j}]")
         fault_names = sorted(n for n, k in kinds.items() if k is Kind.FAULT)
         if len(fault_names) > 1:
             names = ", ".join(_excerpt(n, 0) for n in fault_names)
@@ -445,11 +447,11 @@ class TimedAutomatonWithFaults:
         ids = sorted(spec.id for spec in self.observation)
         if ids != list(range(len(self.observation))):
             raise ModelFormatError("observable ids must be dense 0..m-1")
-        for spec in self.observation:
+        for i, spec in enumerate(self.observation):
             for clock, _ in pred_atoms(spec.pred):
                 if clock not in external:
                     raise ModelFormatError(
-                        f"observable {spec.id} uses non-external clock {_excerpt(clock, 0)}"
+                        f"observation[{i}].pred: non-external clock {_excerpt(clock, 0)}"
                     )
 
         self._validate_axioms()

@@ -12,7 +12,7 @@ from fractions import Fraction
 import networkx as nx
 
 from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
-from hydiag.diagnoser import ObsEvent, step
+from hydiag.diagnoser import step
 from hydiag.estimator import (
     Classification,
     EstimatorGraph,
@@ -316,7 +316,7 @@ def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
         answer_yes = diag.states[sid].classification is Classification.FAULTY
         if answer_yes and not model.faulty[cls]:
             return "false-alarm"
-        if age >= deadline and not (said_yes or answer_yes):
+        if model.faulty[cls] and age >= deadline and not (said_yes or answer_yes):
             return "missed-fault"
         return None
 
@@ -382,17 +382,17 @@ def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
 
     losing = []
     for key, reason in losing_nodes[:max_losing]:
-        events = _reference_events(model, parents, key)
+        trace = _reference_trace(model, parents, key)
         verdicts = []
         current = None
-        for ev in events:
-            current, verdict = step(diag, current, ev)
+        for action, obs in [(None, trace.head), *trace.steps]:
+            current, verdict = step(diag, current, action, obs)
             verdicts.append(verdict)
-        losing.append(LosingRun(tuple(events), tuple(verdicts), reason))
+        losing.append(LosingRun(trace, tuple(verdicts), reason))
     return SimulationReport(total_runs, losing, k)
 
 
-def _reference_events(model, parents, key):
+def _reference_trace(model, parents, key):
     chain = []
     while True:
         parent, label = parents[key]
@@ -402,9 +402,7 @@ def _reference_events(model, parents, key):
         key = parent
     chain.reverse()
     _, (_, cls, _, _) = key  # key is now an initial-layer node
-    return [ObsEvent.init(model.obs[cls])] + [
-        ObsEvent.step(action, obs) for action, obs in chain
-    ]
+    return UTrace(model.obs[cls], tuple(chain))
 
 
 def reference_twin_product(model):
@@ -412,7 +410,7 @@ def reference_twin_product(model):
 
     Returns ``(states, initials, edges)``: the (left, right) class pairs
     in breadth-first discovery order, the initial state ids, and
-    ``edges[sid]`` as (action, obs, dst sid) triples.
+    ``edges[sid]`` as ((action, obs), dst sid) rows.
     """
     moves = external_moves(model)
     states = []
@@ -445,7 +443,7 @@ def reference_twin_product(model):
                         continue
                     before = len(states)
                     did = intern(l_dst, r_dst)
-                    edges[sid].append((action.name, l_obs, did))
+                    edges[sid].append(((action.name, l_obs), did))
                     if did == before:
                         queue.append(did)
     return states, initials, edges

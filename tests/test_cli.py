@@ -452,22 +452,30 @@ class TestMalformedInput:
         assert main(["regions", TA1, "--max-classes", "1", "-o", str(out)]) == 5
         assert out.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("entry, text, message", [
-        ("edges[0].guard[0]", "x<1.5",
+    @pytest.mark.parametrize("entry, where, value, message", [
+        ("edges[0].guard[0]", ("edges", 0, "guard"), ["x<1.5"],
          "non-integral constant in predicate at column 3 near 'x<1.5'"),
-        ("locations[1].invariant[1]", "x<=-1",
+        ("locations[1].invariant[1]", ("locations", 1, "invariant"), ["x<=1", "x<=-1"],
          "negative constant in predicate at column 4 near 'x<=-1'"),
-        ("observation[1].pred", "!(x<1",
+        ("observation[1].pred", ("observation", 1, "pred"), "!(x<1",
          "pred parse error (expected ')') at column 6 near '!(x<1'"),
-    ], ids=["guard", "invariant", "cell"])
-    def test_predicate_error_names_its_entry(self, entry, text, message, tmp_path, capsys):
+        ("edges[2].guard[0]", ("edges", 2, "guard"), ["y==1"], "unknown clock 'y'"),
+        ("locations[1].invariant[1]", ("locations", 1, "invariant"), ["x<=1", "y<=1"],
+         "unknown clock 'y'"),
+        ("edges[0].resets", ("edges", 0, "resets"), ["x", "y"], "unknown clock 'y'"),
+        ("edges[1].dst", ("edges", 1, "dst"), "gone", "unknown location 'gone'"),
+        ("observation[1].pred", ("observation", 1, "pred"), "!(y<1)",
+         "non-external clock 'y'"),
+    ], ids=["guard", "invariant", "cell", "guard-clock", "invariant-clock", "resets-clock",
+            "edge-location", "cell-clock"])
+    def test_predicate_error_names_its_entry(self, entry, where, value, message, tmp_path,
+                                             capsys):
         data = json.loads(open(TA1).read())
-        if entry.startswith("edges"):
-            data["edges"][0]["guard"] = [text]
-        elif entry.startswith("locations"):
-            data["locations"][1]["invariant"].append(text)
-        else:
-            data["observation"][1]["pred"] = text
+        *keys, last = where
+        holder = data
+        for key in keys:
+            holder = holder[key]
+        holder[last] = value
         path = tmp_path / "bad.ta.json"
         path.write_text(json.dumps(data))
         assert main(["check", "--ta", str(path)]) == 1

@@ -10,7 +10,8 @@ event stream that the model cannot produce, ``run``'s ``inconsistent at
 event N:`` line.  ``validate`` is exempt, since it lists every violation.
 Copies of ``ta1`` and ``kclock2`` with one token of a guard, invariant or
 observation cell replaced or added also go through it, and a rejected
-predicate must name its entry.
+predicate (a parse error, an unknown or non-external clock) must name
+its entry.
 """
 
 import contextlib
@@ -52,6 +53,8 @@ COMMANDS = {
     "diagnoser": [["run", "{path}"]],
 }
 DIAGNOSTICS = ("error:", "inconsistent at event")
+# Rejections of one predicate entry, which must name that entry.
+ENTRY_ERRORS = re.compile(r" at column | unknown clock | non-external clock ")
 
 VALUES = st.sampled_from(
     [0, 1, 2, -1, 10**30, 1.5, True, None, "", "x", "0", "tick", "f", "external",
@@ -159,7 +162,7 @@ def check_runs(kind, data, stdin="", entry=None):
             elif code in (1, 4, 5):
                 lines = [x for x in err.splitlines() if x.startswith(DIAGNOSTICS)]
                 assert len(lines) == 1, (argv, err[:500])
-                if entry is not None and code == 1 and " at column " in lines[0]:
+                if entry is not None and code == 1 and ENTRY_ERRORS.search(lines[0]):
                     assert lines[0].startswith(f"error: {entry}: "), (argv, lines[0][:500])
             else:
                 continue

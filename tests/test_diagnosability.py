@@ -333,13 +333,14 @@ class TestFaultyLeaves:
                 build_estimator(model)
             )
 
-    def test_cap_counts_the_explored_states(self):
+    def test_cap_counts_the_explored_states(self, monkeypatch):
         model = region_quotient(load_ta(KCLOCK2))
-        assert len(build_estimator(model, 6, expand_faulty=False).states) == 6
-        with pytest.raises(CapExceeded) as err:
-            build_estimator(model, 6)
-        assert (err.value.what, err.value.cap) == ("estimator states", 6)
         assert len(build_estimator(model).states) == 13
+        monkeypatch.setattr("hydiag.estimator.DEFAULT_MAX_STATES", 6)
+        assert len(build_estimator(model, expand_faulty=False).states) == 6
+        with pytest.raises(CapExceeded) as err:
+            build_estimator(model)
+        assert (err.value.what, err.value.cap) == ("estimator states", 6)
 
 
 class TestDelayBound:

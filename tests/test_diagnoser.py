@@ -5,7 +5,6 @@ import json
 import pytest
 
 from hydiag.diagnoser import (
-    ObsEvent,
     Verdict,
     dumps_diagnoser,
     loads_diagnoser,
@@ -60,48 +59,48 @@ class TestSynthesize:
 class TestStep:
     def test_initial_observation(self, q1):
         diag = diag_of(q1)
-        sid, verdict = step(diag, None, ObsEvent.init(0))
+        sid, verdict = step(diag, None, None, 0)
         assert diag.states[sid].members == (0,)
         assert verdict.answer == "no"
         assert verdict.status is Classification.NONFAULTY
 
     def test_fault_revealed_by_observable(self, q1):
         diag = diag_of(q1)
-        sid, _ = step(diag, None, ObsEvent.init(0))
-        sid, verdict = step(diag, sid, ObsEvent.step("tick", 0))
+        sid, _ = step(diag, None, None, 0)
+        sid, verdict = step(diag, sid, "tick", 0)
         assert diag.states[sid].members == (2,)
         assert verdict.answer == "yes"
         assert verdict.status is Classification.FAULTY
 
     def test_one_shared_verdict_per_classification(self, q2):
         diag = diag_of(q2)
-        sid, first = step(diag, None, ObsEvent.init(0))
-        sid, second = step(diag, sid, ObsEvent.step("tick", 1))
-        sid, third = step(diag, sid, ObsEvent.step("tick", 0))
-        sid, fourth = step(diag, sid, ObsEvent.step("tick", 1))
+        sid, first = step(diag, None, None, 0)
+        sid, second = step(diag, sid, "tick", 1)
+        sid, third = step(diag, sid, "tick", 0)
+        sid, fourth = step(diag, sid, "tick", 1)
         assert second is third is fourth
         assert first == Verdict("no", Classification.NONFAULTY)
         assert second == Verdict("no", Classification.INDETERMINATE)
 
     def test_inconsistent_step(self, q1):
         diag = diag_of(q1)
-        sid, _ = step(diag, None, ObsEvent.init(0))
-        sid, _ = step(diag, sid, ObsEvent.step("tick", 0))
+        sid, _ = step(diag, None, None, 0)
+        sid, _ = step(diag, sid, "tick", 0)
         with pytest.raises(NoConsistentExecution):
-            step(diag, sid, ObsEvent.step("tick", 1))
+            step(diag, sid, "tick", 1)
 
     def test_unknown_initial_observable(self, q1):
         diag = diag_of(q1)
         with pytest.raises(NoConsistentExecution):
-            step(diag, None, ObsEvent.init(1))
+            step(diag, None, None, 1)
 
     def test_init_must_come_first(self, q1):
         diag = diag_of(q1)
-        sid, _ = step(diag, None, ObsEvent.init(0))
+        sid, _ = step(diag, None, None, 0)
         with pytest.raises(ValueError):
-            step(diag, sid, ObsEvent.init(0))
+            step(diag, sid, None, 0)
         with pytest.raises(ValueError):
-            step(diag, None, ObsEvent.step("tick", 0))
+            step(diag, None, "tick", 0)
 
 
 class TestRunTrace:

@@ -138,9 +138,10 @@ class TestBuild:
         assert len(est.states) == 1
         assert est.transitions == {}
 
-    def test_state_cap(self, q2):
+    def test_state_cap(self, q2, monkeypatch):
+        monkeypatch.setattr("hydiag.estimator.DEFAULT_MAX_STATES", 2)
         with pytest.raises(CapExceeded) as err:
-            build_estimator(q2, max_states=2)
+            build_estimator(q2)
         assert (err.value.what, err.value.count, err.value.cap) == ("estimator states", 3, 2)
 
     def test_build_is_deterministic(self, q2):

@@ -150,7 +150,7 @@ class TestStronglyConnectedComponents:
     def test_twin_graphs_of_corpus(self):
         for model in CORPUS:
             twin = twin_product(model)
-            check_scc({s: [(a, d) for a, _, d in out] for s, out in twin.edges.items()})
+            check_scc(twin.edges)
 
 
 def check_shortest_cycle(start, adj, allowed):
@@ -239,10 +239,9 @@ class TestFindLasso:
         found = 0
         for model in CORPUS:
             twin = twin_product(model)
-            adj = {s: [((a, o), d) for a, o, d in out] for s, out in twin.edges.items()}
-            bad = {s for s, tw in enumerate(twin.states) if model.faulty[tw.left]}
-            loop_adj = {s: [(lab, d) for lab, d in adj[s] if d in bad] for s in sorted(bad)}
-            found += check_lasso(twin.initials, adj, loop_adj, lambda s: s)
+            bad = {s for s, (left, _) in enumerate(twin.states) if model.faulty[left]}
+            loop_adj = {s: [(lab, d) for lab, d in twin.edges[s] if d in bad] for s in sorted(bad)}
+            found += check_lasso(twin.initials, twin.edges, loop_adj, lambda s: s)
         assert found > 0
 
     def test_fault_products_of_corpus(self):

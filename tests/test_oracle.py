@@ -6,7 +6,7 @@ import pytest
 
 from hydiag.cli import main
 from hydiag.diagnosability import check_diagnosable, check_progressive, detection_delay_bound
-from hydiag.diagnoser import ObsEvent, run_trace, synthesize
+from hydiag.diagnoser import run_trace, synthesize
 from hydiag.errors import CapExceeded
 from hydiag.estimator import Classification, build_estimator
 from hydiag.graphs import find_lasso, strongly_connected_components
@@ -38,10 +38,10 @@ Q2 = str(FIXTURES / "q2.quot.json")
 
 
 def _bad_cycle_states(model, twin):
-    bad = {sid for sid, tw in enumerate(twin.states) if model.faulty[tw.left]}
+    bad = {sid for sid, (left, _) in enumerate(twin.states) if model.faulty[left]}
 
     def succ(sid):
-        return (dst for _, _, dst in twin.edges[sid] if dst in bad)
+        return (dst for _, dst in twin.edges[sid] if dst in bad)
 
     return {
         v
@@ -60,13 +60,10 @@ def _full_twin_plant_verdict(model):
         if model.faulty[left] and not model.faulty[right]
     }
 
-    def full_succ(sid):
-        return (((a, o), d) for a, o, d in edges[sid])
-
     def bad_succ(sid):
-        return ((label, d) for label, d in full_succ(sid) if d in bad)
+        return ((label, d) for label, d in edges[sid] if d in bad)
 
-    found = find_lasso(initials, full_succ, sorted(bad), bad_succ, lambda sid: sid)
+    found = find_lasso(initials, edges.__getitem__, sorted(bad), bad_succ, lambda sid: sid)
     if found is None:
         return OracleVerdict(True, None)
     prefix_nodes, prefix_labels, cycle_nodes, cycle_labels = found
@@ -92,23 +89,21 @@ class TestTwinProduct:
     def test_diagonal_initials(self, q1, q2):
         for model in (q1, q2, q3_model()):
             twin = twin_product(model)
-            initial_pairs = {
-                (twin.states[sid].left, twin.states[sid].right) for sid in twin.initials
-            }
+            initial_pairs = {twin.states[sid] for sid in twin.initials}
             for c in model.initial_classes:
                 assert (c, c) in initial_pairs
 
     def test_flags_mirror_class_status(self, q2):
         twin = twin_product(q2)
-        assert any(q2.faulty[tw.left] for tw in twin.states)
-        for tw in twin.states:
-            assert not q2.faulty[tw.right]
-            assert q2.obs[tw.left] == q2.obs[tw.right]
+        assert any(q2.faulty[left] for left, _ in twin.states)
+        for left, right in twin.states:
+            assert not q2.faulty[right]
+            assert q2.obs[left] == q2.obs[right]
 
     def test_twin_states_share_observables(self, q2):
         twin = twin_product(q2)
-        for tw in twin.states:
-            assert q2.obs[tw.left] == q2.obs[tw.right]
+        for left, right in twin.states:
+            assert q2.obs[left] == q2.obs[right]
 
     def test_verifier_is_the_healthy_right_part_of_the_full_twin_plant(self):
         for model in random_models(200, 31):
@@ -116,10 +111,10 @@ class TestTwinProduct:
             kept = [sid for sid, (_, right) in enumerate(states) if not model.faulty[right]]
             renumber = {old: new for new, old in enumerate(kept)}
             twin = twin_product(model)
-            assert [(tw.left, tw.right) for tw in twin.states] == [states[s] for s in kept]
+            assert twin.states == [states[s] for s in kept]
             assert twin.initials == [renumber[s] for s in initials if s in renumber]
             assert twin.edges == {
-                renumber[s]: [(a, o, renumber[d]) for a, o, d in edges[s] if d in renumber]
+                renumber[s]: [(label, renumber[d]) for label, d in edges[s] if d in renumber]
                 for s in kept
             }
 
@@ -201,17 +196,21 @@ class TestEnumerateUtraces:
         traces = enumerate_utraces(q2, 1)
         assert traces[UTrace(0, (("tick", 1),))] == frozenset({1, 3})
 
-    def test_cap_exceeded(self, q2):
+    def test_cap_exceeded(self, q2, monkeypatch):
+        monkeypatch.setattr("hydiag.oracle.MAX_TRACES", 2)
         with pytest.raises(CapExceeded):
-            enumerate_utraces(q2, 4, max_traces=2)
+            enumerate_utraces(q2, 4)
 
 
 class TestSimulateRuns:
     def test_q1_has_no_losing_runs(self, q1):
+        # q1 answers yes on the first observation after a fault, so even a
+        # deadline of 0 is met, and no fault-free run counts as a miss.
         diag = synthesize(build_estimator(q1))
-        report = simulate_runs(q1, diag, 6, yes_deadline=1)
-        assert report.ok
-        assert report.runs == 7
+        for yes_deadline in (0, 1):
+            report = simulate_runs(q1, diag, 6, yes_deadline=yes_deadline)
+            assert report.ok
+            assert report.runs == 7
 
     def test_q2_has_a_missed_fault(self, q2):
         diag = synthesize(build_estimator(q2))
@@ -246,7 +245,7 @@ class TestSimulateRunsReference:
     reference does.  Which equally short run represents a losing node, and
     the order of the list, may differ."""
 
-    HORIZONS = [(5, None), (6, 1), (6, 2), (7, 4)]
+    HORIZONS = [(5, None), (5, 0), (6, 1), (6, 2), (7, 4)]
 
     @pytest.fixture(scope="class")
     def models(self, q1, q2):
@@ -259,14 +258,12 @@ class TestSimulateRunsReference:
 
     @staticmethod
     def summary(report):
-        return report.runs, report.ok, sorted((lr.reason, len(lr.events)) for lr in report.losing)
+        losing = sorted((lr.reason, len(lr.trace.steps)) for lr in report.losing)
+        return report.runs, report.ok, losing
 
     @staticmethod
     def check_losing_run(diag, lr):
-        head, *rest = lr.events
-        assert head == ObsEvent.init(head.obs) and not any(ev.is_init for ev in rest)
-        trace = UTrace(head.obs, tuple((ev.action, ev.obs) for ev in rest))
-        assert tuple(run_trace(diag, trace)) == lr.verdicts
+        assert tuple(run_trace(diag, lr.trace)) == lr.verdicts
         answers = [v.answer for v in lr.verdicts]
         if lr.reason == "missed-fault":
             assert set(answers) == {"no"}
