@@ -8,12 +8,12 @@ stream is inconsistent with the model, 5 a resource cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 
 from . import __version__
-from .diagnosability import check_diagnosable, check_progressive, detection_delay_bound
 from .diagnoser import dumps_diagnoser, load_diagnoser, step, synthesize
 from .errors import (
     CapExceeded,
@@ -22,9 +22,31 @@ from .errors import (
     TAValidationError,
 )
 from .estimator import build_estimator, dumps_estimator
-from .oracle import brute_force_diagnosable, enumerate_utraces, run_fuzz
-from .quotient import _excerpt, _int_literal, dumps_model, load_model, validate_model
-from .regions import DEFAULT_MAX_CLASSES, load_ta, region_quotient
+from .quotient import DEFAULT_MAX_CLASSES, _excerpt, _int_literal, dumps_model, load_model
+from .quotient import validate_model
+
+
+def _deferred(module, name):
+    """A stand-in for ``module.name`` that imports the module on its first
+    call, so a command loads only the layers it calls.  It is a name of
+    this module, so code that replaces ``hydiag.cli.<name>`` still sees
+    every call."""
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+load_ta = _deferred("regions", "load_ta")
+region_quotient = _deferred("regions", "region_quotient")
+check_progressive = _deferred("diagnosability", "check_progressive")
+check_diagnosable = _deferred("diagnosability", "check_diagnosable")
+detection_delay_bound = _deferred("diagnosability", "detection_delay_bound")
+brute_force_diagnosable = _deferred("oracle", "brute_force_diagnosable")
+enumerate_utraces = _deferred("oracle", "enumerate_utraces")
+run_fuzz = _deferred("oracle", "run_fuzz")
 
 EXIT_OK = 0
 EXIT_INVALID = 1

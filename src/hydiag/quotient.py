@@ -25,6 +25,9 @@ from operator import itemgetter
 
 from .errors import ModelFormatError
 
+# Most classes of a region quotient; here so ``--help`` needs no ``regions``.
+DEFAULT_MAX_CLASSES = 100_000
+
 
 class Kind(str, Enum):
     """Visibility of a discrete action."""

@@ -38,11 +38,9 @@ from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .graphs import explore
-from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
+from .quotient import DEFAULT_MAX_CLASSES, ActionLabel, ClassInfo, Kind, QuotientModel
 from .quotient import _as_list, _excerpt, _int_literal, _loads_json, _member, _read_text
-from .quotient import _require_keys, _rows
-
-DEFAULT_MAX_CLASSES = 100_000
+from .quotient import _require_keys, _rows, validate_model
 
 # Most '(' and '!' a predicate may have open at once.  Chains of '&' or
 # '|' are flat nodes, so this bounds the depth of parsing and evaluation.
@@ -449,6 +447,7 @@ class TimedAutomatonWithFaults:
             raise ModelFormatError("observable ids must be dense 0..m-1")
         for i, spec in enumerate(self.observation):
             for clock, _ in pred_atoms(spec.pred):
+                check_clock(clock, f"observation[{i}].pred")
                 if clock not in external:
                     raise ModelFormatError(
                         f"observation[{i}].pred: non-external clock {_excerpt(clock, 0)}"

@@ -43,6 +43,13 @@ RUN_GOLDEN_CASES = [
     ("run-q1", Q1, "init o0\ntick o1\ntick o0\ntick o1\ntick o1\ntick o1\n"),
     ("run-q2", Q2, "init o0\ntick o1\ntick o0\ntick o1\n"),
 ]
+# Printed at 80 columns; the default of --max-classes appears in each
+# model command's help.
+HELP_GOLDEN_CASES = [("version", ["--version"]), ("help", ["--help"])] + [
+    (f"help-{command}", [command, "--help"])
+    for command in ["validate", "regions", "estimator", "check", "synthesize", "run", "oracle",
+                    "fuzz"]
+]
 
 
 class TestGoldenOutput:
@@ -66,6 +73,13 @@ class TestGoldenOutput:
         assert main(["synthesize", model, "-o", str(diag)]) == 0
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
         assert main(["run", str(diag)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+    @pytest.mark.parametrize("name, argv", HELP_GOLDEN_CASES,
+                             ids=[name for name, _ in HELP_GOLDEN_CASES])
+    def test_help_and_version(self, name, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(argv) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
     def test_run_goldens_print_every_status(self):
@@ -452,30 +466,31 @@ class TestMalformedInput:
         assert main(["regions", TA1, "--max-classes", "1", "-o", str(out)]) == 5
         assert out.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("entry, where, value, message", [
-        ("edges[0].guard[0]", ("edges", 0, "guard"), ["x<1.5"],
+    @pytest.mark.parametrize("entry, edits, message", [
+        ("edges[0].guard[0]", {("edges", 0, "guard"): ["x<1.5"]},
          "non-integral constant in predicate at column 3 near 'x<1.5'"),
-        ("locations[1].invariant[1]", ("locations", 1, "invariant"), ["x<=1", "x<=-1"],
+        ("locations[1].invariant[1]", {("locations", 1, "invariant"): ["x<=1", "x<=-1"]},
          "negative constant in predicate at column 4 near 'x<=-1'"),
-        ("observation[1].pred", ("observation", 1, "pred"), "!(x<1",
+        ("observation[1].pred", {("observation", 1, "pred"): "!(x<1"},
          "pred parse error (expected ')') at column 6 near '!(x<1'"),
-        ("edges[2].guard[0]", ("edges", 2, "guard"), ["y==1"], "unknown clock 'y'"),
-        ("locations[1].invariant[1]", ("locations", 1, "invariant"), ["x<=1", "y<=1"],
+        ("edges[2].guard[0]", {("edges", 2, "guard"): ["y==1"]}, "unknown clock 'y'"),
+        ("locations[1].invariant[1]", {("locations", 1, "invariant"): ["x<=1", "y<=1"]},
          "unknown clock 'y'"),
-        ("edges[0].resets", ("edges", 0, "resets"), ["x", "y"], "unknown clock 'y'"),
-        ("edges[1].dst", ("edges", 1, "dst"), "gone", "unknown location 'gone'"),
-        ("observation[1].pred", ("observation", 1, "pred"), "!(y<1)",
+        ("edges[0].resets", {("edges", 0, "resets"): ["x", "y"]}, "unknown clock 'y'"),
+        ("edges[1].dst", {("edges", 1, "dst"): "gone"}, "unknown location 'gone'"),
+        ("observation[1].pred", {("observation", 1, "pred"): "!(y<1)"}, "unknown clock 'y'"),
+        ("observation[1].pred",
+         {("clocks", "internal"): ["y"], ("observation", 1, "pred"): "!(y<1)"},
          "non-external clock 'y'"),
     ], ids=["guard", "invariant", "cell", "guard-clock", "invariant-clock", "resets-clock",
-            "edge-location", "cell-clock"])
-    def test_predicate_error_names_its_entry(self, entry, where, value, message, tmp_path,
-                                             capsys):
+            "edge-location", "cell-clock", "cell-internal-clock"])
+    def test_predicate_error_names_its_entry(self, entry, edits, message, tmp_path, capsys):
         data = json.loads(open(TA1).read())
-        *keys, last = where
-        holder = data
-        for key in keys:
-            holder = holder[key]
-        holder[last] = value
+        for (*keys, last), value in edits.items():
+            holder = data
+            for key in keys:
+                holder = holder[key]
+            holder[last] = value
         path = tmp_path / "bad.ta.json"
         path.write_text(json.dumps(data))
         assert main(["check", "--ta", str(path)]) == 1
