@@ -8,13 +8,14 @@ stream is inconsistent with the model, 5 a resource cap was exceeded.
 from __future__ import annotations
 
 import argparse
+import codecs
 import importlib
 import json
 import os
 import sys
 
 from . import __version__
-from .diagnoser import dumps_diagnoser, load_diagnoser, step, synthesize
+from .diagnoser import _VERDICTS, dumps_diagnoser, load_diagnoser, step, synthesize
 from .errors import (
     CapExceeded,
     ModelFormatError,
@@ -220,26 +221,73 @@ def _parse_obs(token):
     return _decimal(token[1:] if token.startswith("o") else token, "an observable number")
 
 
+# ``run`` answers every event of one read before it reads again.
+_READ_SIZE = 8192
+_VERDICT_LINES = {c: f"{v.pretty()}\n" for c, v in _VERDICTS.items()}
+
+
+def _line_reads(stream):
+    """The lines of a UTF-8 byte stream, one list of complete lines per read.
+
+    Lines end at a line feed only, as ``sys.stdin`` splits them on POSIX,
+    so a carriage return stays in its line; the last line needs no line
+    feed.  A line whose line feed has not arrived is kept as a list of
+    parts, joined once it comes.  Bytes that are not UTF-8 raise
+    UnicodeDecodeError after the lines before them.
+    """
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    tail = []
+    while True:
+        data = stream.read1(_READ_SIZE)
+        error = None
+        try:
+            text = utf8.decode(data, not data)
+        except UnicodeDecodeError as e:
+            # e.object holds the bytes left from the last read, then this read.
+            error, text = e, e.object[: e.start].decode()
+        *lines, rest = text.split("\n")
+        if lines:
+            tail.append(lines[0])
+            lines[0] = "".join(tail)
+            tail = []
+        tail.append(rest)
+        if error:
+            yield lines
+            raise error
+        if not data:
+            lines.append("".join(tail))
+            yield lines
+            return
+        yield lines
+
+
 def cmd_run(args):
     diag = load_diagnoser(args.diagnoser)
     current = None
     index = 0
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2 or (index == 0 and parts[0] != "init"):
-            form = "'<action> <obs>'" if index else "'init <obs>'"
-            raise ModelFormatError(f"expected {form}, got {_excerpt(line, 0)}")
-        action = parts[0] if index else None
-        try:
-            current, verdict = step(diag, current, action, _parse_obs(parts[1]))
-        except NoConsistentExecution as e:
-            print(f"inconsistent at event {index}: {e}", file=sys.stderr)
-            return EXIT_INCONSISTENT
-        print(verdict.pretty(), flush=True)
-        index += 1
+    try:
+        for lines in _line_reads(sys.stdin.buffer):
+            answers = []
+            try:
+                for line in lines:
+                    parts = line.split()
+                    if not parts:
+                        continue
+                    if len(parts) != 2 or (index == 0 and parts[0] != "init"):
+                        form = "'<action> <obs>'" if index else "'init <obs>'"
+                        raise ModelFormatError(f"expected {form}, got {_excerpt(line.strip(), 0)}")
+                    action = parts[0] if index else None
+                    current, verdict = step(diag, current, action, _parse_obs(parts[1]))
+                    answers.append(_VERDICT_LINES[verdict.status])
+                    index += 1
+            finally:
+                sys.stdout.write("".join(answers))
+                sys.stdout.flush()
+    except NoConsistentExecution as e:
+        print(f"inconsistent at event {index}: {e}", file=sys.stderr)
+        return EXIT_INCONSISTENT
+    except UnicodeDecodeError:
+        raise ModelFormatError(f"event {index} is not UTF-8 text") from None
     return EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -16,18 +17,31 @@ CORPUS_SEED = 20260809
 CORPUS_SIZE = 500
 
 
-def run_python(args, stdin="", timeout=120):
-    """Run the interpreter on ``args`` with this tree's ``src`` importable,
-    as pytest's ``pythonpath`` setting makes it for the tests themselves."""
+def python_env(**extra):
+    """The environment of a child interpreter: this one's, with this tree's
+    ``src`` importable, as pytest's ``pythonpath`` setting makes it for the
+    tests themselves."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def run_python(args, stdin="", timeout=120):
+    """Run the interpreter on ``args`` with this tree's ``src`` importable."""
     return subprocess.run(
         [sys.executable, *args],
         input=stdin,
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        env=python_env(),
     )
+
+
+def text_stdin(text):
+    """A stand-in for ``sys.stdin`` holding ``text``: UTF-8 bytes under a
+    text layer that ends lines at line feeds only, as a process's stdin
+    does on POSIX."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")
 
 
 @pytest.fixture(scope="session")

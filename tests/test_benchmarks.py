@@ -7,7 +7,6 @@ benchmark run.
 """
 
 import importlib
-import io
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import pytest
 
 from hydiag import cli
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, text_stdin
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -43,7 +42,7 @@ def test_run_steps_once_per_event(tmp_path, monkeypatch, capsys):
 
     step = cli.step
     monkeypatch.setattr(cli, "step", counted)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("init o0\ntick o1\ntick o0\n"))
+    monkeypatch.setattr(sys, "stdin", text_stdin("init o0\ntick o1\ntick o0\n"))
     assert cli.main(["run", str(diag)]) == 0
     assert len(calls) == len(capsys.readouterr().out.splitlines()) == 3
 

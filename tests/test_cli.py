@@ -1,6 +1,5 @@
 """Command-line interface tests: exit codes, formats, piping."""
 
-import io
 import json
 import sys
 from pathlib import Path
@@ -13,7 +12,7 @@ from hydiag.diagnoser import load_diagnoser, synthesize
 from hydiag.estimator import build_estimator, dumps_estimator
 from hydiag.quotient import load_model, loads_model
 
-from .conftest import FIXTURES, run_python
+from .conftest import FIXTURES, run_python, text_stdin
 from .helpers import f2_violating_model, make_model, save_model
 
 Q1 = str(FIXTURES / "q1.quot.json")
@@ -71,7 +70,7 @@ class TestGoldenOutput:
     def test_run_verdict_lines(self, name, model, stdin, tmp_path, capsys, monkeypatch):
         diag = tmp_path / "diag.json"
         assert main(["synthesize", model, "-o", str(diag)]) == 0
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", text_stdin(stdin))
         assert main(["run", str(diag)]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
 
@@ -248,7 +247,7 @@ class TestRunCommand:
     def test_event_stream(self, tmp_path, capsys, monkeypatch):
         diag = self.synthesize(tmp_path)
         monkeypatch.setattr(
-            sys, "stdin", io.StringIO("init o0\ntick o1\ntick o1\ntick o1\n")
+            sys, "stdin", text_stdin("init o0\ntick o1\ntick o1\ntick o1\n")
         )
         assert main(["run", str(diag)]) == 0
         assert capsys.readouterr().out.splitlines() == [
@@ -260,19 +259,19 @@ class TestRunCommand:
 
     def test_bare_integer_observables(self, tmp_path, capsys, monkeypatch):
         diag = self.synthesize(tmp_path)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("init 0\ntick 1\n"))
+        monkeypatch.setattr(sys, "stdin", text_stdin("init 0\ntick 1\n"))
         assert main(["run", str(diag)]) == 0
 
     def test_inconsistent_stream_exit_four(self, tmp_path, capsys, monkeypatch):
         diag = self.synthesize(tmp_path)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("init o0\ntick o0\ntick o1\n"))
+        monkeypatch.setattr(sys, "stdin", text_stdin("init o0\ntick o0\ntick o1\n"))
         assert main(["run", str(diag)]) == 4
         err = capsys.readouterr().err
         assert "inconsistent at event 2" in err
 
     def test_malformed_line_exit_one(self, tmp_path, capsys, monkeypatch):
         diag = self.synthesize(tmp_path)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("boom\n"))
+        monkeypatch.setattr(sys, "stdin", text_stdin("boom\n"))
         assert main(["run", str(diag)]) == 1
 
 

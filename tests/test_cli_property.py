@@ -29,7 +29,7 @@ from hydiag.cli import main
 from hydiag.diagnoser import dumps_diagnoser, synthesize
 from hydiag.estimator import build_estimator
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, text_stdin
 from .helpers import q2_model
 
 LONG = 100_000
@@ -138,7 +138,7 @@ def mutated_predicate(draw, base):
 def run_main(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = text_stdin(stdin)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

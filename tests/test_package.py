@@ -74,7 +74,7 @@ class TestPublicNames:
 # ``regions`` only, so ``run`` keeps the whole timed layer out.
 PROBE = """
 import io, json, sys
-sys.stdin = io.StringIO(sys.argv[1])
+sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv[1].encode()), encoding="utf-8", newline="\\n")
 from hydiag.cli import main
 out, sys.stdout = sys.stdout, io.StringIO()
 code = main(sys.argv[2:])
