@@ -22,7 +22,7 @@ from .errors import (
     NoConsistentExecution,
     TAValidationError,
 )
-from .estimator import build_estimator, dumps_estimator
+from .estimator import build_estimator, dumps_estimator, walk
 from .quotient import DEFAULT_MAX_CLASSES, _excerpt, _int_literal, dumps_model, load_model
 from .quotient import validate_model
 
@@ -335,12 +335,8 @@ def cmd_oracle(args):
 def _utrace_mismatches(est, expected):
     mismatches = []
     for trace, classes in sorted(expected.items(), key=lambda kv: kv[0].pretty()):
-        sid = est.initials.get(trace.head)
-        for action, obs in trace.steps:
-            if sid is None:
-                break
-            sid = est.transitions.get((sid, action, obs))
-        if sid is None or set(est.states[sid].members) != set(classes):
+        ids = walk(est, trace.head, trace.steps)
+        if ids is None or set(est.states[ids[-1]].members) != set(classes):
             mismatches.append(trace.pretty())
     return mismatches
 

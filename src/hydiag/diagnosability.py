@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .estimator import DEFAULT_MAX_STATES, Classification
+from .estimator import DEFAULT_MAX_STATES, Classification, walk
 from .graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
 from .quotient import Kind, Lasso, external_moves
 
@@ -228,25 +228,15 @@ def replay_lasso(est, lasso):
     """Validate a witness lasso against the estimator it came from.
 
     The prefix must run from the matching initial state, the cycle must
-    visit only indeterminate states, and it must return to its starting
-    estimator state.
+    start in the observable the prefix ends in, visit only indeterminate
+    states, and return to the estimator state it starts from.
     """
-    sid = est.initials.get(lasso.prefix.head)
-    if sid is None:
+    if not lasso.cycle.steps or not lasso.attached():
         return False
-    for action, obs in lasso.prefix.steps:
-        sid = est.transitions.get((sid, action, obs))
-        if sid is None:
-            return False
-    anchor = sid
-    if not lasso.cycle.steps:
+    ids = walk(est, lasso.prefix.head, lasso.prefix.steps + lasso.cycle.steps)
+    if ids is None:
         return False
-    for action, obs in lasso.cycle.steps:
-        if est.states[sid].classification is not Classification.INDETERMINATE:
-            return False
-        sid = est.transitions.get((sid, action, obs))
-        if sid is None:
-            return False
-        if est.states[sid].classification is not Classification.INDETERMINATE:
-            return False
-    return sid == anchor
+    cycle = ids[len(lasso.prefix.steps):]
+    return cycle[0] == cycle[-1] and all(
+        est.states[sid].classification is Classification.INDETERMINATE for sid in cycle
+    )

@@ -138,6 +138,19 @@ def build_estimator(model, *, expand_faulty=True):
     return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
 
 
+def walk(graph, head, steps):
+    """The state ids an estimator or diagnoser graph passes through on
+    the initial observable ``head`` and then each ``(action, obs)`` of
+    ``steps``; None when ``head`` has no initial state or a step has no
+    move."""
+    ids = [graph.initials.get(head)]
+    for action, obs in steps:
+        if ids[-1] is None:
+            return None
+        ids.append(graph.transitions.get((ids[-1], action, obs)))
+    return None if ids[-1] is None else ids
+
+
 def _graph_data(graph):
     """The estimator-schema dict of an estimator or diagnoser graph."""
     return {
@@ -204,5 +217,8 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     for i, (src, action, obs, dst) in enumerate(rows):
         if not (0 <= src < n and 0 <= dst < n):
             raise ModelFormatError(f"transitions[{i}] out of range")
+        if (src, action, obs) in transitions:
+            first = next(j for j, row in enumerate(rows) if row[:3] == (src, action, obs))
+            raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
         transitions[(src, action, obs)] = dst
     return states, initials, transitions

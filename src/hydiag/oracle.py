@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 
 from .diagnosability import check_diagnosable, check_progressive
-from .diagnoser import run_trace
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification, build_estimator
 from .graphs import _bfs_tree, _tree_path, explore, find_lasso
@@ -31,7 +30,6 @@ from .quotient import (
     UTrace,
     dumps_model,
     external_moves,
-    unobservable_closure,
     validate_model,
 )
 
@@ -143,39 +141,31 @@ def brute_force_diagnosable(model):
 
 def _replay_run(model, classes, trace):
     """Does this class path realize the trace, one class per observation?"""
-    if len(classes) != len(trace.steps) + 1:
-        return False
-    if model.obs[classes[0]] != trace.head:
-        return False
-    for (action, obs), src, dst in zip(trace.steps, classes, classes[1:]):
-        if model.obs[dst] != obs:
-            return False
-        label = model.action(action)
-        ok = any(
-            dst in model.external_edges_from(mid, label)
-            for mid in unobservable_closure(model, (src,))
+    moves = external_moves(model)
+    external = {a.name for a in model.external_actions}
+    return (
+        len(classes) == len(trace.steps) + 1
+        and model.obs[classes[0]] == trace.head
+        and all(
+            action in external and (dst, obs) in moves[(src, action)]
+            for (action, obs), src, dst in zip(trace.steps, classes, classes[1:])
         )
-        if not ok:
-            return False
-    return True
+    )
 
 
 def verify_counterexample(model, cx):
-    """Replay both runs, check the shared trace and the fault asymmetry."""
+    """Replay both runs, check the shared trace and that the left run is
+    the faulty one and the right run the clean one."""
     left = cx.left_prefix + cx.left_cycle[1:]
     right = cx.right_prefix + cx.right_cycle[1:]
     full = UTrace(cx.shared.prefix.head, cx.shared.prefix.steps + cx.shared.cycle.steps)
-    if cx.shared.cycle.head != (
-        cx.shared.prefix.steps[-1][1] if cx.shared.prefix.steps else cx.shared.prefix.head
-    ):
+    if not cx.shared.attached():
         return False
     if not _replay_run(model, left, full) or not _replay_run(model, right, full):
         return False
     if cx.left_cycle[0] != cx.left_cycle[-1] or cx.right_cycle[0] != cx.right_cycle[-1]:
         return False
-    left_faulty = any(model.faulty[c] for c in left)
-    right_faulty = any(model.faulty[c] for c in right)
-    return left_faulty != right_faulty
+    return any(model.faulty[c] for c in left) and not any(model.faulty[c] for c in right)
 
 
 MAX_TRACES = 200_000
@@ -218,7 +208,6 @@ class LosingRun:
     """One environment behavior the diagnoser handles wrongly."""
 
     trace: UTrace
-    verdicts: tuple
     reason: str  # "false-alarm" | "missed-fault"
 
 
@@ -226,7 +215,6 @@ class LosingRun:
 class SimulationReport:
     runs: int
     losing: list[LosingRun]
-    depth: int
 
     @property
     def ok(self):
@@ -248,8 +236,7 @@ def simulate_runs(model, diag, k, yes_deadline=None):
     granularity; exhaustiveness comes from covering every reachable
     combination of depth, diagnoser state, current class, and fault age
     rather than expanding each interleaving separately.  Reported losing
-    runs are read off the breadth-first tree and re-fed through the
-    diagnoser event by event.
+    runs are read off the breadth-first tree; ``run_trace`` replays one.
     """
     deadline = k if yes_deadline is None else yes_deadline
     moves = external_moves(model)
@@ -259,9 +246,8 @@ def simulate_runs(model, diag, k, yes_deadline=None):
         depth, sid, cls, age, said_yes = node
         if said_yes or depth >= k:
             return  # the run is settled: after a yes nothing can be lost
-        steps = {(a.name, dst) for a in model.external_actions for dst, _ in moves[(cls, a.name)]}
-        for action, dst in sorted(steps):
-            obs = model.obs[dst]
+        steps = {(a.name, *row) for a in model.external_actions for row in moves[(cls, a.name)]}
+        for action, dst, obs in sorted(steps):
             tid = diag.transitions.get((sid, action, obs))
             if tid is None:
                 raise ValueError(f"diagnoser is incomplete: no move for ({action}, o{obs})")
@@ -297,8 +283,8 @@ def simulate_runs(model, diag, k, yes_deadline=None):
     for i, reason in itertools.islice(losing.values(), MAX_LOSING):
         ids, labels = _tree_path(parent, i)
         trace = UTrace(model.obs[nodes[ids[0]][2]], tuple(labels))
-        reports.append(LosingRun(trace, tuple(run_trace(diag, trace)), reason))
-    return SimulationReport(runs, reports, k)
+        reports.append(LosingRun(trace, reason))
+    return SimulationReport(runs, reports)
 
 
 # ---------------------------------------------------------------------------

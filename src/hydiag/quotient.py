@@ -92,6 +92,11 @@ class Lasso:
         cycle_head = prefix.steps[-1][1] if prefix.steps else head
         return cls(prefix, UTrace(cycle_head, tuple((a, int(o)) for a, o in cycle_steps)))
 
+    def attached(self):
+        """Does the cycle start in the observable the prefix ends in, as in
+        the lasso ``from_steps`` makes of the same steps?"""
+        return self == Lasso.from_steps(self.prefix.head, self.prefix.steps, self.cycle.steps)
+
     def to_json(self):
         return {"prefix": self.prefix.to_json(), "cycle": self.cycle.to_json()}
 
@@ -146,7 +151,6 @@ class QuotientModel:
             if a.name in by_name:
                 raise ValueError(f"duplicate action name {_excerpt(a.name, 0)}")
             by_name[a.name] = a
-        self._by_name = by_name
         faults = [a for a in self.actions if a.kind is Kind.FAULT]
         if len(faults) != 1:
             raise ValueError(f"exactly one fault action required, got {len(faults)}")
@@ -201,16 +205,8 @@ class QuotientModel:
         self._disc = tuple(tuple(d) for d in disc)
         self._tsucc = tuple(tuple(sorted(s)) for s in tsucc)
 
-    def action(self, name):
-        """Look up a declared ActionLabel by name."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(f"unknown action {name!r}") from None
-
     def external_edges_from(self, cls_id, action):
-        name = action.name if isinstance(action, ActionLabel) else action
-        return self._ext.get((cls_id, name), ())
+        return self._ext.get((cls_id, action.name), ())
 
     def discrete_edges_from(self, cls_id):
         return self._disc[cls_id]

@@ -12,7 +12,6 @@ from fractions import Fraction
 import networkx as nx
 
 from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
-from hydiag.diagnoser import step
 from hydiag.estimator import (
     Classification,
     EstimatorGraph,
@@ -303,7 +302,7 @@ def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
     granularity; exhaustiveness comes from covering every reachable
     combination of diagnoser state, current class, and fault age rather
     than expanding each interleaving separately.  Reported losing runs
-    are reconstructed and re-fed through the diagnoser event by event.
+    are reconstructed from the parent links.
     """
     deadline = k if yes_deadline is None else yes_deadline
     moves = external_moves(model)
@@ -382,14 +381,8 @@ def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):
 
     losing = []
     for key, reason in losing_nodes[:max_losing]:
-        trace = _reference_trace(model, parents, key)
-        verdicts = []
-        current = None
-        for action, obs in [(None, trace.head), *trace.steps]:
-            current, verdict = step(diag, current, action, obs)
-            verdicts.append(verdict)
-        losing.append(LosingRun(trace, tuple(verdicts), reason))
-    return SimulationReport(total_runs, losing, k)
+        losing.append(LosingRun(_reference_trace(model, parents, key), reason))
+    return SimulationReport(total_runs, losing)
 
 
 def _reference_trace(model, parents, key):

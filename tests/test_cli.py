@@ -441,6 +441,16 @@ class TestMalformedInput:
         diag.write_text(json.dumps(data))
         self.check_rejected(self.run_cli(["run", str(diag)], stdin="init o0\n"))
 
+    def test_diagnoser_with_repeated_transition(self, tmp_path):
+        diag = tmp_path / "diag.json"
+        assert main(["synthesize", Q2, "-o", str(diag)]) == 0
+        data = json.loads(diag.read_text())
+        first, n = data["transitions"][0], len(data["transitions"])
+        data["transitions"].append({**first, "dst": (first["dst"] + 1) % len(data["states"])})
+        diag.write_text(json.dumps(data))
+        line = self.check_one_error_line(self.run_cli(["run", str(diag)], stdin="init o0\n"))
+        assert line == f"error: transitions[{n}] repeats the move of transitions[0]"
+
     def test_directory_as_input(self, tmp_path):
         line = self.check_one_error_line(self.run_cli(["check", str(tmp_path)]))
         assert "Is a directory" in line

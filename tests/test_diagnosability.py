@@ -1,6 +1,7 @@
 """Tests for progressiveness and the diagnosability decision."""
 
 import random
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -15,9 +16,15 @@ from hydiag.diagnosability import (
     replay_lasso,
 )
 from hydiag.errors import CapExceeded
-from hydiag.estimator import Classification, EstimatorGraph, EstimatorState, build_estimator
+from hydiag.estimator import (
+    Classification,
+    EstimatorGraph,
+    EstimatorState,
+    build_estimator,
+    walk,
+)
 from hydiag.oracle import brute_force_diagnosable, random_models
-from hydiag.quotient import ClassInfo, QuotientModel
+from hydiag.quotient import ClassInfo, Lasso, QuotientModel
 from hydiag.regions import load_ta, region_quotient
 
 from .conftest import FIXTURES
@@ -221,6 +228,8 @@ class TestDiagnosable:
         assert lasso.prefix.pretty() == "o0 tick o1"
         assert lasso.cycle.pretty() == "o1 tick o0 tick o1"
         assert replay_lasso(est, lasso)
+        # The same steps with the cycle starting in o0 are no witness.
+        assert not replay_lasso(est, replace(lasso, cycle=replace(lasso.cycle, head=0)))
         # The cycle runs through the two indeterminate states.
         sid = est.initials[lasso.prefix.head]
         for action, obs in lasso.prefix.steps:
@@ -391,6 +400,18 @@ class TestWitnessProperties:
                 assert replay_lasso(est, verdict.witness)
         assert seen_bad > 0
 
+    def test_tampered_witnesses_are_rejected(self):
+        rejected = {}
+        for model in random_models(120, 777):
+            est = build_estimator(model)
+            verdict = check_diagnosable(est)
+            if verdict.diagnosable:
+                continue
+            for defect, tampered_est, lasso in _tampered_witnesses(est, verdict.witness):
+                assert not replay_lasso(tampered_est, lasso), defect
+                rejected[defect] = rejected.get(defect, 0) + 1
+        assert len(rejected) == 5 and min(rejected.values()) > 0
+
     def test_monotone_refutation_under_edge_addition(self):
         # Adding edges while the original witness stays replayable (with
         # every replayed cycle state still indeterminate) must keep the
@@ -426,6 +447,36 @@ class TestWitnessProperties:
                     assert not check_diagnosable(est2).diagnosable
                 checked += 1
         assert checked > 0
+
+
+def _tampered_witnesses(est, lasso):
+    """A witness broken each way ``replay_lasso`` must notice, as
+    (defect, estimator, lasso) triples.
+
+    Which steps a cycle can lose and still return depends on the graph
+    (a witness cycle may pass its start twice), so the structural defects
+    are made in a copy of the estimator: the move that closes the cycle
+    goes missing, or leads to a fresh copy of the cycle's first state.
+    """
+    prefix, cycle = lasso.prefix, lasso.cycle
+    ids = walk(est, prefix.head, prefix.steps + cycle.steps)
+    anchor = ids[len(prefix.steps)]
+    closing = (ids[-2], *cycle.steps[-1])
+    action, _ = cycle.steps[-1]
+    unused = max(est.model.obs) + 1
+
+    yield "detached cycle head", est, replace(lasso, cycle=replace(cycle, head=cycle.head + 1))
+    changed = cycle.steps[:-1] + ((action, unused),)
+    yield "changed observable", est, Lasso.from_steps(prefix.head, prefix.steps, changed)
+    dropped = {key: dst for key, dst in est.transitions.items() if key != closing}
+    yield "dropped step", replace(est, transitions=dropped), lasso
+    away = {**est.transitions, closing: len(est.states)}
+    yield "cycle that does not return", replace(
+        est, states=[*est.states, est.states[anchor]], transitions=away
+    ), lasso
+    states = list(est.states)
+    states[anchor] = replace(states[anchor], classification=Classification.NONFAULTY)
+    yield "cycle through a determinate state", replace(est, states=states), lasso
 
 
 def _witness_product_sustained(model, est, lasso):

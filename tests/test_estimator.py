@@ -14,6 +14,7 @@ from hydiag.estimator import (
     classify,
     dumps_estimator,
     initial_estimates,
+    walk,
 )
 from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import external_moves
@@ -79,6 +80,14 @@ class TestDelta:
         faulty = next(sid for sid, s in enumerate(est.states) if s.members == (2,))
         assert (faulty, "tick", 0) in est.transitions
         assert (faulty, "tick", 1) not in est.transitions
+
+    def test_walk_lists_the_states_a_trace_passes(self, q1):
+        est = build_estimator(q1)
+        ids = walk(est, 0, [("tick", 1), ("tick", 0), ("tick", 0)])
+        assert [est.states[sid].members for sid in ids] == [(0,), (1,), (0,), (2,)]
+        assert walk(est, 0, []) == [est.initials[0]]
+        assert walk(est, 1, []) is None  # no initial class is in o1
+        assert walk(est, 0, [("tick", 0), ("tick", 1)]) is None  # a fault holds o0
 
 
 class TestClassify:

@@ -204,6 +204,16 @@ def test_file_that_is_not_utf8_is_rejected(load, tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("shift", [0, 1], ids=["same-target", "other-target"])
+def test_repeated_transition_is_rejected(shift):
+    data = diagnoser_file()
+    first, n = data["transitions"][0], len(data["transitions"])
+    data["transitions"].append({**first, "dst": (first["dst"] + shift) % len(data["states"])})
+    with pytest.raises(ModelFormatError) as info:
+        loads_diagnoser(json.dumps(data))
+    assert str(info.value) == f"transitions[{n}] repeats the move of transitions[0]"
+
+
 @pytest.mark.parametrize(
     "data, load, path, value, message",
     [
