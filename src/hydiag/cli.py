@@ -223,6 +223,9 @@ def _parse_obs(token):
 
 # ``run`` answers every event of one read before it reads again.
 _READ_SIZE = 8192
+# Most (state, line) pairs whose answer ``run`` keeps.  A stream may spell
+# one event in unboundedly many ways, so past the cap it parses each event.
+_MEMO_CAP = 4096
 _VERDICT_LINES = {c: f"{v.pretty()}\n" for c, v in _VERDICTS.items()}
 
 
@@ -265,11 +268,21 @@ def cmd_run(args):
     diag = load_diagnoser(args.diagnoser)
     current = None
     index = 0
+    # (state, line) -> (next state, verdict line) of each answered event.
+    # ``step`` is deterministic, so a pair answers the same way every time;
+    # blank, malformed and inconsistent lines never enter.
+    memo = {}
     try:
         for lines in _line_reads(sys.stdin.buffer):
             answers = []
             try:
                 for line in lines:
+                    known = memo.get((current, line))
+                    if known is not None:
+                        current, answer = known
+                        answers.append(answer)
+                        index += 1
+                        continue
                     parts = line.split()
                     if not parts:
                         continue
@@ -277,8 +290,12 @@ def cmd_run(args):
                         form = "'<action> <obs>'" if index else "'init <obs>'"
                         raise ModelFormatError(f"expected {form}, got {_excerpt(line.strip(), 0)}")
                     action = parts[0] if index else None
-                    current, verdict = step(diag, current, action, _parse_obs(parts[1]))
-                    answers.append(_VERDICT_LINES[verdict.status])
+                    sid, verdict = step(diag, current, action, _parse_obs(parts[1]))
+                    answer = _VERDICT_LINES[verdict.status]
+                    if len(memo) < _MEMO_CAP:
+                        memo[current, line] = sid, answer
+                    current = sid
+                    answers.append(answer)
                     index += 1
             finally:
                 sys.stdout.write("".join(answers))

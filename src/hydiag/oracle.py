@@ -140,11 +140,13 @@ def brute_force_diagnosable(model):
 
 
 def _replay_run(model, classes, trace):
-    """Does this class path realize the trace, one class per observation?"""
+    """Does this class path realize the trace, one class per observation?
+    A path that holds anything but class ids of the model does not."""
     moves = external_moves(model)
     external = {a.name for a in model.external_actions}
     return (
         len(classes) == len(trace.steps) + 1
+        and all(type(c) is int and 0 <= c < len(model.obs) for c in classes)
         and model.obs[classes[0]] == trace.head
         and all(
             action in external and (dst, obs) in moves[(src, action)]
@@ -156,14 +158,16 @@ def _replay_run(model, classes, trace):
 def verify_counterexample(model, cx):
     """Replay both runs, check the shared trace and that the left run is
     the faulty one and the right run the clean one."""
-    left = cx.left_prefix + cx.left_cycle[1:]
-    right = cx.right_prefix + cx.right_cycle[1:]
-    full = UTrace(cx.shared.prefix.head, cx.shared.prefix.steps + cx.shared.cycle.steps)
-    if not cx.shared.attached():
+    shared = cx.shared
+    for cycle in (cx.left_cycle, cx.right_cycle):
+        if len(cycle) != len(shared.cycle.steps) + 1 or cycle[0] != cycle[-1]:
+            return False
+    left = (*cx.left_prefix, *cx.left_cycle[1:])
+    right = (*cx.right_prefix, *cx.right_cycle[1:])
+    full = UTrace(shared.prefix.head, shared.prefix.steps + shared.cycle.steps)
+    if not shared.attached():
         return False
     if not _replay_run(model, left, full) or not _replay_run(model, right, full):
-        return False
-    if cx.left_cycle[0] != cx.left_cycle[-1] or cx.right_cycle[0] != cx.right_cycle[-1]:
         return False
     return any(model.faulty[c] for c in left) and not any(model.faulty[c] for c in right)
 

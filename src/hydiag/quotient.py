@@ -74,8 +74,20 @@ class UTrace:
         return {"head": self.head, "steps": [[a, o] for a, o in self.steps]}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(int(data["head"]), tuple((a, int(o)) for a, o in data["steps"]))
+    def from_json(cls, data, what="trace"):
+        """Read ``to_json``'s form with exact types: the head and each
+        observable an int (a bool is not one), each action a str."""
+        _require_keys(data, {"head", "steps"}, what)
+        head = data["head"]
+        if type(head) is not int:
+            raise ModelFormatError(f"{what}.head must be an integer, got {type(head).__name__}")
+        steps = _as_list(data["steps"], f"{what}.steps")
+        for i, step in enumerate(steps):
+            if type(step) is not list or list(map(type, step)) != [str, int]:
+                raise ModelFormatError(
+                    f"{what}.steps[{i}] must be a list [action, obs] of a string and an integer"
+                )
+        return cls(head, tuple(map(tuple, steps)))
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,11 @@ class Lasso:
 
     @classmethod
     def from_json(cls, data):
-        return cls(UTrace.from_json(data["prefix"]), UTrace.from_json(data["cycle"]))
+        _require_keys(data, {"prefix", "cycle"}, "lasso")
+        return cls(
+            UTrace.from_json(data["prefix"], "lasso.prefix"),
+            UTrace.from_json(data["cycle"], "lasso.cycle"),
+        )
 
 
 @dataclass(frozen=True)

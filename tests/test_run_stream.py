@@ -3,9 +3,11 @@
 ``run`` reads at most 8 KiB at a time and answers every event of one read
 before it reads again.  Most streams here are fed from a file, so the
 reads are exactly 8 KiB and the verdicts before the last event span
-several of them.
+several of them.  The tests of the table of answered (state, line)
+pairs run ``run`` in process and compare it with one ``step`` per event.
 """
 
+import io
 import os
 import random
 import select
@@ -14,8 +16,10 @@ import sys
 
 import pytest
 
+from hydiag import cli
 from hydiag.cli import main
-from hydiag.diagnoser import load_diagnoser, run_trace
+from hydiag.diagnoser import load_diagnoser, run_trace, step
+from hydiag.errors import NoConsistentExecution
 from hydiag.quotient import UTrace
 
 from .conftest import FIXTURES, python_env
@@ -177,3 +181,141 @@ def test_bytes_that_are_not_utf8_name_their_event(q1_diag, env, tmp_path):
 )
 def test_utf8_across_reads(q1_diag, stream, expected, tmp_path):
     assert outcome(run_on_file(q1_diag, stream, tmp_path)) == expected
+
+
+# ``run`` keeps the answer of each (state, line) pair it has stepped, up
+# to ``cli._MEMO_CAP`` pairs.  These tests run it in process, with the
+# table at its default size, holding one pair, and off.
+CAPS = pytest.mark.parametrize("cap", [None, 1, 0], ids=["default", "one-pair", "off"])
+SPELLINGS = ["{a} o{o}", "{a} {o}", "{a} 0{o}", "  {a}\t o{o} ", "{a} o{o}\r", "{a}  o00{o}"]
+
+
+@pytest.fixture(scope="module", params=["q1", "q2"])
+def diag_path(request, tmp_path_factory):
+    path = tmp_path_factory.mktemp("memo") / f"{request.param}.diag.json"
+    model = str(FIXTURES / f"{request.param}.quot.json")
+    assert main(["synthesize", model, "-o", str(path)]) == 0
+    return str(path)
+
+
+def run_in_process(diag, stream, monkeypatch, capsys, cap=None):
+    """``hydiag run diag`` on the bytes ``stream`` (text is encoded as
+    UTF-8), with ``cli._MEMO_CAP`` set to ``cap`` unless it is None."""
+    if cap is not None:
+        monkeypatch.setattr(cli, "_MEMO_CAP", cap)
+    data = stream.encode() if isinstance(stream, str) else stream
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                       newline="\n"))
+    code = main(["run", diag])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def per_event(diag, stream):
+    """What ``run`` answers on a stream of well-formed lines, with one
+    ``step`` per event, and the (state, line) pair of each event."""
+    answers, pairs, current = [], [], None
+    for index, line in enumerate(x for x in stream.split("\n") if x.split()):
+        action, token = line.split()
+        pairs.append((current, line))
+        try:
+            current, verdict = step(diag, current, action if index else None,
+                                    int(token.removeprefix("o")))
+        except NoConsistentExecution as e:
+            return (4, "".join(answers), f"inconsistent at event {index}: {e}\n"), pairs
+        answers.append(f"{verdict.pretty()}\n")
+    return (0, "".join(answers), ""), pairs
+
+
+def random_stream(diag, seed, events):
+    """A random run of ``diag`` that repeats its moves in mixed spellings,
+    with a blank line now and then."""
+    rng = random.Random(seed)
+    moves = {}
+    for src, action, obs in sorted(diag.transitions):
+        moves.setdefault(src, []).append((action, obs))
+    head = rng.choice(sorted(diag.initials))
+    lines, current = [rng.choice(SPELLINGS).format(a="init", o=head)], diag.initials[head]
+    while len(lines) < events and current in moves:
+        action, obs = rng.choice(moves[current])
+        lines.append(rng.choice(SPELLINGS).format(a=action, o=obs))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "  ", "\r", " \t "]))
+        current = diag.transitions[(current, action, obs)]
+    return "\n".join(lines) + "\n"
+
+
+@CAPS
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_streams_answer_as_one_step_per_event(diag_path, seed, cap, monkeypatch,
+                                                     capsys):
+    diag = load_diagnoser(diag_path)
+    stream = random_stream(diag, seed, 5000)
+    expected, pairs = per_event(diag, stream)
+    assert len(pairs) > 100 and len(set(pairs)) < len(pairs) / 10
+    assert run_in_process(diag_path, stream, monkeypatch, capsys, cap) == expected
+
+
+# q1 alternates o0 and o1 until a fault holds it still; spelled three ways.
+MIXED_ALTERNATION = "tick o1\ntick 0\n tick  1 \ntick o0\r\ntick 01\ntick  o0\n" * 500
+MIXED_PREFIX = "init o0\n" + MIXED_ALTERNATION  # 3,000 events after init
+
+
+@CAPS
+def test_a_stream_that_turns_inconsistent_names_its_event(q1_diag, cap, monkeypatch, capsys):
+    stream = MIXED_PREFIX + "tick o0\ntick 1\ntick o0\n"
+    expected, _ = per_event(load_diagnoser(q1_diag), stream)
+    assert expected[0] == 4 and expected[2].startswith("inconsistent at event 3002: ")
+    assert run_in_process(q1_diag, stream, monkeypatch, capsys, cap) == expected
+
+
+@pytest.mark.parametrize(
+    "tail, code, message",
+    [("tick o1 o1\n", 1, "error: expected '<action> <obs>', got 'tick o1 o1'\n"),
+     ("tick o-1\n", 1, "error: expected an observable number, got '-1'\n"),
+     ("init o0\n", 4,
+      "inconsistent at event 3001: no execution continues with 'init' into 'o0'\n"),
+     (b"tick \xff1\n", 1, "error: event 3001 is not UTF-8 text\n")],
+    ids=["malformed", "bad-observable", "second-init", "not-utf8"],
+)
+@CAPS
+def test_a_stream_that_breaks_after_many_hits(q1_diag, tail, code, message, cap, monkeypatch,
+                                              capsys):
+    stream = (MIXED_PREFIX.encode() + tail) if isinstance(tail, bytes) else MIXED_PREFIX + tail
+    assert run_in_process(q1_diag, stream, monkeypatch, capsys, cap) == (
+        code, NONFAULTY * 3001, message
+    )
+
+
+def counted_steps(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(cli, "step", counted)
+    return calls
+
+
+def test_each_distinct_pair_is_stepped_once(diag_path, monkeypatch, capsys):
+    diag = load_diagnoser(diag_path)
+    stream = random_stream(diag, 2, 5000)
+    expected, pairs = per_event(diag, stream)
+    calls = counted_steps(monkeypatch)
+    assert run_in_process(diag_path, stream, monkeypatch, capsys) == expected
+    assert len(calls) == len(set(pairs)) < len(pairs) / 10
+
+
+def test_past_the_cap_every_new_pair_is_stepped(q1_diag, monkeypatch, capsys):
+    # More distinct spellings than the table holds, then pairs that repeat
+    # but arrive after the table is full (a tab spells them apart).
+    distinct = [" " * (i % 70) + f"tick {'0' * (i // 70)}{(i + 1) % 2}"
+                for i in range(cli._MEMO_CAP + 100)]
+    repeated = ALTERNATION.replace(" ", "\t") * 500
+    stream = "\n".join(["init o0", *distinct, *repeated.splitlines()]) + "\n"
+    expected, pairs = per_event(load_diagnoser(q1_diag), stream)
+    assert expected[0] == 0 and len(set(pairs)) > cli._MEMO_CAP
+    calls = counted_steps(monkeypatch)
+    assert run_in_process(q1_diag, stream, monkeypatch, capsys) == expected
+    assert len(calls) == len(pairs)
