@@ -22,7 +22,7 @@ from .errors import (
     NoConsistentExecution,
     TAValidationError,
 )
-from .estimator import build_estimator, dumps_estimator, walk
+from .estimator import build_estimator, dumps_estimator, estimate_walker
 from .quotient import DEFAULT_MAX_CLASSES, _excerpt, _int_literal, dumps_model, load_model
 from .quotient import validate_model
 
@@ -336,24 +336,25 @@ def cmd_oracle(args):
         print(f"clean run: {list(cx.right_prefix)} cycle {list(cx.right_cycle)}")
 
     if args.depth:
-        est = build_estimator(model)
         expected = enumerate_utraces(model, args.depth)
-        mismatches = _utrace_mismatches(est, expected)
-        if args.format != "json":
-            if mismatches:
-                print(f"estimator disagrees with enumeration: {mismatches[0]}")
-            else:
-                print(f"utrace agreement up to depth {args.depth}: ok ({len(expected)} traces)")
+        mismatches = _utrace_mismatches(estimate_walker(model), expected)
         if mismatches:
+            # JSON keeps its payload on stdout and reports the trace on stderr.
+            out = sys.stderr if args.format == "json" else sys.stdout
+            print(f"estimator disagrees with enumeration: {mismatches[0]}", file=out)
             return EXIT_INVALID
+        if args.format != "json":
+            print(f"utrace agreement up to depth {args.depth}: ok ({len(expected)} traces)")
     return EXIT_OK if verdict.diagnosable else EXIT_NOT_DIAGNOSABLE
 
 
-def _utrace_mismatches(est, expected):
+def _utrace_mismatches(members, expected):
+    """The traces, sorted by their spelling, on which ``members``, an
+    ``estimate_walker``, and the enumeration give different class sets."""
     mismatches = []
     for trace, classes in sorted(expected.items(), key=lambda kv: kv[0].pretty()):
-        ids = walk(est, trace.head, trace.steps)
-        if ids is None or set(est.states[ids[-1]].members) != set(classes):
+        found = members(trace.head, trace.steps)
+        if found is None or set(found) != classes:
             mismatches.append(trace.pretty())
     return mismatches
 

@@ -4,7 +4,8 @@ The estimator tracks, after each observed external action, the set of
 quotient classes consistent with everything seen so far.  Its states are
 canonically encoded member sets; only the fragment reachable from the
 initial estimates is built, since the full powerset is both intractable
-and irrelevant for diagnosability.
+and irrelevant for diagnosability.  ``estimate_walker`` builds less
+still: only the estimates the traces it is asked step out of.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ModelFormatError
+from .errors import CapExceeded, ModelFormatError
 from .graphs import explore
 from .quotient import _as_object, _dumps_json, _excerpt, _int_literal, _member, _require_keys
 from .quotient import _rows, external_moves
@@ -79,22 +80,15 @@ def initial_estimates(model):
     }
 
 
-def build_estimator(model, *, expand_faulty=True):
-    """Subset construction over the reachable estimates.
+def _successor_rule(model, expand_faulty):
+    """The estimator's successor rule, shared by the full build and the
+    on-demand walk: ``successors(members)`` yields ``((action, obs),
+    members)`` pairs, actions in declaration order, then observables
+    ascending.
 
-    Deterministic: states are numbered in BFS discovery order with
-    observables and actions visited in a fixed order, so repeated builds
-    yield identical graphs.  Raises CapExceeded beyond ``DEFAULT_MAX_STATES``
-    (the reachable part may still be exponential in the class count).
-    Each class's rows are read from ``external_moves`` once per build;
-    a successor estimate merges its members' target sets whole.
-
-    With ``expand_faulty=False`` an all-faulty estimate is kept as a leaf:
-    it is numbered but gets no transitions.  Faults are irreversible in a
-    valid model, so such an estimate only leads to all-faulty estimates,
-    and deciding diagnosability reads none of them.  The non-faulty and
-    indeterminate states keep their members, transitions and relative
-    order; only the ids of the faulty states change.
+    Each class's rows are read from ``external_moves`` once per rule; a
+    successor estimate merges its members' target sets whole.  With
+    ``expand_faulty=False`` an all-faulty estimate has no successors.
     """
     moves = external_moves(model)
     faulty = model.faulty
@@ -124,18 +118,66 @@ def build_estimator(model, *, expand_faulty=True):
                     buckets[key] = set(dsts)
                 else:
                     bucket |= dsts
-        # Actions in declaration order, then observables ascending.
         for key in sorted(buckets):
             yield (names[key[0]], key[1]), tuple(sorted(buckets[key]))
 
+    return successors
+
+
+def build_estimator(model, *, expand_faulty=True):
+    """Subset construction over the reachable estimates.
+
+    Deterministic: states are numbered in BFS discovery order with
+    observables and actions visited in a fixed order, so repeated builds
+    yield identical graphs.  Raises CapExceeded beyond ``DEFAULT_MAX_STATES``
+    (the reachable part may still be exponential in the class count).
+
+    With ``expand_faulty=False`` an all-faulty estimate is kept as a leaf:
+    it is numbered but gets no transitions.  Faults are irreversible in a
+    valid model, so such an estimate only leads to all-faulty estimates,
+    and deciding diagnosability reads none of them.  The non-faulty and
+    indeterminate states keep their members, transitions and relative
+    order; only the ids of the faulty states change.
+    """
     initial = initial_estimates(model)
     starts = [st.members for st in initial.values()]
+    successors = _successor_rule(model, expand_faulty)
     nodes, start_ids, edges = explore(starts, successors, DEFAULT_MAX_STATES, "estimator states")
     # The starts are distinct, so the initial estimates are the first states.
     states = list(initial.values())
     states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
     transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
     return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
+
+
+def estimate_walker(model):
+    """The estimator of ``model``, built on demand for the traces it is asked.
+
+    Returns ``members(head, steps)``: the member tuple of the estimate
+    after the initial observable ``head`` and then each ``(action, obs)``
+    of ``steps``, or None when ``head`` has no initial estimate or a step
+    has no move.  It agrees with ``walk`` on ``build_estimator(model)``.
+    Each member set is expanded once, on the first step taken from it;
+    past ``DEFAULT_MAX_STATES`` expanded sets it raises CapExceeded.
+    """
+    successors = _successor_rule(model, True)
+    initials = {obs: st.members for obs, st in initial_estimates(model).items()}
+    expanded = {}  # members -> {(action, obs): successor members}
+
+    def members(head, steps):
+        current = initials.get(head)
+        for step in steps:
+            if current is None:
+                return None
+            row = expanded.get(current)
+            if row is None:
+                if len(expanded) >= DEFAULT_MAX_STATES:
+                    raise CapExceeded("estimator states", len(expanded) + 1, DEFAULT_MAX_STATES)
+                row = expanded[current] = dict(successors(current))
+            current = row.get(step)
+        return current
+
+    return members
 
 
 def walk(graph, head, steps):

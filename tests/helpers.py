@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import operator
 import random
 import re
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
+import pytest
 
+from hydiag import estimator
 from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
 from hydiag.estimator import (
     Classification,
@@ -58,6 +62,32 @@ def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
 def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_model(model))
+
+
+def benchmark_families():
+    """The benchmark's model families, ``benchmarks/families.py``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        return importlib.import_module("families")
+
+
+def record_expansions(monkeypatch):
+    """The list of member sets that the estimator's successor rule expands
+    from now on, each appended as it is expanded."""
+    expanded = []
+    rule = estimator._successor_rule
+
+    def counted(model, expand_faulty):
+        successors = rule(model, expand_faulty)
+
+        def recorded(members):
+            expanded.append(members)
+            return successors(members)
+
+        return recorded
+
+    monkeypatch.setattr(estimator, "_successor_rule", counted)
+    return expanded
 
 
 def q1_model():

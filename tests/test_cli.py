@@ -13,7 +13,13 @@ from hydiag.estimator import build_estimator, dumps_estimator
 from hydiag.quotient import load_model, loads_model
 
 from .conftest import FIXTURES, run_python, text_stdin
-from .helpers import f2_violating_model, make_model, save_model
+from .helpers import (
+    benchmark_families,
+    f2_violating_model,
+    make_model,
+    record_expansions,
+    save_model,
+)
 
 Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
@@ -322,6 +328,52 @@ class TestOracleCommand:
         assert main(["oracle", Q1, "--depth", "3"]) == 0
         assert "utrace agreement up to depth 3: ok" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_builds_only_the_estimates_its_traces_reach(self, tmp_path, capsys, monkeypatch):
+        from hydiag import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle built the whole estimator")
+
+        monkeypatch.setattr(cli, "build_estimator", refuse)
+        expanded = record_expansions(monkeypatch)
+        path = tmp_path / "kclock.ta.json"
+        path.write_text(json.dumps(benchmark_families().kclock_ta(3, 4)))
+        assert main(["oracle", str(path), "--ta", "--depth", "4"]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "utrace agreement up to depth 4: ok (313 traces)"
+        # Of the full build's 1,383 estimates, the traces step out of 68.
+        assert len(expanded) == len(set(expanded)) == 68
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_disagreement(self, fmt, capsys, monkeypatch):
+        from hydiag import estimator
+        from hydiag.quotient import external_moves
+
+        argv = ["oracle", Q1, "--depth", "2", "--format", fmt]
+        assert main(argv) == 0
+        agreed = capsys.readouterr().out
+
+        class Dropped:
+            """The move table without class 0's tick into the faulty class 2."""
+
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, key):
+                rows = self.table[key]
+                return [row for row in rows if row != (2, 0)] if key == (0, "tick") else rows
+
+        monkeypatch.setattr(estimator, "external_moves", lambda m: Dropped(external_moves(m)))
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        line = "estimator disagrees with enumeration: o0 tick o0\n"
+        if fmt == "json":
+            # The payload is the one printed on agreement; the trace goes to stderr.
+            assert (out, err) == (agreed, line)
+        else:
+            assert out == "diagnosable\n" + line
+            assert err == ""
 
     def test_reversible_fault_is_rejected(self, tmp_path):
         path = tmp_path / "f2.quot.json"

@@ -1,8 +1,6 @@
 """Tests for the subset-construction state estimator."""
 
-import importlib
 import json
-from pathlib import Path
 
 import pytest
 
@@ -13,29 +11,29 @@ from hydiag.estimator import (
     build_estimator,
     classify,
     dumps_estimator,
+    estimate_walker,
     initial_estimates,
     walk,
 )
 from hydiag.oracle import enumerate_utraces, random_models
-from hydiag.quotient import external_moves
+from hydiag.quotient import UTrace, external_moves
 from hydiag.regions import parse_ta, region_quotient
 
 from .helpers import (
+    benchmark_families,
     estimator_trace_map,
     make_model,
     nx_observed_step,
     q2_model,
     random_progressive_ta,
+    record_expansions,
     reference_build_estimator,
 )
 
 
 def _family_model(name, *args):
     """The region quotient of a benchmark model family."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
-        families = importlib.import_module("families")
-    return region_quotient(parse_ta(json.dumps(getattr(families, name)(*args))))
+    return region_quotient(parse_ta(json.dumps(getattr(benchmark_families(), name)(*args))))
 
 
 class TestInitialEstimates:
@@ -220,16 +218,18 @@ class TestAgainstNetworkx:
                         assert members == step(state.members, action.name, obs)
 
 
+@pytest.fixture(scope="module")
+def models(corpus):
+    """The corpus, benchmark family members and random TA quotients."""
+    models = [*corpus, _family_model("leak_ta", 20)]
+    models += [_family_model("kclock_ta", *args) for args in [(2, 4), (3, 2), (3, 4)]]
+    models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+    return models
+
+
 class TestAgainstReferenceBuild:
     """The build reads each class's rows once and merges whole target sets;
     the per-member loop it replaced gives the same graph, ids included."""
-
-    @pytest.fixture(scope="class")
-    def models(self, corpus):
-        models = [*corpus, _family_model("leak_ta", 20)]
-        models += [_family_model("kclock_ta", *args) for args in [(2, 4), (3, 2), (3, 4)]]
-        models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
-        return models
 
     @pytest.mark.parametrize("expand_faulty", [True, False])
     def test_same_graph(self, models, expand_faulty):
@@ -256,6 +256,45 @@ class TestAgainstReferenceBuild:
         est = build_estimator(model)
         assert len(est.states) == 1383
         assert len(lookups) == len(set(lookups)) == 960
+
+
+class TestEstimateWalker:
+    """The on-demand walk reads the full build's successor rule, so on every
+    trace it reaches the estimate the full build reaches."""
+
+    def test_agrees_with_full_build(self, models):
+        for model in models:
+            est = build_estimator(model)
+            members = estimate_walker(model)
+            traces = list(enumerate_utraces(model, 4))
+            # Every one-step extension of the shorter traces, realizable or not,
+            # and a head with no initial estimate, so both sides also meet None.
+            cells = sorted(set(model.obs))
+            steps = [(a.name, obs) for a in model.external_actions for obs in cells]
+            traces += [t.extend(*s) for t in traces if len(t.steps) < 4 for s in steps]
+            traces.append(UTrace(max(model.obs) + 1))
+            for trace in traces:
+                ids = walk(est, trace.head, trace.steps)
+                expected = None if ids is None else est.states[ids[-1]].members
+                assert members(trace.head, trace.steps) == expected, trace.pretty()
+
+    def test_expands_each_set_once(self, q2, monkeypatch):
+        expanded = record_expansions(monkeypatch)
+        members = estimate_walker(q2)
+        traces = enumerate_utraces(q2, 4)
+        for trace in traces:
+            members(trace.head, trace.steps)
+        # The estimates of the traces with a step after them, and no other.
+        reached = {members(t.head, t.steps[:i]) for t in traces for i in range(len(t.steps))}
+        assert sorted(expanded) == sorted(reached)
+
+    def test_state_cap(self, q2, monkeypatch):
+        monkeypatch.setattr("hydiag.estimator.DEFAULT_MAX_STATES", 2)
+        members = estimate_walker(q2)
+        with pytest.raises(CapExceeded) as err:
+            for trace in enumerate_utraces(q2, 4):
+                members(trace.head, trace.steps)
+        assert (err.value.what, err.value.count, err.value.cap) == ("estimator states", 3, 2)
 
 
 class TestExport:
