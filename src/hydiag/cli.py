@@ -193,14 +193,16 @@ def cmd_check(args):
         return EXIT_NOT_PROGRESSIVE
     est = build_estimator(model, expand_faulty=False)
     verdict = check_diagnosable(est)
+    # Bound before printing: past the product cap, stdout stays empty.
+    bound = detection_delay_bound(est) if verdict.diagnosable else None
     if args.format == "json":
         payload = {"progressive": True, **verdict.to_json()}
         if verdict.diagnosable:
-            payload["delay_bound"] = detection_delay_bound(est)
+            payload["delay_bound"] = bound
         print(json.dumps(payload, indent=2))
     elif verdict.diagnosable:
         print("diagnosable")
-        print(f"detection delay bound: {detection_delay_bound(est)}")
+        print(f"detection delay bound: {bound}")
     else:
         print("not diagnosable")
         print(f"prefix: {verdict.witness.prefix.pretty()}")

@@ -105,7 +105,7 @@ def check_progressive(model):
 
     # Silent moves stay among reachable classes, and a cycle runs through
     # every node of a cyclic component.
-    comps = strongly_connected_components(reachable, lambda c: (d for _, d in silent_succ(c)))
+    comps = strongly_connected_components(reachable, silent_succ)
     for comp, cyclic in comps:
         if cyclic:
             nodes, labels = shortest_cycle(min(comp), silent_succ, set(comp))
@@ -117,7 +117,7 @@ def _indeterminate_graph(est):
     """The estimator adjacency, its indeterminate states, and their successors.
 
     ``adj`` lists ((action, obs), dst) pairs per state in sorted order; the
-    successor function keeps only indeterminate targets.
+    successor function keeps the pairs with indeterminate targets.
     """
     adj = {sid: [] for sid in range(len(est.states))}
     for (src, action, obs), dst in sorted(est.transitions.items()):
@@ -130,7 +130,7 @@ def _indeterminate_graph(est):
     indet_set = set(indet)
 
     def indet_succ(sid):
-        return (d for _, d in adj[sid] if d in indet_set)
+        return (e for e in adj[sid] if e[1] in indet_set)
 
     return adj, indet, indet_succ
 
@@ -141,27 +141,30 @@ def _fault_product(est, adj, indet):
     A product edge follows one estimator transition between states of
     ``indet`` while moving the faulty class along a consistent single-class
     step; a cycle here is exactly an indeterminate loop some faulty run can
-    sustain forever.  Needs the backing model to resolve single-class
-    successors.  Returns the adjacency, keyed by node in canonical order.
-    Raises CapExceeded when it would have more than ``DEFAULT_MAX_STATES``
-    nodes.
+    sustain forever.  Returns ``(nodes, successors)``: the nodes in
+    canonical order, and a rule yielding a node's ``((action, obs), (dst,
+    c2))`` edges, generated on each call and never stored.  Needs the
+    backing model (ValueError without one); counts the nodes before any
+    edge and raises CapExceeded past ``DEFAULT_MAX_STATES`` of them.
     """
     model = est.model
+    if model is None:
+        raise ValueError("the fault product needs the estimator's backing model")
     faulty = {sid: [c for c in est.states[sid].members if model.faulty[c]] for sid in indet}
     nodes = sum(map(len, faulty.values()))
     if nodes > DEFAULT_MAX_STATES:
         raise CapExceeded("fault product nodes", nodes, DEFAULT_MAX_STATES)
     moves = external_moves(model)
-    product = {(sid, c): [] for sid in indet for c in faulty[sid]}
-    for sid in indet:
+
+    def successors(node):
+        sid, c = node
         for (action, obs), dst in adj[sid]:
-            if dst not in faulty:  # keyed by exactly the indeterminate states
-                continue
-            for c in faulty[sid]:
+            if dst in faulty:  # keyed by exactly the states of ``indet``
                 for c2, o in moves[(c, action)]:
                     if o == obs:
-                        product[(sid, c)].append(((action, obs), (dst, c2)))
-    return product
+                        yield (action, obs), (dst, c2)
+
+    return [(sid, c) for sid in indet for c in faulty[sid]], successors
 
 
 def check_diagnosable(est):
@@ -181,17 +184,11 @@ def check_diagnosable(est):
     if not cyclic:
         return DiagnosabilityVerdict(True, None)
 
-    if est.model is None:
-        raise ValueError(
-            "deciding cyclic indeterminate loops needs the estimator's backing model"
-        )
     # A product cycle projects onto a cycle inside one cyclic component,
     # so the product over those states alone has every cycle there is.
-    product = _fault_product(est, adj, cyclic)
+    nodes, successors = _fault_product(est, adj, cyclic)
     starts = [sid for _, sid in sorted(est.initials.items())]
-    found = find_lasso(
-        starts, adj.__getitem__, product, product.__getitem__, lambda node: node[0]
-    )
+    found = find_lasso(starts, adj.__getitem__, nodes, successors, lambda node: node[0])
     if found is None:
         return DiagnosabilityVerdict(True, None)
     prefix_nodes, prefix_labels, _, cycle_labels = found
@@ -206,21 +203,18 @@ def detection_delay_bound(est):
     ambiguous stretch is a path in the fault product; one more than its
     longest chain bounds the wait for a yes.  Only defined for
     diagnosable estimators: a cycle in that graph raises ValueError.
-    Without a backing model (hand-built graphs) the indeterminate subgraph
-    itself is used; any product path projects into it, so that is still a
-    sound bound.
+    Needs a model-backed estimator, as the product does: a hand-built or
+    loaded graph raises ValueError too.
     """
-    adj, nodes, succ = _indeterminate_graph(est)
-    if est.model is not None:
-        product = _fault_product(est, adj, nodes)
-        nodes, succ = product, lambda v: (d for _, d in product[v])
+    adj, indet, _ = _indeterminate_graph(est)
+    nodes, successors = _fault_product(est, adj, indet)
     # Components arrive successors first, so every chain below is known.
     longest = {}
-    for comp, cyclic in strongly_connected_components(nodes, succ):
+    for comp, cyclic in strongly_connected_components(nodes, successors):
         if cyclic:
             raise ValueError("detection delay is undefined for non-diagnosable systems")
         v = comp[0]
-        longest[v] = 1 + max((longest[d] for d in succ(v)), default=0)
+        longest[v] = 1 + max((longest[d] for _, d in successors(v)), default=0)
     return max(longest.values(), default=0) + 1
 
 

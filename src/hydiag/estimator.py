@@ -55,7 +55,11 @@ class EstimatorGraph:
     ``states`` is indexed by state id (discovery order, hence canonical),
     ``initials`` maps an observable to the state estimated before any
     action, and ``transitions`` maps (state id, action name, observable)
-    to the successor state id.  Immutable by convention once built.
+    to the successor state id.  ``model`` is the quotient the graph was
+    built from, or None for a hand-built or loaded graph; the fault product
+    needs it, so ``detection_delay_bound`` and ``check_diagnosable`` on a
+    cyclic graph raise ValueError without it.  Immutable by convention
+    once built.
     """
 
     states: list[EstimatorState]

@@ -44,8 +44,8 @@ def explore(starts, successors, max_nodes=None, what="states"):
 def strongly_connected_components(nodes, successors):
     """Tarjan's algorithm, iterative.
 
-    ``nodes`` is an iterable of hashable nodes, ``successors`` a callable
-    returning an iterable of successor nodes.  Returns ``(component,
+    ``nodes`` is an iterable of hashable nodes; ``successors(node)``
+    yields ``(label, dst)`` pairs, as for ``explore``.  Returns ``(component,
     cyclic)`` pairs in reverse topological order (every successor
     component appears before the components that reach it); ``cyclic``
     is true when the component holds a cycle: it has more than one node,
@@ -70,7 +70,7 @@ def strongly_connected_components(nodes, successors):
         while work:
             v, it = work[-1]
             pushed = False
-            for w in it:
+            for _, w in it:
                 if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
@@ -161,12 +161,8 @@ def find_lasso(starts, successors, loop_nodes, loop_successors, project):
     Returns ``(prefix_nodes, prefix_labels, cycle_nodes, cycle_labels)``,
     or None when no cycle of the loop graph sits on a reachable path node.
     """
-
-    def targets(v):
-        return (d for _, d in loop_successors(v))
-
     component = {}  # loop node on a cycle -> its component
-    for comp, cyclic in strongly_connected_components(loop_nodes, targets):
+    for comp, cyclic in strongly_connected_components(loop_nodes, loop_successors):
         if cyclic:
             members = set(comp)
             for v in comp:

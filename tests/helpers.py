@@ -278,7 +278,8 @@ def unpruned_check_diagnosable(est):
     """``check_diagnosable`` over the fault product of every indeterminate
     state, not only those on a cycle of indeterminate states."""
     adj, indet, _ = _indeterminate_graph(est)
-    product = _fault_product(est, adj, indet)
+    nodes, successors = _fault_product(est, adj, indet)
+    product = {v: list(successors(v)) for v in nodes}
     starts = [sid for _, sid in sorted(est.initials.items())]
     found = find_lasso(
         starts, adj.__getitem__, product, product.__getitem__, lambda node: node[0]
@@ -288,6 +289,37 @@ def unpruned_check_diagnosable(est):
     prefix_nodes, prefix_labels, _, cycle_labels = found
     head = {sid: obs for obs, sid in est.initials.items()}[prefix_nodes[0]]
     return DiagnosabilityVerdict(False, Lasso.from_steps(head, prefix_labels, cycle_labels))
+
+
+def reference_delay_bound(est):
+    """``detection_delay_bound`` over a fully built fault product dict.
+
+    Every indeterminate state is paired with each faulty member, and an
+    edge follows each estimator transition between indeterminate states
+    with a single-class step from ``nx_observed_step``; the bound is one
+    more than the most nodes on a chain, read off a networkx topological
+    order.  Raises ValueError when the product has a cycle.
+    """
+    step = nx_observed_step(est.model)
+    faulty = {
+        sid: [c for c in st.members if est.model.faulty[c]]
+        for sid, st in enumerate(est.states)
+        if st.classification is Classification.INDETERMINATE
+    }
+    product = {(sid, c): [] for sid, members in faulty.items() for c in members}
+    for (src, action, obs), dst in est.transitions.items():
+        if src in faulty and dst in faulty:
+            for c in faulty[src]:
+                product[(src, c)] += [(dst, c2) for c2 in step({c}, action, obs)]
+    g = nx.DiGraph()
+    g.add_nodes_from(product)
+    g.add_edges_from((v, d) for v, out in product.items() for d in out)
+    if not nx.is_directed_acyclic_graph(g):
+        raise ValueError("the fault product has a cycle")
+    longest = {}
+    for v in reversed(list(nx.topological_sort(g))):
+        longest[v] = 1 + max((longest[d] for d in g.successors(v)), default=0)
+    return max(longest.values(), default=0) + 1
 
 
 def reference_build_estimator(model, *, expand_faulty=True):

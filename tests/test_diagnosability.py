@@ -15,6 +15,7 @@ from hydiag.diagnosability import (
     detection_delay_bound,
     replay_lasso,
 )
+from hydiag.diagnoser import dumps_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import CapExceeded
 from hydiag.estimator import (
     Classification,
@@ -38,6 +39,8 @@ from .helpers import (
     nx_observed_step,
     q3_model,
     random_progressive_ta,
+    reference_delay_bound,
+    save_model,
     unpruned_check_diagnosable,
 )
 
@@ -356,33 +359,36 @@ class TestDelayBound:
     def test_q1_bound_is_one(self, q1):
         assert detection_delay_bound(build_estimator(q1)) == 1
 
-    def test_chain_of_three_bound_is_four_synthetic(self):
-        est = synthetic_estimator(
-            [
-                Classification.INDETERMINATE,
-                Classification.INDETERMINATE,
-                Classification.INDETERMINATE,
-                Classification.FAULTY,
-            ],
-            [(0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 3)],
-        )
-        assert detection_delay_bound(est) == 4
-
     def test_chain_of_three_bound_is_four_model_backed(self):
         assert detection_delay_bound(build_estimator(q3_model())) == 4
 
-    def test_single_faulty_state_estimator(self):
-        est = synthetic_estimator([Classification.FAULTY], [(0, 0, 0)])
-        assert detection_delay_bound(est) == 1
-
     def test_linear_chain_of_2000(self):
-        # Deeper than the interpreter's recursion limit, on both paths.
+        # Deeper than the interpreter's recursion limit.
         assert detection_delay_bound(build_estimator(linear_chain_model(2000))) == 2001
-        est = synthetic_estimator(
-            [Classification.INDETERMINATE] * 2000 + [Classification.FAULTY],
-            [(i, 0, i + 1) for i in range(2000)] + [(2000, 0, 2000)],
+
+    def test_needs_a_backing_model(self, q1):
+        # Hand-built and loaded graphs have no model to pair classes by,
+        # even where no state is indeterminate.
+        chain = synthetic_estimator(
+            [Classification.INDETERMINATE, Classification.FAULTY], [(0, 0, 1), (1, 0, 1)]
         )
-        assert detection_delay_bound(est) == 2001
+        single = synthetic_estimator([Classification.FAULTY], [(0, 0, 0)])
+        loaded = loads_diagnoser(dumps_diagnoser(synthesize(build_estimator(q1))))
+        for est in (chain, single, loaded):
+            assert est.model is None
+            with pytest.raises(ValueError, match="backing model"):
+                detection_delay_bound(est)
+
+    def test_against_reference(self):
+        models = [q3_model(), linear_chain_model(2000)]
+        models += [m for seed in (0, 1) for m in random_models(300, seed)]
+        checked = 0
+        for model in models:
+            est = build_estimator(model)
+            if check_diagnosable(est).diagnosable:
+                assert detection_delay_bound(est) == reference_delay_bound(est)
+                checked += 1
+        assert checked > 100
 
     def test_rejected_when_not_diagnosable(self, q2):
         with pytest.raises(ValueError):
@@ -530,3 +536,14 @@ class TestFaultProductCap:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: fault product nodes: 3 exceeds cap 2\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_exits_5_on_the_delay_bound(self, monkeypatch, capsys, tmp_path, fmt):
+        # q3's verdict needs no product; its delay bound needs 4 nodes.
+        path = tmp_path / "q3.quot.json"
+        save_model(q3_model(), path)
+        self.lower_cap(monkeypatch, 3)
+        assert main(["check", str(path), "--format", fmt]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: fault product nodes: 4 exceeds cap 3\n"

@@ -45,7 +45,7 @@ def to_nx(adj):
 
 
 def check_scc(adj):
-    pairs = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+    pairs = strongly_connected_components(list(adj), adj.__getitem__)
     comps = [comp for comp, _ in pairs]
     g = to_nx(adj)
     assert sorted(map(sorted, comps)) == sorted(
@@ -141,7 +141,7 @@ class TestStronglyConnectedComponents:
 
     def test_self_loops_and_isolated_nodes(self):
         adj = {0: [("a", 0)], 1: [], 2: [("a", 3)], 3: [("a", 2)], 4: [("a", 1)]}
-        comps = strongly_connected_components(list(adj), lambda v: (w for _, w in adj[v]))
+        comps = strongly_connected_components(list(adj), adj.__getitem__)
         assert sorted((sorted(comp), cyclic) for comp, cyclic in comps) == [
             ([0], True), ([1], False), ([2, 3], True), ([4], False)
         ]
@@ -249,7 +249,8 @@ class TestFindLasso:
         for model in CORPUS:
             est = build_estimator(model)
             adj, indet, _ = _indeterminate_graph(est)
-            product = _fault_product(est, adj, indet)
+            nodes, successors = _fault_product(est, adj, indet)
+            product = {v: list(successors(v)) for v in nodes}
             starts = [sid for _, sid in sorted(est.initials.items())]
             found += check_lasso(starts, adj, product, lambda node: node[0])
         assert found > 0

@@ -41,7 +41,7 @@ def _bad_cycle_states(model, twin):
     bad = {sid for sid, (left, _) in enumerate(twin.states) if model.faulty[left]}
 
     def succ(sid):
-        return (dst for _, dst in twin.edges[sid] if dst in bad)
+        return (e for e in twin.edges[sid] if e[1] in bad)
 
     return {
         v
