@@ -114,7 +114,11 @@ def _load_quotient(args):
 
 
 def _validated_model(args):
+    """The model argument, valid: a region quotient is validated as it is
+    built and raises TAValidationError on a violation."""
     model = _load_quotient(args)
+    if args.ta:
+        return model
     report = validate_model(model)
     if not report.ok:
         _print_validation(report, getattr(args, "format", "text"))

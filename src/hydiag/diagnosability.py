@@ -76,6 +76,12 @@ def check_progressive(model):
     actions and time edges exists.  Time edges are the declared pairs; an
     explicit divergence mark counts as a time self-loop, since the system
     can then let time pass forever in that class.
+
+    When no reachable class is divergent, one Kahn pass over the silent
+    moves of the reachable classes decides: if it removes them all, there
+    is no cycle.  Only otherwise do Tarjan's components and
+    ``shortest_cycle`` run, for the witness: the shortest cycle through
+    the smallest class of the first cyclic component Tarjan completes.
     """
     def step(c):
         yield from model.discrete_edges_from(c)
@@ -94,6 +100,23 @@ def check_progressive(model):
         if c not in live and c not in model.divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 
+    # Silent moves stay among reachable classes: Kahn removes every class
+    # of an acyclic silent graph.
+    if model.divergent.isdisjoint(reachable):
+        silent = model._silent
+        pending = [0] * len(silent)
+        for c in reachable:
+            for d in silent[c]:
+                pending[d] += 1
+        ready = [c for c in reachable if not pending[c]]
+        for c in ready:  # grows as classes become ready
+            for d in silent[c]:
+                pending[d] -= 1
+                if not pending[d]:
+                    ready.append(d)
+        if len(ready) == len(reachable):
+            return ProgressReport(True, None)
+
     def silent_succ(c):
         for label, dst in model.discrete_edges_from(c):
             if label.kind is not Kind.EXTERNAL:
@@ -103,14 +126,11 @@ def check_progressive(model):
         if c in model.divergent:
             yield "time", c
 
-    # Silent moves stay among reachable classes, and a cycle runs through
-    # every node of a cyclic component.
+    # A cycle runs through every node of a cyclic component.
     comps = strongly_connected_components(reachable, silent_succ)
-    for comp, cyclic in comps:
-        if cyclic:
-            nodes, labels = shortest_cycle(min(comp), silent_succ, set(comp))
-            return ProgressReport(False, ProgressWitness("cycle", tuple(nodes), tuple(labels)))
-    return ProgressReport(True, None)
+    comp = next(comp for comp, cyclic in comps if cyclic)
+    nodes, labels = shortest_cycle(min(comp), silent_succ, set(comp))
+    return ProgressReport(False, ProgressWitness("cycle", tuple(nodes), tuple(labels)))
 
 
 def _indeterminate_graph(est):

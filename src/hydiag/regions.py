@@ -19,22 +19,27 @@ fine enough, because each region lies entirely inside one cell.
 The construction is deliberately classical: per-clock integer parts up
 to the ceiling plus the ordering of fractional parts.  Regions whose
 clocks all sit above their ceilings are time-divergent, and the quotient
-marks them so (as explicit time self-loops).  ``pred_holds`` decides all
-three on the region itself, from each clock's integer part and whether
-it sits at an exact integer or past its ceiling (``atom_holds``), so the
-observation is decided once per combination of external clock
-positions and each class reads its cell from that table.
-A concrete valuation is built only for the witness of a failed partition
-check.
+marks them so (as explicit time self-loops).  ``atom_holds`` decides an
+atom on the region itself, from the clock's integer part and whether it
+sits at an exact integer or past its ceiling.  ``pred_holds`` applies it
+to observation cells, so the observation is decided once per combination
+of external clock positions and each class reads its cell from that
+table.  The explorer compiles guards and invariants once per automaton
+into ``(clock index, op, bound)`` triples, kept per location with its
+out-edges, and checks each triple with ``atom_holds``.  A region is a
+named tuple ``(ints, zero, groups)``, so the explorer hashes and compares
+its nodes as plain tuples.  A concrete valuation (and the ``fractions``
+module) is needed only for the witness of a failed partition check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .graphs import explore
@@ -50,13 +55,7 @@ MAX_PRED_DEPTH = 100
 # ---------------------------------------------------------------------------
 # Clock constraints and observation predicates
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<num>-?[0-9]+(?:\.[0-9]+)?)"
@@ -215,9 +214,8 @@ class TAEdge:
 # ---------------------------------------------------------------------------
 # Regions
 
-@dataclass(frozen=True)
-class Region:
-    """Canonical clock region.
+class Region(namedtuple("Region", "ints zero groups")):
+    """Canonical clock region, a named tuple of three tuples.
 
     ``ints[i]`` is the integer part of clock i, or ceiling+1 when the
     clock has passed its ceiling.  ``zero`` lists the (non-above) clocks
@@ -225,9 +223,7 @@ class Region:
     strictly increasing fractional part.
     """
 
-    ints: tuple[int, ...]
-    zero: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def pretty(self, clocks):
         parts = []
@@ -289,6 +285,8 @@ def pred_holds(node, region, index):
 def sample_region(region, ceilings):
     """A concrete valuation inside the region (exact rationals), as the
     witness of a failed partition check."""
+    from fractions import Fraction
+
     g = len(region.groups)
     fracs = [Fraction(j, g + 1) for j in range(1, g + 1)]
     group_of = {}
@@ -333,19 +331,22 @@ def time_successor(region, ceilings):
     return Region(tuple(ints), tuple(sorted(promoted)), region.groups[:-1])
 
 
-def reset_region(region, clock_indices):
-    reset = set(clock_indices)
+def reset_region(region, reset):
+    """The region after setting the clocks of ``reset``, a frozenset of
+    clock indices, to 0; ``region`` itself when ``reset`` is empty."""
+    if not reset:
+        return region
     ints = list(region.ints)
-    zero = set(region.zero)
-    groups = []
-    for grp in region.groups:
-        kept = tuple(i for i in grp if i not in reset)
-        if kept:
-            groups.append(kept)
     for i in reset:
         ints[i] = 0
-        zero.add(i)
-    return Region(tuple(ints), tuple(sorted(zero)), tuple(groups))
+    groups = []
+    for grp in region.groups:
+        if not reset.isdisjoint(grp):
+            grp = tuple([i for i in grp if i not in reset])
+            if not grp:
+                continue
+        groups.append(grp)
+    return Region(tuple(ints), tuple(sorted(reset.union(region.zero))), tuple(groups))
 
 
 def position_regions(ceilings):
@@ -532,9 +533,6 @@ class TimedAutomatonWithFaults:
         m = len(self.external_clocks)
         return self._cell_of[(region.ints[:m], tuple(i for i in region.zero if i < m))]
 
-    def reset_indices(self, resets):
-        return tuple(sorted(self._clock_index[name] for name in resets))
-
 
 # ---------------------------------------------------------------------------
 # Region quotient construction
@@ -546,6 +544,20 @@ class RegionQuotient:
     ceilings: tuple[int, ...]
 
 
+def _triples(pred, index):
+    """A guard or invariant ``("and", atom, ...)`` as ``(clock index, op,
+    bound)`` triples."""
+    return tuple((index[clock], op, bound) for _, clock, op, bound in pred[1:])
+
+
+def _holds(triples, region):
+    """Whether every ``_triples`` atom holds throughout ``region``."""
+    for i, op, bound in triples:
+        if not atom_holds(region, i, op, bound):
+            return False
+    return True
+
+
 def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     """Explore the reachable (location, region) graph of ``ta``.
 
@@ -553,31 +565,40 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     region and whose reset lands inside the target invariant; time
     successors follow the immediate region successor while the location
     invariant keeps holding.  Deterministic class numbering (BFS order)
-    is part of the contract.
+    is part of the contract.  Each location's out-edges are compiled once,
+    in file order, as ``(label, guard, reset, dst, dst invariant)`` with
+    ``_triples`` constraints and a frozenset of reset clock indices.  The
+    quotient is validated here: a violation raises TAValidationError.
     """
     ceilings = ta.ceilings
     index = ta._clock_index
     r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
+    invariant = {loc.name: _triples(loc.invariant, index) for loc in ta.locations}
+    out_edges = {loc.name: [] for loc in ta.locations}
+    for e in ta.edges:
+        reset = frozenset(index[name] for name in e.resets)
+        out_edges[e.src].append(
+            (label_of[e.action], _triples(e.guard, index), reset, e.dst, invariant[e.dst])
+        )
 
     def successors(node):  # enabled edges, then the time step labelled None
         loc_name, region = node
-        for e in ta.edges:
-            if e.src != loc_name or not pred_holds(e.guard, region, index):
-                continue
-            target = reset_region(region, ta.reset_indices(e.resets))
-            if pred_holds(ta.location(e.dst).invariant, target, index):
-                yield label_of[e.action], (e.dst, target)
+        for label, guard, reset, dst, dst_invariant in out_edges[loc_name]:
+            if _holds(guard, region):
+                target = reset_region(region, reset)
+                if _holds(dst_invariant, target):
+                    yield label, (dst, target)
         succ = time_successor(region, ceilings)
         if succ is None:
             yield None, node  # genuinely time-divergent region
-        elif pred_holds(ta.location(loc_name).invariant, succ, index):
+        elif _holds(invariant[loc_name], succ):
             yield None, (loc_name, succ)
 
     starts = [
         (loc.name, r0)
         for loc in ta.locations
-        if loc.initial and pred_holds(loc.invariant, r0, index)
+        if loc.initial and _holds(invariant[loc.name], r0)
     ]
     metas, _, out = explore(starts, successors, max_classes, "region classes")
     edges_out = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
@@ -599,9 +620,7 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     report = validate_model(model)
     if not report.ok:
         first = report.violations[0]
-        raise TAValidationError(
-            first.rule, f"region quotient violates {first.rule}: {first.message}"
-        )
+        raise TAValidationError(first.rule, f"region quotient: {first.message}")
     return RegionQuotient(model, metas, ceilings)
 
 

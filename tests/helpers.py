@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
 import operator
 import random
 import re
@@ -15,7 +16,14 @@ import networkx as nx
 import pytest
 
 from hydiag import estimator
-from hydiag.diagnosability import DiagnosabilityVerdict, _fault_product, _indeterminate_graph
+from hydiag.diagnosability import (
+    DiagnosabilityVerdict,
+    ProgressReport,
+    ProgressWitness,
+    _fault_product,
+    _indeterminate_graph,
+)
+from hydiag.errors import TAValidationError
 from hydiag.estimator import (
     Classification,
     EstimatorGraph,
@@ -23,7 +31,7 @@ from hydiag.estimator import (
     classify,
     initial_estimates,
 )
-from hydiag.graphs import explore, find_lasso
+from hydiag.graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
 from hydiag.oracle import LosingRun, SimulationReport
 from hydiag.quotient import (
     ActionLabel,
@@ -34,15 +42,22 @@ from hydiag.quotient import (
     UTrace,
     dumps_model,
     external_moves,
+    validate_model,
 )
 from hydiag.regions import (
     Location,
     ObservableSpec,
     Region,
+    RegionQuotient,
     TAEdge,
     TimedAutomatonWithFaults,
+    initial_region,
+    load_ta,
     parse_pred,
+    parse_ta,
     position_regions,
+    pred_holds,
+    time_successor,
 )
 
 TICK = ActionLabel("tick", Kind.EXTERNAL)
@@ -502,6 +517,115 @@ def reference_twin_product(model):
                     if did == before:
                         queue.append(did)
     return states, initials, edges
+
+
+def reference_check_progressive(model):
+    """``check_progressive`` as first written: reachability and liveness by
+    ``explore``, the silent cycle by Tarjan's components in every case."""
+    def step(c):
+        yield from model.discrete_edges_from(c)
+        for dst in model.proper_time_successors(c):
+            yield "time", dst
+
+    reachable = sorted(explore(model.initial_classes, step)[0])
+    time_pred = {}
+    for src, dst in model.time:
+        time_pred.setdefault(dst, []).append(("time", src))
+    has_edge = [c for c in reachable if model.discrete_edges_from(c)]
+    live = set(explore(has_edge, lambda c: time_pred.get(c, ()))[0])
+    for c in reachable:
+        if c not in live and c not in model.divergent:
+            return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
+
+    def silent_succ(c):
+        for label, dst in model.discrete_edges_from(c):
+            if label.kind is not Kind.EXTERNAL:
+                yield label.name, dst
+        for dst in model.proper_time_successors(c):
+            yield "time", dst
+        if c in model.divergent:
+            yield "time", c
+
+    for comp, cyclic in strongly_connected_components(reachable, silent_succ):
+        if cyclic:
+            nodes, labels = shortest_cycle(min(comp), silent_succ, set(comp))
+            return ProgressReport(False, ProgressWitness("cycle", tuple(nodes), tuple(labels)))
+    return ProgressReport(True, None)
+
+
+def _reference_reset(region, clock_indices):
+    reset = set(clock_indices)
+    ints = list(region.ints)
+    zero = set(region.zero)
+    groups = []
+    for grp in region.groups:
+        kept = tuple(i for i in grp if i not in reset)
+        if kept:
+            groups.append(kept)
+    for i in reset:
+        ints[i] = 0
+        zero.add(i)
+    return Region(tuple(ints), tuple(sorted(zero)), tuple(groups))
+
+
+def reference_region_quotient(ta):
+    """``build_region_quotient`` as first written: every node scans every
+    edge of the automaton, and guards and invariants are decided by
+    ``pred_holds`` on their ``("and", atom, ...)`` nodes."""
+    index = ta._clock_index
+    r0 = initial_region(len(ta.clocks))
+    label_of = {a.name: a for a in ta.actions}
+
+    def successors(node):
+        loc_name, region = node
+        for e in ta.edges:
+            if e.src != loc_name or not pred_holds(e.guard, region, index):
+                continue
+            target = _reference_reset(region, [index[name] for name in e.resets])
+            if pred_holds(ta.location(e.dst).invariant, target, index):
+                yield label_of[e.action], (e.dst, target)
+        succ = time_successor(region, ta.ceilings)
+        if succ is None:
+            yield None, node
+        elif pred_holds(ta.location(loc_name).invariant, succ, index):
+            yield None, (loc_name, succ)
+
+    starts = [
+        (loc.name, r0)
+        for loc in ta.locations
+        if loc.initial and pred_holds(loc.invariant, r0, index)
+    ]
+    metas, _, out = explore(starts, successors)
+    edges = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
+    time = [(cid, did) for cid, row in enumerate(out) for a, did in row if a is None]
+    classes = [
+        ClassInfo(
+            cid,
+            ta.location(loc_name).faulty,
+            ta.location(loc_name).initial and region == r0,
+            ta.observable_of_region(region),
+        )
+        for cid, (loc_name, region) in enumerate(metas)
+    ]
+    model = QuotientModel(classes, ta.actions, edges, time)
+    report = validate_model(model)
+    if not report.ok:
+        first = report.violations[0]
+        raise TAValidationError(first.rule, f"region quotient: {first.message}")
+    return RegionQuotient(model, metas, ta.ceilings)
+
+
+def reference_automata():
+    """The automata the region explorer is checked against its reference
+    on: both fixtures, 400 of each random family, and the benchmark's
+    ``kclock_ta(3, 4)``, ``kclock_ta(4, 2)`` and ``leak_ta(100)``."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    automata = [load_ta(fixtures / name) for name in ("ta1.ta.json", "kclock2.ta.json")]
+    automata += [random_ta(seed) for seed in range(400)]
+    automata += [random_progressive_ta(seed) for seed in range(400)]
+    families = benchmark_families()
+    docs = [families.kclock_ta(3, 4), families.kclock_ta(4, 2), families.leak_ta(100)]
+    return automata + [parse_ta(json.dumps(doc)) for doc in docs]
 
 
 def random_ta(seed):

@@ -43,6 +43,8 @@ GOLDEN_CASES = [
     ("synthesize-q2", ["synthesize", Q2], 0),
     ("estimator-ta-kclock2", ["estimator", "--ta", KCLOCK2], 0),
     ("synthesize-ta-kclock2", ["synthesize", "--ta", KCLOCK2], 0),
+    ("regions-ta-ta1", ["regions", TA1], 0),
+    ("regions-ta-kclock2", ["regions", KCLOCK2], 0),
 ]
 RUN_GOLDEN_CASES = [
     ("run-q1", Q1, "init o0\ntick o1\ntick o0\ntick o1\ntick o1\ntick o1\n"),
@@ -185,6 +187,19 @@ class TestRegionsPipeline:
             direct = capsys.readouterr().out
             assert main(["check", TA1, "--ta", "--format", fmt]) == 0
             assert capsys.readouterr().out == direct
+
+    @pytest.mark.parametrize("command", ["regions", "check"])
+    def test_quotient_violation_names_its_rule_once(self, command, tmp_path, capsys):
+        # The zero region breaks the only initial location's invariant.
+        data = json.loads(Path(TA1).read_text())
+        data["locations"][0]["invariant"] = ["x>=2"]
+        path = tmp_path / "no-initial.ta.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + (["--ta"] if command == "check" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: Nonempty: region quotient: model has no initial class\n"
+        )
 
     def test_closed_time_file_checks_the_same(self, tmp_path, capsys):
         # Files written by 0.1.0 list the closure of time; they still load

@@ -10,6 +10,7 @@ from hydiag import diagnosability
 from hydiag.cli import main
 from hydiag.diagnosability import (
     DiagnosabilityVerdict,
+    ProgressWitness,
     check_diagnosable,
     check_progressive,
     detection_delay_bound,
@@ -39,6 +40,8 @@ from .helpers import (
     nx_observed_step,
     q3_model,
     random_progressive_ta,
+    reference_automata,
+    reference_check_progressive,
     reference_delay_bound,
     save_model,
     unpruned_check_diagnosable,
@@ -205,6 +208,64 @@ class TestProgressiveAgainstNetworkx:
                     else:
                         assert label != "tick" and (a, label, b) in edges
         assert min(seen.values()) > 200
+
+
+class TestProgressiveAgainstReference:
+    """The Kahn decision against ``explore`` and Tarjan in every case."""
+
+    def test_two_disjoint_cycles_witness_the_first_tarjan_reports(self):
+        # Cycle {1, 2} reaches cycle {3, 4} silently, so Tarjan completes
+        # {3, 4} first although class 1 is smaller.
+        model = make_model(
+            [(False, True, 0)] + [(False, False, 0)] * 4,
+            [(0, "tick", 1), (1, "h", 2), (2, "h", 1), (2, "h", 3), (3, "h", 4), (4, "h", 3)],
+            actions=(TICK, FAULT, HIDDEN),
+        )
+        report = check_progressive(model)
+        assert report == reference_check_progressive(model)
+        assert report.witness == ProgressWitness("cycle", (3, 4, 3), ("h", "h"))
+
+    def test_reachable_divergent_class(self):
+        model = make_model(
+            [(False, True, 0), (True, False, 0)],
+            [(0, "tick", 0), (0, "f", 1), (1, "tick", 1)],
+            time=[(0, 1), (1, 1)],
+        )
+        report = check_progressive(model)
+        assert report == reference_check_progressive(model)
+        assert report.witness == ProgressWitness("cycle", (1, 1), ("time",))
+
+    def test_deadlock_comes_before_a_cycle(self):
+        model = make_model(
+            [(False, True, 0), (False, False, 0), (True, False, 0)],
+            [(0, "h", 1), (1, "h", 0), (0, "f", 2)],
+            actions=(TICK, FAULT, HIDDEN),
+        )
+        report = check_progressive(model)
+        assert report == reference_check_progressive(model)
+        assert report.witness == ProgressWitness("deadlock", (2,), ())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fuzz_models(self, seed):
+        for model in random_models(300, seed):
+            assert check_progressive(model) == reference_check_progressive(model)
+
+    def test_region_quotients(self):
+        reports = set()
+        for ta in reference_automata():
+            model = region_quotient(ta)
+            report = check_progressive(model)
+            assert report == reference_check_progressive(model)
+            reports.add(report.witness.kind if report.witness else None)
+        assert reports == {None, "deadlock", "cycle"}
+
+    def test_random_quotients(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            classes, edges, time, divergent = random_progress_case(rng)
+            marked = time + [(c, c) for c in divergent]
+            model = QuotientModel(classes, (TICK, FAULT, HIDDEN), edges, marked)
+            assert check_progressive(model) == reference_check_progressive(model)
 
 
 def synthetic_estimator(classifications, edges, initial_obs=0):

@@ -70,8 +70,9 @@ class TestPublicNames:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "twin_product\n", "")
 
 
-# What each command must leave unloaded.  ``fractions`` is imported by
-# ``regions`` only, so ``run`` keeps the whole timed layer out.
+# What each command must leave unloaded.  ``fractions`` is imported only
+# for the witness of a failed partition check, so neither ``run`` nor a
+# timed command loads it.
 PROBE = """
 import io, json, sys
 sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv[1].encode()), encoding="utf-8", newline="\\n")
@@ -86,9 +87,9 @@ Q2 = str(FIXTURES / "q2.quot.json")
 TA1 = str(FIXTURES / "ta1.ta.json")
 COMMANDS = [
     ("run", None, 0, {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions"}),
-    ("regions", ["regions", TA1], 0, {"hydiag.oracle", "hydiag.diagnosability"}),
+    ("regions", ["regions", TA1], 0, {"hydiag.oracle", "hydiag.diagnosability", "fractions"}),
     ("check", ["check", Q1], 0, {"hydiag.regions", "hydiag.oracle"}),
-    ("check-ta", ["check", "--ta", TA1], 0, {"hydiag.oracle"}),
+    ("check-ta", ["check", "--ta", TA1], 0, {"hydiag.oracle", "fractions"}),
     ("synthesize", ["synthesize", Q1], 0,
      {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability"}),
     ("oracle", ["oracle", Q2], 2, {"hydiag.regions"}),

@@ -40,7 +40,9 @@ from .helpers import (
     random_progressive_ta,
     random_sample_region,
     random_ta,
+    reference_automata,
     reference_constraint,
+    reference_region_quotient,
     region_of,
     sample_valuation,
 )
@@ -339,7 +341,7 @@ class TestRegionOps:
         ceilings = (2, 1)
         for region in all_regions(ceilings):
             values = random_sample_region(region, ceilings, rng)
-            for resets in [(0,), (1,), (0, 1)]:
+            for resets in map(frozenset, [(0,), (1,), (0, 1)]):
                 concrete = list(values)
                 for i in resets:
                     concrete[i] = Fraction(0)
@@ -392,7 +394,7 @@ class TestRegionEvaluator:
             raise AssertionError("Fraction built")
 
         text = json.dumps(three_clock_ta_data())
-        monkeypatch.setattr("hydiag.regions.Fraction", no_fraction)
+        monkeypatch.setattr("fractions.Fraction", no_fraction)
         rq = build_region_quotient(parse_ta(text))
         assert len(rq.model.classes) == len(rq.class_regions) > 0
         with pytest.raises(AssertionError, match="Fraction built"):
@@ -685,3 +687,33 @@ class TestSampledBisimulation:
         assert len(ta.clocks) == 3
         assert len(set(rq.model.obs)) == 3
         assert_region_equivalence(ta, rq, random.Random(23), pairs_per_class=2)
+
+
+@pytest.fixture(scope="module")
+def reference_cases():
+    return [(ta, reference_region_quotient(ta)) for ta in reference_automata()]
+
+
+class TestExplorerAgainstReference:
+    """The explorer with per-location edge tables and compiled guards
+    against the one that scans every edge and evaluates nested guards."""
+
+    def test_same_quotient_and_regions(self, reference_cases):
+        assert len(reference_cases) == 805
+        for ta, expected in reference_cases:
+            rq = build_region_quotient(ta)
+            assert rq.model == expected.model
+            assert rq.class_regions == expected.class_regions
+            assert rq.ceilings == expected.ceilings
+
+    def test_regions_are_named_tuples(self, reference_cases):
+        _, expected = reference_cases[-3]  # kclock_ta(3, 4)
+        assert len(expected.class_regions) == 1992
+        for _, region in build_region_quotient(reference_cases[-3][0]).class_regions:
+            assert type(region) is Region
+            assert region == (region.ints, region.zero, region.groups)
+            assert hash(region) == hash((region.ints, region.zero, region.groups))
+
+    def test_empty_reset_keeps_the_region(self):
+        region = Region((1, 0), (1,), ((0,),))
+        assert reset_region(region, frozenset()) is region
