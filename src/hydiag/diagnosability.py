@@ -18,7 +18,7 @@ with a deadlock or silent-cycle witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification, walk
@@ -26,17 +26,15 @@ from .graphs import explore, find_lasso, shortest_cycle, strongly_connected_comp
 from .quotient import Kind, Lasso, external_moves
 
 
-@dataclass(frozen=True)
-class ProgressWitness:
+class ProgressWitness(namedtuple("ProgressWitness", "kind classes labels")):
     """A deadlocked class, or a reachable cycle of silent moves.
 
-    ``labels[i]`` is the action between ``classes[i]`` and ``classes[i+1]``
-    ("time" for time edges); a deadlock witness has a single class.
+    ``kind`` is "deadlock" or "cycle".  ``labels[i]`` is the action between
+    ``classes[i]`` and ``classes[i+1]`` ("time" for time edges); a deadlock
+    witness has a single class.
     """
 
-    kind: str  # "deadlock" | "cycle"
-    classes: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ()
 
     def pretty(self):
         if self.kind == "deadlock":
@@ -50,16 +48,12 @@ class ProgressWitness:
         return {"kind": self.kind, "classes": list(self.classes), "labels": list(self.labels)}
 
 
-@dataclass(frozen=True)
-class ProgressReport:
-    progressive: bool
-    witness: ProgressWitness | None
+class ProgressReport(namedtuple("ProgressReport", "progressive witness")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiagnosabilityVerdict:
-    diagnosable: bool
-    witness: Lasso | None
+class DiagnosabilityVerdict(namedtuple("DiagnosabilityVerdict", "diagnosable witness")):
+    __slots__ = ()
 
     def to_json(self):
         return {

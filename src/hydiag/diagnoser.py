@@ -11,7 +11,7 @@ answer no but expose their ambiguity through the richer status field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ModelFormatError, NoConsistentExecution
 from .estimator import Classification, EstimatorGraph, _graph_data, _key_int
@@ -19,10 +19,8 @@ from .estimator import _parse_graph_json, _state_id
 from .quotient import _as_object, _dumps_json, _excerpt, _loads_json, _read_text
 
 
-@dataclass(frozen=True)
-class Verdict:
-    answer: str  # "yes" | "no"
-    status: Classification
+class Verdict(namedtuple("Verdict", "answer status")):
+    __slots__ = ()  # answer: "yes" | "no"
 
     def pretty(self):
         if self.status is Classification.INDETERMINATE:

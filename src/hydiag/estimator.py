@@ -10,7 +10,7 @@ still: only the estimates the traces it is asked step out of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .errors import CapExceeded, ModelFormatError
@@ -40,16 +40,14 @@ def classify(members, model):
     return Classification.INDETERMINATE
 
 
-@dataclass(frozen=True)
-class EstimatorState:
+class EstimatorState(namedtuple("EstimatorState", "members classification")):
     """Canonical estimator state: sorted member classes plus their kind."""
 
-    members: tuple[int, ...]
-    classification: Classification
+    __slots__ = ()
 
 
-@dataclass
-class EstimatorGraph:
+class EstimatorGraph(namedtuple("EstimatorGraph", "states initials transitions model",
+                                defaults=(None,))):
     """Reachable fragment of the estimator.
 
     ``states`` is indexed by state id (discovery order, hence canonical),
@@ -62,10 +60,11 @@ class EstimatorGraph:
     once built.
     """
 
-    states: list[EstimatorState]
-    initials: dict[int, int]
-    transitions: dict[tuple[int, str, int], int]
-    model: object = field(default=None, repr=False)
+    __slots__ = ()
+
+    def __repr__(self):
+        return (f"EstimatorGraph(states={self.states!r}, initials={self.initials!r}, "
+                f"transitions={self.transitions!r})")
 
 
 def initial_estimates(model):

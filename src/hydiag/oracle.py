@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagnosability import check_diagnosable, check_progressive
 from .errors import CapExceeded
@@ -34,16 +34,13 @@ from .quotient import (
 )
 
 
-@dataclass
-class TwinGraph:
+class TwinGraph(namedtuple("TwinGraph", "states initials edges")):
     """The twin plant as ``explore`` numbers it: ``states[sid]`` is a
     ``(left, right)`` pair of synchronized runs, the left one may have
     faulted, the right one has not; ``edges[sid]`` is its row of
     ``((action, obs), dst sid)`` pairs."""
 
-    states: list[tuple[int, int]]
-    initials: list[int]
-    edges: dict[int, list[tuple[tuple[str, int], int]]]
+    __slots__ = ()
 
 
 def twin_product(model):
@@ -89,8 +86,8 @@ def twin_product(model):
     return TwinGraph(nodes, initials, dict(enumerate(edges)))
 
 
-@dataclass(frozen=True)
-class CounterExample:
+class CounterExample(namedtuple(
+        "CounterExample", "shared left_prefix left_cycle right_prefix right_cycle")):
     """Two runs sharing an observation lasso, exactly one of them faulty.
 
     Runs are given as the classes sampled right after each external
@@ -98,17 +95,11 @@ class CounterExample:
     both endpoints, which coincide.
     """
 
-    shared: Lasso
-    left_prefix: tuple[int, ...]
-    left_cycle: tuple[int, ...]
-    right_prefix: tuple[int, ...]
-    right_cycle: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
-    diagnosable: bool
-    counterexample: CounterExample | None
+class OracleVerdict(namedtuple("OracleVerdict", "diagnosable counterexample")):
+    __slots__ = ()
 
 
 def brute_force_diagnosable(model):
@@ -207,18 +198,15 @@ def enumerate_utraces(model, k):
     return {trace: frozenset(classes) for trace, classes in result.items()}
 
 
-@dataclass(frozen=True)
-class LosingRun:
-    """One environment behavior the diagnoser handles wrongly."""
+class LosingRun(namedtuple("LosingRun", "trace reason")):
+    """One environment behavior the diagnoser handles wrongly: the
+    ``UTrace`` it observed, and "false-alarm" or "missed-fault"."""
 
-    trace: UTrace
-    reason: str  # "false-alarm" | "missed-fault"
+    __slots__ = ()
 
 
-@dataclass
-class SimulationReport:
-    runs: int
-    losing: list[LosingRun]
+class SimulationReport(namedtuple("SimulationReport", "runs losing")):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -375,11 +363,8 @@ def random_models(count, seed):
         yield random_model(rng.randrange(2**32))
 
 
-@dataclass
-class FuzzReport:
-    models: int
-    agreements: int
-    first_disagreement: dict | None
+class FuzzReport(namedtuple("FuzzReport", "models agreements first_disagreement")):
+    __slots__ = ()
 
     @property
     def ok(self):

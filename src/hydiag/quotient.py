@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from operator import itemgetter
 
@@ -37,28 +37,20 @@ class Kind(str, Enum):
     FAULT = "fault"
 
 
-@dataclass(frozen=True)
-class ActionLabel:
-    name: str
-    kind: Kind
+class ActionLabel(namedtuple("ActionLabel", "name kind")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassInfo:
+class ClassInfo(namedtuple("ClassInfo", "id faulty initial obs")):
     """One equivalence class: dense id, fault status, initiality, observable."""
 
-    id: int
-    faulty: bool
-    initial: bool
-    obs: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UTrace:
+class UTrace(namedtuple("UTrace", "head steps", defaults=((),))):
     """Untimed observation trace: head observable, then (action, observable) steps."""
 
-    head: int
-    steps: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
     def extend(self, action, obs):
         return UTrace(self.head, self.steps + ((action, int(obs)),))
@@ -90,12 +82,10 @@ class UTrace:
         return cls(head, tuple(map(tuple, steps)))
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(namedtuple("Lasso", "prefix cycle")):
     """A finite prefix plus a repeatable cycle of observations."""
 
-    prefix: UTrace
-    cycle: UTrace
+    __slots__ = ()
 
     @classmethod
     def from_steps(cls, head, prefix_steps, cycle_steps):
@@ -121,17 +111,12 @@ class Lasso:
         )
 
 
-@dataclass(frozen=True)
-class Violation:
-    rule: str
-    subject: object
-    message: str
+class Violation(namedtuple("Violation", "rule subject message")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    __slots__ = ()
 
     def to_json(self):
         return {

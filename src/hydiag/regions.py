@@ -39,7 +39,6 @@ import math
 import operator
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
 from .graphs import explore
@@ -187,28 +186,16 @@ def pred_atoms(node):
             yield from pred_atoms(child)
 
 
-@dataclass(frozen=True)
-class ObservableSpec:
-    id: int
-    pred: tuple
+class ObservableSpec(namedtuple("ObservableSpec", "id pred")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Location:
-    name: str
-    faulty: bool
-    initial: bool
-    invariant: tuple  # ("and", atom, ...)
+class Location(namedtuple("Location", "name faulty initial invariant")):
+    __slots__ = ()  # invariant: ("and", atom, ...)
 
 
-@dataclass(frozen=True)
-class TAEdge:
-    src: str
-    dst: str
-    action: str
-    kind: Kind
-    guard: tuple  # ("and", atom, ...)
-    resets: frozenset[str]
+class TAEdge(namedtuple("TAEdge", "src dst action kind guard resets")):
+    __slots__ = ()  # guard: ("and", atom, ...); resets: a frozenset of clock names
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +524,8 @@ class TimedAutomatonWithFaults:
 # ---------------------------------------------------------------------------
 # Region quotient construction
 
-@dataclass
-class RegionQuotient:
-    model: QuotientModel
-    class_regions: list[tuple[str, Region]]
-    ceilings: tuple[int, ...]
+class RegionQuotient(namedtuple("RegionQuotient", "model class_regions ceilings")):
+    __slots__ = ()  # class_regions: a list of (location name, Region)
 
 
 def _triples(pred, index):

@@ -45,6 +45,8 @@ GOLDEN_CASES = [
     ("synthesize-ta-kclock2", ["synthesize", "--ta", KCLOCK2], 0),
     ("regions-ta-ta1", ["regions", TA1], 0),
     ("regions-ta-kclock2", ["regions", KCLOCK2], 0),
+    ("validate-ta-kclock2", ["validate", "--ta", KCLOCK2], 0),
+    ("validate-ta-kclock2-json", ["validate", "--ta", KCLOCK2, "--format", "json"], 0),
 ]
 RUN_GOLDEN_CASES = [
     ("run-q1", Q1, "init o0\ntick o1\ntick o0\ntick o1\ntick o1\ntick o1\n"),
@@ -156,6 +158,24 @@ class TestValidate:
         assert payload["ok"] is False
         assert payload["violations"][0]["rule"] == "D1"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_ta_validates_its_quotient_once(self, fmt, capsys, monkeypatch):
+        # region_quotient validates as it builds and raises on a violation,
+        # so validate --ta prints ok without validating again.
+        from hydiag import cli, regions
+        from hydiag.quotient import validate_model
+
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return validate_model(model)
+
+        monkeypatch.setattr(cli, "validate_model", counted)
+        monkeypatch.setattr(regions, "validate_model", counted)
+        assert main(["validate", "--ta", KCLOCK2, "--format", fmt]) == 0
+        assert len(calls) == 1
+
     def test_missing_file(self, capsys):
         assert main(["validate", "no-such-file.json"]) == 1
 
@@ -188,14 +208,14 @@ class TestRegionsPipeline:
             assert main(["check", TA1, "--ta", "--format", fmt]) == 0
             assert capsys.readouterr().out == direct
 
-    @pytest.mark.parametrize("command", ["regions", "check"])
+    @pytest.mark.parametrize("command", ["regions", "check", "validate"])
     def test_quotient_violation_names_its_rule_once(self, command, tmp_path, capsys):
         # The zero region breaks the only initial location's invariant.
         data = json.loads(Path(TA1).read_text())
         data["locations"][0]["invariant"] = ["x>=2"]
         path = tmp_path / "no-initial.ta.json"
         path.write_text(json.dumps(data))
-        argv = [command, str(path)] + (["--ta"] if command == "check" else [])
+        argv = [command, str(path)] + (["--ta"] if command != "regions" else [])
         assert main(argv) == 1
         assert capsys.readouterr() == (
             "", "error: Nonempty: region quotient: model has no initial class\n"

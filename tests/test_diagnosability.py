@@ -1,7 +1,6 @@
 """Tests for progressiveness and the diagnosability decision."""
 
 import random
-from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -293,7 +292,7 @@ class TestDiagnosable:
         assert lasso.cycle.pretty() == "o1 tick o0 tick o1"
         assert replay_lasso(est, lasso)
         # The same steps with the cycle starting in o0 are no witness.
-        assert not replay_lasso(est, replace(lasso, cycle=replace(lasso.cycle, head=0)))
+        assert not replay_lasso(est, lasso._replace(cycle=lasso.cycle._replace(head=0)))
         # The cycle runs through the two indeterminate states.
         sid = est.initials[lasso.prefix.head]
         for action, obs in lasso.prefix.steps:
@@ -532,18 +531,18 @@ def _tampered_witnesses(est, lasso):
     action, _ = cycle.steps[-1]
     unused = max(est.model.obs) + 1
 
-    yield "detached cycle head", est, replace(lasso, cycle=replace(cycle, head=cycle.head + 1))
+    yield "detached cycle head", est, lasso._replace(cycle=cycle._replace(head=cycle.head + 1))
     changed = cycle.steps[:-1] + ((action, unused),)
     yield "changed observable", est, Lasso.from_steps(prefix.head, prefix.steps, changed)
     dropped = {key: dst for key, dst in est.transitions.items() if key != closing}
-    yield "dropped step", replace(est, transitions=dropped), lasso
+    yield "dropped step", est._replace(transitions=dropped), lasso
     away = {**est.transitions, closing: len(est.states)}
-    yield "cycle that does not return", replace(
-        est, states=[*est.states, est.states[anchor]], transitions=away
+    yield "cycle that does not return", est._replace(
+        states=[*est.states, est.states[anchor]], transitions=away
     ), lasso
     states = list(est.states)
-    states[anchor] = replace(states[anchor], classification=Classification.NONFAULTY)
-    yield "cycle through a determinate state", replace(est, states=states), lasso
+    states[anchor] = states[anchor]._replace(classification=Classification.NONFAULTY)
+    yield "cycle through a determinate state", est._replace(states=states), lasso
 
 
 def _witness_product_sustained(model, est, lasso):

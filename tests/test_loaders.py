@@ -35,7 +35,7 @@ def loads_estimator(text):
 def fields(written):
     """What a file holds of a model or graph: all but the backing model."""
     if isinstance(written, EstimatorGraph):
-        return {k: v for k, v in vars(written).items() if k != "model"}
+        return {k: v for k, v in written._asdict().items() if k != "model"}
     return written
 
 

@@ -1,7 +1,5 @@
 """Tests for the twin-plant oracle, trace enumeration, and simulation."""
 
-from dataclasses import replace
-
 import pytest
 
 from hydiag.cli import main
@@ -179,13 +177,13 @@ class TestBruteForce:
             )
             assert not verify_counterexample(model, swapped)
             other = next(c for c in range(len(model.classes)) if c != cx.left_cycle[0])
-            broken = replace(cx, left_cycle=cx.left_cycle[:-1] + (other,))
+            broken = cx._replace(left_cycle=cx.left_cycle[:-1] + (other,))
             assert not verify_counterexample(model, broken)
             (_, obs), *rest = cx.shared.cycle.steps
-            undeclared = replace(
-                cx.shared, cycle=replace(cx.shared.cycle, steps=(("undeclared", obs), *rest))
+            undeclared = cx.shared._replace(
+                cycle=cx.shared.cycle._replace(steps=(("undeclared", obs), *rest))
             )
-            assert not verify_counterexample(model, replace(cx, shared=undeclared))
+            assert not verify_counterexample(model, cx._replace(shared=undeclared))
         assert seen > 0
 
     def test_immediately_revealing_fault_is_diagnosable(self):
@@ -309,10 +307,10 @@ class TestSimulateRunsReference:
         reasons = set()
         for model in models[:300] + models[900:904]:
             diag = synthesize(build_estimator(model))
-            diag.states = [
-                replace(st, classification=Classification.FAULTY) if sid % 3 == 1 else st
+            diag = diag._replace(states=[
+                st._replace(classification=Classification.FAULTY) if sid % 3 == 1 else st
                 for sid, st in enumerate(diag.states)
-            ]
+            ])
             for k, yes_deadline in self.HORIZONS:
                 reasons |= self.compare(model, diag, k, yes_deadline)
         assert reasons == {"false-alarm", "missed-fault"}

@@ -72,27 +72,37 @@ class TestPublicNames:
 
 # What each command must leave unloaded.  ``fractions`` is imported only
 # for the witness of a failed partition check, so neither ``run`` nor a
-# timed command loads it.
+# timed command loads it.  The records are named tuples, so no command
+# loads ``dataclasses`` or the ``inspect`` it imports.
 PROBE = """
 import io, json, sys
 sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv[1].encode()), encoding="utf-8", newline="\\n")
 from hydiag.cli import main
 out, sys.stdout = sys.stdout, io.StringIO()
 code = main(sys.argv[2:])
-watched = ["hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions"]
+watched = ["hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions", "inspect",
+           "dataclasses"]
 out.write(json.dumps([code, [m for m in watched if m in sys.modules]]))
 """
 Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
 TA1 = str(FIXTURES / "ta1.ta.json")
+KCLOCK2 = str(FIXTURES / "kclock2.ta.json")
+NO_DATACLASSES = {"inspect", "dataclasses"}
 COMMANDS = [
-    ("run", None, 0, {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions"}),
-    ("regions", ["regions", TA1], 0, {"hydiag.oracle", "hydiag.diagnosability", "fractions"}),
-    ("check", ["check", Q1], 0, {"hydiag.regions", "hydiag.oracle"}),
-    ("check-ta", ["check", "--ta", TA1], 0, {"hydiag.oracle", "fractions"}),
+    ("run", None, 0,
+     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
+    ("regions", ["regions", TA1], 0,
+     {"hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
+    ("check", ["check", Q1], 0, {"hydiag.regions", "hydiag.oracle", *NO_DATACLASSES}),
+    ("check-ta", ["check", "--ta", TA1], 0, {"hydiag.oracle", "fractions", *NO_DATACLASSES}),
     ("synthesize", ["synthesize", Q1], 0,
-     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability"}),
-    ("oracle", ["oracle", Q2], 2, {"hydiag.regions"}),
+     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", *NO_DATACLASSES}),
+    ("oracle", ["oracle", Q2], 2, {"hydiag.regions", *NO_DATACLASSES}),
+    ("validate-ta", ["validate", "--ta", KCLOCK2], 0,
+     {"hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
+    ("estimator", ["estimator", Q1], 0,
+     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
 ]
 
 

@@ -5,8 +5,6 @@ ModelFormatError; ``replay_lasso`` and ``verify_counterexample`` answer
 True or False on any lasso it accepts and on any tuples as class paths.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,10 +80,10 @@ def test_tampered_counterexamples_give_a_bool(data):
                 path.insert(i, data.draw(CLASS))
             elif path:
                 del path[min(i, len(path) - 1)]
-        cx = replace(cx, **{field: tuple(path)})
+        cx = cx._replace(**{field: tuple(path)})
     shared = loaded(data.draw(LASSO)) if data.draw(st.booleans()) else None
     if shared is not None:
-        cx = replace(cx, shared=shared)
+        cx = cx._replace(shared=shared)
     assert type(verify_counterexample(model, cx)) is bool
 
 
@@ -93,16 +91,16 @@ def test_class_outside_the_model_is_false(q2):
     cx = brute_force_diagnosable(q2).counterexample
     assert verify_counterexample(q2, cx)
     for bad in [99, len(q2.classes), -1, True, 0.0, "0", None]:
-        assert not verify_counterexample(q2, replace(cx, left_prefix=(bad, *cx.left_prefix[1:])))
-        assert not verify_counterexample(q2, replace(cx, right_cycle=(*cx.right_cycle[:-1], bad)))
+        assert not verify_counterexample(q2, cx._replace(left_prefix=(bad, *cx.left_prefix[1:])))
+        assert not verify_counterexample(q2, cx._replace(right_cycle=(*cx.right_cycle[:-1], bad)))
 
 
 def test_cycle_paths_must_span_the_shared_cycle(q2):
     cx = brute_force_diagnosable(q2).counterexample
-    assert not verify_counterexample(q2, replace(cx, left_cycle=()))
+    assert not verify_counterexample(q2, cx._replace(left_cycle=()))
     # One class moved from the faulty run's prefix into its cycle.
-    moved = replace(cx, left_prefix=cx.left_prefix[:-1],
-                    left_cycle=(cx.left_prefix[-1], *cx.left_cycle))
+    moved = cx._replace(left_prefix=cx.left_prefix[:-1],
+                        left_cycle=(cx.left_prefix[-1], *cx.left_cycle))
     assert not verify_counterexample(q2, moved)
 
 
