@@ -170,29 +170,34 @@ def enumerate_utraces(model, k):
     """All untimed observation traces with at most ``k`` external actions,
     each mapped to the classes reachable right after its last action.
 
-    Ground truth for the estimator: computed by breadth-first search over
-    (class, trace) pairs of the raw path relation, never by determinizing.
-    Raises CapExceeded beyond ``MAX_TRACES`` traces.
+    Ground truth for the estimator: computed breadth-first over the trace
+    tree of the raw path relation, per trace, never merging traces.  Each
+    trace's classes step through their own ``external_moves`` rows; the
+    targets are bucketed by ``(action, obs)``, and each bucket is one
+    child trace.  Raises CapExceeded beyond ``MAX_TRACES`` traces.
     """
     moves = external_moves(model)
+    names = [a.name for a in model.external_actions]
 
     result = {}
-    frontier = set()
     for c in model.initial_classes:
-        frontier.add((c, UTrace(model.obs[c])))
-    for c, trace in frontier:
-        result.setdefault(trace, set()).add(c)
+        result.setdefault(UTrace(model.obs[c]), set()).add(c)
+    frontier = list(result.items())
 
     for _ in range(k):
-        nxt = set()
-        for c, trace in frontier:
-            for action in model.external_actions:
-                for dst, obs in moves[(c, action.name)]:
-                    nxt.add((dst, trace.extend(action.name, obs)))
-        for c, trace in nxt:
-            result.setdefault(trace, set()).add(c)
-            if len(result) > MAX_TRACES:
-                raise CapExceeded("enumerated traces", len(result), MAX_TRACES)
+        nxt = []
+        for trace, classes in frontier:
+            buckets = {}
+            for c in classes:
+                for name in names:
+                    for dst, obs in moves[(c, name)]:
+                        buckets.setdefault((name, obs), set()).add(dst)
+            for (name, obs), dsts in buckets.items():
+                child = trace.extend(name, obs)
+                result[child] = dsts
+                if len(result) > MAX_TRACES:
+                    raise CapExceeded("enumerated traces", len(result), MAX_TRACES)
+                nxt.append((child, dsts))
         frontier = nxt
 
     return {trace: frozenset(classes) for trace, classes in result.items()}

@@ -136,7 +136,11 @@ class QuotientModel:
     ``edges`` an iterable of (src, action-name-or-label, dst) and ``time``
     an iterable of (src, dst) pairs, kept as declared, not closed.
     ``divergent`` holds the classes with a time self-pair.  Instances
-    never mutate after construction and are safe to share across threads.
+    never mutate after construction and are safe to share across threads,
+    but for one cache: the model's ``external_moves`` table, created here
+    empty and filled a class at a time on first lookup.  Every row is a
+    function of the model, so two threads racing to fill a class compute
+    equal rows and either write wins.
     """
 
     def __init__(self, classes, actions, edges, time=()):
@@ -205,6 +209,7 @@ class QuotientModel:
         self._ext = {k: tuple(sorted(v)) for k, v in ext.items()}
         self._disc = tuple(tuple(d) for d in disc)
         self._tsucc = tuple(tuple(sorted(s)) for s in tsucc)
+        self._moves = _MoveTable(self)
 
     def external_edges_from(self, cls_id, action):
         return self._ext.get((cls_id, action.name), ())
@@ -317,12 +322,15 @@ def external_moves(model):
     set of classes together give the successors of the set, since the
     silent closure of a set is the union of its members' closures.
 
-    The table starts empty and fills itself: the first lookup of any
-    (c, action) key computes the rows of class c for every external
-    action.  A key with another action or an out-of-range class raises
-    KeyError.  ``get`` and ``in`` see only the rows filled so far.
+    There is one table per model, so every consumer of the model (the
+    estimator, the fault product, the twin plant, the trace enumeration)
+    computes each class's silent closure once.  It starts empty and fills
+    itself: the first lookup of any (c, action) key computes the rows of
+    class c for every external action.  A key with another action or an
+    out-of-range class raises KeyError.  ``get`` and ``in`` see only the
+    rows filled so far.
     """
-    return _MoveTable(model)
+    return model._moves
 
 
 class _MoveTable(dict):
@@ -337,12 +345,10 @@ class _MoveTable(dict):
         if name not in self._names or c not in range(len(model.classes)):
             raise KeyError(key)
         closure = unobservable_closure(model, (c,))
+        ext, obs = model._ext, model.obs
         for action in model.external_actions:
-            out = set()
-            for mid in closure:
-                for dst in model.external_edges_from(mid, action):
-                    out.add((dst, model.obs[dst]))
-            self[(c, action.name)] = sorted(out)
+            a = action.name
+            self[(c, a)] = sorted({(d, obs[d]) for mid in closure for d in ext.get((mid, a), ())})
         return self[key]
 
 
@@ -444,13 +450,27 @@ def _rows(value, what, schema):
 
     ``schema`` maps every key an object must have to the exact type of its
     value: ``int``, ``bool``, ``str`` or ``list`` (a bool is not an int).
-    It has at least two keys.  No message is built unless a check fails.
+    It has at least two keys.  The list is checked in bulk first: every
+    object a dict of exactly the schema's keys (as many keys, none
+    missing), then each column's value types.  Only if that fails is it
+    rescanned row by row, to report the first bad row.  No message is
+    built unless a check fails.
     """
     keys = schema.keys()
     fields = itemgetter(*keys)
+    objs = _as_list(value, what)
+    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {len(keys)}:
+        try:
+            rows = list(map(fields, objs))
+        except KeyError:
+            pass  # an object lacks a key: the rescan names it
+        else:
+            columns = zip(zip(*rows), schema.values())
+            if all(set(map(type, column)) <= {expected} for column, expected in columns):
+                return rows
     types = tuple(schema.values())
     rows = []
-    for i, obj in enumerate(_as_list(value, what)):
+    for i, obj in enumerate(objs):
         if type(obj) is not dict or obj.keys() != keys:
             _require_keys(obj, keys, f"{what}[{i}]")
         row = fields(obj)

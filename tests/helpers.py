@@ -79,6 +79,11 @@ def save_model(model, path):
         fh.write(dumps_model(model))
 
 
+def fresh_copy(model):
+    """An equal model whose ``external_moves`` table is still empty."""
+    return QuotientModel(model.classes, model.actions, model.edges, model.time)
+
+
 def benchmark_families():
     """The benchmark's model families, ``benchmarks/families.py``."""
     with pytest.MonkeyPatch.context() as mp:
@@ -362,6 +367,27 @@ def reference_build_estimator(model, *, expand_faulty=True):
     states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
     transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
     return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
+
+
+def reference_enumerate_utraces(model, k):
+    """``enumerate_utraces`` as a breadth-first search over (class, trace)
+    pairs: every class of every trace extends the trace on its own, and
+    the pairs are grouped by trace only at the end.  No cap."""
+    moves = external_moves(model)
+    result = {}
+    frontier = {(c, UTrace(model.obs[c])) for c in model.initial_classes}
+    for c, trace in frontier:
+        result.setdefault(trace, set()).add(c)
+    for _ in range(k):
+        nxt = set()
+        for c, trace in frontier:
+            for action in model.external_actions:
+                for dst, obs in moves[(c, action.name)]:
+                    nxt.add((dst, trace.extend(action.name, obs)))
+        for c, trace in nxt:
+            result.setdefault(trace, set()).add(c)
+        frontier = nxt
+    return {trace: frozenset(classes) for trace, classes in result.items()}
 
 
 def reference_simulate_runs(model, diag, k, yes_deadline=None, max_losing=10):

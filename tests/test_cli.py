@@ -36,6 +36,8 @@ GOLDEN_CASES = [
     ("check-q2-json", ["check", Q2, "--format", "json"], 2),
     ("oracle-q2", ["oracle", Q2], 2),
     ("oracle-q2-json", ["oracle", Q2, "--format", "json"], 2),
+    ("oracle-q1-depth8", ["oracle", Q1, "--depth", "8"], 0),
+    ("oracle-q2-depth6", ["oracle", Q2, "--depth", "6"], 2),
     ("validate-bad-d1", ["validate", BAD_D1], 1),
     ("check-ta-ta1", ["check", "--ta", TA1], 0),
     ("check-ta-kclock2", ["check", "--ta", KCLOCK2], 2),
@@ -43,6 +45,9 @@ GOLDEN_CASES = [
     ("synthesize-q2", ["synthesize", Q2], 0),
     ("estimator-ta-kclock2", ["estimator", "--ta", KCLOCK2], 0),
     ("synthesize-ta-kclock2", ["synthesize", "--ta", KCLOCK2], 0),
+    ("oracle-ta-kclock2-depth5", ["oracle", "--ta", KCLOCK2, "--depth", "5"], 2),
+    ("oracle-ta-kclock2-depth5-json",
+     ["oracle", "--ta", KCLOCK2, "--depth", "5", "--format", "json"], 2),
     ("regions-ta-ta1", ["regions", TA1], 0),
     ("regions-ta-kclock2", ["regions", KCLOCK2], 0),
     ("validate-ta-kclock2", ["validate", "--ta", KCLOCK2], 0),
@@ -363,6 +368,28 @@ class TestOracleCommand:
         assert main(["oracle", Q1, "--depth", "3"]) == 0
         assert "utrace agreement up to depth 3: ok" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_one_closure_per_class(self, capsys, monkeypatch):
+        # The twin plant, the enumeration and the estimate walker all read
+        # the model's one move table, which closes each class once.
+        from hydiag import quotient
+        from hydiag.regions import load_ta, region_quotient
+
+        real = quotient.unobservable_closure
+        seeds = []
+
+        def counted(model, seed):
+            seeds.append(tuple(seed))
+            return real(model, seed)
+
+        monkeypatch.setattr(quotient, "unobservable_closure", counted)
+        assert main(["oracle", KCLOCK2, "--ta", "--depth", "5"]) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "utrace agreement up to depth 5: ok (155 traces)"
+        )
+        classes = len(region_quotient(load_ta(KCLOCK2)).classes)
+        assert len(seeds) == len(set(seeds)) <= classes
+        assert all(len(seed) == 1 for seed in seeds)
 
     def test_builds_only_the_estimates_its_traces_reach(self, tmp_path, capsys, monkeypatch):
         from hydiag import cli

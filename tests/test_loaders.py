@@ -19,9 +19,27 @@ from hypothesis import strategies as st
 
 from hydiag.diagnoser import dumps_diagnoser, load_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import ModelFormatError, TAValidationError
-from hydiag.estimator import EstimatorGraph, _parse_graph_json, build_estimator, dumps_estimator
+from hydiag.estimator import (
+    _STATE_SCHEMA,
+    _TRANSITION_SCHEMA,
+    EstimatorGraph,
+    _parse_graph_json,
+    build_estimator,
+    dumps_estimator,
+)
 from hydiag.oracle import random_models
-from hydiag.quotient import dumps_model, load_model, loads_model
+from hydiag.quotient import (
+    _ACTION_SCHEMA,
+    _CLASS_SCHEMA,
+    _EDGE_SCHEMA,
+    _TIME_SCHEMA,
+    _TYPE_NAMES,
+    _require_keys,
+    _rows,
+    dumps_model,
+    load_model,
+    loads_model,
+)
 from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
@@ -234,3 +252,60 @@ def test_malformed_field_message(data, load, path, value, message):
     with pytest.raises(ModelFormatError) as info:
         load(json.dumps(replaced(data, path, value)))
     assert str(info.value) == message
+
+
+def reference_rows(value, what, schema):
+    """``_rows`` as one pass over the rows, checking each row's keys and
+    then its values in schema order, and raising at the first bad one."""
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} must be a list, got {type(value).__name__}")
+    rows = []
+    for i, obj in enumerate(value):
+        _require_keys(obj, schema.keys(), f"{what}[{i}]")
+        for key, expected in schema.items():
+            if type(obj[key]) is not expected:
+                raise ModelFormatError(
+                    f"{what}[{i}].{key} must be {_TYPE_NAMES[expected]}, "
+                    f"got {type(obj[key]).__name__}"
+                )
+        rows.append(tuple(obj[key] for key in schema))
+    return rows
+
+
+def outcome(rows, *args):
+    try:
+        return rows(*args)
+    except ModelFormatError as e:
+        return str(e)
+
+
+ROW_LISTS = [
+    (quotient_file()["classes"], "classes", _CLASS_SCHEMA),
+    (quotient_file()["actions"], "actions", _ACTION_SCHEMA),
+    (quotient_file()["edges"], "edges", _EDGE_SCHEMA),
+    (quotient_file()["time"], "time", _TIME_SCHEMA),
+    (diagnoser_file()["states"], "states", _STATE_SCHEMA),
+    (diagnoser_file()["transitions"], "transitions", _TRANSITION_SCHEMA),
+]
+
+
+@pytest.mark.parametrize("objs, what, schema", ROW_LISTS, ids=[r[1] for r in ROW_LISTS])
+def test_rows_check_in_bulk_as_row_by_row(objs, what, schema):
+    """The bulk checks of ``_rows`` pass exactly the lists a row-by-row scan
+    passes, and a failing list gets the row-by-row message of its first
+    bad row."""
+    key = next(iter(schema))
+    broken = [[], {}, "x", None]  # no rows, and rows that are not lists
+    for i, obj in enumerate(objs):
+        for value in [*VALUES, 0.0, False]:
+            broken.append(replaced(objs, (i, key), value))
+            broken.append(replaced(objs, (i, list(schema)[-1]), value))
+            broken.append(replaced(objs, (i,), value))
+        renamed = {("x" if k == key else k): v for k, v in obj.items()}
+        for row in [renamed, {**obj, "x": 1}, {k: v for k, v in obj.items() if k != key}]:
+            broken.append(replaced(objs, (i,), row))
+    # Two bad rows: the first one is reported.
+    broken.append(replaced(objs + [None], (0, key), None))
+    assert outcome(_rows, objs, what, schema) == reference_rows(objs, what, schema)
+    for value in broken:
+        assert outcome(_rows, value, what, schema) == outcome(reference_rows, value, what, schema)

@@ -1,5 +1,7 @@
 """Tests for the twin-plant oracle, trace enumeration, and simulation."""
 
+import json
+
 import pytest
 
 from hydiag.cli import main
@@ -21,13 +23,16 @@ from hydiag.oracle import (
     verify_counterexample,
 )
 from hydiag.quotient import Lasso, UTrace, validate_model
+from hydiag.regions import parse_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import (
+    benchmark_families,
     f2_violating_model,
     linear_chain_model,
     q3_model,
     random_progressive_ta,
+    reference_enumerate_utraces,
     reference_simulate_runs,
     reference_twin_product,
 )
@@ -217,8 +222,49 @@ class TestEnumerateUtraces:
 
     def test_cap_exceeded(self, q2, monkeypatch):
         monkeypatch.setattr("hydiag.oracle.MAX_TRACES", 2)
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded) as info:
             enumerate_utraces(q2, 4)
+        assert (info.value.what, info.value.count, info.value.cap) == ("enumerated traces", 3, 2)
+
+
+@pytest.fixture(scope="module")
+def enumeration_models(corpus):
+    """The corpus, random models, random TA quotients and kclock family members."""
+    models = [*corpus, *random_models(300, 0), *random_models(300, 1)]
+    models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+    models += [_kclock_model(2, 4), _kclock_model(3, 4)]
+    return models
+
+
+def _kclock_model(clocks, ceiling):
+    ta = benchmark_families().kclock_ta(clocks, ceiling)
+    return region_quotient(parse_ta(json.dumps(ta)))
+
+
+class TestEnumerateAgainstReference:
+    """The trace-tree enumeration extends each trace once per (action, obs)
+    its classes allow; the per-(class, trace) search it replaced extends
+    it once per class and move, and both map every trace to the same
+    classes."""
+
+    @pytest.mark.parametrize("depth", range(6))
+    def test_same_traces(self, enumeration_models, depth):
+        for model in enumeration_models:
+            assert enumerate_utraces(model, depth) == reference_enumerate_utraces(model, depth)
+
+    def test_one_extend_per_trace(self, monkeypatch):
+        model = _kclock_model(3, 4)
+        extend = UTrace.extend
+        calls = []
+
+        def counted(self, action, obs):
+            calls.append(self)
+            return extend(self, action, obs)
+
+        monkeypatch.setattr(UTrace, "extend", counted)
+        traces = enumerate_utraces(model, 4)
+        assert len(traces) == 313
+        assert len(calls) == len([t for t in traces if t.steps]) == 313 - 1
 
 
 class TestSimulateRuns:
@@ -268,8 +314,6 @@ class TestSimulateRunsReference:
 
     @pytest.fixture(scope="class")
     def models(self, q1, q2):
-        from hydiag.regions import region_quotient
-
         models = [m for s in (0, 1, 777) for m in random_models(300, s)]
         models += [q1, q2, q3_model(), linear_chain_model(30)]
         models += [region_quotient(random_progressive_ta(seed)) for seed in range(60)]
@@ -346,8 +390,6 @@ class TestAgreement:
         # A second model population: quotients of random timed automata,
         # whose proper time edges exercise the silent closure much harder
         # than the hand-rolled generator does.
-        from hydiag.regions import region_quotient
-
         from .helpers import estimator_trace_map, random_progressive_ta
 
         seen = {True: 0, False: 0}

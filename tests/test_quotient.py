@@ -1,5 +1,8 @@
 """Tests for the quotient model: validation, closures, file format."""
 
+import sys
+import threading
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -17,8 +20,9 @@ from hydiag.quotient import (
     unobservable_closure,
     validate_model,
 )
+from hydiag.regions import region_quotient
 
-from .helpers import FAULT, HIDDEN, TICK, make_model, q1_model, q2_model
+from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
 
 
 def rules_of(report):
@@ -169,15 +173,57 @@ class TestExternalSuccessors:
         moves = external_moves(q1)[(0, "tick")]
         assert [c for c, obs in moves if obs == 0] == [2]
 
-    def test_empty_seed(self, q1):
-        assert external_moves(q1) == {}
+    # The table is filled once per model and kept, and the session's q1
+    # is shared by every test, so the tests of an empty table build their
+    # own q1.
+    def test_empty_seed(self):
+        assert external_moves(q1_model()) == {}
 
     @pytest.mark.parametrize("key", [(0, "f"), (0, "nope"), (-1, "tick"), (4, "tick")])
-    def test_bad_keys_raise_key_error(self, q1, key):
-        moves = external_moves(q1)
+    def test_bad_keys_raise_key_error(self, key):
+        moves = external_moves(q1_model())
         with pytest.raises(KeyError):
             moves[key]
         assert moves == {}
+
+    def test_one_table_per_model(self):
+        model = q1_model()
+        moves = external_moves(model)
+        assert external_moves(model) is moves
+        rows = moves[(0, "tick")]
+        assert external_moves(model)[(0, "tick")] is rows
+        assert external_moves(q1_model()) is not moves
+
+    def test_racing_fills_agree(self, ta1):
+        # Threads that share a model fill its one table concurrently; each
+        # fill computes the same rows, so every thread reads the rows a
+        # table filled alone holds.
+        model = region_quotient(ta1)
+        keys = [(c, a.name) for c in range(len(model.classes)) for a in model.external_actions]
+        expected = {key: external_moves(fresh_copy(model))[key] for key in keys}
+        moves = external_moves(model)
+        seen = []
+
+        def fill(order):
+            seen.append({key: moves[key] for key in order})
+
+        threads = [
+            threading.Thread(target=fill, args=(keys[::step],)) for step in (1, -1, 2, -2, 3, -3)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == len(threads)
+        for rows in seen:
+            assert rows == {key: expected[key] for key in rows}
+        assert moves == expected
 
 
 class TestConstruction:
