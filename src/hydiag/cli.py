@@ -3,6 +3,11 @@
 One binary, subcommand style.  Exit codes: 0 success, 1 validation or
 parse errors, 2 not diagnosable, 3 not progressive, 4 an observed event
 stream is inconsistent with the model, 5 a resource cap was exceeded.
+
+Exit code 141 (128 + SIGPIPE, as a shell reports a filter that SIGPIPE
+stops): stdout closed before the output was written, as in ``hydiag run
+d.json | head -1``; the rest is discarded, with no message.  The process
+entry, ``hydiag.__main__``, gives it, so ``--help`` leaves it out.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ EXIT_NOT_DIAGNOSABLE = 2
 EXIT_NOT_PROGRESSIVE = 3
 EXIT_INCONSISTENT = 4
 EXIT_CAP = 5
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -399,7 +405,7 @@ def _add_model_arg(sub):
 
 
 def build_parser():
-    parser = _Parser(prog="hydiag", description=__doc__)
+    parser = _Parser(prog="hydiag", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--version", action="version", version=f"hydiag {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -459,6 +465,8 @@ def main(argv=None):
         return args.func(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_INVALID
+    except BrokenPipeError:
+        raise  # not an input error: see the module docstring
     except (ModelFormatError, TAValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
@@ -468,7 +476,3 @@ def main(argv=None):
     except NoConsistentExecution as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

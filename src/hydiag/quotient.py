@@ -176,7 +176,9 @@ class QuotientModel:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {_excerpt(label.name, 0)}, {dst}) out of range")
             resolved.add((src, label, dst))
-        self.edges = tuple(sorted(resolved, key=lambda e: (e[0], e[1].name, e[2])))
+        # Sorted by (src, action name, dst): names are unique, so two labels
+        # compare by name alone and a kind is never compared.
+        self.edges = tuple(sorted(resolved))
 
         time_pairs = set()
         for src, dst in time:
@@ -300,7 +302,8 @@ def unobservable_closure(model, seed):
     """Least superset of ``seed`` closed under time edges and silent actions.
 
     Silent means internal or fault: everything the system can do without
-    the observer noticing.
+    the observer noticing.  Only ``model._silent`` is read, so the model's
+    move table, which holds that adjacency, closes its classes here too.
     """
     closure = set(seed)
     frontier = list(closure)
@@ -334,20 +337,21 @@ def external_moves(model):
 
 
 class _MoveTable(dict):
+    # The table holds the model's adjacency, not the model, so a model and
+    # its table form no reference cycle: a dropped model is freed at once,
+    # without the cycle collector, and a table outlives its model intact.
     def __init__(self, model):
         super().__init__()
-        self._model = model
-        self._names = {a.name for a in model.external_actions}
+        self._silent, self._ext, self._obs = model._silent, model._ext, model.obs
+        self._names = tuple(a.name for a in model.external_actions)
 
     def __missing__(self, key):
         c, name = key
-        model = self._model
-        if name not in self._names or c not in range(len(model.classes)):
+        if name not in self._names or c not in range(len(self._obs)):
             raise KeyError(key)
-        closure = unobservable_closure(model, (c,))
-        ext, obs = model._ext, model.obs
-        for action in model.external_actions:
-            a = action.name
+        closure = unobservable_closure(self, (c,))
+        ext, obs = self._ext, self._obs
+        for a in self._names:
             self[(c, a)] = sorted({(d, obs[d]) for mid in closure for d in ext.get((mid, a), ())})
         return self[key]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydiag.errors import ModelFormatError
+from hydiag.oracle import random_models
 from hydiag.quotient import (
     ActionLabel,
     ClassInfo,
@@ -16,12 +17,14 @@ from hydiag.quotient import (
     QuotientModel,
     dumps_model,
     external_moves,
+    load_model,
     loads_model,
     unobservable_closure,
     validate_model,
 )
-from hydiag.regions import region_quotient
+from hydiag.regions import load_ta, region_quotient
 
+from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
 
 
@@ -254,6 +257,34 @@ class TestConstruction:
         assert model.discrete_edges_from(0) == ((FAULT, 1), (TICK, 0))
         with pytest.raises(ValueError, match="'tick' is not a declared action"):
             make_model(classes, [(0, ActionLabel("tick", Kind.INTERNAL), 0)])
+
+    def test_edges_sort_by_source_action_name_target(self, ta1):
+        def keyed(edges):
+            return tuple(sorted(edges, key=lambda e: (e[0], e[1].name, e[2])))
+
+        def renamed(model):
+            # Names in reverse alphabetical order of declaration, so sorting
+            # by name differs from sorting by declaration.
+            name = {a.name: chr(ord("z") - i) for i, a in enumerate(model.actions)}
+            actions = [ActionLabel(name[a.name], a.kind) for a in model.actions]
+            edges = [(s, name[a.name], d) for s, a, d in reversed(model.edges)]
+            return QuotientModel(model.classes, actions, edges, model.time)
+
+        models = [
+            *(load_model(FIXTURES / f) for f in ("q1.quot.json", "q2.quot.json",
+                                                 "bad-d1.quot.json")),
+            region_quotient(ta1),
+            region_quotient(load_ta(FIXTURES / "kclock2.ta.json")),
+            *random_models(100, 0),
+            *random_models(100, 1),
+        ]
+        for model in models:
+            assert model.edges == keyed(model.edges)
+            other = renamed(model)
+            assert other.edges == keyed(other.edges)
+        # q1 declares tick ("z") before f ("y"): class 0's fault edge sorts first.
+        assert [(a.name, d) for s, a, d in renamed(models[0]).edges if s == 0] == [
+            ("y", 2), ("z", 1)]
 
     def test_time_edges_closed_at_construction(self):
         model = make_model(
