@@ -31,7 +31,7 @@ _EXPORTS = {
     " region_quotient",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_SUBMODULES = (*_EXPORTS, "cli", "graphs")
+_SUBMODULES = (*_EXPORTS, "cli", "fileformat", "graphs")
 
 __all__ = sorted(_MODULE_OF)
 

@@ -15,7 +15,7 @@ import sys
 def entry():
     """Run ``hydiag.cli.main`` and return the process's exit status."""
     gc.disable()
-    from .cli import EXIT_BROKEN_PIPE, main
+    from .cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, main
 
     try:
         status = main()
@@ -26,6 +26,9 @@ def entry():
         # reports.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        # Ctrl-C: what was written stays written, with no traceback.
+        status = EXIT_INTERRUPTED
     # The final collection at teardown skips frozen objects.
     gc.freeze()
     return status

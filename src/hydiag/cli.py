@@ -6,11 +6,11 @@ stream is inconsistent with the model, 5 a resource cap was exceeded.
 
 Exit code 141 (128 + SIGPIPE, as a shell reports a filter that SIGPIPE
 stops): stdout closed before the output was written, as in ``hydiag run
-d.json | head -1``; the rest is discarded, with no message.  The process
-entry, ``hydiag.__main__``, gives it, so ``--help`` leaves it out.
+d.json | head -1``; the rest is discarded, with no message.  Exit code
+130 (128 + SIGINT): interrupted, as by Ctrl-C, with no message; what was
+written stays written.  The process entry, ``hydiag.__main__``, gives
+both, so ``--help`` leaves them out.
 """
-
-from __future__ import annotations
 
 import argparse
 import codecs
@@ -27,9 +27,7 @@ from .errors import (
     NoConsistentExecution,
     TAValidationError,
 )
-from .estimator import build_estimator, dumps_estimator, estimate_walker
-from .quotient import DEFAULT_MAX_CLASSES, _excerpt, _int_literal, dumps_model, load_model
-from .quotient import ValidationReport, validate_model
+from .fileformat import DEFAULT_MAX_CLASSES, _excerpt, _int_literal
 
 
 def _deferred(module, name):
@@ -45,6 +43,12 @@ def _deferred(module, name):
     return call
 
 
+load_model = _deferred("quotient", "load_model")
+dumps_model = _deferred("quotient", "dumps_model")
+validate_model = _deferred("quotient", "validate_model")
+build_estimator = _deferred("estimator", "build_estimator")
+dumps_estimator = _deferred("estimator", "dumps_estimator")
+estimate_walker = _deferred("estimator", "estimate_walker")
 load_ta = _deferred("regions", "load_ta")
 region_quotient = _deferred("regions", "region_quotient")
 check_progressive = _deferred("diagnosability", "check_progressive")
@@ -60,6 +64,7 @@ EXIT_NOT_DIAGNOSABLE = 2
 EXIT_NOT_PROGRESSIVE = 3
 EXIT_INCONSISTENT = 4
 EXIT_CAP = 5
+EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
 
@@ -143,23 +148,33 @@ def _print_validation(report, fmt):
         print(f"violation {v.rule}{subject}: {v.message}")
 
 
-def _probe_output(output):
-    """Fail before the work when ``output`` cannot be written.  Appending
-    creates a missing file and keeps an existing one as it is."""
-    if output is not None:
-        with open(output, "a", encoding="utf-8"):
-            pass
-
-
-def _write_or_print(text, output):
+def _write_output(output, make_text):
+    """Write ``make_text()`` to the file ``output``, or to stdout when it is
+    None.  The file is opened before the work, so an unwritable one fails
+    first; an existing file keeps its contents unless the work succeeds,
+    and a file created here is removed again if the work fails."""
     if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        sys.stdout.write(make_text())
+        return
+    try:
+        open(output, "x", encoding="utf-8").close()
+        created = True
+    except FileExistsError:
+        open(output, "a", encoding="utf-8").close()
+        created = False
+    try:
+        text = make_text()
+    except BaseException:
+        if created:
+            os.remove(output)
+        raise
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def cmd_validate(args):
+    from .quotient import ValidationReport
+
     model = _load_quotient(args)
     # A region quotient is validated as it is built, and raises on a violation.
     report = ValidationReport(True, ()) if args.ta else validate_model(model)
@@ -168,18 +183,19 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
-    _probe_output(args.output)
-    cap = _max_classes(args)
-    model = region_quotient(load_ta(args.model, cap), max_classes=cap)
-    _write_or_print(dumps_model(model), args.output)
+    def text():
+        cap = _max_classes(args)
+        return dumps_model(region_quotient(load_ta(args.model, cap), max_classes=cap))
+
+    _write_output(args.output, text)
     return EXIT_OK
 
 
 def cmd_estimator(args):
-    _probe_output(args.output)
-    model = _validated_model(args)
-    est = build_estimator(model)
-    _write_or_print(dumps_estimator(est), args.output)
+    def text():
+        return dumps_estimator(build_estimator(_validated_model(args)))
+
+    _write_output(args.output, text)
     return EXIT_OK
 
 
@@ -222,10 +238,10 @@ def cmd_check(args):
 
 
 def cmd_synthesize(args):
-    _probe_output(args.output)
-    model = _validated_model(args)
-    diag = synthesize(build_estimator(model))
-    _write_or_print(dumps_diagnoser(diag), args.output)
+    def text():
+        return dumps_diagnoser(synthesize(build_estimator(_validated_model(args))))
+
+    _write_output(args.output, text)
     return EXIT_OK
 
 

@@ -16,8 +16,6 @@ Non-diagnosable systems get a witness lasso; non-progressive systems
 with a deadlock or silent-cycle witness.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import CapExceeded

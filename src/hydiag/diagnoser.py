@@ -9,14 +9,12 @@ exactly on states whose members are all faulty; indeterminate states
 answer no but expose their ambiguity through the richer status field.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .estimator import Classification, EstimatorGraph, _graph_data, _key_int
-from .estimator import _parse_graph_json, _state_id
-from .quotient import _as_object, _dumps_json, _excerpt, _loads_json, _read_text
+from .fileformat import Classification, EstimatorGraph, _as_object, _dumps_json, _excerpt
+from .fileformat import _graph_data, _key_int, _loads_json, _parse_graph_json, _read_text
+from .fileformat import _state_id
 
 
 class Verdict(namedtuple("Verdict", "answer status")):

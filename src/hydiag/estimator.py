@@ -8,23 +8,16 @@ and irrelevant for diagnosability.  ``estimate_walker`` builds less
 still: only the estimates the traces it is asked step out of.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-from enum import Enum
-
-from .errors import CapExceeded, ModelFormatError
+from .errors import CapExceeded
+from .fileformat import Classification, EstimatorGraph, EstimatorState, _dumps_json, _graph_data
 from .graphs import explore
-from .quotient import _as_object, _dumps_json, _excerpt, _int_literal, _member, _require_keys
-from .quotient import _rows, external_moves
+from .quotient import external_moves
+
+# Defined with the file layer, and still exported here.
+from .fileformat import _STATE_SCHEMA, _TRANSITION_SCHEMA, _key_int, _state_id
+from .fileformat import _parse_graph_json
 
 DEFAULT_MAX_STATES = 1_000_000
-
-
-class Classification(str, Enum):
-    FAULTY = "faulty"
-    NONFAULTY = "nonfaulty"
-    INDETERMINATE = "indeterminate"
 
 
 def classify(members, model):
@@ -38,33 +31,6 @@ def classify(members, model):
     if flags == {False}:
         return Classification.NONFAULTY
     return Classification.INDETERMINATE
-
-
-class EstimatorState(namedtuple("EstimatorState", "members classification")):
-    """Canonical estimator state: sorted member classes plus their kind."""
-
-    __slots__ = ()
-
-
-class EstimatorGraph(namedtuple("EstimatorGraph", "states initials transitions model",
-                                defaults=(None,))):
-    """Reachable fragment of the estimator.
-
-    ``states`` is indexed by state id (discovery order, hence canonical),
-    ``initials`` maps an observable to the state estimated before any
-    action, and ``transitions`` maps (state id, action name, observable)
-    to the successor state id.  ``model`` is the quotient the graph was
-    built from, or None for a hand-built or loaded graph; the fault product
-    needs it, so ``detection_delay_bound`` and ``check_diagnosable`` on a
-    cyclic graph raise ValueError without it.  Immutable by convention
-    once built.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return (f"EstimatorGraph(states={self.states!r}, initials={self.initials!r}, "
-                f"transitions={self.transitions!r})")
 
 
 def initial_estimates(model):
@@ -196,74 +162,6 @@ def walk(graph, head, steps):
     return None if ids[-1] is None else ids
 
 
-def _graph_data(graph):
-    """The estimator-schema dict of an estimator or diagnoser graph."""
-    return {
-        "states": [
-            {"id": i, "members": list(s.members), "class": s.classification.value}
-            for i, s in enumerate(graph.states)
-        ],
-        "initials": {str(obs): sid for obs, sid in sorted(graph.initials.items())},
-        "transitions": [
-            {"src": src, "action": action, "obs": obs, "dst": dst}
-            for (src, action, obs), dst in sorted(graph.transitions.items())
-        ],
-    }
-
-
 def dumps_estimator(est):
     """Serialize an estimator graph to its JSON export format."""
     return _dumps_json(_graph_data(est))
-
-
-def _key_int(key, what):
-    """A non-negative integer written as a JSON object key, in canonical form."""
-    if not (key.isascii() and key.isdigit() and (key == "0" or key[0] != "0")):
-        raise ModelFormatError(f"{what} key must be an integer, got {_excerpt(key, 0)}")
-    return _int_literal(key, f"{what} key")
-
-
-def _state_id(value, n, table, key):
-    """``value``, the state id that ``table[key]`` names, checked against ``n`` states."""
-    if type(value) is not int:
-        raise ModelFormatError(
-            f"{table}[{_excerpt(key, 0)}] must be an integer, got {type(value).__name__}"
-        )
-    if not 0 <= value < n:
-        raise ModelFormatError(f"{table}[{_excerpt(key, 0)}] out of range")
-    return value
-
-
-_STATE_SCHEMA = {"id": int, "members": list, "class": str}
-_TRANSITION_SCHEMA = {"src": int, "action": str, "obs": int, "dst": int}
-
-
-def _parse_graph_json(data, what, extra_keys=frozenset()):
-    """Shared loader for the estimator schema (also used by diagnoser files)."""
-    _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
-
-    states = []
-    for i, (sid, members, cls) in enumerate(_rows(data["states"], "states", _STATE_SCHEMA)):
-        if sid != i:
-            raise ModelFormatError(f"states[{i}].id must be {i}")
-        if set(map(type, members)) - {int}:
-            raise ModelFormatError(f"states[{i}].members must be integers")
-        states.append(
-            EstimatorState(tuple(members), _member(Classification, cls, f"states[{i}].class"))
-        )
-
-    n = len(states)
-    initials = {}
-    for obs, sid in _as_object(data["initials"], "initials").items():
-        initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
-
-    transitions = {}
-    rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)
-    for i, (src, action, obs, dst) in enumerate(rows):
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ModelFormatError(f"transitions[{i}] out of range")
-        if (src, action, obs) in transitions:
-            first = next(j for j, row in enumerate(rows) if row[:3] == (src, action, obs))
-            raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
-        transitions[(src, action, obs)] = dst
-    return states, initials, transitions

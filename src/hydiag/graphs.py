@@ -7,8 +7,6 @@ cycle.  All functions iterate nodes and successors in the order given, so
 results are reproducible whenever the inputs are.
 """
 
-from __future__ import annotations
-
 from .errors import CapExceeded
 
 

@@ -11,8 +11,6 @@ Agreement of these with the estimator-based decision procedures is the
 core evidence the implementation is right.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from collections import namedtuple

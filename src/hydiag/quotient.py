@@ -15,18 +15,15 @@ A time self-pair (c, c) marks class c as genuinely time-divergent: the
 system can let time pass there forever.
 """
 
-from __future__ import annotations
-
-import json
-import sys
 from collections import namedtuple
 from enum import Enum
-from operator import itemgetter
 
 from .errors import ModelFormatError
+from .fileformat import _as_list, _dumps_json, _excerpt, _loads_json, _member, _read_text
+from .fileformat import _require_keys, _rows
 
-# Most classes of a region quotient; here so ``--help`` needs no ``regions``.
-DEFAULT_MAX_CLASSES = 100_000
+# Defined with the file layer, and still exported here.
+from .fileformat import DEFAULT_MAX_CLASSES, _TYPE_NAMES, _as_object, _int_literal
 
 
 class Kind(str, Enum):
@@ -363,139 +360,6 @@ _CLASS_SCHEMA = {"id": int, "faulty": bool, "initial": bool, "obs": int}
 _ACTION_SCHEMA = {"name": str, "kind": str}
 _EDGE_SCHEMA = {"src": int, "action": str, "dst": int}
 _TIME_SCHEMA = {"src": int, "dst": int}
-
-
-def _read_text(path):
-    """The contents of an input file, which must be UTF-8 text."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError:
-        raise ModelFormatError(f"{path} is not UTF-8 text") from None
-
-
-def _loads_json(text):
-    """Decode a JSON document, reporting a syntax error as a format error."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
-    except RecursionError:
-        raise ModelFormatError("invalid JSON: nested too deeply") from None
-    except ValueError:  # an integer past the interpreter's digit limit
-        raise ModelFormatError(
-            f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _dumps_json(data):
-    """Encode a file as one line of compact JSON plus a newline.
-
-    Without ``indent`` the json module runs its C encoder, several times
-    faster than the pure-Python one any indentation selects.
-    """
-    return json.dumps(data, separators=(",", ":")) + "\n"
-
-
-def _as_object(value, what):
-    if not isinstance(value, dict):
-        raise ModelFormatError(f"{what} must be an object")
-    return value
-
-
-def _require_keys(obj, keys, what):
-    if _as_object(obj, what).keys() == keys:
-        return
-    extra = sorted(set(obj) - keys)
-    if extra:
-        names = ", ".join(_excerpt(k, 0) for k in extra[:3])
-        more = f" and {len(extra) - 3} more" if len(extra) > 3 else ""
-        raise ModelFormatError(f"{what} has unknown keys: [{names}]{more}")
-    missing = keys - set(obj)
-    if missing:
-        raise ModelFormatError(f"{what} is missing keys: {sorted(missing)}")
-
-
-def _int_literal(digits, what):
-    """``int(digits)`` for a string of decimal digits, reporting one longer
-    than the interpreter converts (``sys.get_int_max_str_digits``) as a
-    format error."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ModelFormatError(
-            f"{what} has more than {sys.get_int_max_str_digits()} digits"
-        ) from None
-
-
-def _excerpt(text, pos, width=30):
-    """At most ``2 * width`` characters of ``text`` around index ``pos``, quoted.
-
-    Error messages quote this, not the whole input, which may be long.
-    """
-    start = max(0, min(pos - width, len(text) - 2 * width))
-    return repr(text[start : start + 2 * width])
-
-
-def _as_list(value, what):
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
-_TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a list"}
-
-
-def _rows(value, what, schema):
-    """Each object of the list ``value`` as the tuple of its fields in
-    ``schema`` order.
-
-    ``schema`` maps every key an object must have to the exact type of its
-    value: ``int``, ``bool``, ``str`` or ``list`` (a bool is not an int).
-    It has at least two keys.  The list is checked in bulk first: every
-    object a dict of exactly the schema's keys (as many keys, none
-    missing), then each column's value types.  Only if that fails is it
-    rescanned row by row, to report the first bad row.  No message is
-    built unless a check fails.
-    """
-    keys = schema.keys()
-    fields = itemgetter(*keys)
-    objs = _as_list(value, what)
-    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {len(keys)}:
-        try:
-            rows = list(map(fields, objs))
-        except KeyError:
-            pass  # an object lacks a key: the rescan names it
-        else:
-            columns = zip(zip(*rows), schema.values())
-            if all(set(map(type, column)) <= {expected} for column, expected in columns):
-                return rows
-    types = tuple(schema.values())
-    rows = []
-    for i, obj in enumerate(objs):
-        if type(obj) is not dict or obj.keys() != keys:
-            _require_keys(obj, keys, f"{what}[{i}]")
-        row = fields(obj)
-        if tuple(map(type, row)) != types:
-            for key, item, expected in zip(keys, row, types):
-                if type(item) is not expected:
-                    raise ModelFormatError(
-                        f"{what}[{i}].{key} must be {_TYPE_NAMES[expected]}, "
-                        f"got {type(item).__name__}"
-                    )
-        rows.append(row)
-    return rows
-
-
-def _member(enum, value, what):
-    """The member of ``enum`` whose value is ``value``."""
-    try:
-        return enum(value)
-    except ValueError:
-        names = "|".join(m.value for m in enum)
-        raise ModelFormatError(f"{what} must be one of {names}") from None
 
 
 def loads_model(text):

@@ -32,8 +32,6 @@ its nodes as plain tuples.  A concrete valuation (and the ``fractions``
 module) is needed only for the witness of a failed partition check.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
@@ -41,10 +39,10 @@ import re
 from collections import namedtuple
 
 from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
+from .fileformat import DEFAULT_MAX_CLASSES, _as_list, _excerpt, _int_literal, _loads_json
+from .fileformat import _member, _read_text, _require_keys, _rows
 from .graphs import explore
-from .quotient import DEFAULT_MAX_CLASSES, ActionLabel, ClassInfo, Kind, QuotientModel
-from .quotient import _as_list, _excerpt, _int_literal, _loads_json, _member, _read_text
-from .quotient import _require_keys, _rows, validate_model
+from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
 
 # Most '(' and '!' a predicate may have open at once.  Chains of '&' or
 # '|' are flat nodes, so this bounds the depth of parsing and evaluation.

@@ -23,13 +23,23 @@ from hydiag.diagnosability import (
     _fault_product,
     _indeterminate_graph,
 )
-from hydiag.errors import TAValidationError
+from hydiag.errors import ModelFormatError, TAValidationError
 from hydiag.estimator import (
     Classification,
     EstimatorGraph,
     EstimatorState,
     classify,
     initial_estimates,
+)
+from hydiag.fileformat import (
+    _STATE_SCHEMA,
+    _TRANSITION_SCHEMA,
+    _as_object,
+    _key_int,
+    _member,
+    _require_keys,
+    _rows,
+    _state_id,
 )
 from hydiag.graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
 from hydiag.oracle import LosingRun, SimulationReport
@@ -367,6 +377,38 @@ def reference_build_estimator(model, *, expand_faulty=True):
     states += [EstimatorState(m, classify(m, model)) for m in nodes[len(states):]]
     transitions = {(sid, a, obs): tid for sid, row in enumerate(edges) for (a, obs), tid in row}
     return EstimatorGraph(states, dict(zip(initial, start_ids)), transitions, model)
+
+
+def reference_parse_graph_json(data, what, extra_keys=frozenset()):
+    """``_parse_graph_json`` as one pass over each list, checking row by
+    row and raising at the first bad row."""
+    _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
+
+    states = []
+    for i, (sid, members, cls) in enumerate(_rows(data["states"], "states", _STATE_SCHEMA)):
+        if sid != i:
+            raise ModelFormatError(f"states[{i}].id must be {i}")
+        if set(map(type, members)) - {int}:
+            raise ModelFormatError(f"states[{i}].members must be integers")
+        states.append(
+            EstimatorState(tuple(members), _member(Classification, cls, f"states[{i}].class"))
+        )
+
+    n = len(states)
+    initials = {}
+    for obs, sid in _as_object(data["initials"], "initials").items():
+        initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
+
+    transitions = {}
+    rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)
+    for i, (src, action, obs, dst) in enumerate(rows):
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ModelFormatError(f"transitions[{i}] out of range")
+        if (src, action, obs) in transitions:
+            first = next(j for j, row in enumerate(rows) if row[:3] == (src, action, obs))
+            raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
+        transitions[(src, action, obs)] = dst
+    return states, initials, transitions
 
 
 def reference_enumerate_utraces(model, k):

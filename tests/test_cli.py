@@ -589,6 +589,17 @@ class TestMalformedInput:
         assert main(["regions", TA1, "--max-classes", "1", "-o", str(out)]) == 5
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv, code", [
+        (["regions", TA1, "--max-classes", "1"], 5),
+        (["synthesize", BAD_D1], 1),
+        (["estimator", BAD_D1], 1),
+        (["estimator", str(FIXTURES / "missing.quot.json")], 1),
+    ], ids=["regions-cap", "synthesize-d1", "estimator-d1", "estimator-missing-input"])
+    def test_failed_run_leaves_no_new_output(self, argv, code, tmp_path, capsys):
+        out = tmp_path / "new.json"
+        assert main([*argv, "-o", str(out)]) == code
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("entry, edits, message", [
         ("edges[0].guard[0]", {("edges", 0, "guard"): ["x<1.5"]},
          "non-integral constant in predicate at column 3 near 'x<1.5'"),

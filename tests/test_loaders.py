@@ -10,6 +10,8 @@ built from the schemas' key names.  Loading must then succeed or raise
 the documented format or validation error, never anything else.
 """
 
+import functools
+import itertools
 import json
 import re
 
@@ -43,7 +45,13 @@ from hydiag.quotient import (
 from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
-from .helpers import q1_model, q2_model, q3_model
+from .helpers import (
+    benchmark_families,
+    q1_model,
+    q2_model,
+    q3_model,
+    reference_parse_graph_json,
+)
 
 
 def loads_estimator(text):
@@ -309,3 +317,72 @@ def test_rows_check_in_bulk_as_row_by_row(objs, what, schema):
     assert outcome(_rows, objs, what, schema) == reference_rows(objs, what, schema)
     for value in broken:
         assert outcome(_rows, value, what, schema) == outcome(reference_rows, value, what, schema)
+
+
+# Diagnoser files: the fixtures' and the benchmark's kclock_ta(3, 4), whose
+# 1,383 states and 6,121 transitions are the largest a workload loads.
+GRAPH_FILES = ["q1", "q2", "ta1", "kclock2", "kclock_ta(3,4)"]
+
+
+@functools.cache
+def graph_file(name):
+    if name == "kclock_ta(3,4)":
+        model = region_quotient(parse_ta(json.dumps(benchmark_families().kclock_ta(3, 4))))
+    elif name.startswith("q"):
+        model = loads_model((FIXTURES / f"{name}.quot.json").read_text())
+    else:
+        model = region_quotient(load_ta(FIXTURES / f"{name}.ta.json"))
+    return json.loads(dumps_diagnoser(synthesize(build_estimator(model))))
+
+
+def edited(data, table, row, fields):
+    rows = list(data[table])
+    rows[row] = {**rows[row], **fields}
+    return {**data, table: rows}
+
+
+def graph_edits(data):
+    """Copies of ``data`` with one or two rows broken past the type checks:
+    each edit alone at the first and the last row, and each ordered pair
+    of different edits at two rows, in both orders."""
+    n, moves = len(data["states"]), data["transitions"]
+    edits = {
+        "states": [lambda i: {"id": i + 1}, lambda i: {"members": [0, True]},
+                   lambda i: {"class": "x"}],
+        "transitions": [lambda i: {"src": n}, lambda i: {"dst": -1},
+                        lambda i: moves[i - 1]],  # repeats the move of the row before
+    }
+    for table, table_edits in edits.items():
+        last = len(data[table]) - 1
+        for edit, row in itertools.product(table_edits, {0, last}):
+            yield edited(data, table, row, edit(row))
+        if last < 2:
+            continue
+        for (first, second), (a, b) in itertools.product(
+            itertools.permutations(table_edits, 2), [(1, last), (last, 1)]
+        ):
+            yield edited(edited(data, table, a, first(a)), table, b, second(b))
+
+
+def graph_outcome(parse, data):
+    try:
+        states, initials, transitions = parse(data, "diagnoser", {"output"})
+    except ModelFormatError as e:
+        return str(e)
+    return states, initials, list(transitions.items())
+
+
+@pytest.mark.parametrize("name", GRAPH_FILES)
+def test_graph_loader_checks_in_bulk_as_row_by_row(name):
+    """``_parse_graph_json`` loads a good file as the row-by-row loader
+    does, and gives a broken one the message of its first bad row."""
+    data = graph_file(name)
+    loaded = graph_outcome(_parse_graph_json, data)
+    assert loaded == graph_outcome(reference_parse_graph_json, data)
+    assert len(loaded[0]) == len(data["states"]) and len(loaded[2]) == len(data["transitions"])
+    broken = list(graph_edits(data))
+    assert len(broken) >= 12
+    for case in broken:
+        message = graph_outcome(_parse_graph_json, case)
+        assert isinstance(message, str)
+        assert message == graph_outcome(reference_parse_graph_json, case)

@@ -70,18 +70,19 @@ class TestPublicNames:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "twin_product\n", "")
 
 
-# What each command must leave unloaded.  ``fractions`` is imported only
-# for the witness of a failed partition check, so neither ``run`` nor a
-# timed command loads it.  The records are named tuples, so no command
-# loads ``dataclasses`` or the ``inspect`` it imports.
+# What each command must leave unloaded.  ``run`` loads a diagnoser with
+# the file layer alone, and ``regions`` builds no estimator.  ``fractions``
+# is imported only for the witness of a failed partition check, so
+# neither ``run`` nor a timed command loads it.  The records are named
+# tuples, so no command loads ``dataclasses`` or the ``inspect`` it imports.
 PROBE = """
 import io, json, sys
 sys.stdin = io.TextIOWrapper(io.BytesIO(sys.argv[1].encode()), encoding="utf-8", newline="\\n")
 from hydiag.cli import main
 out, sys.stdout = sys.stdout, io.StringIO()
 code = main(sys.argv[2:])
-watched = ["hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions", "inspect",
-           "dataclasses"]
+watched = ["hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "hydiag.quotient",
+           "hydiag.graphs", "hydiag.estimator", "fractions", "inspect", "dataclasses"]
 out.write(json.dumps([code, [m for m in watched if m in sys.modules]]))
 """
 Q1 = str(FIXTURES / "q1.quot.json")
@@ -91,9 +92,11 @@ KCLOCK2 = str(FIXTURES / "kclock2.ta.json")
 NO_DATACLASSES = {"inspect", "dataclasses"}
 COMMANDS = [
     ("run", None, 0,
-     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
+     {"hydiag.regions", "hydiag.oracle", "hydiag.diagnosability", "hydiag.quotient",
+      "hydiag.graphs", "hydiag.estimator", "fractions", *NO_DATACLASSES}),
     ("regions", ["regions", TA1], 0,
-     {"hydiag.oracle", "hydiag.diagnosability", "fractions", *NO_DATACLASSES}),
+     {"hydiag.oracle", "hydiag.diagnosability", "hydiag.estimator", "fractions",
+      *NO_DATACLASSES}),
     ("check", ["check", Q1], 0, {"hydiag.regions", "hydiag.oracle", *NO_DATACLASSES}),
     ("check-ta", ["check", "--ta", TA1], 0, {"hydiag.oracle", "fractions", *NO_DATACLASSES}),
     ("synthesize", ["synthesize", Q1], 0,
@@ -119,3 +122,25 @@ def test_command_loads_only_its_layers(argv, code, unloaded, tmp_path):
     exit_code, loaded = json.loads(proc.stdout)
     assert exit_code == code
     assert not unloaded & set(loaded), loaded
+
+
+# Runs hydiag as ``python -m hydiag`` does, then lists the hydiag modules
+# the process loaded on stderr.
+AS_MODULE = """
+import runpy, sys
+sys.argv[0] = "hydiag"
+try:
+    runpy.run_module("hydiag", run_name="__main__", alter_sys=True)
+finally:
+    print(*sorted(m for m in sys.modules if m.split(".")[0] == "hydiag"), file=sys.stderr)
+"""
+
+
+def test_run_loads_only_the_file_layer_and_the_diagnoser(tmp_path):
+    diag = tmp_path / "diag.json"
+    assert main(["synthesize", Q1, "-o", str(diag)]) == 0
+    proc = run_python(["-c", AS_MODULE, "run", str(diag)], stdin="init o0\n")
+    assert (proc.returncode, proc.stdout) == (0, "no determinate-nonfaulty\n")
+    assert proc.stderr.split() == [
+        "hydiag", "hydiag.cli", "hydiag.diagnoser", "hydiag.errors", "hydiag.fileformat"
+    ]

@@ -11,13 +11,15 @@ collector.
 import gc
 import os
 import re
+import signal
 import subprocess
 import sys
 import weakref
 
 import pytest
 
-from hydiag.cli import EXIT_BROKEN_PIPE, main
+from hydiag import cli
+from hydiag.cli import EXIT_BROKEN_PIPE, EXIT_INTERRUPTED, main
 from hydiag.quotient import external_moves
 from hydiag.regions import load_ta, region_quotient
 
@@ -189,6 +191,39 @@ class TestBrokenPipe:
         proc = run_child(["-m", "hydiag", "check", missing])
         assert proc.returncode == 1
         assert proc.stderr == f"error: [Errno 2] No such file or directory: {missing!r}\n".encode()
+
+
+class TestInterrupt:
+    def test_ctrl_c_while_run_waits_for_input(self, q1_diag):
+        # stdin stays open, so run is blocked reading it when SIGINT comes.
+        with subprocess.Popen(
+            [sys.executable, "-m", "hydiag", "run", q1_diag], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(),
+        ) as proc:
+            proc.stdin.write(b"init o0\ntick o1\n")
+            proc.stdin.flush()
+            assert proc.stdout.readline() == b"no determinate-nonfaulty\n"
+            assert proc.stdout.readline() == b"no determinate-nonfaulty\n"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == EXIT_INTERRUPTED == 130
+            assert (proc.stdout.read(), proc.stderr.read()) == (b"", b"")
+
+    def test_main_lets_it_through(self, monkeypatch, q1_diag):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_diagnoser", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", q1_diag])
+
+    def test_an_interrupted_output_leaves_no_new_file(self, monkeypatch, tmp_path):
+        def interrupted(model):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "build_estimator", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["synthesize", Q1, "-o", str(tmp_path / "new.json")])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBoundedGarbage:

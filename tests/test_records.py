@@ -19,8 +19,8 @@ RECORDS = [
     ("quotient", "Lasso", ("prefix", "cycle"), True),
     ("quotient", "Violation", ("rule", "subject", "message"), True),
     ("quotient", "ValidationReport", ("ok", "violations"), True),
-    ("estimator", "EstimatorState", ("members", "classification"), True),
-    ("estimator", "EstimatorGraph", ("states", "initials", "transitions", "model"), False),
+    ("fileformat", "EstimatorState", ("members", "classification"), True),
+    ("fileformat", "EstimatorGraph", ("states", "initials", "transitions", "model"), False),
     ("diagnoser", "Verdict", ("answer", "status"), True),
     ("diagnosability", "ProgressWitness", ("kind", "classes", "labels"), True),
     ("diagnosability", "ProgressReport", ("progressive", "witness"), True),
