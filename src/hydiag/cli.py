@@ -14,7 +14,6 @@ both, so ``--help`` leaves them out.
 
 import argparse
 import codecs
-import importlib
 import json
 import os
 import sys
@@ -34,10 +33,13 @@ def _deferred(module, name):
     """A stand-in for ``module.name`` that imports the module on its first
     call, so a command loads only the layers it calls.  It is a name of
     this module, so code that replaces ``hydiag.cli.<name>`` still sees
-    every call."""
+    every call.  ``__import__`` takes the interpreter's own import path,
+    which ``python -X importtime`` logs; ``importlib.import_module`` does
+    not."""
 
     def call(*args, **kwargs):
-        return getattr(importlib.import_module(f"{__package__}.{module}"), name)(*args, **kwargs)
+        layer = __import__(f"{__package__}.{module}", fromlist=[name])
+        return getattr(layer, name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call

@@ -12,8 +12,8 @@ answer no but expose their ambiguity through the richer status field.
 from collections import namedtuple
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .fileformat import Classification, EstimatorGraph, _as_object, _dumps_json, _excerpt
-from .fileformat import _graph_data, _key_int, _loads_json, _parse_graph_json, _read_text
+from .fileformat import Classification, EstimatorGraph, _as_object, _dumps_graph, _excerpt
+from .fileformat import _key_int, _loads_json, _parse_graph_json, _read_text
 from .fileformat import _state_id
 
 
@@ -87,11 +87,7 @@ def run_trace(diag, trace):
 
 def dumps_diagnoser(diag):
     """The estimator file plus ``output``, each state's Moore output."""
-    data = _graph_data(diag)
-    data["output"] = {
-        str(i): _VERDICTS[s.classification].answer for i, s in enumerate(diag.states)
-    }
-    return _dumps_json(data)
+    return _dumps_graph(diag, {c: verdict.answer for c, verdict in _VERDICTS.items()})
 
 
 def loads_diagnoser(text):

@@ -9,7 +9,7 @@ still: only the estimates the traces it is asked step out of.
 """
 
 from .errors import CapExceeded
-from .fileformat import Classification, EstimatorGraph, EstimatorState, _dumps_json, _graph_data
+from .fileformat import Classification, EstimatorGraph, EstimatorState, _dumps_graph
 from .graphs import explore
 from .quotient import external_moves
 
@@ -164,4 +164,4 @@ def walk(graph, head, steps):
 
 def dumps_estimator(est):
     """Serialize an estimator graph to its JSON export format."""
-    return _dumps_json(_graph_data(est))
+    return _dumps_graph(est)

@@ -42,13 +42,37 @@ def _loads_json(text):
         ) from None
 
 
-def _dumps_json(data):
-    """Encode a file as one line of compact JSON plus a newline.
+# Files are written as ``json.dumps(data, separators=(",", ":")) + "\n"``
+# would write them, one row at a time from a fixed ``%`` template whose
+# ``%s`` slots take each field's JSON text.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
-    Without ``indent`` the json module runs its C encoder, several times
-    faster than the pure-Python one any indentation selects.
-    """
-    return json.dumps(data, separators=(",", ":")) + "\n"
+
+def _columns(rows, width):
+    """The ``width`` columns of a sequence of equal-length rows."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def _json_texts(values, exact):
+    """The JSON text of each of ``values``, for ``%s`` slots.  A column
+    whose values are all exactly of type ``exact`` is converted in bulk:
+    an int is its own text, and equal values of any other type (a bool,
+    a str, a str enum member) share one text, encoded once.  Any other
+    column is encoded value by value."""
+    if set(map(type, values)) <= {exact}:
+        if exact is int:
+            return values
+        distinct = dict.fromkeys(values)
+        return map(dict(zip(distinct, map(_encode, distinct))).__getitem__, values)
+    return map(_encode, values)
+
+
+def _json_rows(template, *columns):
+    """The rows of a JSON list or object, comma-separated: ``template`` is
+    one row's text with a ``%s`` slot per column, and ``columns`` hold the
+    slots' texts."""
+    fields = tuple(chain.from_iterable(zip(*columns)))
+    return ",".join([template] * (len(fields) // len(columns))) % fields
 
 
 def _as_object(value, what):
@@ -187,19 +211,30 @@ class EstimatorGraph(namedtuple("EstimatorGraph", "states initials transitions m
                 f"transitions={self.transitions!r})")
 
 
-def _graph_data(graph):
-    """The estimator-schema dict of an estimator or diagnoser graph."""
-    return {
-        "states": [
-            {"id": i, "members": list(s.members), "class": s.classification.value}
-            for i, s in enumerate(graph.states)
-        ],
-        "initials": {str(obs): sid for obs, sid in sorted(graph.initials.items())},
-        "transitions": [
-            {"src": src, "action": action, "obs": obs, "dst": dst}
-            for (src, action, obs), dst in sorted(graph.transitions.items())
-        ],
-    }
+def _dumps_graph(graph, answers=None):
+    """The estimator file of ``graph``, written row by row.  With
+    ``answers``, the Moore output of each Classification, it is a
+    diagnoser file: ``output`` maps each state id to its answer."""
+    members, classes = _columns(graph.states, 2)
+    classes = tuple(_json_texts(classes, Classification))
+    # Members are class ids, so the encoded rows split where one ends.
+    members = _encode(members)[2:-2].split("],[")
+    keys, dsts = _columns(sorted(graph.transitions.items()), 2)
+    srcs, actions, observables = _columns(keys, 3)
+    text = '{"states":[%s],"initials":%s,"transitions":[%s]' % (
+        _json_rows('{"id":%s,"members":[%s],"class":%s}', range(len(classes)), members, classes),
+        _encode({str(obs): sid for obs, sid in sorted(graph.initials.items())}),
+        _json_rows(
+            '{"src":%s,"action":%s,"obs":%s,"dst":%s}', _json_texts(srcs, int),
+            _json_texts(actions, str), _json_texts(observables, int), _json_texts(dsts, int),
+        ),
+    )
+    if answers is not None:
+        answer_of = {_encode(c): _encode(answer) for c, answer in answers.items()}
+        text += ',"output":{%s}' % _json_rows(
+            '"%s":%s', range(len(classes)), map(answer_of.__getitem__, classes)
+        )
+    return text + "}\n"
 
 
 def _key_int(key, what):

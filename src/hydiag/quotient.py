@@ -19,8 +19,8 @@ from collections import namedtuple
 from enum import Enum
 
 from .errors import ModelFormatError
-from .fileformat import _as_list, _dumps_json, _excerpt, _loads_json, _member, _read_text
-from .fileformat import _require_keys, _rows
+from .fileformat import _as_list, _columns, _excerpt, _json_rows, _json_texts
+from .fileformat import _loads_json, _member, _read_text, _require_keys, _rows
 
 # Defined with the file layer, and still exported here.
 from .fileformat import DEFAULT_MAX_CLASSES, _TYPE_NAMES, _as_object, _int_literal
@@ -190,24 +190,31 @@ class QuotientModel:
         self.initial_classes = tuple(c.id for c in self.classes if c.initial)
 
         # Adjacency caches used by the closure and successor operations.
-        silent = [set() for _ in range(n)]
+        # The edges are sorted by (src, name, dst), so their rows come out
+        # in order; the time pairs are sorted once.
+        silent = [[] for _ in range(n)]
         ext = {}
         disc = [[] for _ in range(n)]
+        external = Kind.EXTERNAL  # a class attribute of an Enum is slow to look up
         for src, label, dst in self.edges:
             disc[src].append((label, dst))
-            if label.kind is Kind.EXTERNAL:
+            if label.kind is external:
                 ext.setdefault((src, label.name), []).append(dst)
             else:
-                silent[src].add(dst)
-        tsucc = [set() for _ in range(n)]
-        for src, dst in self.time:
+                silent[src].append(dst)
+        tsucc = [[] for _ in range(n)]
+        for src, dst in sorted(time_pairs):
             if src != dst:
-                silent[src].add(dst)
-                tsucc[src].add(dst)
-        self._silent = tuple(tuple(sorted(s)) for s in silent)
-        self._ext = {k: tuple(sorted(v)) for k, v in ext.items()}
-        self._disc = tuple(tuple(d) for d in disc)
-        self._tsucc = tuple(tuple(sorted(s)) for s in tsucc)
+                tsucc[src].append(dst)
+        self._ext = {k: tuple(v) for k, v in ext.items()}
+        self._disc = tuple(map(tuple, disc))
+        self._tsucc = tuple(map(tuple, tsucc))
+        # A class's silent targets need a sort only when they come from two
+        # sources: time and an edge, or two silent actions.
+        self._silent = tuple(
+            tuple(sorted({*s, *t})) if s and t or len(s) > 1 else tuple(s) or t
+            for s, t in zip(silent, self._tsucc)
+        )
         self._moves = _MoveTable(self)
 
     def external_edges_from(self, cls_id, action):
@@ -248,7 +255,8 @@ def validate_model(model):
     if not model.initial_classes:
         violations.append(Violation("Nonempty", None, "model has no initial class"))
 
-    fault_sources = {src for src, label, _ in model.edges if label.kind is Kind.FAULT}
+    fault, faulty = Kind.FAULT, model.faulty
+    fault_sources = {src for src, label, _ in model.edges if label.kind is fault}
     for c in model.classes:
         if c.initial and c.faulty:
             violations.append(
@@ -264,8 +272,8 @@ def validate_model(model):
             )
 
     for src, label, dst in model.edges:
-        if label.kind is Kind.FAULT:
-            if model.faulty[src] or not model.faulty[dst]:
+        if label.kind is fault:
+            if faulty[src] or not faulty[dst]:
                 violations.append(
                     Violation(
                         "D2",
@@ -273,7 +281,7 @@ def validate_model(model):
                         f"fault edge {src}->{dst} must go non-faulty to faulty",
                     )
                 )
-        elif model.faulty[src] != model.faulty[dst]:
+        elif faulty[src] != faulty[dst]:
             violations.append(
                 Violation(
                     "D3",
@@ -283,7 +291,7 @@ def validate_model(model):
             )
 
     for src, dst in sorted(model.time):
-        if model.faulty[src] != model.faulty[dst]:
+        if faulty[src] != faulty[dst]:
             violations.append(
                 Violation(
                     "T1",
@@ -389,16 +397,21 @@ def dumps_model(model):
     Time is written as the declared pairs, self-pairs exactly for the
     time-divergent classes.
     """
-    data = {
-        "classes": [
-            {"id": c.id, "faulty": c.faulty, "initial": c.initial, "obs": c.obs}
-            for c in model.classes
-        ],
-        "actions": [{"name": a.name, "kind": a.kind.value} for a in model.actions],
-        "edges": [
-            {"src": src, "action": label.name, "dst": dst}
-            for src, label, dst in model.edges
-        ],
-        "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
-    }
-    return _dumps_json(data)
+    ids, faulty, initial, obs = _columns(model.classes, 4)
+    names, kinds = _columns(model.actions, 2)
+    srcs, labels, dsts = _columns(model.edges, 3)
+    time_srcs, time_dsts = _columns(sorted(model.time), 2)
+    return '{"classes":[%s],"actions":[%s],"edges":[%s],"time":[%s]}\n' % (
+        _json_rows(
+            '{"id":%s,"faulty":%s,"initial":%s,"obs":%s}', _json_texts(ids, int),
+            _json_texts(faulty, bool), _json_texts(initial, bool), _json_texts(obs, int),
+        ),
+        _json_rows('{"name":%s,"kind":%s}', _json_texts(names, str), _json_texts(kinds, Kind)),
+        _json_rows(
+            '{"src":%s,"action":%s,"dst":%s}', _json_texts(srcs, int),
+            _json_texts(_columns(labels, 2)[0], str), _json_texts(dsts, int),
+        ),
+        _json_rows(
+            '{"src":%s,"dst":%s}', _json_texts(time_srcs, int), _json_texts(time_dsts, int)
+        ),
+    )

@@ -24,12 +24,14 @@ atom on the region itself, from the clock's integer part and whether it
 sits at an exact integer or past its ceiling.  ``pred_holds`` applies it
 to observation cells, so the observation is decided once per combination
 of external clock positions and each class reads its cell from that
-table.  The explorer compiles guards and invariants once per automaton
-into ``(clock index, op, bound)`` triples, kept per location with its
-out-edges, and checks each triple with ``atom_holds``.  A region is a
-named tuple ``(ints, zero, groups)``, so the explorer hashes and compares
-its nodes as plain tuples.  A concrete valuation (and the ``fractions``
-module) is needed only for the witness of a failed partition check.
+table.  The explorer compiles each guard and invariant once per
+automaton into a closure over a region's ``(ints, zero)``: one per atom,
+deciding it as ``atom_holds`` does, joined by a conjunction.  They are
+kept per location with its out-edges.  A region is a named tuple
+``(ints, zero, groups)``, and a node is a (location index, region) pair,
+so the explorer hashes and compares its nodes as plain tuples.  A
+concrete valuation (and the ``fractions`` module) is needed only for the
+witness of a failed partition check.
 """
 
 import itertools
@@ -516,7 +518,7 @@ class TimedAutomatonWithFaults:
 
     def observable_of_region(self, region):
         m = len(self.external_clocks)
-        return self._cell_of[(region.ints[:m], tuple(i for i in region.zero if i < m))]
+        return self._cell_of[region.ints[:m], tuple(filter(m.__gt__, region.zero))]
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +528,31 @@ class RegionQuotient(namedtuple("RegionQuotient", "model class_regions ceilings"
     __slots__ = ()  # class_regions: a list of (location name, Region)
 
 
-def _triples(pred, index):
-    """A guard or invariant ``("and", atom, ...)`` as ``(clock index, op,
-    bound)`` triples."""
-    return tuple((index[clock], op, bound) for _, clock, op, bound in pred[1:])
+# One factory per operator: ``x_i op bound`` as a test of a region's
+# ``(ints, zero)``, deciding the atom as ``atom_holds`` does.
+_ATOM_TESTS = {
+    "<": lambda i, b: lambda ints, zero: ints[i] < b,
+    "<=": lambda i, b: lambda ints, zero: ints[i] < b or ints[i] == b and i in zero,
+    "==": lambda i, b: lambda ints, zero: ints[i] == b and i in zero,
+    ">=": lambda i, b: lambda ints, zero: ints[i] >= b,
+    ">": lambda i, b: lambda ints, zero: ints[i] > b or ints[i] == b and i not in zero,
+}
 
 
-def _holds(triples, region):
-    """Whether every ``_triples`` atom holds throughout ``region``."""
-    for i, op, bound in triples:
-        if not atom_holds(region, i, op, bound):
-            return False
-    return True
+def _compile(pred, index):
+    """A guard or invariant ``("and", atom, ...)`` as one test of a
+    region's ``(ints, zero)``: the conjunction of its atoms' tests."""
+    tests = [_ATOM_TESTS[op](index[clock], bound) for _, clock, op, bound in pred[1:]]
+    if len(tests) == 1:
+        return tests[0]
+
+    def holds(ints, zero):
+        for test in tests:
+            if not test(ints, zero):
+                return False
+        return True
+
+    return holds
 
 
 def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
@@ -547,63 +562,62 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
     region and whose reset lands inside the target invariant; time
     successors follow the immediate region successor while the location
     invariant keeps holding.  Deterministic class numbering (BFS order)
-    is part of the contract.  Each location's out-edges are compiled once,
-    in file order, as ``(label, guard, reset, dst, dst invariant)`` with
-    ``_triples`` constraints and a frozenset of reset clock indices.  The
-    quotient is validated here: a violation raises TAValidationError.
+    is part of the contract.  Nodes are (location index, region) pairs.
+    Each location's out-edges are compiled once, in file order, as
+    ``(label, guard, reset, dst, dst invariant)`` with ``_compile`` tests
+    and a frozenset of reset clock indices.  The quotient is validated
+    here: a violation raises TAValidationError.
     """
     ceilings = ta.ceilings
     index = ta._clock_index
     r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
-    invariant = {loc.name: _triples(loc.invariant, index) for loc in ta.locations}
-    out_edges = {loc.name: [] for loc in ta.locations}
+    loc_of = {loc.name: i for i, loc in enumerate(ta.locations)}
+    invariant = [_compile(loc.invariant, index) for loc in ta.locations]
+    out_edges = [[] for _ in ta.locations]
     for e in ta.edges:
         reset = frozenset(index[name] for name in e.resets)
-        out_edges[e.src].append(
-            (label_of[e.action], _triples(e.guard, index), reset, e.dst, invariant[e.dst])
-        )
+        dst = loc_of[e.dst]
+        guard = _compile(e.guard, index)
+        out_edges[loc_of[e.src]].append((label_of[e.action], guard, reset, dst, invariant[dst]))
 
     def successors(node):  # enabled edges, then the time step labelled None
-        loc_name, region = node
-        for label, guard, reset, dst, dst_invariant in out_edges[loc_name]:
-            if _holds(guard, region):
+        loc, region = node
+        ints, zero, _ = region
+        for label, guard, reset, dst, dst_invariant in out_edges[loc]:
+            if guard(ints, zero):
                 target = reset_region(region, reset)
-                if _holds(dst_invariant, target):
+                if dst_invariant(target.ints, target.zero):
                     yield label, (dst, target)
         succ = time_successor(region, ceilings)
         if succ is None:
             yield None, node  # genuinely time-divergent region
-        elif _holds(invariant[loc_name], succ):
-            yield None, (loc_name, succ)
+        elif invariant[loc](succ.ints, succ.zero):
+            yield None, (loc, succ)
 
     starts = [
-        (loc.name, r0)
-        for loc in ta.locations
-        if loc.initial and _holds(invariant[loc.name], r0)
+        (i, r0)
+        for i, loc in enumerate(ta.locations)
+        if loc.initial and invariant[i](r0.ints, r0.zero)
     ]
     metas, _, out = explore(starts, successors, max_classes, "region classes")
     edges_out = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
     time_out = [(cid, did) for cid, row in enumerate(out) for a, did in row if a is None]
 
-    classes = []
-    for cid, (loc_name, region) in enumerate(metas):
-        loc = ta.location(loc_name)
-        classes.append(
-            ClassInfo(
-                cid,
-                loc.faulty,
-                loc.initial and region == r0,
-                ta.observable_of_region(region),
-            )
-        )
+    faulty = [loc.faulty for loc in ta.locations]
+    initial = [loc.initial for loc in ta.locations]
+    classes = [
+        ClassInfo(cid, faulty[loc], initial[loc] and region == r0, ta.observable_of_region(region))
+        for cid, (loc, region) in enumerate(metas)
+    ]
 
     model = QuotientModel(classes, ta.actions, edges_out, time_out)
     report = validate_model(model)
     if not report.ok:
         first = report.violations[0]
         raise TAValidationError(first.rule, f"region quotient: {first.message}")
-    return RegionQuotient(model, metas, ceilings)
+    names = [loc.name for loc in ta.locations]
+    return RegionQuotient(model, [(names[loc], region) for loc, region in metas], ceilings)
 
 
 def region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):

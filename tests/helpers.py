@@ -23,6 +23,7 @@ from hydiag.diagnosability import (
     _fault_product,
     _indeterminate_graph,
 )
+from hydiag.diagnoser import _VERDICTS
 from hydiag.errors import ModelFormatError, TAValidationError
 from hydiag.estimator import (
     Classification,
@@ -82,6 +83,29 @@ def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
         for i, (faulty, initial, obs) in enumerate(classes)
     ]
     return QuotientModel(infos, actions, edges, time)
+
+
+def reference_adjacency(model):
+    """``QuotientModel``'s adjacency caches ``(_silent, _ext, _disc,
+    _tsucc)`` as sets per class, sorted at the end."""
+    n = len(model.classes)
+    silent, ext, disc, tsucc = [set() for _ in range(n)], {}, [[] for _ in range(n)], {}
+    for src, label, dst in model.edges:
+        disc[src].append((label, dst))
+        if label.kind is Kind.EXTERNAL:
+            ext.setdefault((src, label.name), set()).add(dst)
+        else:
+            silent[src].add(dst)
+    for src, dst in model.time:
+        if src != dst:
+            silent[src].add(dst)
+            tsucc.setdefault(src, set()).add(dst)
+    return (
+        tuple(tuple(sorted(s)) for s in silent),
+        {k: tuple(sorted(v)) for k, v in ext.items()},
+        tuple(map(tuple, disc)),
+        tuple(tuple(sorted(tsucc.get(c, ()))) for c in range(n)),
+    )
 
 
 def save_model(model, path):
@@ -409,6 +433,54 @@ def reference_parse_graph_json(data, what, extra_keys=frozenset()):
             raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
         transitions[(src, action, obs)] = dst
     return states, initials, transitions
+
+
+def _reference_dumps(data):
+    return json.dumps(data, separators=(",", ":")) + "\n"
+
+
+def reference_dumps_model(model):
+    """``dumps_model`` as a dict of the file's data, written by the json
+    module's C encoder."""
+    return _reference_dumps({
+        "classes": [
+            {"id": c.id, "faulty": c.faulty, "initial": c.initial, "obs": c.obs}
+            for c in model.classes
+        ],
+        "actions": [{"name": a.name, "kind": a.kind.value} for a in model.actions],
+        "edges": [
+            {"src": src, "action": label.name, "dst": dst} for src, label, dst in model.edges
+        ],
+        "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
+    })
+
+
+def _reference_graph_data(graph):
+    return {
+        "states": [
+            {"id": i, "members": list(s.members), "class": s.classification.value}
+            for i, s in enumerate(graph.states)
+        ],
+        "initials": {str(obs): sid for obs, sid in sorted(graph.initials.items())},
+        "transitions": [
+            {"src": src, "action": action, "obs": obs, "dst": dst}
+            for (src, action, obs), dst in sorted(graph.transitions.items())
+        ],
+    }
+
+
+def reference_dumps_estimator(est):
+    """``dumps_estimator`` as a dict written by the C encoder."""
+    return _reference_dumps(_reference_graph_data(est))
+
+
+def reference_dumps_diagnoser(diag):
+    """``dumps_diagnoser`` as a dict written by the C encoder."""
+    data = _reference_graph_data(diag)
+    data["output"] = {
+        str(i): _VERDICTS[s.classification].answer for i, s in enumerate(diag.states)
+    }
+    return _reference_dumps(data)
 
 
 def reference_enumerate_utraces(model, k):

@@ -29,13 +29,16 @@ from hydiag.estimator import (
     build_estimator,
     dumps_estimator,
 )
-from hydiag.oracle import random_models
+from hydiag.oracle import random_model, random_models
 from hydiag.quotient import (
     _ACTION_SCHEMA,
     _CLASS_SCHEMA,
     _EDGE_SCHEMA,
     _TIME_SCHEMA,
     _TYPE_NAMES,
+    ActionLabel,
+    ClassInfo,
+    QuotientModel,
     _require_keys,
     _rows,
     dumps_model,
@@ -50,6 +53,10 @@ from .helpers import (
     q1_model,
     q2_model,
     q3_model,
+    random_progressive_ta,
+    reference_dumps_diagnoser,
+    reference_dumps_estimator,
+    reference_dumps_model,
     reference_parse_graph_json,
 )
 
@@ -386,3 +393,53 @@ def test_graph_loader_checks_in_bulk_as_row_by_row(name):
         message = graph_outcome(_parse_graph_json, case)
         assert isinstance(message, str)
         assert message == graph_outcome(reference_parse_graph_json, case)
+
+
+# Action names the file writers must escape as the json module does.
+AWKWARD_NAMES = ['"', "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\t", "é", "\u2028", "☃",
+                 "\U0001f600", "\ud800", "%s", "%"]
+NAME_CHARS = st.one_of(st.characters(), st.sampled_from("".join(AWKWARD_NAMES)))
+
+
+def with_names(model, names, int_flags):
+    """``model`` with its actions renamed to ``names``, and with class 0's
+    flags as ints when ``int_flags``."""
+    label = {a.name: ActionLabel(new, a.kind) for a, new in zip(model.actions, names)}
+    classes = list(model.classes)
+    if int_flags:
+        c = classes[0]
+        classes[0] = ClassInfo(c.id, int(c.faulty), int(c.initial), c.obs)
+    edges = [(src, label[a.name], dst) for src, a, dst in model.edges]
+    return QuotientModel(classes, label.values(), edges, model.time)
+
+
+def assert_written_as_the_json_encoder(model):
+    est = build_estimator(model)
+    assert dumps_model(model) == reference_dumps_model(model)
+    assert dumps_estimator(est) == reference_dumps_estimator(est)
+    assert dumps_diagnoser(synthesize(est)) == reference_dumps_diagnoser(est)
+
+
+@pytest.mark.parametrize("int_flags", [False, True])
+def test_writers_escape_as_the_json_encoder(int_flags):
+    for model in [q1_model(), q2_model(), region_quotient(load_ta(FIXTURES / "kclock2.ta.json"))]:
+        names = [AWKWARD_NAMES[i] * (i + 1) for i in range(len(model.actions))]
+        assert_written_as_the_json_encoder(with_names(model, names, int_flags))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_writers_write_as_the_json_encoder(data):
+    """Every file hydiag writes is what ``json.dumps`` writes for the same
+    data: on random models and random timed automata's region quotients,
+    with arbitrary action names and, on some, int flags."""
+    if data.draw(st.booleans(), label="region quotient"):
+        model = region_quotient(random_progressive_ta(data.draw(st.integers(0, 99), label="ta")))
+    else:
+        model = random_model(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    names = data.draw(
+        st.lists(st.text(NAME_CHARS, max_size=6), min_size=len(model.actions),
+                 max_size=len(model.actions), unique=True),
+        label="names",
+    )
+    assert_written_as_the_json_encoder(with_names(model, names, data.draw(st.booleans())))

@@ -144,3 +144,21 @@ def test_run_loads_only_the_file_layer_and_the_diagnoser(tmp_path):
     assert proc.stderr.split() == [
         "hydiag", "hydiag.cli", "hydiag.diagnoser", "hydiag.errors", "hydiag.fileformat"
     ]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synthesize", Q1], 0),
+    (["check", "--ta", TA1], 0),
+    (["regions", TA1], 0),
+    (["oracle", Q2], 2),
+    (["estimator", "--ta", KCLOCK2], 0),
+], ids=["synthesize", "check-ta", "regions", "oracle", "estimator-ta"])
+def test_importtime_lists_every_loaded_layer(argv, code):
+    # ``cli`` loads a layer on a command's first call into it; the log of
+    # ``python -X importtime`` must name it, as it names a plain import.
+    proc = run_python(["-X", "importtime", "-c", AS_MODULE, *argv])
+    assert proc.returncode == code, proc.stderr
+    *log, loaded = proc.stderr.splitlines()
+    logged = {line.rsplit("|", 1)[1].strip() for line in log if line.startswith("import time:")}
+    assert {m for m in logged if m.split(".")[0] == "hydiag"} == set(loaded.split())
+    assert "hydiag.diagnoser" in logged

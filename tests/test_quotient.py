@@ -26,6 +26,7 @@ from hydiag.regions import load_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
+from .helpers import random_progressive_ta, reference_adjacency
 
 
 def rules_of(report):
@@ -285,6 +286,25 @@ class TestConstruction:
         # q1 declares tick ("z") before f ("y"): class 0's fault edge sorts first.
         assert [(a.name, d) for s, a, d in renamed(models[0]).edges if s == 0] == [
             ("y", 2), ("z", 1)]
+
+    def test_adjacency_equals_the_per_class_sets(self, ta1):
+        # Class 0 has two silent actions whose targets interleave, one
+        # shared, and time successors; class 1 has silent edges only.
+        hidden2 = ActionLabel("g", Kind.INTERNAL)
+        odd = make_model(
+            [(False, True, 0)] * 4 + [(True, False, 0)] * 2,
+            [(0, "h", 3), (0, "h", 1), (0, "g", 2), (0, "g", 3), (0, "f", 5), (1, "h", 2),
+             (1, "g", 1), (1, "f", 4), (2, "f", 4), (3, "f", 5), (0, "tick", 2),
+             (0, "tick", 1), (4, "tick", 5), (5, "tick", 4)],
+            time=[(0, 2), (0, 0), (3, 1), (3, 2), (5, 4)],
+            actions=(TICK, FAULT, HIDDEN, hidden2),
+        )
+        models = [odd, region_quotient(ta1), *random_models(100, 0),
+                  *(region_quotient(random_progressive_ta(seed)) for seed in range(30))]
+        for model in models:
+            cached = (model._silent, model._ext, model._disc, model._tsucc)
+            assert cached == reference_adjacency(model)
+        assert odd._silent[:2] == ((1, 2, 3, 5), (1, 2, 4))
 
     def test_time_edges_closed_at_construction(self):
         model = make_model(

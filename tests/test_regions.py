@@ -14,12 +14,14 @@ from hydiag.quotient import validate_model
 from hydiag.regions import (
     MAX_PRED_DEPTH,
     Region,
+    _compile,
     atom_holds,
     build_region_quotient,
     initial_region,
     parse_constraint,
     parse_pred,
     parse_ta,
+    position_regions,
     pred_atoms,
     pred_holds,
     region_count_bound,
@@ -717,3 +719,26 @@ class TestExplorerAgainstReference:
     def test_empty_reset_keeps_the_region(self):
         region = Region((1, 0), (1,), ((0,),))
         assert reset_region(region, frozenset()) is region
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_compiled_constraints_decide_as_atom_holds(chunk):
+    """Each guard and invariant, compiled to one test of a region's
+    ``(ints, zero)``, holds exactly where all its atoms hold by
+    ``atom_holds``: on every combination of clock positions of 400 random
+    automata, and of every atom over two clocks with constants 0..3."""
+    atoms = [("atom", x, op, b) for x in ("x", "y") for op in OPS for b in range(4)]
+    every = [("and", atom) for atom in atoms] + [("and", *atoms[::7]), ("and",)]
+    cases = [({"x": 0, "y": 1}, (3, 3), every)] if chunk == 0 else []
+    for ta in map(random_ta, range(chunk * 100, chunk * 100 + 100)):
+        preds = [loc.invariant for loc in ta.locations] + [e.guard for e in ta.edges]
+        cases.append((ta._clock_index, ta.ceilings, preds))
+    checked = 0
+    for index, ceilings, preds in cases:
+        for pred in preds:
+            test = _compile(pred, index)
+            for region in position_regions(ceilings):
+                expected = all(atom_holds(region, index[c], op, b) for _, c, op, b in pred[1:])
+                assert test(region.ints, region.zero) is expected, (pred, region)
+                checked += 1
+    assert checked > 5_000
