@@ -20,7 +20,7 @@ from collections import namedtuple
 
 from .errors import CapExceeded
 from .estimator import DEFAULT_MAX_STATES, Classification, walk
-from .graphs import explore, find_lasso, shortest_cycle, strongly_connected_components
+from .graphs import find_lasso, shortest_cycle, strongly_connected_components
 from .quotient import Kind, Lasso, external_moves
 
 
@@ -69,25 +69,38 @@ def check_progressive(model):
     explicit divergence mark counts as a time self-loop, since the system
     can then let time pass forever in that class.
 
+    The reachable and the live classes are found by two plain worklists.
     When no reachable class is divergent, one Kahn pass over the silent
     moves of the reachable classes decides: if it removes them all, there
     is no cycle.  Only otherwise do Tarjan's components and
     ``shortest_cycle`` run, for the witness: the shortest cycle through
     the smallest class of the first cyclic component Tarjan completes.
     """
-    def step(c):
-        yield from model.discrete_edges_from(c)
-        for dst in model.proper_time_successors(c):
-            yield "time", dst
-
-    reachable = sorted(explore(model.initial_classes, step)[0])
+    discrete, time_succ = model.discrete_edges_from, model.proper_time_successors
+    seen = set(model.initial_classes)
+    todo = list(seen)
+    for c in todo:  # grows as classes are found
+        for _, d in discrete(c):
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+        for d in time_succ(c):
+            if d not in seen:
+                seen.add(d)
+                todo.append(d)
+    reachable = sorted(seen)
 
     # Classes that reach a discrete edge by letting time pass.
-    time_pred = {}
+    time_pred = [[] for _ in model.classes]
     for src, dst in model.time:
-        time_pred.setdefault(dst, []).append(("time", src))
-    has_edge = [c for c in reachable if model.discrete_edges_from(c)]
-    live = set(explore(has_edge, lambda c: time_pred.get(c, ()))[0])
+        time_pred[dst].append(src)
+    live = {c for c in reachable if discrete(c)}
+    todo = list(live)
+    for c in todo:
+        for d in time_pred[c]:
+            if d not in live:
+                live.add(d)
+                todo.append(d)
     for c in reachable:
         if c not in live and c not in model.divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))

@@ -13,10 +13,6 @@ from .fileformat import Classification, EstimatorGraph, EstimatorState, _dumps_g
 from .graphs import explore
 from .quotient import external_moves
 
-# Defined with the file layer, and still exported here.
-from .fileformat import _STATE_SCHEMA, _TRANSITION_SCHEMA, _key_int, _state_id
-from .fileformat import _parse_graph_json
-
 DEFAULT_MAX_STATES = 1_000_000
 
 

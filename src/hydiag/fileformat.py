@@ -125,23 +125,28 @@ _TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a l
 
 
 def _rows(value, what, schema):
-    """Each object of the list ``value`` as the tuple of its fields in
-    ``schema`` order.
+    """Each row of the list ``value`` as the sequence of its fields in
+    ``schema`` order.  A row is an array of those fields, as hydiag writes
+    it, or an object of them, as earlier versions wrote it; one list may
+    mix both.
 
-    ``schema`` maps every key an object must have to the exact type of its
+    ``schema`` maps every key a row must have to the exact type of its
     value: ``int``, ``bool``, ``str`` or ``list`` (a bool is not an int).
     It has at least two keys.  The list is checked in bulk first: every
-    object a dict of exactly the schema's keys (as many keys, none
-    missing), then each column's value types.  Only if that fails is it
-    rescanned row by row, to report the first bad row.  No message is
-    built unless a check fails.
+    row an array of the schema's length or a dict of exactly its keys,
+    then each column's value types.  Only if that fails is it rescanned
+    row by row, to report the first bad row.  No message is built unless
+    a check fails.
     """
     keys = schema.keys()
     fields = itemgetter(*keys)
-    objs = _as_list(value, what)
-    if set(map(type, objs)) <= {dict} and set(map(len, objs)) <= {len(keys)}:
+    items = _as_list(value, what)
+    kinds = set(map(type, items))
+    if kinds <= {list, dict} and set(map(len, items)) <= {len(keys)}:
         try:
-            rows = list(map(fields, objs))
+            rows = items if kinds == {list} else [
+                row if type(row) is list else fields(row) for row in items
+            ]
         except KeyError:
             pass  # an object lacks a key: the rescan names it
         else:
@@ -150,10 +155,17 @@ def _rows(value, what, schema):
                 return rows
     types = tuple(schema.values())
     rows = []
-    for i, obj in enumerate(objs):
-        if type(obj) is not dict or obj.keys() != keys:
-            _require_keys(obj, keys, f"{what}[{i}]")
-        row = fields(obj)
+    for i, row in enumerate(items):
+        if type(row) is dict:
+            if row.keys() != keys:
+                _require_keys(row, keys, f"{what}[{i}]")
+            row = fields(row)
+        elif type(row) is not list:
+            raise ModelFormatError(
+                f"{what}[{i}] must be an object or an array, got {type(row).__name__}"
+            )
+        elif len(row) != len(keys):
+            raise ModelFormatError(f"{what}[{i}] must have {len(keys)} values, got {len(row)}")
         if tuple(map(type, row)) != types:
             for key, item, expected in zip(keys, row, types):
                 if type(item) is not expected:
@@ -222,11 +234,11 @@ def _dumps_graph(graph, answers=None):
     keys, dsts = _columns(sorted(graph.transitions.items()), 2)
     srcs, actions, observables = _columns(keys, 3)
     text = '{"states":[%s],"initials":%s,"transitions":[%s]' % (
-        _json_rows('{"id":%s,"members":[%s],"class":%s}', range(len(classes)), members, classes),
+        _json_rows("[%s,[%s],%s]", range(len(classes)), members, classes),
         _encode({str(obs): sid for obs, sid in sorted(graph.initials.items())}),
         _json_rows(
-            '{"src":%s,"action":%s,"obs":%s,"dst":%s}', _json_texts(srcs, int),
-            _json_texts(actions, str), _json_texts(observables, int), _json_texts(dsts, int),
+            "[%s,%s,%s,%s]", _json_texts(srcs, int), _json_texts(actions, str),
+            _json_texts(observables, int), _json_texts(dsts, int),
         ),
     )
     if answers is not None:
@@ -296,14 +308,11 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     transitions = dict(zip(zip(srcs, actions, observables), dsts))
     if (len(transitions) != len(rows) or min(srcs) < 0 or max(srcs) >= n
             or min(dsts) < 0 or max(dsts) >= n):
-        moves = set()
+        moves = {}  # (src, action, obs) -> the row that first moves so
         for i, (src, action, obs, dst) in enumerate(rows):
             if not (0 <= src < n and 0 <= dst < n):
                 raise ModelFormatError(f"transitions[{i}] out of range")
-            if (src, action, obs) in moves:
-                first = next(j for j, row in enumerate(rows) if row[:3] == (src, action, obs))
-                raise ModelFormatError(
-                    f"transitions[{i}] repeats the move of transitions[{first}]"
-                )
-            moves.add((src, action, obs))
+            first = moves.setdefault((src, action, obs), i)
+            if first != i:
+                raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
     return states, initials, transitions

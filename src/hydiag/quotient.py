@@ -22,8 +22,8 @@ from .errors import ModelFormatError
 from .fileformat import _as_list, _columns, _excerpt, _json_rows, _json_texts
 from .fileformat import _loads_json, _member, _read_text, _require_keys, _rows
 
-# Defined with the file layer, and still exported here.
-from .fileformat import DEFAULT_MAX_CLASSES, _TYPE_NAMES, _as_object, _int_literal
+# Defined with the file layer, and still exported here under its old name.
+from .fileformat import DEFAULT_MAX_CLASSES
 
 
 class Kind(str, Enum):
@@ -159,7 +159,9 @@ class QuotientModel:
         self.fault_action = faults[0]
         self.external_actions = tuple(a for a in self.actions if a.kind is Kind.EXTERNAL)
 
-        resolved = set()
+        # Deduped in insertion order, so edges and time pairs that come
+        # sorted, as every file hydiag writes holds them, sort in one pass.
+        resolved = {}
         for src, action, dst in edges:
             if isinstance(action, ActionLabel):
                 label = by_name.get(action.name)
@@ -172,16 +174,16 @@ class QuotientModel:
                 raise ValueError(f"edge action {name} is not a declared action")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {_excerpt(label.name, 0)}, {dst}) out of range")
-            resolved.add((src, label, dst))
+            resolved[src, label, dst] = None
         # Sorted by (src, action name, dst): names are unique, so two labels
         # compare by name alone and a kind is never compared.
         self.edges = tuple(sorted(resolved))
 
-        time_pairs = set()
+        time_pairs = {}
         for src, dst in time:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"time edge ({src}, {dst}) out of range")
-            time_pairs.add((src, dst))
+            time_pairs[src, dst] = None
         self.time = frozenset(time_pairs)
         self.divergent = frozenset(s for s, d in time_pairs if s == d)
 
@@ -403,15 +405,13 @@ def dumps_model(model):
     time_srcs, time_dsts = _columns(sorted(model.time), 2)
     return '{"classes":[%s],"actions":[%s],"edges":[%s],"time":[%s]}\n' % (
         _json_rows(
-            '{"id":%s,"faulty":%s,"initial":%s,"obs":%s}', _json_texts(ids, int),
-            _json_texts(faulty, bool), _json_texts(initial, bool), _json_texts(obs, int),
+            "[%s,%s,%s,%s]", _json_texts(ids, int), _json_texts(faulty, bool),
+            _json_texts(initial, bool), _json_texts(obs, int),
         ),
-        _json_rows('{"name":%s,"kind":%s}', _json_texts(names, str), _json_texts(kinds, Kind)),
+        _json_rows("[%s,%s]", _json_texts(names, str), _json_texts(kinds, Kind)),
         _json_rows(
-            '{"src":%s,"action":%s,"dst":%s}', _json_texts(srcs, int),
-            _json_texts(_columns(labels, 2)[0], str), _json_texts(dsts, int),
+            "[%s,%s,%s]", _json_texts(srcs, int), _json_texts(_columns(labels, 2)[0], str),
+            _json_texts(dsts, int),
         ),
-        _json_rows(
-            '{"src":%s,"dst":%s}', _json_texts(time_srcs, int), _json_texts(time_dsts, int)
-        ),
+        _json_rows("[%s,%s]", _json_texts(time_srcs, int), _json_texts(time_dsts, int)),
     )

@@ -429,7 +429,7 @@ def reference_parse_graph_json(data, what, extra_keys=frozenset()):
         if not (0 <= src < n and 0 <= dst < n):
             raise ModelFormatError(f"transitions[{i}] out of range")
         if (src, action, obs) in transitions:
-            first = next(j for j, row in enumerate(rows) if row[:3] == (src, action, obs))
+            first = next(j for j, row in enumerate(rows) if tuple(row[:3]) == (src, action, obs))
             raise ModelFormatError(f"transitions[{i}] repeats the move of transitions[{first}]")
         transitions[(src, action, obs)] = dst
     return states, initials, transitions
@@ -443,30 +443,59 @@ def reference_dumps_model(model):
     """``dumps_model`` as a dict of the file's data, written by the json
     module's C encoder."""
     return _reference_dumps({
-        "classes": [
-            {"id": c.id, "faulty": c.faulty, "initial": c.initial, "obs": c.obs}
-            for c in model.classes
-        ],
-        "actions": [{"name": a.name, "kind": a.kind.value} for a in model.actions],
-        "edges": [
-            {"src": src, "action": label.name, "dst": dst} for src, label, dst in model.edges
-        ],
-        "time": [{"src": s, "dst": d} for s, d in sorted(model.time)],
+        "classes": [[c.id, c.faulty, c.initial, c.obs] for c in model.classes],
+        "actions": [[a.name, a.kind.value] for a in model.actions],
+        "edges": [[src, label.name, dst] for src, label, dst in model.edges],
+        "time": [[s, d] for s, d in sorted(model.time)],
     })
 
 
 def _reference_graph_data(graph):
     return {
         "states": [
-            {"id": i, "members": list(s.members), "class": s.classification.value}
-            for i, s in enumerate(graph.states)
+            [i, list(s.members), s.classification.value] for i, s in enumerate(graph.states)
         ],
         "initials": {str(obs): sid for obs, sid in sorted(graph.initials.items())},
         "transitions": [
-            {"src": src, "action": action, "obs": obs, "dst": dst}
+            [src, action, obs, dst]
             for (src, action, obs), dst in sorted(graph.transitions.items())
         ],
     }
+
+
+# The keys of each row list in the files hydiag writes, in the order of
+# the values of an array row.  Earlier versions wrote every row as an
+# object of these keys.
+ROW_KEYS = {
+    "classes": ("id", "faulty", "initial", "obs"),
+    "actions": ("name", "kind"),
+    "edges": ("src", "action", "dst"),
+    "time": ("src", "dst"),
+    "states": ("id", "members", "class"),
+    "transitions": ("src", "action", "obs", "dst"),
+}
+
+
+def spelled_as_objects(data, which=lambda i: True):
+    """The data of a quotient, estimator or diagnoser file with the rows
+    whose index ``which`` accepts spelled as objects; a row already an
+    object stays one."""
+    return {
+        field: [
+            dict(zip(ROW_KEYS[field], row)) if type(row) is list and which(i) else row
+            for i, row in enumerate(value)
+        ] if field in ROW_KEYS else value
+        for field, value in data.items()
+    }
+
+
+def array_path(path):
+    """A path into a written file, with the key of a row, as in ``(table,
+    row, key, ...)``, replaced by its position in the array row."""
+    if path[0] not in ROW_KEYS:
+        return path
+    table, row, key, *rest = path
+    return (table, row, ROW_KEYS[table].index(key), *rest)
 
 
 def reference_dumps_estimator(est):

@@ -19,6 +19,7 @@ from .helpers import (
     make_model,
     record_expansions,
     save_model,
+    spelled_as_objects,
 )
 
 Q1 = str(FIXTURES / "q1.quot.json")
@@ -69,9 +70,10 @@ HELP_GOLDEN_CASES = [("version", ["--version"]), ("help", ["--help"])] + [
 class TestGoldenOutput:
     """Verdicts, witnesses and counterexamples, byte for byte.
 
-    The files in ``golden/`` were printed while hydiag still wrote its
-    own files indented, so a change to the file layout cannot leak into
-    what these commands print.
+    The verdict files in ``golden/`` were printed while hydiag still
+    wrote its own files indented, so a change to the file layout cannot
+    leak into what these commands print.  The ``regions``, ``estimator``
+    and ``synthesize`` goldens are files hydiag writes, with array rows.
     """
 
     @pytest.mark.parametrize("name, argv, code", GOLDEN_CASES,
@@ -232,13 +234,13 @@ class TestRegionsPipeline:
         out = tmp_path / "ta1.quot.json"
         main(["regions", TA1, "-o", str(out)])
         data = json.loads(out.read_text())
-        flow = nx.DiGraph((t["src"], t["dst"]) for t in data["time"] if t["src"] != t["dst"])
+        flow = nx.DiGraph((s, d) for s, d in data["time"] if s != d)
         closed = {(s, d) for s, d in nx.transitive_closure(flow).edges if s != d}
-        closed |= {(t["src"], t["dst"]) for t in data["time"] if t["src"] == t["dst"]}
+        closed |= {(s, d) for s, d in data["time"] if s == d}
         assert len(closed) > len(data["time"])
-        data["time"] = [{"src": s, "dst": d} for s, d in sorted(closed)]
+        data["time"] = [[s, d] for s, d in sorted(closed)]
         closed_file = tmp_path / "ta1.closed.quot.json"
-        closed_file.write_text(json.dumps(data, indent=2) + "\n")
+        closed_file.write_text(json.dumps(spelled_as_objects(data), indent=2) + "\n")
         capsys.readouterr()
         for fmt in ("text", "json"):
             assert main(["check", str(out), "--format", fmt]) == 0
@@ -559,8 +561,8 @@ class TestMalformedInput:
         diag = tmp_path / "diag.json"
         assert main(["synthesize", Q2, "-o", str(diag)]) == 0
         data = json.loads(diag.read_text())
-        first, n = data["transitions"][0], len(data["transitions"])
-        data["transitions"].append({**first, "dst": (first["dst"] + 1) % len(data["states"])})
+        (src, action, obs, dst), n = data["transitions"][0], len(data["transitions"])
+        data["transitions"].append([src, action, obs, (dst + 1) % len(data["states"])])
         diag.write_text(json.dumps(data))
         line = self.check_one_error_line(self.run_cli(["run", str(diag)], stdin="init o0\n"))
         assert line == f"error: transitions[{n}] repeats the move of transitions[0]"
@@ -674,7 +676,7 @@ class TestMalformedInput:
             assert main(["synthesize", Q1, "-o", str(path)]) == 0
             data = json.loads(path.read_text())
             if where == "diagnoser-obs":
-                data["transitions"][0]["obs"] = long
+                data["transitions"][0][2] = long  # the row's obs
             else:
                 data["initials"] = {long: 0}
         path.write_text(json.dumps(data))

@@ -1,5 +1,6 @@
 """Tests for progressiveness and the diagnosability decision."""
 
+import json
 import random
 
 import networkx as nx
@@ -25,14 +26,15 @@ from hydiag.estimator import (
     walk,
 )
 from hydiag.oracle import brute_force_diagnosable, random_models
-from hydiag.quotient import ClassInfo, Lasso, QuotientModel
-from hydiag.regions import load_ta, region_quotient
+from hydiag.quotient import ClassInfo, Lasso, QuotientModel, load_model
+from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import (
     FAULT,
     HIDDEN,
     TICK,
+    benchmark_families,
     koenig_model,
     linear_chain_model,
     make_model,
@@ -49,9 +51,16 @@ from .helpers import (
 KCLOCK2 = FIXTURES / "kclock2.ta.json"
 
 
+def checked_progressive(model):
+    """``check_progressive``'s report, asserted equal to the reference's."""
+    report = check_progressive(model)
+    assert report == reference_check_progressive(model)
+    return report
+
+
 class TestProgressive:
     def test_q1_is_progressive(self, q1):
-        report = check_progressive(q1)
+        report = checked_progressive(q1)
         assert report.progressive
         assert report.witness is None
 
@@ -61,7 +70,7 @@ class TestProgressive:
             [(s, a.name, d) for s, a, d in q1.edges] + [(2, "h", 2)],
             actions=(TICK, FAULT, HIDDEN),
         )
-        report = check_progressive(model)
+        report = checked_progressive(model)
         assert not report.progressive
         assert report.witness.kind == "cycle"
         assert report.witness.classes == (2, 2)
@@ -72,7 +81,7 @@ class TestProgressive:
             [(False, True, 0), (True, False, 0)],
             [(0, "tick", 0), (0, "f", 1)],
         )
-        report = check_progressive(model)
+        report = checked_progressive(model)
         assert not report.progressive
         assert report.witness.kind == "deadlock"
         assert report.witness.classes == (1,)
@@ -84,7 +93,7 @@ class TestProgressive:
             [(0, "tick", 0), (0, "f", 1), (2, "tick", 2)],
             time=[(1, 2)],
         )
-        assert check_progressive(model).progressive
+        assert checked_progressive(model).progressive
 
     def test_divergent_self_loop_is_a_cycle(self):
         model = make_model(
@@ -92,7 +101,7 @@ class TestProgressive:
             [(0, "tick", 0), (0, "f", 1), (1, "tick", 1)],
             time=[(1, 1)],
         )
-        report = check_progressive(model)
+        report = checked_progressive(model)
         assert not report.progressive
         assert report.witness.kind == "cycle"
         assert report.witness.labels == ("time",)
@@ -103,7 +112,7 @@ class TestProgressive:
             [(0, "f", 2), (1, "f", 2), (0, "tick", 1), (1, "tick", 0), (2, "tick", 2)],
             time=[(0, 1), (1, 0)],
         )
-        report = check_progressive(model)
+        report = checked_progressive(model)
         assert not report.progressive
         assert report.witness.kind == "cycle"
 
@@ -118,7 +127,7 @@ class TestProgressive:
             actions=(fault_label,),
         )
         assert validate_model(model).ok
-        assert not check_progressive(model).progressive
+        assert not checked_progressive(model).progressive
 
     def test_unreachable_problems_are_ignored(self):
         # Class 3 deadlocks but nothing reaches it.
@@ -126,7 +135,7 @@ class TestProgressive:
             [(False, True, 0), (True, False, 0), (False, False, 0), (True, False, 0)],
             [(0, "tick", 0), (0, "f", 1), (1, "tick", 1), (2, "f", 3), (2, "tick", 2)],
         )
-        assert check_progressive(model).progressive
+        assert checked_progressive(model).progressive
 
 
 def random_progress_case(rng):
@@ -264,6 +273,17 @@ class TestProgressiveAgainstReference:
             classes, edges, time, divergent = random_progress_case(rng)
             marked = time + [(c, c) for c in divergent]
             model = QuotientModel(classes, (TICK, FAULT, HIDDEN), edges, marked)
+            assert check_progressive(model) == reference_check_progressive(model)
+
+    def test_corpus(self):
+        families = benchmark_families()
+        models = [load_model(FIXTURES / f"{name}.quot.json") for name in ("q1", "q2", "bad-d1")]
+        models += [q3_model(), koenig_model(), linear_chain_model(50)]
+        models += [region_quotient(load_ta(FIXTURES / f"{name}.ta.json"))
+                   for name in ("ta1", "kclock2")]
+        models += [region_quotient(parse_ta(json.dumps(doc)))
+                   for doc in (families.leak_ta(100), families.kclock_ta(3, 4))]
+        for model in models:
             assert check_progressive(model) == reference_check_progressive(model)
 
 

@@ -17,7 +17,7 @@ from hydiag.estimator import Classification, build_estimator
 from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import UTrace
 
-from .helpers import q3_model
+from .helpers import array_path, q3_model
 
 
 def diag_of(model):
@@ -201,7 +201,7 @@ class TestStrictLoader:
     @pytest.mark.parametrize("value", ["0", 1.7, False], ids=["string", "float", "bool"])
     def test_non_integer_ids_and_observables_rejected(self, q1, path, value):
         data = q1_diagnoser_json(q1)
-        set_path(data, path, value)
+        set_path(data, array_path(path), value)
         with pytest.raises(ModelFormatError, match="integer"):
             loads_diagnoser(json.dumps(data))
 
@@ -215,14 +215,14 @@ class TestStrictLoader:
 
     def test_yes_on_a_nonfaulty_state_rejected(self, q1):
         data = q1_diagnoser_json(q1)
-        assert data["states"][0]["class"] == "nonfaulty"
+        assert data["states"][0][-1] == "nonfaulty"  # the row's class
         data["output"]["0"] = "yes"
         with pytest.raises(ModelFormatError, match="must be 'no' on nonfaulty states"):
             loads_diagnoser(json.dumps(data))
 
     def test_no_on_a_faulty_state_rejected(self, q1):
         data = q1_diagnoser_json(q1)
-        assert data["states"][1]["class"] == "faulty"
+        assert data["states"][1][-1] == "faulty"
         data["output"]["1"] = "no"
         with pytest.raises(ModelFormatError, match="must be 'yes' on faulty states"):
             loads_diagnoser(json.dumps(data))

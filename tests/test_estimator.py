@@ -302,8 +302,8 @@ class TestExport:
         est = build_estimator(q1)
         data = json.loads(dumps_estimator(est))
         assert set(data) == {"states", "initials", "transitions"}
-        assert data["states"][0] == {"id": 0, "members": [0], "class": "nonfaulty"}
+        assert data["states"][0] == [0, [0], "nonfaulty"]
         assert data["initials"] == {"0": 0}
-        assert {(t["src"], t["action"], t["obs"]): t["dst"] for t in data["transitions"]} == {
+        assert {(src, a, obs): dst for src, a, obs, dst in data["transitions"]} == {
             (s, a, o): d for (s, a, o), d in est.transitions.items()
         }

@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 from hydiag.diagnoser import dumps_diagnoser, load_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import ModelFormatError, TAValidationError
-from hydiag.estimator import (
+from hydiag.estimator import EstimatorGraph, build_estimator, dumps_estimator
+from hydiag.fileformat import (
     _STATE_SCHEMA,
     _TRANSITION_SCHEMA,
-    EstimatorGraph,
+    _TYPE_NAMES,
     _parse_graph_json,
-    build_estimator,
-    dumps_estimator,
+    _require_keys,
+    _rows,
 )
 from hydiag.oracle import random_model, random_models
 from hydiag.quotient import (
@@ -35,12 +36,9 @@ from hydiag.quotient import (
     _CLASS_SCHEMA,
     _EDGE_SCHEMA,
     _TIME_SCHEMA,
-    _TYPE_NAMES,
     ActionLabel,
     ClassInfo,
     QuotientModel,
-    _require_keys,
-    _rows,
     dumps_model,
     load_model,
     loads_model,
@@ -49,6 +47,8 @@ from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import (
+    ROW_KEYS,
+    array_path,
     benchmark_families,
     q1_model,
     q2_model,
@@ -58,6 +58,7 @@ from .helpers import (
     reference_dumps_estimator,
     reference_dumps_model,
     reference_parse_graph_json,
+    spelled_as_objects,
 )
 
 
@@ -131,7 +132,7 @@ def replaced(data, path, value):
 
 def quotient_file():
     data = json.loads(dumps_model(q2_model()))
-    data["time"] = [{"src": 2, "dst": 2}]
+    data["time"] = [[2, 2]]
     return data
 
 
@@ -240,8 +241,8 @@ def test_file_that_is_not_utf8_is_rejected(load, tmp_path):
 @pytest.mark.parametrize("shift", [0, 1], ids=["same-target", "other-target"])
 def test_repeated_transition_is_rejected(shift):
     data = diagnoser_file()
-    first, n = data["transitions"][0], len(data["transitions"])
-    data["transitions"].append({**first, "dst": (first["dst"] + shift) % len(data["states"])})
+    (src, action, obs, dst), n = data["transitions"][0], len(data["transitions"])
+    data["transitions"].append([src, action, obs, (dst + shift) % len(data["states"])])
     with pytest.raises(ModelFormatError) as info:
         loads_diagnoser(json.dumps(data))
     assert str(info.value) == f"transitions[{n}] repeats the move of transitions[0]"
@@ -264,18 +265,88 @@ def test_repeated_transition_is_rejected(shift):
     ids=["quotient-bool", "automaton-bool", "diagnoser-int", "diagnoser-enum", "automaton-enum"],
 )
 def test_malformed_field_message(data, load, path, value, message):
-    with pytest.raises(ModelFormatError) as info:
-        load(json.dumps(replaced(data, path, value)))
-    assert str(info.value) == message
+    """A written file's rows are arrays, and the message names the key of
+    the bad value all the same; in the rows of earlier versions' files,
+    objects, the key is the one that holds it."""
+    cases = [(data, path)]
+    if load is not parse_ta:
+        cases = [(data, array_path(path)), (spelled_as_objects(data), path)]
+    for spelled, at in cases:
+        with pytest.raises(ModelFormatError) as info:
+            load(json.dumps(replaced(spelled, at, value)))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "table, row, message",
+    [
+        ("edges", [0, "tick"], "edges[0] must have 3 values, got 2"),
+        ("edges", [0, "tick", 1, 1], "edges[0] must have 3 values, got 4"),
+        ("time", [], "time[0] must have 2 values, got 0"),
+        ("classes", 5, "classes[0] must be an object or an array, got int"),
+        ("classes", "x", "classes[0] must be an object or an array, got str"),
+    ],
+)
+def test_row_of_the_wrong_shape_message(table, row, message):
+    data = quotient_file()
+    for spelled in (data, spelled_as_objects(data)):
+        with pytest.raises(ModelFormatError) as info:
+            loads_model(json.dumps(replaced(spelled, (table, 0), row)))
+        assert str(info.value) == message
+
+
+SPELLING_MODELS = [
+    *(loads_model((FIXTURES / f"{name}.quot.json").read_text()) for name in ("q1", "q2", "bad-d1")),
+    *(region_quotient(load_ta(FIXTURES / f"{name}.ta.json")) for name in ("ta1", "kclock2")),
+    *random_models(150, 0),
+    *random_models(150, 1),
+]
+
+
+@pytest.mark.parametrize("kind", WRITERS)
+def test_rows_spelled_as_objects_load_equal(kind):
+    """A file whose rows are spelled as objects, as earlier versions wrote
+    them, all or every other one, loads as the file written now does."""
+    build, dumps, loads = WRITERS[kind]
+    for model in SPELLING_MODELS:
+        written = build(model)
+        data = json.loads(dumps(written))
+        assert all(type(row) is list for table in ROW_KEYS for row in data.get(table, ()))
+        assert fields(loads(dumps(written))) == fields(written)
+        for which in (lambda i: True, lambda i: i % 2 == 1):
+            spelled = spelled_as_objects(data, which)
+            assert fields(loads(json.dumps(spelled))) == fields(written)
+
+
+def test_automaton_rows_as_arrays_load_equal():
+    """A timed automaton's rows may be arrays too, in the key order of its
+    objects, as every loader reads rows."""
+    for name in ("ta1", "kclock2"):
+        data = json.loads((FIXTURES / f"{name}.ta.json").read_text())
+        arrays = {k: [list(row.values()) for row in v] if isinstance(v, list) else v
+                  for k, v in data.items()}
+        assert arrays["locations"][0][0] == data["locations"][0]["name"]
+        assert dumps_model(region_quotient(parse_ta(json.dumps(arrays)))) == dumps_model(
+            region_quotient(parse_ta(json.dumps(data)))
+        )
 
 
 def reference_rows(value, what, schema):
-    """``_rows`` as one pass over the rows, checking each row's keys and
-    then its values in schema order, and raising at the first bad one."""
+    """``_rows`` as one pass over the rows, checking each row's length or
+    keys and then its values in schema order, and raising at the first
+    bad one."""
     if not isinstance(value, list):
         raise ModelFormatError(f"{what} must be a list, got {type(value).__name__}")
     rows = []
     for i, obj in enumerate(value):
+        if isinstance(obj, list):
+            if len(obj) != len(schema):
+                raise ModelFormatError(f"{what}[{i}] must have {len(schema)} values, got {len(obj)}")
+            obj = dict(zip(schema, obj))
+        elif not isinstance(obj, dict):
+            raise ModelFormatError(
+                f"{what}[{i}] must be an object or an array, got {type(obj).__name__}"
+            )
         _require_keys(obj, schema.keys(), f"{what}[{i}]")
         for key, expected in schema.items():
             if type(obj[key]) is not expected:
@@ -289,7 +360,7 @@ def reference_rows(value, what, schema):
 
 def outcome(rows, *args):
     try:
-        return rows(*args)
+        return list(map(tuple, rows(*args)))
     except ModelFormatError as e:
         return str(e)
 
@@ -304,24 +375,31 @@ ROW_LISTS = [
 ]
 
 
-@pytest.mark.parametrize("objs, what, schema", ROW_LISTS, ids=[r[1] for r in ROW_LISTS])
-def test_rows_check_in_bulk_as_row_by_row(objs, what, schema):
+@pytest.mark.parametrize("arrays, what, schema", ROW_LISTS, ids=[r[1] for r in ROW_LISTS])
+def test_rows_check_in_bulk_as_row_by_row(arrays, what, schema):
     """The bulk checks of ``_rows`` pass exactly the lists a row-by-row scan
-    passes, and a failing list gets the row-by-row message of its first
-    bad row."""
-    key = next(iter(schema))
+    passes, with rows spelled as arrays, as objects or mixed, and a
+    failing list gets the row-by-row message of its first bad row."""
+    keys = list(schema)
+    objs = [dict(zip(keys, row)) for row in arrays]
+    mixed = [obj if i % 2 else row for i, (row, obj) in enumerate(zip(arrays, objs))]
     broken = [[], {}, "x", None]  # no rows, and rows that are not lists
-    for i, obj in enumerate(objs):
-        for value in [*VALUES, 0.0, False]:
-            broken.append(replaced(objs, (i, key), value))
-            broken.append(replaced(objs, (i, list(schema)[-1]), value))
-            broken.append(replaced(objs, (i,), value))
-        renamed = {("x" if k == key else k): v for k, v in obj.items()}
-        for row in [renamed, {**obj, "x": 1}, {k: v for k, v in obj.items() if k != key}]:
-            broken.append(replaced(objs, (i,), row))
-    # Two bad rows: the first one is reported.
-    broken.append(replaced(objs + [None], (0, key), None))
-    assert outcome(_rows, objs, what, schema) == reference_rows(objs, what, schema)
+    for rows, first, last in [(arrays, 0, -1), (objs, keys[0], keys[-1])]:
+        for i in range(len(rows)):
+            for value in [*VALUES, 0.0, False]:
+                broken.append(replaced(rows, (i, first), value))
+                broken.append(replaced(rows, (i, last), value))
+                broken.append(replaced(rows, (i,), value))
+        # Two bad rows: the first one is reported.
+        broken.append(replaced(rows + [None], (0, first), None))
+    for i, (row, obj) in enumerate(zip(arrays, objs)):
+        renamed = {("x" if k == keys[0] else k): v for k, v in obj.items()}
+        for bad in [renamed, {**obj, "x": 1}, {k: v for k, v in obj.items() if k != keys[0]},
+                    row[1:], [*row, 1]]:
+            broken.append(replaced(arrays, (i,), bad))
+            broken.append(replaced(objs, (i,), bad))
+    for rows in (arrays, objs, mixed):
+        assert outcome(_rows, rows, what, schema) == reference_rows(arrays, what, schema)
     for value in broken:
         assert outcome(_rows, value, what, schema) == outcome(reference_rows, value, what, schema)
 
@@ -343,8 +421,13 @@ def graph_file(name):
 
 
 def edited(data, table, row, fields):
+    """``data`` with the values of ``fields``, a map of keys, in one row of
+    ``table``, spelled as the row is."""
     rows = list(data[table])
-    rows[row] = {**rows[row], **fields}
+    if type(rows[row]) is dict:
+        rows[row] = {**rows[row], **fields}
+    else:
+        rows[row] = [fields.get(key, value) for key, value in zip(ROW_KEYS[table], rows[row])]
     return {**data, table: rows}
 
 
@@ -352,7 +435,7 @@ def graph_edits(data):
     """Copies of ``data`` with one or two rows broken past the type checks:
     each edit alone at the first and the last row, and each ordered pair
     of different edits at two rows, in both orders."""
-    n, moves = len(data["states"]), data["transitions"]
+    n, moves = len(data["states"]), spelled_as_objects(data)["transitions"]
     edits = {
         "states": [lambda i: {"id": i + 1}, lambda i: {"members": [0, True]},
                    lambda i: {"class": "x"}],
@@ -382,17 +465,21 @@ def graph_outcome(parse, data):
 @pytest.mark.parametrize("name", GRAPH_FILES)
 def test_graph_loader_checks_in_bulk_as_row_by_row(name):
     """``_parse_graph_json`` loads a good file as the row-by-row loader
-    does, and gives a broken one the message of its first bad row."""
-    data = graph_file(name)
-    loaded = graph_outcome(_parse_graph_json, data)
-    assert loaded == graph_outcome(reference_parse_graph_json, data)
-    assert len(loaded[0]) == len(data["states"]) and len(loaded[2]) == len(data["transitions"])
-    broken = list(graph_edits(data))
-    assert len(broken) >= 12
-    for case in broken:
-        message = graph_outcome(_parse_graph_json, case)
-        assert isinstance(message, str)
-        assert message == graph_outcome(reference_parse_graph_json, case)
+    does, and gives a broken one the message of its first bad row, with
+    its rows spelled as arrays or as objects."""
+    written = graph_file(name)
+    loaded = graph_outcome(_parse_graph_json, written)
+    assert len(loaded[0]) == len(written["states"])
+    assert len(loaded[2]) == len(written["transitions"])
+    for data in (written, spelled_as_objects(written)):
+        assert graph_outcome(_parse_graph_json, data) == loaded
+        assert graph_outcome(reference_parse_graph_json, data) == loaded
+        broken = list(graph_edits(data))
+        assert len(broken) >= 12
+        for case in broken:
+            message = graph_outcome(_parse_graph_json, case)
+            assert isinstance(message, str)
+            assert message == graph_outcome(reference_parse_graph_json, case)
 
 
 # Action names the file writers must escape as the json module does.

@@ -26,7 +26,7 @@ from hydiag.regions import load_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
-from .helpers import random_progressive_ta, reference_adjacency
+from .helpers import random_progressive_ta, reference_adjacency, spelled_as_objects
 
 
 def rules_of(report):
@@ -357,7 +357,7 @@ class TestFileFormat:
     def test_unknown_class_key_rejected(self, q1):
         import json
 
-        data = json.loads(dumps_model(q1))
+        data = spelled_as_objects(json.loads(dumps_model(q1)), lambda i: i == 0)
         data["classes"][0]["color"] = "red"
         with pytest.raises(ModelFormatError, match="unknown keys"):
             loads_model(json.dumps(data))
