@@ -19,24 +19,22 @@ fine enough, because each region lies entirely inside one cell.
 The construction is deliberately classical: per-clock integer parts up
 to the ceiling plus the ordering of fractional parts.  Regions whose
 clocks all sit above their ceilings are time-divergent, and the quotient
-marks them so (as explicit time self-loops).  ``atom_holds`` decides an
-atom on the region itself, from the clock's integer part and whether it
-sits at an exact integer or past its ceiling.  ``pred_holds`` applies it
-to observation cells, so the observation is decided once per combination
-of external clock positions and each class reads its cell from that
-table.  The explorer compiles each guard and invariant once per
-automaton into a closure over a region's ``(ints, zero)``: one per atom,
-deciding it as ``atom_holds`` does, joined by a conjunction.  They are
-kept per location with its out-edges.  A region is a named tuple
-``(ints, zero, groups)``, and a node is a (location index, region) pair,
-so the explorer hashes and compares its nodes as plain tuples.  A
-concrete valuation (and the ``fractions`` module) is needed only for the
-witness of a failed partition check.
+marks them so (as explicit time self-loops).  ``_compile`` turns each
+guard, invariant and observation cell, once per automaton, into one
+closure over a region's ``(ints, zero)`` that decides it on the region
+itself, from each clock's integer part and whether it sits at an exact
+integer or past its ceiling.  The observation is decided once per
+combination of external clock positions and each class reads its cell
+from that table; the explorer keeps guards and invariants per location
+with its out-edges.  A region is a named tuple ``(ints, zero, groups)``,
+and a node is a (location index, region) pair, so the explorer hashes
+and compares its nodes as plain tuples.  A concrete valuation (and the
+``fractions`` module) is needed only for the witness of a failed
+partition check.
 """
 
 import itertools
 import math
-import operator
 import re
 from collections import namedtuple
 
@@ -53,8 +51,6 @@ MAX_PRED_DEPTH = 100
 
 # ---------------------------------------------------------------------------
 # Clock constraints and observation predicates
-
-_OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_]\w*)|(?P<num>-?[0-9]+(?:\.[0-9]+)?)"
@@ -186,6 +182,50 @@ def pred_atoms(node):
             yield from pred_atoms(child)
 
 
+# One factory per operator: ``x_i op bound`` as a test of a region's
+# ``(ints, zero)``.  A clock at an exact integer compares its integer
+# part.  One strictly between two integers or past its ceiling equals no
+# integer: ``<`` and ``<=`` hold iff its integer part is below ``bound``,
+# ``>=`` and ``>`` iff not.  Exact because every constant is at most its
+# clock's ceiling, the ceilings being their maxima (``_compute_ceilings``).
+_ATOM_TESTS = {
+    "<": lambda i, b: lambda ints, zero: ints[i] < b,
+    "<=": lambda i, b: lambda ints, zero: ints[i] < b or ints[i] == b and i in zero,
+    "==": lambda i, b: lambda ints, zero: ints[i] == b and i in zero,
+    ">=": lambda i, b: lambda ints, zero: ints[i] >= b,
+    ">": lambda i, b: lambda ints, zero: ints[i] > b or ints[i] == b and i not in zero,
+}
+
+
+def _compile(node, index):
+    """Predicate ``node`` (a guard or invariant ``("and", atom, ...)``, or
+    an observation cell) as one test of a region's ``(ints, zero)``;
+    ``index`` maps clock names to region positions.
+
+    Chains are flat nodes, so on a parsed predicate the recursion is at
+    most MAX_PRED_DEPTH deep.
+    """
+    tag = node[0]
+    if tag == "atom":
+        return _ATOM_TESTS[node[2]](index[node[1]], node[3])
+    if tag == "true":
+        return lambda ints, zero: True
+    tests = [_compile(child, index) for child in node[1:]]
+    if tag == "not":
+        return lambda ints, zero: not tests[0](ints, zero)
+    if len(tests) == 1:
+        return tests[0]
+    stop = tag == "or"  # the value that settles a chain: True for "or", False for "and"
+
+    def holds(ints, zero):
+        for test in tests:
+            if test(ints, zero) == stop:
+                return stop
+        return not stop
+
+    return holds
+
+
 class ObservableSpec(namedtuple("ObservableSpec", "id pred")):
     __slots__ = ()
 
@@ -226,47 +266,6 @@ class Region(namedtuple("Region", "ints zero groups")):
 
 def initial_region(num_clocks):
     return Region((0,) * num_clocks, tuple(range(num_clocks)), ())
-
-
-def atom_holds(region, i, op, bound):
-    """Whether ``x_i op bound`` holds at every valuation in ``region``.
-
-    A clock at an exact integer compares its integer part.  A clock strictly
-    between two integers or past its ceiling equals no integer; ``<`` and
-    ``<=`` hold iff its integer part is below ``bound``, ``>=`` and ``>`` iff
-    not.  Exact only when ``bound`` is at most clock i's ceiling, which holds
-    for every guard, invariant and observation constant because the
-    ceilings are their maxima (``_compute_ceilings``).
-    """
-    whole = region.ints[i]
-    if i in region.zero:
-        return _OPS[op](whole, bound)
-    if op == "==":
-        return False
-    if op[0] == "<":
-        return whole < bound
-    return whole >= bound
-
-
-def pred_holds(node, region, index):
-    """Whether predicate ``node`` holds throughout ``region``, atom by atom
-    with ``atom_holds``; ``index`` maps clock names to region positions.
-
-    Chains are flat nodes, so the recursion is at most MAX_PRED_DEPTH deep
-    on parsed predicates.
-    """
-    tag = node[0]
-    if tag == "atom":
-        return atom_holds(region, index[node[1]], node[2], node[3])
-    if tag == "true":
-        return True
-    if tag == "not":
-        return not pred_holds(node[1], region, index)
-    if tag == "and":
-        return all(pred_holds(child, region, index) for child in node[1:])
-    if tag == "or":
-        return any(pred_holds(child, region, index) for child in node[1:])
-    raise ValueError(f"bad predicate node {node!r}")
 
 
 def sample_region(region, ceilings):
@@ -341,7 +340,7 @@ def position_regions(ceilings):
 
     A clock is past its ceiling, at an integer 0..c, or strictly inside
     (v, v+1) with v < c: 2c+2 positions per clock.  The fractional clocks
-    of a combination share one group.  ``atom_holds`` reads positions
+    of a combination share one group.  ``_compile`` tests read positions
     only, never the order of fractional parts, so every region of a
     combination lies in the same cells as the one yielded here.
     """
@@ -500,10 +499,10 @@ class TimedAutomatonWithFaults:
         count = math.prod(2 * c + 2 for c in ext_ceilings)
         if count > max_classes:
             raise CapExceeded("observation partition regions", count, max_classes)
-        index = self._clock_index
+        cells = [(spec.id, _compile(spec.pred, self._clock_index)) for spec in self.observation]
         self._cell_of = {}
         for region in position_regions(ext_ceilings):
-            hits = [s.id for s in self.observation if pred_holds(s.pred, region, index)]
+            hits = [cell for cell, test in cells if test(region.ints, region.zero)]
             if len(hits) != 1:
                 values = sample_region(region, ext_ceilings)
                 witness = {name: str(v) for name, v in zip(self.external_clocks, values)}
@@ -524,35 +523,8 @@ class TimedAutomatonWithFaults:
 # ---------------------------------------------------------------------------
 # Region quotient construction
 
-class RegionQuotient(namedtuple("RegionQuotient", "model class_regions ceilings")):
+class RegionQuotient(namedtuple("RegionQuotient", "model class_regions")):
     __slots__ = ()  # class_regions: a list of (location name, Region)
-
-
-# One factory per operator: ``x_i op bound`` as a test of a region's
-# ``(ints, zero)``, deciding the atom as ``atom_holds`` does.
-_ATOM_TESTS = {
-    "<": lambda i, b: lambda ints, zero: ints[i] < b,
-    "<=": lambda i, b: lambda ints, zero: ints[i] < b or ints[i] == b and i in zero,
-    "==": lambda i, b: lambda ints, zero: ints[i] == b and i in zero,
-    ">=": lambda i, b: lambda ints, zero: ints[i] >= b,
-    ">": lambda i, b: lambda ints, zero: ints[i] > b or ints[i] == b and i not in zero,
-}
-
-
-def _compile(pred, index):
-    """A guard or invariant ``("and", atom, ...)`` as one test of a
-    region's ``(ints, zero)``: the conjunction of its atoms' tests."""
-    tests = [_ATOM_TESTS[op](index[clock], bound) for _, clock, op, bound in pred[1:]]
-    if len(tests) == 1:
-        return tests[0]
-
-    def holds(ints, zero):
-        for test in tests:
-            if not test(ints, zero):
-                return False
-        return True
-
-    return holds
 
 
 def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
@@ -617,7 +589,7 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
         first = report.violations[0]
         raise TAValidationError(first.rule, f"region quotient: {first.message}")
     names = [loc.name for loc in ta.locations]
-    return RegionQuotient(model, [(names[loc], region) for loc, region in metas], ceilings)
+    return RegionQuotient(model, [(names[loc], region) for loc, region in metas])
 
 
 def region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):

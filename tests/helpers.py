@@ -67,7 +67,6 @@ from hydiag.regions import (
     parse_pred,
     parse_ta,
     position_regions,
-    pred_holds,
     time_successor,
 )
 
@@ -781,7 +780,7 @@ def reference_region_quotient(ta):
     if not report.ok:
         first = report.violations[0]
         raise TAValidationError(first.rule, f"region quotient: {first.message}")
-    return RegionQuotient(model, metas, ta.ceilings)
+    return RegionQuotient(model, metas)
 
 
 def reference_automata():
@@ -924,7 +923,7 @@ def random_progressive_ta(seed):
 
 # ---------------------------------------------------------------------------
 # Concrete semantics: exact Fraction valuations, the oracle that the
-# region-level evaluator and the region construction are checked against.
+# region-level evaluators and the region construction are checked against.
 
 OPS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
@@ -940,6 +939,49 @@ def reference_constraint(text):
     if m is None or "." in m.group(3) or int(m.group(3)) < 0:
         return None
     return m.group(1), m.group(2), int(m.group(3))
+
+
+def atom_holds(region, i, op, bound):
+    """Whether ``x_i op bound`` holds at every valuation in ``region``.
+
+    A clock at an exact integer compares its integer part.  A clock strictly
+    between two integers or past its ceiling equals no integer; ``<`` and
+    ``<=`` hold iff its integer part is below ``bound``, ``>=`` and ``>`` iff
+    not.  Exact only when ``bound`` is at most clock i's ceiling, which holds
+    for every guard, invariant and observation constant because the
+    ceilings are their maxima (``_compute_ceilings``).  The reference that
+    ``regions._ATOM_TESTS`` is checked against.
+    """
+    whole = region.ints[i]
+    if i in region.zero:
+        return OPS[op](whole, bound)
+    if op == "==":
+        return False
+    if op[0] == "<":
+        return whole < bound
+    return whole >= bound
+
+
+def pred_holds(node, region, index):
+    """Whether predicate ``node`` holds throughout ``region``, atom by atom
+    with ``atom_holds``; ``index`` maps clock names to region positions.
+    The reference that ``regions._compile`` is checked against.
+
+    Chains are flat nodes, so the recursion is at most MAX_PRED_DEPTH deep
+    on parsed predicates.
+    """
+    tag = node[0]
+    if tag == "atom":
+        return atom_holds(region, index[node[1]], node[2], node[3])
+    if tag == "true":
+        return True
+    if tag == "not":
+        return not pred_holds(node[1], region, index)
+    if tag == "and":
+        return all(pred_holds(child, region, index) for child in node[1:])
+    if tag == "or":
+        return any(pred_holds(child, region, index) for child in node[1:])
+    raise ValueError(f"bad predicate node {node!r}")
 
 
 def eval_pred(node, valuation):

@@ -28,7 +28,7 @@ RECORDS = [
     ("regions", "ObservableSpec", ("id", "pred"), True),
     ("regions", "Location", ("name", "faulty", "initial", "invariant"), True),
     ("regions", "TAEdge", ("src", "dst", "action", "kind", "guard", "resets"), True),
-    ("regions", "RegionQuotient", ("model", "class_regions", "ceilings"), False),
+    ("regions", "RegionQuotient", ("model", "class_regions"), False),
     ("oracle", "TwinGraph", ("states", "initials", "edges"), False),
     ("oracle", "CounterExample",
      ("shared", "left_prefix", "left_cycle", "right_prefix", "right_cycle"), True),

@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydiag.errors import CapExceeded, ModelFormatError, PartitionError, TAValidationError
-from hydiag.quotient import validate_model
+from hydiag.quotient import dumps_model, validate_model
 from hydiag.regions import (
     MAX_PRED_DEPTH,
     Region,
     _compile,
-    atom_holds,
     build_region_quotient,
     initial_region,
     parse_constraint,
@@ -23,7 +22,6 @@ from hydiag.regions import (
     parse_ta,
     position_regions,
     pred_atoms,
-    pred_holds,
     region_count_bound,
     region_quotient,
     reset_region,
@@ -31,14 +29,17 @@ from hydiag.regions import (
     time_successor,
 )
 
+from .conftest import FIXTURES
 from .helpers import (
     OPS,
     all_regions,
     apply_reset,
+    atom_holds,
     concrete_enabled_edges,
     concrete_region_path,
     eval_pred,
     observable_of_valuation,
+    pred_holds,
     random_progressive_ta,
     random_sample_region,
     random_ta,
@@ -150,6 +151,8 @@ class TestParsing:
         assert not eval_pred(disjunction, valuation)
         assert pred_holds(conjunction, region, {"x": 0})
         assert not pred_holds(disjunction, region, {"x": 0})
+        assert _compile(conjunction, {"x": 0})(region.ints, region.zero)
+        assert not _compile(disjunction, {"x": 0})(region.ints, region.zero)
 
     def test_predicates_at_the_depth_bound_evaluate(self):
         valuation = {"x": Fraction(1, 2)}
@@ -165,6 +168,7 @@ class TestParsing:
             pred = parse_pred(text)
             assert eval_pred(pred, valuation) == expected
             assert pred_holds(pred, region, {"x": 0}) == expected
+            assert _compile(pred, {"x": 0})(region.ints, region.zero) == expected
         with pytest.raises(ModelFormatError, match="deeper"):
             parse_pred("!" * (n + 1) + "x<1")
 
@@ -382,8 +386,10 @@ class TestRegionEvaluator:
             index = {name: i for i, name in enumerate(ta.clocks)}
             cells = [spec.pred for spec in ta.observation]
             preds = cells + [e.guard for e in ta.edges] + [loc.invariant for loc in ta.locations]
+            compiled = [_compile(p, index) for p in preds]
             for region in all_regions(ta.ceilings):
                 on_region = [pred_holds(p, region, index) for p in preds]
+                assert [test(region.ints, region.zero) for test in compiled] == on_region
                 for values in region_samples(region, ta.ceilings, rng):
                     valuation = dict(zip(ta.clocks, values))
                     concrete = [eval_pred(p, valuation) for p in preds]
@@ -515,6 +521,21 @@ class TestObservationByPosition:
             valuation = dict(zip(ta.clocks, sample_region(region, ta.ceilings)))
             assert cls.obs == observable_of_valuation(ta, valuation)
 
+    def test_cells_listed_out_of_id_order(self, ta1):
+        # A class's cell is the id of the cell that holds on it, wherever
+        # that cell is listed.
+        data = json.loads((FIXTURES / "ta1.ta.json").read_text())
+        data["observation"].reverse()
+        ta = parse_ta(json.dumps(data))
+        assert [spec.id for spec in ta.observation] == [1, 0]
+        rq = build_region_quotient(ta)
+        index = ta._clock_index
+        for cls, (_, region) in zip(rq.model.classes, rq.class_regions):
+            hits = [spec.id for spec in ta.observation if pred_holds(spec.pred, region, index)]
+            assert hits == [cls.obs], region
+        assert set(rq.model.obs) == {0, 1}
+        assert dumps_model(rq.model) == dumps_model(region_quotient(ta1))
+
 
 class TestCountBound:
     def test_one_clock_ceiling_one(self):
@@ -610,7 +631,7 @@ def assert_region_equivalence(ta, rq, rng, pairs_per_class):
     """Sampling-based check that region classes are bisimilar and respect
     the observation: equal enabled edges, equal cells, equal time futures."""
     model = rq.model
-    ceilings = rq.ceilings
+    ceilings = ta.ceilings
     index = {key: cid for cid, key in enumerate(rq.class_regions)}
     for cid, (loc, region) in enumerate(rq.class_regions):
         chain = [region]
@@ -706,7 +727,6 @@ class TestExplorerAgainstReference:
             rq = build_region_quotient(ta)
             assert rq.model == expected.model
             assert rq.class_regions == expected.class_regions
-            assert rq.ceilings == expected.ceilings
 
     def test_regions_are_named_tuples(self, reference_cases):
         _, expected = reference_cases[-3]  # kclock_ta(3, 4)
@@ -723,22 +743,24 @@ class TestExplorerAgainstReference:
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_compiled_constraints_decide_as_atom_holds(chunk):
-    """Each guard and invariant, compiled to one test of a region's
-    ``(ints, zero)``, holds exactly where all its atoms hold by
-    ``atom_holds``: on every combination of clock positions of 400 random
-    automata, and of every atom over two clocks with constants 0..3."""
+    """Each guard, invariant and observation cell, compiled to one test of
+    a region's ``(ints, zero)``, holds exactly where ``pred_holds`` decides
+    it atom by atom with ``atom_holds``: on every combination of clock
+    positions of 400 random automata, and of every atom over two clocks
+    with constants 0..3."""
     atoms = [("atom", x, op, b) for x in ("x", "y") for op in OPS for b in range(4)]
     every = [("and", atom) for atom in atoms] + [("and", *atoms[::7]), ("and",)]
     cases = [({"x": 0, "y": 1}, (3, 3), every)] if chunk == 0 else []
     for ta in map(random_ta, range(chunk * 100, chunk * 100 + 100)):
         preds = [loc.invariant for loc in ta.locations] + [e.guard for e in ta.edges]
-        cases.append((ta._clock_index, ta.ceilings, preds))
+        cells = [spec.pred for spec in ta.observation]
+        cases.append((ta._clock_index, ta.ceilings, preds + cells))
     checked = 0
     for index, ceilings, preds in cases:
         for pred in preds:
             test = _compile(pred, index)
             for region in position_regions(ceilings):
-                expected = all(atom_holds(region, index[c], op, b) for _, c, op, b in pred[1:])
+                expected = pred_holds(pred, region, index)
                 assert test(region.ints, region.zero) is expected, (pred, region)
                 checked += 1
     assert checked > 5_000
