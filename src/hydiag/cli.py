@@ -185,11 +185,7 @@ def cmd_validate(args):
 
 
 def cmd_regions(args):
-    def text():
-        cap = _max_classes(args)
-        return dumps_model(region_quotient(load_ta(args.model, cap), max_classes=cap))
-
-    _write_output(args.output, text)
+    _write_output(args.output, lambda: dumps_model(_load_quotient(args)))
     return EXIT_OK
 
 
@@ -201,25 +197,24 @@ def cmd_estimator(args):
     return EXIT_OK
 
 
-def _print_not_progressive(progress, fmt):
-    if fmt == "json":
-        payload = {
-            "progressive": False,
-            "witness": progress.witness.to_json(),
-            "diagnosable": None,
-        }
+def _progressive_model(args):
+    """The model argument, valid and progressive: a model that is not
+    progressive has its witness printed, and the command exits 3."""
+    model = _validated_model(args)
+    progress = check_progressive(model)
+    if progress.progressive:
+        return model
+    if args.format == "json":
+        payload = {"progressive": False, "witness": progress.witness.to_json(), "diagnosable": None}
         print(json.dumps(payload, indent=2))
     else:
         print("not progressive")
         print(progress.witness.pretty())
+    raise SystemExit(EXIT_NOT_PROGRESSIVE)
 
 
 def cmd_check(args):
-    model = _validated_model(args)
-    progress = check_progressive(model)
-    if not progress.progressive:
-        _print_not_progressive(progress, args.format)
-        return EXIT_NOT_PROGRESSIVE
+    model = _progressive_model(args)
     est = build_estimator(model, expand_faulty=False)
     verdict = check_diagnosable(est)
     # Bound before printing: past the product cap, stdout stays empty.
@@ -340,11 +335,7 @@ def cmd_run(args):
 
 
 def cmd_oracle(args):
-    model = _validated_model(args)
-    progress = check_progressive(model)
-    if not progress.progressive:
-        _print_not_progressive(progress, args.format)
-        return EXIT_NOT_PROGRESSIVE
+    model = _progressive_model(args)
     verdict = brute_force_diagnosable(model)
     if args.format == "json":
         payload = {"diagnosable": verdict.diagnosable}
@@ -436,7 +427,7 @@ def build_parser():
     p.add_argument("model", help="timed-automaton file (JSON)")
     p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p.add_argument("--max-classes", type=_count, default=None)
-    p.set_defaults(func=cmd_regions)
+    p.set_defaults(func=cmd_regions, ta=True)
 
     p = commands.add_parser("estimator", help="build and export the state estimator")
     _add_model_arg(p)
@@ -491,6 +482,3 @@ def main(argv=None):
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except NoConsistentExecution as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INCONSISTENT

@@ -12,9 +12,8 @@ answer no but expose their ambiguity through the richer status field.
 from collections import namedtuple
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .fileformat import Classification, EstimatorGraph, _as_object, _dumps_graph, _excerpt
-from .fileformat import _key_int, _loads_json, _parse_graph_json, _read_text
-from .fileformat import _state_id
+from .fileformat import Classification, EstimatorGraph, _dumps_graph, _excerpt, _loads_json
+from .fileformat import _parse_graph_json, _read_text
 
 
 class Verdict(namedtuple("Verdict", "answer status")):
@@ -86,27 +85,21 @@ def run_trace(diag, trace):
 
 
 def dumps_diagnoser(diag):
-    """The estimator file plus ``output``, each state's Moore output."""
-    return _dumps_graph(diag, {c: verdict.answer for c, verdict in _VERDICTS.items()})
+    """The diagnoser file: the estimator file of its graph."""
+    return _dumps_graph(diag)
 
 
 def loads_diagnoser(text):
-    """Parse a diagnoser file, checking ``output`` against each state's class."""
+    """Parse a diagnoser file, which is an estimator file.  A file from an
+    earlier version may also hold ``output``, each state id's Moore output;
+    it loads only if that map is the answer of every state's class."""
     data = _loads_json(text)
-    states, initials, transitions = _parse_graph_json(
-        data, "diagnoser", extra_keys={"output"}
-    )
-    covered = set()
-    for key, value in _as_object(data["output"], "output").items():
-        sid = _state_id(_key_int(key, "output"), len(states), "output", key)
-        verdict = _VERDICTS[states[sid].classification]
-        if value != verdict.answer:
-            raise ModelFormatError(
-                f"output[{sid}] must be {verdict.answer!r} on {verdict.status.value} states"
-            )
-        covered.add(sid)
-    if len(covered) != len(states):
-        raise ModelFormatError("output must cover every state")
+    legacy = {"output"} & data.keys() if isinstance(data, dict) else set()
+    states, initials, transitions = _parse_graph_json(data, "diagnoser", legacy)
+    if legacy and data["output"] != {
+        str(i): _VERDICTS[s.classification].answer for i, s in enumerate(states)
+    }:
+        raise ModelFormatError("output must map every state id to its state's answer")
     return EstimatorGraph(states, initials, transitions)
 
 

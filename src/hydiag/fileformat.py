@@ -223,17 +223,16 @@ class EstimatorGraph(namedtuple("EstimatorGraph", "states initials transitions m
                 f"transitions={self.transitions!r})")
 
 
-def _dumps_graph(graph, answers=None):
-    """The estimator file of ``graph``, written row by row.  With
-    ``answers``, the Moore output of each Classification, it is a
-    diagnoser file: ``output`` maps each state id to its answer."""
+def _dumps_graph(graph):
+    """The estimator file of ``graph``, written row by row; a diagnoser
+    file is the same file."""
     members, classes = _columns(graph.states, 2)
     classes = tuple(_json_texts(classes, Classification))
     # Members are class ids, so the encoded rows split where one ends.
     members = _encode(members)[2:-2].split("],[")
     keys, dsts = _columns(sorted(graph.transitions.items()), 2)
     srcs, actions, observables = _columns(keys, 3)
-    text = '{"states":[%s],"initials":%s,"transitions":[%s]' % (
+    return '{"states":[%s],"initials":%s,"transitions":[%s]}\n' % (
         _json_rows("[%s,[%s],%s]", range(len(classes)), members, classes),
         _encode({str(obs): sid for obs, sid in sorted(graph.initials.items())}),
         _json_rows(
@@ -241,12 +240,6 @@ def _dumps_graph(graph, answers=None):
             _json_texts(observables, int), _json_texts(dsts, int),
         ),
     )
-    if answers is not None:
-        answer_of = {_encode(c): _encode(answer) for c, answer in answers.items()}
-        text += ',"output":{%s}' % _json_rows(
-            '"%s":%s', range(len(classes)), map(answer_of.__getitem__, classes)
-        )
-    return text + "}\n"
 
 
 def _key_int(key, what):

@@ -22,9 +22,6 @@ from .errors import ModelFormatError
 from .fileformat import _as_list, _columns, _excerpt, _json_rows, _json_texts
 from .fileformat import _loads_json, _member, _read_text, _require_keys, _rows
 
-# Defined with the file layer, and still exported here under its old name.
-from .fileformat import DEFAULT_MAX_CLASSES
-
 
 class Kind(str, Enum):
     """Visibility of a discrete action."""

@@ -295,8 +295,8 @@ def time_successor(region, ceilings):
     time-divergent (all clocks above their ceilings)."""
     if not region.zero and not region.groups:
         return None
+    ints = list(region.ints)
     if region.zero:
-        ints = list(region.ints)
         stay = []
         for i in region.zero:
             if region.ints[i] == ceilings[i]:
@@ -305,16 +305,11 @@ def time_successor(region, ceilings):
                 stay.append(i)
         groups = ((tuple(stay),) + region.groups) if stay else region.groups
         return Region(tuple(ints), (), groups)
-    ints = list(region.ints)
-    promoted = []
+    # A fractional clock is below its ceiling, so the clocks of the largest
+    # fraction all reach their next integer.
     for i in region.groups[-1]:
-        nxt = region.ints[i] + 1
-        if nxt > ceilings[i]:
-            ints[i] = ceilings[i] + 1
-        else:
-            ints[i] = nxt
-            promoted.append(i)
-    return Region(tuple(ints), tuple(sorted(promoted)), region.groups[:-1])
+        ints[i] += 1
+    return Region(tuple(ints), tuple(sorted(region.groups[-1])), region.groups[:-1])
 
 
 def reset_region(region, reset):
@@ -443,9 +438,6 @@ class TimedAutomatonWithFaults:
         self._validate_axioms()
         self.ceilings = self._compute_ceilings()
         self._validate_partition(max_classes)
-
-    def location(self, name):
-        return self._loc_by_name[name]
 
     def _validate_axioms(self):
         any_initial = False

@@ -23,7 +23,6 @@ from hydiag.diagnosability import (
     _fault_product,
     _indeterminate_graph,
 )
-from hydiag.diagnoser import _VERDICTS
 from hydiag.errors import ModelFormatError, TAValidationError
 from hydiag.estimator import (
     Classification,
@@ -502,13 +501,13 @@ def reference_dumps_estimator(est):
     return _reference_dumps(_reference_graph_data(est))
 
 
-def reference_dumps_diagnoser(diag):
-    """``dumps_diagnoser`` as a dict written by the C encoder."""
-    data = _reference_graph_data(diag)
-    data["output"] = {
-        str(i): _VERDICTS[s.classification].answer for i, s in enumerate(diag.states)
-    }
-    return _reference_dumps(data)
+def legacy_diagnoser_data(data):
+    """A diagnoser file as earlier versions wrote it: ``data``, the data of
+    a diagnoser file with array rows, plus ``output``, the answer of each
+    state's class keyed by state id."""
+    return {**data, "output": {
+        str(sid): "yes" if cls == "faulty" else "no" for sid, _, cls in data["states"]
+    }}
 
 
 def reference_enumerate_utraces(model, k):
@@ -743,6 +742,7 @@ def reference_region_quotient(ta):
     index = ta._clock_index
     r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
+    location = {loc.name: loc for loc in ta.locations}
 
     def successors(node):
         loc_name, region = node
@@ -750,12 +750,12 @@ def reference_region_quotient(ta):
             if e.src != loc_name or not pred_holds(e.guard, region, index):
                 continue
             target = _reference_reset(region, [index[name] for name in e.resets])
-            if pred_holds(ta.location(e.dst).invariant, target, index):
+            if pred_holds(location[e.dst].invariant, target, index):
                 yield label_of[e.action], (e.dst, target)
         succ = time_successor(region, ta.ceilings)
         if succ is None:
             yield None, node
-        elif pred_holds(ta.location(loc_name).invariant, succ, index):
+        elif pred_holds(location[loc_name].invariant, succ, index):
             yield None, (loc_name, succ)
 
     starts = [
@@ -769,8 +769,8 @@ def reference_region_quotient(ta):
     classes = [
         ClassInfo(
             cid,
-            ta.location(loc_name).faulty,
-            ta.location(loc_name).initial and region == r0,
+            location[loc_name].faulty,
+            location[loc_name].initial and region == r0,
             ta.observable_of_region(region),
         )
         for cid, (loc_name, region) in enumerate(metas)
@@ -1093,6 +1093,7 @@ def apply_reset(valuation, resets):
 
 def concrete_enabled_edges(ta, loc_name, valuation):
     """Indices of automaton edges enabled at a concrete state."""
+    invariant = {loc.name: loc.invariant for loc in ta.locations}
     enabled = []
     for i, e in enumerate(ta.edges):
         if e.src != loc_name:
@@ -1100,7 +1101,7 @@ def concrete_enabled_edges(ta, loc_name, valuation):
         if not eval_pred(e.guard, valuation):
             continue
         after = apply_reset(valuation, e.resets)
-        if eval_pred(ta.location(e.dst).invariant, after):
+        if eval_pred(invariant[e.dst], after):
             enabled.append(i)
     return tuple(enabled)
 

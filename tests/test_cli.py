@@ -10,12 +10,16 @@ import pytest
 from hydiag.cli import main
 from hydiag.diagnoser import load_diagnoser, synthesize
 from hydiag.estimator import build_estimator, dumps_estimator
-from hydiag.quotient import load_model, loads_model
+from hydiag.quotient import dumps_model, load_model, loads_model
 
 from .conftest import FIXTURES, run_python, text_stdin
 from .helpers import (
+    FAULT,
+    HIDDEN,
+    TICK,
     benchmark_families,
     f2_violating_model,
+    legacy_diagnoser_data,
     make_model,
     record_expansions,
     save_model,
@@ -131,6 +135,18 @@ class TestCheck:
         save_model(model, path)
         assert main(["check", str(path)]) == 3
         assert "not progressive" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_silent_cycle_witness(self, command, tmp_path, capsys):
+        model = make_model(
+            [(False, True, 0), (False, False, 0), (True, False, 0)],
+            [(0, "h", 1), (1, "h", 0), (0, "f", 2), (1, "f", 2), (2, "tick", 2)],
+            actions=(TICK, FAULT, HIDDEN),
+        )
+        path = tmp_path / "silent.quot.json"
+        save_model(model, path)
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().out == "not progressive\ncycle: 0 -h-> 1 -h-> 0\n"
 
     def test_json_format(self, capsys):
         assert main(["check", Q2, "--format", "json"]) == 2
@@ -454,6 +470,25 @@ class TestFuzzCommand:
         out = capsys.readouterr().out
         assert "models tested: 20, agreements: 20" in out
 
+    def test_disagreement_is_reported(self, monkeypatch, capsys):
+        from hydiag import oracle
+
+        real = oracle.brute_force_diagnosable
+
+        def flipped(model):
+            verdict = real(model)
+            return verdict._replace(diagnosable=not verdict.diagnosable)
+
+        monkeypatch.setattr(oracle, "brute_force_diagnosable", flipped)
+        assert main(["fuzz", "--models", "3", "--seed", "5"]) == 1
+        first = next(iter(oracle.random_models(3, 5)))
+        verdict = real(first).diagnosable
+        assert capsys.readouterr().out == (
+            "models tested: 3, agreements: 0, disagreements: 3\n"
+            f"first disagreement at model 0: estimator={verdict} twin={not verdict}\n"
+            + dumps_model(first) + "\n"
+        )
+
 
 class TestUsage:
     def test_usage_error_exits_one(self, capsys):
@@ -552,10 +587,30 @@ class TestMalformedInput:
     def test_diagnoser_with_false_alarm_output(self, tmp_path):
         diag = tmp_path / "diag.json"
         assert main(["synthesize", Q1, "-o", str(diag)]) == 0
-        data = json.loads(diag.read_text())
+        data = legacy_diagnoser_data(json.loads(diag.read_text()))
         data["output"]["0"] = "yes"
         diag.write_text(json.dumps(data))
-        self.check_rejected(self.run_cli(["run", str(diag)], stdin="init o0\n"))
+        line = self.check_one_error_line(self.run_cli(["run", str(diag)], stdin="init o0\n"))
+        assert line == "error: output must map every state id to its state's answer"
+
+    @pytest.mark.parametrize("defect", [
+        lambda o: {k: v for k, v in o.items() if k != "0"},
+        lambda o: {("00" if k == "0" else k): v for k, v in o.items()},
+        lambda o: {**o, "4": "no"},
+        lambda o: {**o, "1": "no"},
+        lambda o: list(o.values()),
+    ], ids=["missing", "non-canonical", "out-of-range", "wrong-answer", "non-object"])
+    def test_legacy_output_defects_exit_one(self, defect, tmp_path, capsys):
+        diag, legacy = tmp_path / "diag.json", tmp_path / "legacy.json"
+        assert main(["synthesize", Q1, "-o", str(diag)]) == 0
+        data = legacy_diagnoser_data(json.loads(diag.read_text()))
+        legacy.write_text(json.dumps(data))
+        assert load_diagnoser(legacy) == load_diagnoser(diag)
+        data["output"] = defect(data["output"])
+        legacy.write_text(json.dumps(data))
+        assert main(["run", str(legacy)]) == 1
+        assert capsys.readouterr().err == (
+            "error: output must map every state id to its state's answer\n")
 
     def test_diagnoser_with_repeated_transition(self, tmp_path):
         diag = tmp_path / "diag.json"
@@ -719,6 +774,7 @@ class TestMalformedInput:
             if where == "initials-key":
                 data["initials"] = {"1" * 4000: 99}
             else:
+                data = legacy_diagnoser_data(data)
                 data["output"]["1" * 4000] = "no"
         if data is not None:
             path.write_text(json.dumps(data))

@@ -17,7 +17,10 @@ from hydiag.estimator import Classification, build_estimator
 from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import UTrace
 
-from .helpers import array_path, q3_model
+from .helpers import array_path, legacy_diagnoser_data, q3_model
+
+# The one message for a legacy ``output`` map that is not the answers.
+BAD_OUTPUT = "output must map every state id to its state's answer"
 
 
 def diag_of(model):
@@ -25,8 +28,9 @@ def diag_of(model):
 
 
 def outputs(diag):
-    """The Moore output per state id, as the diagnoser file writes it."""
-    return {int(k): v for k, v in json.loads(dumps_diagnoser(diag))["output"].items()}
+    """The Moore output per state id, as ``step`` answers on entering the state."""
+    moves = [(None, None, obs) for obs in diag.initials] + list(diag.transitions)
+    return {sid: verdict.answer for sid, verdict in (step(diag, *move) for move in moves)}
 
 
 class TestSynthesize:
@@ -163,9 +167,9 @@ class TestSerialization:
         assert [v.answer for v in verdicts] == ["no", "yes"]
 
     def test_output_must_cover_states(self, q1):
-        data = json.loads(dumps_diagnoser(diag_of(q1)))
+        data = q1_legacy_json(q1)
         del data["output"]["0"]
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=BAD_OUTPUT):
             loads_diagnoser(json.dumps(data))
 
     def test_unknown_key_rejected(self, q1):
@@ -177,6 +181,11 @@ class TestSerialization:
 
 def q1_diagnoser_json(q1):
     return json.loads(dumps_diagnoser(diag_of(q1)))
+
+
+def q1_legacy_json(q1):
+    """q1's diagnoser file as earlier versions wrote it, with ``output``."""
+    return legacy_diagnoser_data(q1_diagnoser_json(q1))
 
 
 def set_path(data, path, value):
@@ -208,34 +217,46 @@ class TestStrictLoader:
     @pytest.mark.parametrize("key", ["00", "+0", " 0", "0.0", "o0", "-0"])
     @pytest.mark.parametrize("field", ["initials", "output"])
     def test_non_canonical_integer_keys_rejected(self, q1, field, key):
-        data = q1_diagnoser_json(q1)
+        data = q1_legacy_json(q1)
         data[field][key] = data[field].pop("0")
-        with pytest.raises(ModelFormatError, match="key must be an integer"):
+        message = BAD_OUTPUT if field == "output" else "key must be an integer"
+        with pytest.raises(ModelFormatError, match=message):
             loads_diagnoser(json.dumps(data))
 
     def test_yes_on_a_nonfaulty_state_rejected(self, q1):
-        data = q1_diagnoser_json(q1)
+        data = q1_legacy_json(q1)
         assert data["states"][0][-1] == "nonfaulty"  # the row's class
         data["output"]["0"] = "yes"
-        with pytest.raises(ModelFormatError, match="must be 'no' on nonfaulty states"):
+        with pytest.raises(ModelFormatError, match=BAD_OUTPUT):
             loads_diagnoser(json.dumps(data))
 
     def test_no_on_a_faulty_state_rejected(self, q1):
-        data = q1_diagnoser_json(q1)
+        data = q1_legacy_json(q1)
         assert data["states"][1][-1] == "faulty"
         data["output"]["1"] = "no"
-        with pytest.raises(ModelFormatError, match="must be 'yes' on faulty states"):
+        with pytest.raises(ModelFormatError, match=BAD_OUTPUT):
             loads_diagnoser(json.dumps(data))
 
     def test_no_on_an_indeterminate_state_loads(self, q2):
-        diag = loads_diagnoser(dumps_diagnoser(diag_of(q2)))
+        text = dumps_diagnoser(diag_of(q2))
+        diag = loads_diagnoser(text)
         assert "indeterminate" in {s.classification.value for s in diag.states}
+        assert loads_diagnoser(json.dumps(legacy_diagnoser_data(json.loads(text)))) == diag
 
     @pytest.mark.parametrize("field", ["output", "initials"])
     def test_non_object_map_rejected(self, q1, field):
-        data = q1_diagnoser_json(q1)
+        data = q1_legacy_json(q1)
         data[field] = list(data[field].values())
-        with pytest.raises(ModelFormatError, match=f"{field} must be an object"):
+        message = BAD_OUTPUT if field == "output" else "initials must be an object"
+        with pytest.raises(ModelFormatError, match=message):
+            loads_diagnoser(json.dumps(data))
+
+    @pytest.mark.parametrize("key", ["4", "99"])
+    def test_out_of_range_output_key_rejected(self, q1, key):
+        data = q1_legacy_json(q1)
+        assert len(data["states"]) == 4
+        data["output"][key] = "no"
+        with pytest.raises(ModelFormatError, match=BAD_OUTPUT):
             loads_diagnoser(json.dumps(data))
 
     @pytest.mark.parametrize("field", ["states", "transitions"])

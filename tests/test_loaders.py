@@ -50,11 +50,11 @@ from .helpers import (
     ROW_KEYS,
     array_path,
     benchmark_families,
+    legacy_diagnoser_data,
     q1_model,
     q2_model,
     q3_model,
     random_progressive_ta,
-    reference_dumps_diagnoser,
     reference_dumps_estimator,
     reference_dumps_model,
     reference_parse_graph_json,
@@ -417,7 +417,7 @@ def graph_file(name):
         model = loads_model((FIXTURES / f"{name}.quot.json").read_text())
     else:
         model = region_quotient(load_ta(FIXTURES / f"{name}.ta.json"))
-    return json.loads(dumps_diagnoser(synthesize(build_estimator(model))))
+    return legacy_diagnoser_data(json.loads(dumps_diagnoser(synthesize(build_estimator(model)))))
 
 
 def edited(data, table, row, fields):
@@ -466,7 +466,8 @@ def graph_outcome(parse, data):
 def test_graph_loader_checks_in_bulk_as_row_by_row(name):
     """``_parse_graph_json`` loads a good file as the row-by-row loader
     does, and gives a broken one the message of its first bad row, with
-    its rows spelled as arrays or as objects."""
+    its rows spelled as arrays or as objects.  The file is a diagnoser
+    file as earlier versions wrote it, ``output`` included."""
     written = graph_file(name)
     loaded = graph_outcome(_parse_graph_json, written)
     assert len(loaded[0]) == len(written["states"])
@@ -504,7 +505,7 @@ def assert_written_as_the_json_encoder(model):
     est = build_estimator(model)
     assert dumps_model(model) == reference_dumps_model(model)
     assert dumps_estimator(est) == reference_dumps_estimator(est)
-    assert dumps_diagnoser(synthesize(est)) == reference_dumps_diagnoser(est)
+    assert dumps_diagnoser(synthesize(est)) == reference_dumps_estimator(est)
 
 
 @pytest.mark.parametrize("int_flags", [False, True])

@@ -292,6 +292,16 @@ class TestSimulateRuns:
             report = simulate_runs(model, diag, 6)
             assert not any(lr.reason == "false-alarm" for lr in report.losing)
 
+    def test_diagnoser_without_a_move_is_rejected(self, q1):
+        diag = synthesize(build_estimator(q1))
+        move = min(diag.transitions)
+        transitions = {m: t for m, t in diag.transitions.items() if m != move}
+        message = rf"diagnoser is incomplete: no move for \({move[1]}, o{move[2]}\)"
+        with pytest.raises(ValueError, match=message):
+            simulate_runs(q1, diag._replace(transitions=transitions), 6)
+        with pytest.raises(ValueError, match="diagnoser has no initial state for observable o0"):
+            simulate_runs(q1, diag._replace(initials={}), 6)
+
     def test_q3_faults_answered_within_bound(self):
         model = q3_model()
         est = build_estimator(model)

@@ -52,9 +52,9 @@ class TestPublicNames:
         assert names <= set(dir(hydiag))
 
     def test_region_cap_keeps_its_old_name(self):
-        from hydiag import quotient, regions
+        from hydiag import fileformat, regions
 
-        assert regions.DEFAULT_MAX_CLASSES is quotient.DEFAULT_MAX_CLASSES == 100_000
+        assert regions.DEFAULT_MAX_CLASSES is fileformat.DEFAULT_MAX_CLASSES == 100_000
 
     def test_version_is_a_plain_attribute(self):
         assert vars(hydiag)["__version__"] == "0.1.0"

@@ -248,6 +248,15 @@ class TestConstruction:
                 [],
             )
 
+    def test_duplicate_action_name_rejected(self):
+        with pytest.raises(ValueError, match="duplicate action name 'tick'"):
+            QuotientModel(
+                [ClassInfo(0, False, True, 0)],
+                (TICK, FAULT, ActionLabel("tick", Kind.INTERNAL)),
+                [],
+                [],
+            )
+
     def test_unknown_edge_action_rejected(self):
         with pytest.raises(ValueError):
             make_model([(False, True, 0)], [(0, "zap", 0)])

@@ -233,6 +233,25 @@ class TestParsing:
             parse_ta(json.dumps(data))
         assert err.value.rule == "D1"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["locations"].append(dict(d["locations"][1])), "duplicate location 'leak'"),
+        (lambda d: d["clocks"].update(internal=["x"]),
+         "clock names must be unique across both groups"),
+        (lambda d: d["edges"][2].update(kind="internal"), "action 'tick' used with two kinds"),
+        (lambda d: d["edges"].append({**d["edges"][1], "action": "burst"}),
+         "FaultAction: more than one fault action: 'burst', 'leak_start'"),
+        (lambda d: d["locations"][0].update(initial=False), "Nonempty: no initial location"),
+        (lambda d: d["edges"][2].update(dst="ok"),
+         "D3: edge 'leak' -'tick'-> 'ok' changes the fault status"),
+    ], ids=["duplicate-location", "clock-in-both-groups", "two-kinds", "two-fault-actions",
+            "no-initial", "d3"])
+    def test_automaton_errors(self, edit, message):
+        data = json.loads(open("fixtures/ta1.ta.json").read())
+        edit(data)
+        with pytest.raises((ModelFormatError, TAValidationError)) as err:
+            parse_ta(json.dumps(data))
+        assert str(err.value) == message
+
     def test_observation_gap_reports_witness(self):
         import json
 
@@ -727,6 +746,9 @@ class TestExplorerAgainstReference:
             rq = build_region_quotient(ta)
             assert rq.model == expected.model
             assert rq.class_regions == expected.class_regions
+            # A fractional clock sits below its ceiling, as time_successor assumes.
+            assert all(region.ints[i] < ta.ceilings[i] for _, region in rq.class_regions
+                       for group in region.groups for i in group)
 
     def test_regions_are_named_tuples(self, reference_cases):
         _, expected = reference_cases[-3]  # kclock_ta(3, 4)

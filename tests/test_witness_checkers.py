@@ -95,6 +95,16 @@ def test_class_outside_the_model_is_false(q2):
         assert not verify_counterexample(q2, cx._replace(right_cycle=(*cx.right_cycle[:-1], bad)))
 
 
+def test_unattached_lasso_is_false(q2):
+    # The runs replay the steps whatever the cycle's head says, so only the
+    # attachment check rejects a cycle that starts in another observable.
+    cx = brute_force_diagnosable(q2).counterexample
+    cycle = cx.shared.cycle
+    shared = cx.shared._replace(cycle=cycle._replace(head=cycle.head + 1))
+    assert not shared.attached()
+    assert not verify_counterexample(q2, cx._replace(shared=shared))
+
+
 def test_cycle_paths_must_span_the_shared_cycle(q2):
     cx = brute_force_diagnosable(q2).counterexample
     assert not verify_counterexample(q2, cx._replace(left_cycle=()))
