@@ -94,6 +94,7 @@ def loads_diagnoser(text):
     earlier version may also hold ``output``, each state id's Moore output;
     it loads only if that map is the answer of every state's class."""
     data = _loads_json(text)
+    del text
     legacy = {"output"} & data.keys() if isinstance(data, dict) else set()
     states, initials, transitions = _parse_graph_json(data, "diagnoser", legacy)
     if legacy and data["output"] != {

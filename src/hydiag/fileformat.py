@@ -272,11 +272,13 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     every member is an integer, every class is a Classification value,
     the smallest and largest ``src`` and ``dst`` are state ids, and no
     move repeats.  Only if a check fails are its rows rescanned one by
-    one, to report the first bad row.
+    one, to report the first bad row.  Each list is popped out of ``data``
+    and dropped once it is read, so the decoded rows are not held while
+    the next structure is built.
     """
     _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
 
-    rows = _rows(data["states"], "states", _STATE_SCHEMA)
+    rows = _rows(data.pop("states"), "states", _STATE_SCHEMA)
     n = len(rows)
     ids, members, classes = zip(*rows) if rows else ((), (), ())
     if (ids != tuple(range(n)) or set(map(type, chain.from_iterable(members))) - {int}
@@ -289,12 +291,13 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
             _member(Classification, cls, f"states[{i}].class")
     states = list(map(EstimatorState, map(tuple, members),
                       map(_CLASSIFICATIONS.__getitem__, classes)))
+    del rows, ids, members, classes
 
     initials = {}
-    for obs, sid in _as_object(data["initials"], "initials").items():
+    for obs, sid in _as_object(data.pop("initials"), "initials").items():
         initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
 
-    rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)
+    rows = _rows(data.pop("transitions"), "transitions", _TRANSITION_SCHEMA)
     if not rows:
         return states, initials, {}
     srcs, actions, observables, dsts = zip(*rows)

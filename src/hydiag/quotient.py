@@ -174,7 +174,9 @@ class QuotientModel:
             resolved[src, label, dst] = None
         # Sorted by (src, action name, dst): names are unique, so two labels
         # compare by name alone and a kind is never compared.
-        self.edges = tuple(sorted(resolved))
+        resolved = sorted(resolved)
+        self.edges = tuple(resolved)
+        del resolved
 
         time_pairs = {}
         for src, dst in time:
@@ -182,6 +184,7 @@ class QuotientModel:
                 raise ValueError(f"time edge ({src}, {dst}) out of range")
             time_pairs[src, dst] = None
         self.time = frozenset(time_pairs)
+        time_pairs = sorted(time_pairs)
         self.divergent = frozenset(s for s, d in time_pairs if s == d)
 
         self.faulty = tuple(c.faulty for c in self.classes)
@@ -190,7 +193,8 @@ class QuotientModel:
 
         # Adjacency caches used by the closure and successor operations.
         # The edges are sorted by (src, name, dst), so their rows come out
-        # in order; the time pairs are sorted once.
+        # in order, as do the sorted time pairs.  Each row list becomes a
+        # tuple in place, so no second copy of the adjacency is ever held.
         silent = [[] for _ in range(n)]
         ext = {}
         disc = [[] for _ in range(n)]
@@ -202,18 +206,21 @@ class QuotientModel:
             else:
                 silent[src].append(dst)
         tsucc = [[] for _ in range(n)]
-        for src, dst in sorted(time_pairs):
+        for src, dst in time_pairs:
             if src != dst:
                 tsucc[src].append(dst)
-        self._ext = {k: tuple(v) for k, v in ext.items()}
-        self._disc = tuple(map(tuple, disc))
-        self._tsucc = tuple(map(tuple, tsucc))
-        # A class's silent targets need a sort only when they come from two
-        # sources: time and an edge, or two silent actions.
-        self._silent = tuple(
-            tuple(sorted({*s, *t})) if s and t or len(s) > 1 else tuple(s) or t
-            for s, t in zip(silent, self._tsucc)
-        )
+        for key, row in ext.items():
+            ext[key] = tuple(row)
+        for i, (d, s, t) in enumerate(zip(disc, silent, tsucc)):
+            disc[i] = tuple(d)
+            tsucc[i] = t = tuple(t)
+            # A class's silent targets need a sort only when they come from
+            # two sources: time and an edge, or two silent actions.
+            silent[i] = tuple(sorted({*s, *t})) if s and t or len(s) > 1 else tuple(s) or t
+        self._ext = ext
+        self._disc = tuple(disc)
+        self._tsucc = tuple(tsucc)
+        self._silent = tuple(silent)
         self._moves = _MoveTable(self)
 
     def external_edges_from(self, cls_id, action):
@@ -372,14 +379,18 @@ _TIME_SCHEMA = {"src": int, "dst": int}
 def loads_model(text):
     """Parse a quotient model from its JSON file format."""
     data = _loads_json(text)
+    del text
     _require_keys(data, {"classes", "actions", "edges", "time"}, "model")
-    classes = [ClassInfo(*row) for row in _rows(data["classes"], "classes", _CLASS_SCHEMA)]
+    classes = [ClassInfo(*row) for row in _rows(data.pop("classes"), "classes", _CLASS_SCHEMA)]
     actions = [
         ActionLabel(name, _member(Kind, kind, f"actions[{i}].kind"))
-        for i, (name, kind) in enumerate(_rows(data["actions"], "actions", _ACTION_SCHEMA))
+        for i, (name, kind) in enumerate(_rows(data.pop("actions"), "actions", _ACTION_SCHEMA))
     ]
-    edges = _rows(data["edges"], "edges", _EDGE_SCHEMA)
-    time = _rows(data["time"], "time", _TIME_SCHEMA)
+    # The checked rows reach the constructor through iterators alone, and
+    # an exhausted list iterator frees its list: the decoded rows are gone
+    # before the model's adjacency is built.
+    edges = iter(_rows(data.pop("edges"), "edges", _EDGE_SCHEMA))
+    time = iter(_rows(data.pop("time"), "time", _TIME_SCHEMA))
     try:
         return QuotientModel(classes, actions, edges, time)
     except ValueError as e:

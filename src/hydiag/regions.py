@@ -565,8 +565,11 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
         if loc.initial and invariant[i](r0.ints, r0.zero)
     ]
     metas, _, out = explore(starts, successors, max_classes, "region classes")
-    edges_out = [(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None]
-    time_out = [(cid, did) for cid, row in enumerate(out) for a, did in row if a is None]
+    # As ``loads_model`` does, hand the rows over through iterators alone,
+    # and drop the explorer's rows once they are split.
+    edges = iter([(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None])
+    time = iter([(cid, did) for cid, row in enumerate(out) for a, did in row if a is None])
+    del out
 
     faulty = [loc.faulty for loc in ta.locations]
     initial = [loc.initial for loc in ta.locations]
@@ -575,7 +578,7 @@ def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
         for cid, (loc, region) in enumerate(metas)
     ]
 
-    model = QuotientModel(classes, ta.actions, edges_out, time_out)
+    model = QuotientModel(classes, ta.actions, edges, time)
     report = validate_model(model)
     if not report.ok:
         first = report.violations[0]

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import itertools
 import json
 import operator
 import random
 import re
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -121,6 +123,30 @@ def benchmark_families():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
         return importlib.import_module("families")
+
+
+def kclock_ta_34():
+    """The benchmark's ``kclock_ta(3, 4)``, parsed: 1,992 region classes."""
+    return parse_ta(json.dumps(benchmark_families().kclock_ta(3, 4)))
+
+
+def traced_peak_ratio(call, *args):
+    """How many times the memory ``call(*args)`` leaves allocated it holds
+    at its peak, under ``tracemalloc`` with the cycle collector off.  The
+    call is made once untraced first, so no lazy import or first-use
+    cache is counted."""
+    call(*args)
+    collecting = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = call(*args)  # held while the traced size is read
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if collecting:
+            gc.enable()
+    return peak / size
 
 
 def record_expansions(monkeypatch):

@@ -16,8 +16,9 @@ from hydiag.errors import ModelFormatError, NoConsistentExecution
 from hydiag.estimator import Classification, build_estimator
 from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import UTrace
+from hydiag.regions import region_quotient
 
-from .helpers import array_path, legacy_diagnoser_data, q3_model
+from .helpers import array_path, kclock_ta_34, legacy_diagnoser_data, q3_model, traced_peak_ratio
 
 # The one message for a legacy ``output`` map that is not the answers.
 BAD_OUTPUT = "output must map every state id to its state's answer"
@@ -177,6 +178,12 @@ class TestSerialization:
         data["mystery"] = 1
         with pytest.raises(ModelFormatError):
             loads_diagnoser(json.dumps(data))
+
+    def test_loader_drops_each_list_once_read(self):
+        """``run`` keeps its load peak as its footprint, so the loader pops
+        each list out of the decoded document once it is read."""
+        text = dumps_diagnoser(diag_of(region_quotient(kclock_ta_34())))
+        assert traced_peak_ratio(loads_diagnoser, text) <= 1.65
 
 
 def q1_diagnoser_json(q1):

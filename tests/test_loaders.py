@@ -455,8 +455,9 @@ def graph_edits(data):
 
 
 def graph_outcome(parse, data):
+    # The loader pops each list it reads out of the document, so it gets a copy.
     try:
-        states, initials, transitions = parse(data, "diagnoser", {"output"})
+        states, initials, transitions = parse(dict(data), "diagnoser", {"output"})
     except ModelFormatError as e:
         return str(e)
     return states, initials, list(transitions.items())

@@ -1,5 +1,6 @@
 """Tests for the quotient model: validation, closures, file format."""
 
+import itertools
 import sys
 import threading
 
@@ -26,7 +27,8 @@ from hydiag.regions import load_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
-from .helpers import random_progressive_ta, reference_adjacency, spelled_as_objects
+from .helpers import kclock_ta_34, random_progressive_ta, reference_adjacency, spelled_as_objects
+from .helpers import traced_peak_ratio
 
 
 def rules_of(report):
@@ -339,6 +341,62 @@ class TestConstruction:
             time=[(1, 1)],
         )
         assert model.divergent == {1}
+
+    # Edges and time pairs may come as any iterable, read once.
+    ROW_FORMS = {
+        "list": list,
+        "tuple": tuple,
+        "generator": lambda rows: (row for row in rows),
+        "iterator": lambda rows: iter(list(rows)),
+    }
+
+    def test_every_form_of_rows_builds_one_model(self, ta1):
+        models = [q1_model(), q2_model(), region_quotient(ta1), region_quotient(kclock_ta_34())]
+        for model in models:
+            moves = [(c, a.name) for c in range(len(model.classes)) for a in model.external_actions]
+            # Rows as a file holds them, and as labelled tuples in reverse.
+            file_rows = ([[s, a.name, d] for s, a, d in model.edges],
+                         [[s, d] for s, d in sorted(model.time)])
+            tuple_rows = (model.edges[::-1], sorted(model.time, reverse=True))
+            for (edges, time), (name, form) in itertools.product(
+                    (file_rows, tuple_rows), self.ROW_FORMS.items()):
+                built = QuotientModel(model.classes, model.actions, form(edges), form(time))
+                assert built == model, name
+                assert built.divergent == model.divergent, name
+                assert (built._disc, built._ext, built._silent, built._tsucc) == (
+                    model._disc, model._ext, model._silent, model._tsucc), name
+                assert ([external_moves(built)[key] for key in moves]
+                        == [external_moves(model)[key] for key in moves]), name
+
+    @pytest.mark.parametrize("bad, message", [
+        ("edge", "edge (0, 'tick', 9) out of range"),
+        ("action", "edge action 'zap' is not a declared action"),
+        ("time", "time edge (9, 0) out of range"),
+    ])
+    def test_a_bad_row_is_rejected_alike_in_every_form(self, ta1, bad, message):
+        model = region_quotient(ta1)
+        row = {"edge": [0, "tick", 9], "action": [0, "zap", 0], "time": [9, 0]}[bad]
+        edges = [[s, a.name, d] for s, a, d in model.edges]
+        time = [[s, d] for s, d in sorted(model.time)]
+        rows = time if bad == "time" else edges
+        assert len(model.classes) < 9 and len(rows) > 2
+        for at in (0, len(rows) // 2, len(rows)):
+            rows.insert(at, row)
+            for name, form in self.ROW_FORMS.items():
+                with pytest.raises(ValueError) as e:
+                    QuotientModel(model.classes, model.actions, form(edges), form(time))
+                assert str(e.value) == message, (name, at)
+            del rows[at]
+
+
+class TestPeakMemory:
+    """A loader drops what it has read before it builds the next
+    structure, so it peaks near the model it returns.  Traced sizes do not
+    depend on timing: on one interpreter these ratios are fixed."""
+
+    def test_loads_model_holds_one_model(self):
+        text = dumps_model(region_quotient(kclock_ta_34()))
+        assert traced_peak_ratio(loads_model, text) <= 1.5
 
 
 class TestFileFormat:

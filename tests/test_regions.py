@@ -38,6 +38,7 @@ from .helpers import (
     concrete_enabled_edges,
     concrete_region_path,
     eval_pred,
+    kclock_ta_34,
     observable_of_valuation,
     pred_holds,
     random_progressive_ta,
@@ -48,6 +49,7 @@ from .helpers import (
     reference_region_quotient,
     region_of,
     sample_valuation,
+    traced_peak_ratio,
 )
 
 ZERO_CLOCK_TA = """
@@ -761,6 +763,11 @@ class TestExplorerAgainstReference:
     def test_empty_reset_keeps_the_region(self):
         region = Region((1, 0), (1,), ((0,),))
         assert reset_region(region, frozenset()) is region
+
+    def test_quotient_holds_one_model(self):
+        """The explorer's rows are dropped once they are split into edges
+        and time pairs, so the build peaks near the model it returns."""
+        assert traced_peak_ratio(region_quotient, kclock_ta_34()) <= 1.75
 
 
 @pytest.mark.parametrize("chunk", range(4))
