@@ -49,7 +49,6 @@ load_model = _deferred("quotient", "load_model")
 dumps_model = _deferred("quotient", "dumps_model")
 validate_model = _deferred("quotient", "validate_model")
 build_estimator = _deferred("estimator", "build_estimator")
-dumps_estimator = _deferred("estimator", "dumps_estimator")
 estimate_walker = _deferred("estimator", "estimate_walker")
 load_ta = _deferred("regions", "load_ta")
 region_quotient = _deferred("regions", "region_quotient")
@@ -127,8 +126,8 @@ def _load_quotient(args):
 
 
 def _validated_model(args):
-    """The model argument, valid: a region quotient is validated as it is
-    built and raises TAValidationError on a violation."""
+    """The model argument, valid: a quotient file's violations are printed
+    and exit 1; a region quotient raises TAValidationError as it is built."""
     model = _load_quotient(args)
     if args.ta:
         return model
@@ -177,23 +176,13 @@ def _write_output(output, make_text):
 def cmd_validate(args):
     from .quotient import ValidationReport
 
-    model = _load_quotient(args)
-    # A region quotient is validated as it is built, and raises on a violation.
-    report = ValidationReport(True, ()) if args.ta else validate_model(model)
-    _print_validation(report, args.format)
-    return EXIT_OK if report.ok else EXIT_INVALID
+    _validated_model(args)
+    _print_validation(ValidationReport(True, ()), args.format)
+    return EXIT_OK
 
 
 def cmd_regions(args):
     _write_output(args.output, lambda: dumps_model(_load_quotient(args)))
-    return EXIT_OK
-
-
-def cmd_estimator(args):
-    def text():
-        return dumps_estimator(build_estimator(_validated_model(args)))
-
-    _write_output(args.output, text)
     return EXIT_OK
 
 
@@ -429,10 +418,11 @@ def build_parser():
     p.add_argument("--max-classes", type=_count, default=None)
     p.set_defaults(func=cmd_regions, ta=True)
 
+    # The diagnoser is the estimator graph, so both commands write one file.
     p = commands.add_parser("estimator", help="build and export the state estimator")
     _add_model_arg(p)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_estimator)
+    p.set_defaults(func=cmd_synthesize)
 
     p = commands.add_parser("check", help="decide time-abstract diagnosability")
     _add_model_arg(p)

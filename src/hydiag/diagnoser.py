@@ -7,13 +7,14 @@ two observation prefixes reaching the same estimate always get the same
 answer.  The Moore output is read off each state's classification: yes
 exactly on states whose members are all faulty; indeterminate states
 answer no but expose their ambiguity through the richer status field.
+Its file is the estimator file, which ``fileformat.dumps_diagnoser`` writes.
 """
 
 from collections import namedtuple
 
 from .errors import ModelFormatError, NoConsistentExecution
-from .fileformat import Classification, EstimatorGraph, _dumps_graph, _excerpt, _loads_json
-from .fileformat import _parse_graph_json, _read_text
+from .fileformat import Classification, EstimatorGraph, _excerpt, _loads_json
+from .fileformat import _parse_graph_json, _read_text, dumps_diagnoser
 
 
 class Verdict(namedtuple("Verdict", "answer status")):
@@ -82,11 +83,6 @@ def run_trace(diag, trace):
             raise
         verdicts.append(verdict)
     return verdicts
-
-
-def dumps_diagnoser(diag):
-    """The diagnoser file: the estimator file of its graph."""
-    return _dumps_graph(diag)
 
 
 def loads_diagnoser(text):

@@ -9,7 +9,7 @@ still: only the estimates the traces it is asked step out of.
 """
 
 from .errors import CapExceeded
-from .fileformat import Classification, EstimatorGraph, EstimatorState, _dumps_graph
+from .fileformat import Classification, EstimatorGraph, EstimatorState
 from .graphs import explore
 from .quotient import external_moves
 
@@ -156,8 +156,3 @@ def walk(graph, head, steps):
             return None
         ids.append(graph.transitions.get((ids[-1], action, obs)))
     return None if ids[-1] is None else ids
-
-
-def dumps_estimator(est):
-    """Serialize an estimator graph to its JSON export format."""
-    return _dumps_graph(est)

@@ -1,7 +1,7 @@
 """The JSON file layer: reading and checking input files, and the
 estimator-graph records and their file format.  A diagnoser file is an
-estimator-graph file, so ``hydiag run`` needs no other layer of hydiag
-but ``errors``.
+estimator-graph file: ``dumps_diagnoser`` is the one writer of both,
+and ``hydiag run`` needs no other layer of hydiag but ``errors``.
 """
 
 import json
@@ -153,8 +153,8 @@ def _rows(value, what, schema):
             columns = zip(zip(*rows), schema.values())
             if all(set(map(type, column)) <= {expected} for column, expected in columns):
                 return rows
+    # The bulk check refused the list, so one of its rows raises here.
     types = tuple(schema.values())
-    rows = []
     for i, row in enumerate(items):
         if type(row) is dict:
             if row.keys() != keys:
@@ -173,8 +173,6 @@ def _rows(value, what, schema):
                         f"{what}[{i}].{key} must be {_TYPE_NAMES[expected]}, "
                         f"got {type(item).__name__}"
                     )
-        rows.append(row)
-    return rows
 
 
 def _member(enum, value, what):
@@ -223,9 +221,9 @@ class EstimatorGraph(namedtuple("EstimatorGraph", "states initials transitions m
                 f"transitions={self.transitions!r})")
 
 
-def _dumps_graph(graph):
-    """The estimator file of ``graph``, written row by row; a diagnoser
-    file is the same file."""
+def dumps_diagnoser(graph):
+    """The diagnoser file of an estimator graph, written row by row; it is
+    also the graph's estimator file."""
     members, classes = _columns(graph.states, 2)
     classes = tuple(_json_texts(classes, Classification))
     # Members are class ids, so the encoded rows split where one ends.

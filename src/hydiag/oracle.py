@@ -238,8 +238,8 @@ def simulate_runs(model, diag, k, yes_deadline=None):
     yes = [st.classification is Classification.FAULTY for st in diag.states]
 
     def successors(node):
-        depth, sid, cls, age, said_yes = node
-        if said_yes or depth >= k:
+        depth, sid, cls, age = node
+        if yes[sid] or depth >= k:
             return  # the run is settled: after a yes nothing can be lost
         steps = {(a.name, *row) for a in model.external_actions for row in moves[(cls, a.name)]}
         for action, dst, obs in sorted(steps):
@@ -247,14 +247,14 @@ def simulate_runs(model, diag, k, yes_deadline=None):
             if tid is None:
                 raise ValueError(f"diagnoser is incomplete: no move for ({action}, o{obs})")
             nage = min(age + 1 if age > 0 else int(model.faulty[dst]), deadline)
-            yield (action, obs), (depth + 1, tid, dst, nage, yes[tid])
+            yield (action, obs), (depth + 1, tid, dst, nage)
 
     starts = []
     for c in model.initial_classes:
         sid = diag.initials.get(model.obs[c])
         if sid is None:
             raise ValueError(f"diagnoser has no initial state for observable o{model.obs[c]}")
-        starts.append((0, sid, c, 0, yes[sid]))
+        starts.append((0, sid, c, 0))
     nodes, start_ids, edges = explore(starts, successors)
 
     # Ids follow depth, so each node's count is complete before its row is read.
@@ -267,10 +267,10 @@ def simulate_runs(model, diag, k, yes_deadline=None):
             count[j] += count[i]
 
     losing = {}  # node without its depth -> (shallowest id, reason)
-    for i, (_, sid, cls, age, said_yes) in enumerate(nodes):
+    for i, (_, sid, cls, age) in enumerate(nodes):
         if yes[sid] and not model.faulty[cls]:
             losing.setdefault(nodes[i][1:], (i, "false-alarm"))
-        elif model.faulty[cls] and age >= deadline and not said_yes:
+        elif model.faulty[cls] and age >= deadline and not yes[sid]:
             losing.setdefault(nodes[i][1:], (i, "missed-fault"))
 
     parent = _bfs_tree(edges, len(start_ids))

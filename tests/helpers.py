@@ -523,7 +523,7 @@ def array_path(path):
 
 
 def reference_dumps_estimator(est):
-    """``dumps_estimator`` as a dict written by the C encoder."""
+    """``dumps_diagnoser`` as a dict written by the C encoder."""
     return _reference_dumps(_reference_graph_data(est))
 
 

@@ -8,8 +8,8 @@ import networkx as nx
 import pytest
 
 from hydiag.cli import main
-from hydiag.diagnoser import load_diagnoser, synthesize
-from hydiag.estimator import build_estimator, dumps_estimator
+from hydiag.diagnoser import dumps_diagnoser, load_diagnoser, synthesize
+from hydiag.estimator import build_estimator
 from hydiag.quotient import dumps_model, load_model, loads_model
 
 from .conftest import FIXTURES, run_python, text_stdin
@@ -44,6 +44,9 @@ GOLDEN_CASES = [
     ("oracle-q1-depth8", ["oracle", Q1, "--depth", "8"], 0),
     ("oracle-q2-depth6", ["oracle", Q2, "--depth", "6"], 2),
     ("validate-bad-d1", ["validate", BAD_D1], 1),
+    ("validate-bad-d1-json", ["validate", BAD_D1, "--format", "json"], 1),
+    ("validate-q1", ["validate", Q1], 0),
+    ("validate-q1-json", ["validate", Q1, "--format", "json"], 0),
     ("check-ta-ta1", ["check", "--ta", TA1], 0),
     ("check-ta-kclock2", ["check", "--ta", KCLOCK2], 2),
     ("check-ta-kclock2-json", ["check", "--ta", KCLOCK2, "--format", "json"], 2),
@@ -289,12 +292,24 @@ class TestEstimatorExport:
     def test_invalid_input_exit_one(self, capsys):
         assert main(["estimator", BAD_D1]) == 1
 
+    @pytest.mark.parametrize("model", [[Q1], [Q2], ["--ta", TA1], ["--ta", KCLOCK2]],
+                             ids=["q1", "q2", "ta-ta1", "ta-kclock2"])
+    def test_estimator_writes_what_synthesize_writes(self, model, tmp_path, capsys):
+        printed, written = [], []
+        for command in ["estimator", "synthesize"]:
+            assert main([command, *model]) == 0
+            printed.append(capsys.readouterr().out)
+            out = tmp_path / f"{command}.json"
+            assert main([command, *model, "-o", str(out)]) == 0
+            written.append(out.read_text())
+        assert printed[0] == printed[1] == written[0] == written[1]
+
     def test_estimator_and_diagnoser_files_load(self, tmp_path):
         est, diag = tmp_path / "q2.est.json", tmp_path / "q2.diag.json"
         assert main(["estimator", Q2, "-o", str(est)]) == 0
         assert main(["synthesize", Q2, "-o", str(diag)]) == 0
         built = build_estimator(load_model(Q2))
-        assert est.read_text() == dumps_estimator(built)
+        assert est.read_text() == dumps_diagnoser(built)
         loaded = load_diagnoser(diag)
         expected = synthesize(built)
         assert (loaded.states, loaded.initials, loaded.transitions) == (

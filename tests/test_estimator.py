@@ -5,12 +5,12 @@ import json
 import pytest
 
 from hydiag import estimator
+from hydiag.diagnoser import dumps_diagnoser
 from hydiag.errors import CapExceeded
 from hydiag.estimator import (
     Classification,
     build_estimator,
     classify,
-    dumps_estimator,
     estimate_walker,
     initial_estimates,
     walk,
@@ -300,7 +300,7 @@ class TestEstimateWalker:
 class TestExport:
     def test_export_shape(self, q1):
         est = build_estimator(q1)
-        data = json.loads(dumps_estimator(est))
+        data = json.loads(dumps_diagnoser(est))
         assert set(data) == {"states", "initials", "transitions"}
         assert data["states"][0] == [0, [0], "nonfaulty"]
         assert data["initials"] == {"0": 0}

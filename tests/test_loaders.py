@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from hydiag.diagnoser import dumps_diagnoser, load_diagnoser, loads_diagnoser, synthesize
 from hydiag.errors import ModelFormatError, TAValidationError
-from hydiag.estimator import EstimatorGraph, build_estimator, dumps_estimator
+from hydiag.estimator import EstimatorGraph, build_estimator
 from hydiag.fileformat import (
     _STATE_SCHEMA,
     _TRANSITION_SCHEMA,
@@ -75,7 +75,7 @@ def fields(written):
 
 WRITERS = {
     "quotient": (lambda model: model, dumps_model, loads_model),
-    "estimator": (build_estimator, dumps_estimator, loads_estimator),
+    "estimator": (build_estimator, dumps_diagnoser, loads_estimator),
     "diagnoser": (lambda model: synthesize(build_estimator(model)), dumps_diagnoser,
                   loads_diagnoser),
 }
@@ -505,7 +505,7 @@ def with_names(model, names, int_flags):
 def assert_written_as_the_json_encoder(model):
     est = build_estimator(model)
     assert dumps_model(model) == reference_dumps_model(model)
-    assert dumps_estimator(est) == reference_dumps_estimator(est)
+    assert dumps_diagnoser(est) == reference_dumps_estimator(est)
     assert dumps_diagnoser(synthesize(est)) == reference_dumps_estimator(est)
 
 
