@@ -76,25 +76,25 @@ def check_progressive(model):
     ``shortest_cycle`` run, for the witness: the shortest cycle through
     the smallest class of the first cyclic component Tarjan completes.
     """
-    discrete, time_succ = model.discrete_edges_from, model.proper_time_successors
+    discrete, time_succ = model._disc, model._tsucc
     seen = set(model.initial_classes)
     todo = list(seen)
     for c in todo:  # grows as classes are found
-        for _, d in discrete(c):
+        for _, d in discrete[c]:
             if d not in seen:
                 seen.add(d)
                 todo.append(d)
-        for d in time_succ(c):
+        for d in time_succ[c]:
             if d not in seen:
                 seen.add(d)
                 todo.append(d)
     reachable = sorted(seen)
 
     # Classes that reach a discrete edge by letting time pass.
-    time_pred = [[] for _ in model.classes]
-    for src, dst in model.time:
+    time_pred = [[] for _ in discrete]
+    for src, dst in ((s, d) for s, row in enumerate(time_succ) for d in row):
         time_pred[dst].append(src)
-    live = {c for c in reachable if discrete(c)}
+    live = {c for c in reachable if discrete[c]}
     todo = list(live)
     for c in todo:
         for d in time_pred[c]:
@@ -123,10 +123,10 @@ def check_progressive(model):
             return ProgressReport(True, None)
 
     def silent_succ(c):
-        for label, dst in model.discrete_edges_from(c):
+        for label, dst in discrete[c]:
             if label.kind is not Kind.EXTERNAL:
                 yield label.name, dst
-        for dst in model.proper_time_successors(c):
+        for dst in time_succ[c]:
             yield "time", dst
         if c in model.divergent:
             yield "time", c

@@ -59,7 +59,7 @@ def _successor_rule(model, expand_faulty):
     faulty = model.faulty
     names = [a.name for a in model.external_actions]
     # Per class, its rows grouped once: ((action index, obs), frozenset of targets).
-    groups = [None] * len(model.classes)
+    groups = [None] * len(model.obs)
 
     def grouped(c):
         by_key = {}

@@ -299,6 +299,7 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     if not rows:
         return states, initials, {}
     srcs, actions, observables, dsts = zip(*rows)
+    actions = map({a: a for a in set(actions)}.__getitem__, actions)  # one str per name
     transitions = dict(zip(zip(srcs, actions, observables), dsts))
     if (len(transitions) != len(rows) or min(srcs) < 0 or max(srcs) >= n
             or min(dsts) < 0 or max(dsts) >= n):

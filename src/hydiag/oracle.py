@@ -56,12 +56,13 @@ def twin_product(model):
     ValueError on a model that breaks F2, and CapExceeded beyond
     ``DEFAULT_MAX_STATES`` twin states.
     """
-    for src, dst in itertools.chain(((s, d) for s, _, d in model.edges), model.time):
-        if model.faulty[src] and not model.faulty[dst]:
-            raise ValueError(
-                f"faulty class {src} leads to non-faulty class {dst}: "
-                "the twin plant assumes faults are irreversible (F2)"
-            )
+    for src, (row, time) in enumerate(zip(model._disc, model._tsucc)):  # a self-pair keeps F2
+        for dst in itertools.chain((d for _, d in row), time):
+            if model.faulty[src] and not model.faulty[dst]:
+                raise ValueError(
+                    f"faulty class {src} leads to non-faulty class {dst}: "
+                    "the twin plant assumes faults are irreversible (F2)"
+                )
     moves = external_moves(model)
 
     def successors(node):

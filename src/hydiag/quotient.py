@@ -17,6 +17,7 @@ system can let time pass there forever.
 
 from collections import namedtuple
 from enum import Enum
+from itertools import chain, compress
 
 from .errors import ModelFormatError
 from .fileformat import _as_list, _columns, _excerpt, _json_rows, _json_texts
@@ -128,21 +129,26 @@ class QuotientModel:
     ``classes`` is a sequence of ClassInfo with dense ids 0..n-1,
     ``actions`` a sequence of ActionLabel with exactly one fault action,
     ``edges`` an iterable of (src, action-name-or-label, dst) and ``time``
-    an iterable of (src, dst) pairs, kept as declared, not closed.
-    ``divergent`` holds the classes with a time self-pair.  Instances
-    never mutate after construction and are safe to share across threads,
-    but for one cache: the model's ``external_moves`` table, created here
+    an iterable of (src, dst) pairs, kept as declared, not closed.  They
+    are stored once: the columns ``faulty``, ``obs``, ``initial_classes``;
+    per class, ``_disc`` (sorted (label, dst) pairs), ``_tsucc`` (sorted
+    time successors but the class) and the closure index ``_silent``; and
+    ``divergent``, the classes with a time self-pair.  ``classes``,
+    ``edges`` and ``time`` are views, built on each read.  Instances never
+    mutate after construction and are safe to share across threads, but
+    for one cache: the model's ``external_moves`` table, created here
     empty and filled a class at a time on first lookup.  Every row is a
     function of the model, so two threads racing to fill a class compute
     equal rows and either write wins.
     """
 
     def __init__(self, classes, actions, edges, time=()):
-        self.classes = tuple(classes)
-        for i, c in enumerate(self.classes):
-            if c.id != i:
-                raise ValueError(f"class ids must be dense 0..n-1, got {c.id} at {i}")
-        n = len(self.classes)
+        ids, self.faulty, initial, self.obs = _columns(tuple(classes), 4)
+        for i, c in enumerate(ids):
+            if c != i:
+                raise ValueError(f"class ids must be dense 0..n-1, got {c} at {i}")
+        n = len(ids)
+        self.initial_classes = tuple(compress(ids, initial))
 
         self.actions = tuple(actions)
         by_name = {}
@@ -172,59 +178,61 @@ class QuotientModel:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {_excerpt(label.name, 0)}, {dst}) out of range")
             resolved[src, label, dst] = None
-        # Sorted by (src, action name, dst): names are unique, so two labels
-        # compare by name alone and a kind is never compared.
-        resolved = sorted(resolved)
-        self.edges = tuple(resolved)
-        del resolved
-
         time_pairs = {}
         for src, dst in time:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"time edge ({src}, {dst}) out of range")
             time_pairs[src, dst] = None
-        self.time = frozenset(time_pairs)
+
+        # Each class's rows become tuples as the sorted input moves past its
+        # last pair (a final pair from class n flushes the last class), so
+        # no row is ever held as a list for every class at once.
         time_pairs = sorted(time_pairs)
         self.divergent = frozenset(s for s, d in time_pairs if s == d)
-
-        self.faulty = tuple(c.faulty for c in self.classes)
-        self.obs = tuple(c.obs for c in self.classes)
-        self.initial_classes = tuple(c.id for c in self.classes if c.initial)
-
-        # Adjacency caches used by the closure and successor operations.
-        # The edges are sorted by (src, name, dst), so their rows come out
-        # in order, as do the sorted time pairs.  Each row list becomes a
-        # tuple in place, so no second copy of the adjacency is ever held.
-        silent = [[] for _ in range(n)]
-        ext = {}
-        disc = [[] for _ in range(n)]
-        external = Kind.EXTERNAL  # a class attribute of an Enum is slow to look up
-        for src, label, dst in self.edges:
-            disc[src].append((label, dst))
-            if label.kind is external:
-                ext.setdefault((src, label.name), []).append(dst)
-            else:
-                silent[src].append(dst)
-        tsucc = [[] for _ in range(n)]
-        for src, dst in time_pairs:
+        tsucc, last, row = [()] * n, 0, []
+        for src, dst in chain(time_pairs, [(n, n)]):
+            if src != last:
+                tsucc[last] = tuple(row)
+                last, row = src, []
             if src != dst:
-                tsucc[src].append(dst)
-        for key, row in ext.items():
-            ext[key] = tuple(row)
-        for i, (d, s, t) in enumerate(zip(disc, silent, tsucc)):
-            disc[i] = tuple(d)
-            tsucc[i] = t = tuple(t)
-            # A class's silent targets need a sort only when they come from
-            # two sources: time and an edge, or two silent actions.
-            silent[i] = tuple(sorted({*s, *t})) if s and t or len(s) > 1 else tuple(s) or t
-        self._ext = ext
+                row.append(dst)
+        # Sorted by (src, action name, dst): names are unique, so two labels
+        # compare by name alone and a kind is never compared.
+        disc, silent, last, row, hidden = [()] * n, tsucc[:], 0, [], []
+        external = Kind.EXTERNAL  # a class attribute of an Enum is slow to look up
+        resolved = iter(sorted(resolved))  # the loop frees the list as it ends
+        for src, label, dst in chain(resolved, [(n, self.fault_action, n)]):
+            if src != last:
+                disc[last], t = tuple(row), tsucc[last]
+                # A class's silent targets need a sort only when they come from
+                # two sources: time and an edge, or two silent actions.
+                silent[last] = (tuple(sorted({*hidden, *t})) if hidden and t or len(hidden) > 1
+                                else tuple(hidden) or t)
+                last, row, hidden = src, [], []
+            row.append((label, dst))
+            if label.kind is not external:
+                hidden.append(dst)
         self._disc = tuple(disc)
         self._tsucc = tuple(tsucc)
         self._silent = tuple(silent)
         self._moves = _MoveTable(self)
 
+    @property
+    def classes(self):
+        initial, ids = set(self.initial_classes), range(len(self.obs))
+        return tuple(map(ClassInfo, ids, self.faulty, map(initial.__contains__, ids), self.obs))
+
+    @property
+    def edges(self):
+        return tuple((src, label, dst) for src, row in enumerate(self._disc) for label, dst in row)
+
+    @property
+    def time(self):
+        pairs = [(src, dst) for src, row in enumerate(self._tsucc) for dst in row]
+        return frozenset(pairs + [(c, c) for c in self.divergent])
+
     def external_edges_from(self, cls_id, action):
-        return self._ext.get((cls_id, action.name), ())
+        return tuple(d for label, d in self._disc[cls_id] if label == (action.name, Kind.EXTERNAL))
 
     def discrete_edges_from(self, cls_id):
         return self._disc[cls_id]
@@ -235,18 +243,12 @@ class QuotientModel:
     def __eq__(self, other):
         if not isinstance(other, QuotientModel):
             return NotImplemented
-        return (
-            self.classes == other.classes
-            and self.actions == other.actions
-            and self.edges == other.edges
-            and self.time == other.time
-        )
+        stored = ("actions", "faulty", "obs", "initial_classes", "_disc", "_tsucc", "divergent")
+        return all(getattr(self, name) == getattr(other, name) for name in stored)
 
     def __repr__(self):
-        return (
-            f"QuotientModel(n={len(self.classes)}, actions={len(self.actions)}, "
-            f"edges={len(self.edges)})"
-        )
+        n, edges = len(self.obs), sum(map(len, self._disc))
+        return f"QuotientModel(n={n}, actions={len(self.actions)}, edges={edges})"
 
 
 def validate_model(model):
@@ -261,23 +263,22 @@ def validate_model(model):
     if not model.initial_classes:
         violations.append(Violation("Nonempty", None, "model has no initial class"))
 
-    fault, faulty = Kind.FAULT, model.faulty
-    fault_sources = {src for src, label, _ in model.edges if label.kind is fault}
-    for c in model.classes:
-        if c.initial and c.faulty:
+    fault, faulty, initial = Kind.FAULT, model.faulty, set(model.initial_classes)
+    for c, row in enumerate(model._disc):
+        if c in initial and faulty[c]:
             violations.append(
-                Violation("InitNonFaulty", c.id, f"initial class {c.id} is faulty")
+                Violation("InitNonFaulty", c, f"initial class {c} is faulty")
             )
-        if c.obs < 0:
+        if model.obs[c] < 0:
             violations.append(
-                Violation("ObsTotal", c.id, f"class {c.id} has no valid observable")
+                Violation("ObsTotal", c, f"class {c} has no valid observable")
             )
-        if not c.faulty and c.id not in fault_sources:
+        if not faulty[c] and all(label.kind is not fault for label, _ in row):
             violations.append(
-                Violation("D1", c.id, f"non-faulty class {c.id} has no fault edge")
+                Violation("D1", c, f"non-faulty class {c} has no fault edge")
             )
 
-    for src, label, dst in model.edges:
+    for src, label, dst in ((s, a, d) for s, row in enumerate(model._disc) for a, d in row):
         if label.kind is fault:
             if faulty[src] or not faulty[dst]:
                 violations.append(
@@ -296,7 +297,8 @@ def validate_model(model):
                 )
             )
 
-    for src, dst in sorted(model.time):
+    # In sorted order; a time self-pair never changes the fault status.
+    for src, dst in ((s, d) for s, row in enumerate(model._tsucc) for d in row):
         if faulty[src] != faulty[dst]:
             violations.append(
                 Violation(
@@ -353,17 +355,17 @@ class _MoveTable(dict):
     # without the cycle collector, and a table outlives its model intact.
     def __init__(self, model):
         super().__init__()
-        self._silent, self._ext, self._obs = model._silent, model._ext, model.obs
+        self._silent, self._disc, self._obs = model._silent, model._disc, model.obs
         self._names = tuple(a.name for a in model.external_actions)
 
     def __missing__(self, key):
         c, name = key
         if name not in self._names or c not in range(len(self._obs)):
             raise KeyError(key)
-        closure = unobservable_closure(self, (c,))
-        ext, obs = self._ext, self._obs
-        for a in self._names:
-            self[(c, a)] = sorted({(d, obs[d]) for mid in closure for d in ext.get((mid, a), ())})
+        closure, disc, obs = unobservable_closure(self, (c,)), self._disc, self._obs
+        for a in self._names:  # names are unique: only an external label is named a
+            self[(c, a)] = sorted({
+                (d, obs[d]) for mid in closure for label, d in disc[mid] if label.name == a})
         return self[key]
 
 
@@ -407,14 +409,15 @@ def dumps_model(model):
     Time is written as the declared pairs, self-pairs exactly for the
     time-divergent classes.
     """
-    ids, faulty, initial, obs = _columns(model.classes, 4)
+    ids, initial = range(len(model.obs)), set(model.initial_classes)
     names, kinds = _columns(model.actions, 2)
-    srcs, labels, dsts = _columns(model.edges, 3)
+    srcs = [src for src, row in enumerate(model._disc) for _ in row]
+    labels, dsts = _columns(chain.from_iterable(model._disc), 2)
     time_srcs, time_dsts = _columns(sorted(model.time), 2)
     return '{"classes":[%s],"actions":[%s],"edges":[%s],"time":[%s]}\n' % (
         _json_rows(
-            "[%s,%s,%s,%s]", _json_texts(ids, int), _json_texts(faulty, bool),
-            _json_texts(initial, bool), _json_texts(obs, int),
+            "[%s,%s,%s,%s]", _json_texts(ids, int), _json_texts(model.faulty, bool),
+            _json_texts([c in initial for c in ids], bool), _json_texts(model.obs, int),
         ),
         _json_rows("[%s,%s]", _json_texts(names, str), _json_texts(kinds, Kind)),
         _json_rows(

@@ -17,6 +17,9 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import hydiag.oracle
+import hydiag.quotient
+import hydiag.regions
 from hydiag import estimator
 from hydiag.diagnosability import (
     DiagnosabilityVerdict,
@@ -85,27 +88,62 @@ def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
     return QuotientModel(infos, actions, edges, time)
 
 
-def reference_adjacency(model):
-    """``QuotientModel``'s adjacency caches ``(_silent, _ext, _disc,
-    _tsucc)`` as sets per class, sorted at the end."""
-    n = len(model.classes)
-    silent, ext, disc, tsucc = [set() for _ in range(n)], {}, [[] for _ in range(n)], {}
-    for src, label, dst in model.edges:
-        disc[src].append((label, dst))
+def reference_adjacency(classes, actions, edges, time):
+    """What a ``QuotientModel`` built from these constructor inputs holds,
+    derived from the inputs alone as sets per class, sorted at the end:
+    ``(_silent, external targets by (class, action name), _disc, _tsucc)``,
+    then the views ``(classes, edges, time)``."""
+    n = len(classes)
+    labels = {a.name: a for a in actions}
+    triples = {(src, labels[getattr(a, "name", a)], dst) for src, a, dst in edges}
+    silent, ext, disc, tsucc = [set() for _ in range(n)], {}, [set() for _ in range(n)], {}
+    for src, label, dst in triples:
+        disc[src].add((label.name, dst))
         if label.kind is Kind.EXTERNAL:
             ext.setdefault((src, label.name), set()).add(dst)
         else:
             silent[src].add(dst)
-    for src, dst in model.time:
+    for src, dst in time:
         if src != dst:
             silent[src].add(dst)
             tsucc.setdefault(src, set()).add(dst)
     return (
         tuple(tuple(sorted(s)) for s in silent),
         {k: tuple(sorted(v)) for k, v in ext.items()},
-        tuple(map(tuple, disc)),
+        tuple(tuple((labels[name], dst) for name, dst in sorted(d)) for d in disc),
         tuple(tuple(sorted(tsucc.get(c, ()))) for c in range(n)),
+        tuple(classes),
+        tuple(sorted(triples, key=lambda e: (e[0], e[1].name, e[2]))),
+        frozenset(map(tuple, time)),
     )
+
+
+def external_targets(model):
+    """``external_edges_from`` of every class and external action, by
+    (class, action name), for the pairs that have targets."""
+    rows = {(c, a.name): model.external_edges_from(c, a)
+            for c in range(len(model.obs)) for a in model.external_actions}
+    return {key: row for key, row in rows.items() if row}
+
+
+def recorded_quotients(build):
+    """The models ``build()`` returns, each with the inputs its
+    constructor was given, ``(classes, actions, edges, time)`` read into
+    lists: ``QuotientModel`` is replaced, where ``loads_model``,
+    ``random_model`` and ``build_region_quotient`` call it, by a recorder."""
+    made = {}  # keeps every model alive, so no id is reused
+
+    def record(classes, actions, edges, time=()):
+        inputs = (list(classes), list(actions), list(edges), list(time))
+        model = QuotientModel(*inputs)
+        made[id(model)] = model, inputs
+        return model
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (hydiag.quotient, hydiag.oracle, hydiag.regions):
+            mp.setattr(module, "QuotientModel", record)
+        models = build()
+    return [(model, made[id(model)][1]) for model in models]
 
 
 def save_model(model, path):
@@ -130,11 +168,11 @@ def kclock_ta_34():
     return parse_ta(json.dumps(benchmark_families().kclock_ta(3, 4)))
 
 
-def traced_peak_ratio(call, *args):
-    """How many times the memory ``call(*args)`` leaves allocated it holds
-    at its peak, under ``tracemalloc`` with the cycle collector off.  The
-    call is made once untraced first, so no lazy import or first-use
-    cache is counted."""
+def traced_memory(call, *args):
+    """``(size, peak)``: the memory ``call(*args)`` leaves allocated and the
+    most it holds, under ``tracemalloc`` with the cycle collector off.  The
+    call is made once untraced first, so no lazy import or first-use cache
+    is counted."""
     call(*args)
     collecting = gc.isenabled()
     gc.disable()
@@ -146,7 +184,16 @@ def traced_peak_ratio(call, *args):
         tracemalloc.stop()
         if collecting:
             gc.enable()
-    return peak / size
+    return size, peak
+
+
+def peak_per_document(text, call, *args):
+    """How many times the memory ``json.loads(text)`` leaves allocated
+    ``call(*args)`` holds at its peak.  Any loader of ``text`` holds that
+    decoded document once, and the file format fixes its size, so the
+    ratio moves only with what the call itself holds.  Traced sizes do not
+    depend on timing: on one interpreter the ratio is fixed."""
+    return traced_memory(call, *args)[1] / traced_memory(json.loads, text)[0]
 
 
 def record_expansions(monkeypatch):
@@ -716,25 +763,25 @@ def reference_check_progressive(model):
     """``check_progressive`` as first written: reachability and liveness by
     ``explore``, the silent cycle by Tarjan's components in every case."""
     def step(c):
-        yield from model.discrete_edges_from(c)
-        for dst in model.proper_time_successors(c):
+        yield from model._disc[c]
+        for dst in model._tsucc[c]:
             yield "time", dst
 
     reachable = sorted(explore(model.initial_classes, step)[0])
     time_pred = {}
     for src, dst in model.time:
         time_pred.setdefault(dst, []).append(("time", src))
-    has_edge = [c for c in reachable if model.discrete_edges_from(c)]
+    has_edge = [c for c in reachable if model._disc[c]]
     live = set(explore(has_edge, lambda c: time_pred.get(c, ()))[0])
     for c in reachable:
         if c not in live and c not in model.divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 
     def silent_succ(c):
-        for label, dst in model.discrete_edges_from(c):
+        for label, dst in model._disc[c]:
             if label.kind is not Kind.EXTERNAL:
                 yield label.name, dst
-        for dst in model.proper_time_successors(c):
+        for dst in model._tsucc[c]:
             yield "time", dst
         if c in model.divergent:
             yield "time", c

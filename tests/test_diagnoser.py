@@ -18,7 +18,7 @@ from hydiag.oracle import enumerate_utraces, random_models
 from hydiag.quotient import UTrace
 from hydiag.regions import region_quotient
 
-from .helpers import array_path, kclock_ta_34, legacy_diagnoser_data, q3_model, traced_peak_ratio
+from .helpers import array_path, kclock_ta_34, legacy_diagnoser_data, peak_per_document, q3_model
 
 # The one message for a legacy ``output`` map that is not the answers.
 BAD_OUTPUT = "output must map every state id to its state's answer"
@@ -183,7 +183,13 @@ class TestSerialization:
         """``run`` keeps its load peak as its footprint, so the loader pops
         each list out of the decoded document once it is read."""
         text = dumps_diagnoser(diag_of(region_quotient(kclock_ta_34())))
-        assert traced_peak_ratio(loads_diagnoser, text) <= 1.65
+        assert peak_per_document(text, loads_diagnoser, text) <= 1.39
+
+    def test_loaded_transitions_share_one_string_per_action(self):
+        text = dumps_diagnoser(diag_of(region_quotient(kclock_ta_34())))
+        actions = [action for _, action, _ in loads_diagnoser(text).transitions]
+        assert len(actions) == 6121
+        assert len(set(map(id, actions))) == len(set(actions)) == 3
 
 
 def q1_diagnoser_json(q1):

@@ -27,8 +27,8 @@ from hydiag.regions import load_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
-from .helpers import kclock_ta_34, random_progressive_ta, reference_adjacency, spelled_as_objects
-from .helpers import traced_peak_ratio
+from .helpers import external_targets, kclock_ta_34, random_progressive_ta, recorded_quotients
+from .helpers import peak_per_document, reference_adjacency, spelled_as_objects
 
 
 def rules_of(report):
@@ -266,7 +266,7 @@ class TestConstruction:
     def test_edge_label_must_equal_the_declared_one(self):
         classes = [(False, True, 0), (True, False, 0)]
         model = make_model(classes, [(0, FAULT, 1), (0, ActionLabel("tick", Kind.EXTERNAL), 0)])
-        assert model.discrete_edges_from(0) == ((FAULT, 1), (TICK, 0))
+        assert model._disc[0] == ((FAULT, 1), (TICK, 0))
         with pytest.raises(ValueError, match="'tick' is not a declared action"):
             make_model(classes, [(0, ActionLabel("tick", Kind.INTERNAL), 0)])
 
@@ -302,20 +302,26 @@ class TestConstruction:
         # Class 0 has two silent actions whose targets interleave, one
         # shared, and time successors; class 1 has silent edges only.
         hidden2 = ActionLabel("g", Kind.INTERNAL)
-        odd = make_model(
-            [(False, True, 0)] * 4 + [(True, False, 0)] * 2,
+        odd_inputs = (
+            [ClassInfo(i, i >= 4, i < 4, 0) for i in range(6)],
+            (TICK, FAULT, HIDDEN, hidden2),
             [(0, "h", 3), (0, "h", 1), (0, "g", 2), (0, "g", 3), (0, "f", 5), (1, "h", 2),
              (1, "g", 1), (1, "f", 4), (2, "f", 4), (3, "f", 5), (0, "tick", 2),
              (0, "tick", 1), (4, "tick", 5), (5, "tick", 4)],
-            time=[(0, 2), (0, 0), (3, 1), (3, 2), (5, 4)],
-            actions=(TICK, FAULT, HIDDEN, hidden2),
+            [(0, 2), (0, 0), (3, 1), (3, 2), (5, 4)],
         )
-        models = [odd, region_quotient(ta1), *random_models(100, 0),
-                  *(region_quotient(random_progressive_ta(seed)) for seed in range(30))]
-        for model in models:
-            cached = (model._silent, model._ext, model._disc, model._tsucc)
-            assert cached == reference_adjacency(model)
+        odd = QuotientModel(*odd_inputs)
+        for model, inputs in [(odd, odd_inputs), *recorded_models(ta1)]:
+            rows = (model._silent, external_targets(model), model._disc, model._tsucc)
+            assert rows == reference_adjacency(*inputs)[:4]
         assert odd._silent[:2] == ((1, 2, 3, 5), (1, 2, 4))
+
+    def test_the_relation_is_stored_once(self, ta1):
+        for model, inputs in recorded_models(ta1):
+            assert not {"edges", "time", "classes", "_ext"} & vars(model).keys()
+            _, ext, _, _, classes, edges, time = reference_adjacency(*inputs)
+            assert (model.classes, model.edges, model.time) == (classes, edges, time)
+            assert external_targets(model) == ext
 
     def test_time_edges_closed_at_construction(self):
         model = make_model(
@@ -363,8 +369,8 @@ class TestConstruction:
                 built = QuotientModel(model.classes, model.actions, form(edges), form(time))
                 assert built == model, name
                 assert built.divergent == model.divergent, name
-                assert (built._disc, built._ext, built._silent, built._tsucc) == (
-                    model._disc, model._ext, model._silent, model._tsucc), name
+                assert (built._disc, built._silent, built._tsucc) == (
+                    model._disc, model._silent, model._tsucc), name
                 assert ([external_moves(built)[key] for key in moves]
                         == [external_moves(model)[key] for key in moves]), name
 
@@ -389,14 +395,25 @@ class TestConstruction:
             del rows[at]
 
 
+def recorded_models(ta1):
+    """The fixtures, 30 region quotients and ``random_models(100, 0)``,
+    each with its constructor's inputs."""
+    return recorded_quotients(lambda: [
+        *(load_model(FIXTURES / f) for f in ("q1.quot.json", "q2.quot.json", "bad-d1.quot.json")),
+        region_quotient(ta1),
+        *random_models(100, 0),
+        *(region_quotient(random_progressive_ta(seed)) for seed in range(30)),
+    ])
+
+
 class TestPeakMemory:
     """A loader drops what it has read before it builds the next
-    structure, so it peaks near the model it returns.  Traced sizes do not
-    depend on timing: on one interpreter these ratios are fixed."""
+    structure, and the model stores its relation once, so loading peaks
+    near the decoded document it reads."""
 
     def test_loads_model_holds_one_model(self):
         text = dumps_model(region_quotient(kclock_ta_34()))
-        assert traced_peak_ratio(loads_model, text) <= 1.5
+        assert peak_per_document(text, loads_model, text) <= 1.5
 
 
 class TestFileFormat:

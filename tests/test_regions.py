@@ -40,6 +40,7 @@ from .helpers import (
     eval_pred,
     kclock_ta_34,
     observable_of_valuation,
+    peak_per_document,
     pred_holds,
     random_progressive_ta,
     random_sample_region,
@@ -49,7 +50,6 @@ from .helpers import (
     reference_region_quotient,
     region_of,
     sample_valuation,
-    traced_peak_ratio,
 )
 
 ZERO_CLOCK_TA = """
@@ -766,8 +766,11 @@ class TestExplorerAgainstReference:
 
     def test_quotient_holds_one_model(self):
         """The explorer's rows are dropped once they are split into edges
-        and time pairs, so the build peaks near the model it returns."""
-        assert traced_peak_ratio(region_quotient, kclock_ta_34()) <= 1.75
+        and time pairs, so the build peaks near the decoded document of the
+        model it returns."""
+        ta = kclock_ta_34()
+        text = dumps_model(region_quotient(ta))
+        assert peak_per_document(text, region_quotient, ta) <= 1.6
 
 
 @pytest.mark.parametrize("chunk", range(4))
