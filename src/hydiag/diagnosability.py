@@ -90,18 +90,22 @@ def check_progressive(model):
                 todo.append(d)
     reachable = sorted(seen)
 
-    # Classes that reach a discrete edge by letting time pass.
-    time_pred = [[] for _ in discrete]
-    for src, dst in ((s, d) for s, row in enumerate(time_succ) for d in row):
-        time_pred[dst].append(src)
-    live = {c for c in reachable if discrete[c]}
-    todo = list(live)
-    for c in todo:
-        for d in time_pred[c]:
+    # Classes that reach a discrete edge by letting time pass.  Only a
+    # class with no discrete edge of its own can fail to, so only the time
+    # pairs out of those idle classes are read backwards.
+    idle = [c for c in reachable if not discrete[c]]
+    waiting = {}  # class -> the idle classes with a time pair into it
+    for src in idle:
+        for dst in time_succ[src]:
+            waiting.setdefault(dst, []).append(src)
+    live = set()  # the idle classes that are live
+    todo = [c for c in waiting if discrete[c]]
+    for c in todo:  # grows as idle classes are found live
+        for d in waiting.get(c, ()):
             if d not in live:
                 live.add(d)
                 todo.append(d)
-    for c in reachable:
+    for c in idle:
         if c not in live and c not in model.divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 

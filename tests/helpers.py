@@ -198,18 +198,18 @@ def peak_per_document(text, call, *args):
 
 def record_expansions(monkeypatch):
     """The list of member sets that the estimator's successor rule expands
-    from now on, each appended as it is expanded."""
+    from now on, each appended, decoded, as it is expanded."""
     expanded = []
-    rule = estimator._successor_rule
+    make_rule = estimator._successor_rule
 
     def counted(model, expand_faulty):
-        successors = rule(model, expand_faulty)
+        rule = make_rule(model, expand_faulty)
 
-        def recorded(members):
-            expanded.append(members)
-            return successors(members)
+        def recorded(mask, decoded):
+            expanded.append(tuple(sorted(decoded)))
+            return rule.successors(mask, decoded)
 
-        return recorded
+        return rule._replace(successors=recorded)
 
     monkeypatch.setattr(estimator, "_successor_rule", counted)
     return expanded

@@ -26,7 +26,7 @@ from hydiag.estimator import (
     walk,
 )
 from hydiag.oracle import brute_force_diagnosable, random_models
-from hydiag.quotient import ClassInfo, Lasso, QuotientModel, load_model
+from hydiag.quotient import ClassInfo, Lasso, QuotientModel, dumps_model, load_model, loads_model
 from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
@@ -35,6 +35,7 @@ from .helpers import (
     HIDDEN,
     TICK,
     benchmark_families,
+    kclock_ta_34,
     koenig_model,
     linear_chain_model,
     make_model,
@@ -45,6 +46,7 @@ from .helpers import (
     reference_check_progressive,
     reference_delay_bound,
     save_model,
+    traced_memory,
     unpruned_check_diagnosable,
 )
 
@@ -285,6 +287,17 @@ class TestProgressiveAgainstReference:
                    for doc in (families.leak_ta(100), families.kclock_ta(3, 4))]
         for model in models:
             assert check_progressive(model) == reference_check_progressive(model)
+
+
+class TestProgressiveMemory:
+    def test_transient_is_a_fraction_of_the_model(self):
+        # Only the time pairs out of classes with no discrete edge are read
+        # backwards: on kclock_ta(3,4) the check allocates 0.27 times the
+        # model (184,376 bytes), where a time-predecessor list per class
+        # took 0.80 times.
+        text = dumps_model(region_quotient(kclock_ta_34()))
+        model_size = traced_memory(loads_model, text)[0]
+        assert traced_memory(check_progressive, loads_model(text))[1] <= 0.35 * model_size
 
 
 def synthetic_estimator(classifications, edges, initial_obs=0):

@@ -1,6 +1,7 @@
 """Tests for the subset-construction state estimator."""
 
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from hydiag.estimator import (
     walk,
 )
 from hydiag.oracle import enumerate_utraces, random_models
-from hydiag.quotient import UTrace, external_moves
+from hydiag.quotient import ClassInfo, QuotientModel, UTrace, external_moves, loads_model
 from hydiag.regions import parse_ta, region_quotient
 
 from .helpers import (
@@ -34,6 +35,36 @@ from .helpers import (
 def _family_model(name, *args):
     """The region quotient of a benchmark model family."""
     return region_quotient(parse_ta(json.dumps(getattr(benchmark_families(), name)(*args))))
+
+
+def _chain_model(k):
+    """The benchmark's mimic chain of ``k`` links: ``k + 3`` classes."""
+    return loads_model(json.dumps(benchmark_families().chain_quot(k)))
+
+
+def _spread_observables(model):
+    """``model`` with observable o renumbered 7 * (top - o): sparse ids,
+    in the reverse of their order."""
+    top = max(model.obs)
+    classes = [ClassInfo(c.id, c.faulty, c.initial, 7 * (top - c.obs)) for c in model.classes]
+    return QuotientModel(classes, model.actions, model.edges, model.time)
+
+
+@pytest.fixture
+def row_lookups(monkeypatch):
+    """The keys the estimator looks up in ``external_moves`` from now on."""
+    lookups = []
+
+    class Counted:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, key):
+            lookups.append(key)
+            return self.table[key]
+
+    monkeypatch.setattr(estimator, "external_moves", lambda m: Counted(external_moves(m)))
+    return lookups
 
 
 class TestInitialEstimates:
@@ -220,16 +251,19 @@ class TestAgainstNetworkx:
 
 @pytest.fixture(scope="module")
 def models(corpus):
-    """The corpus, benchmark family members and random TA quotients."""
-    models = [*corpus, _family_model("leak_ta", 20)]
+    """The corpus, benchmark family members, random TA quotients, and
+    models with sparse observable ids."""
+    models = [*corpus, _family_model("leak_ta", 20), _chain_model(100)]
     models += [_family_model("kclock_ta", *args) for args in [(2, 4), (3, 2), (3, 4)]]
     models += [region_quotient(random_progressive_ta(seed)) for seed in range(30)]
+    models += map(_spread_observables, [q2_model(), _chain_model(60), *random_models(20, 7)])
     return models
 
 
 class TestAgainstReferenceBuild:
-    """The build reads each class's rows once and merges whole target sets;
-    the per-member loop it replaced gives the same graph, ids included."""
+    """The build reads each class's rows once and merges bitsets of whole
+    target sets; the per-member loop it replaced gives the same graph, ids
+    included, on sparse and dense, narrow and wide estimates."""
 
     @pytest.mark.parametrize("expand_faulty", [True, False])
     def test_same_graph(self, models, expand_faulty):
@@ -240,22 +274,44 @@ class TestAgainstReferenceBuild:
             assert est.initials == ref.initials
             assert est.transitions == ref.transitions
 
-    def test_one_row_lookup_per_class_and_action(self, monkeypatch):
-        model = _family_model("kclock_ta", 3, 4)
-        lookups = []
-
-        class Counted:
-            def __init__(self, table):
-                self.table = table
-
-            def __getitem__(self, key):
-                lookups.append(key)
-                return self.table[key]
-
-        monkeypatch.setattr(estimator, "external_moves", lambda m: Counted(external_moves(m)))
-        est = build_estimator(model)
+    def test_one_row_lookup_per_class_and_action(self, row_lookups):
+        est = build_estimator(_family_model("kclock_ta", 3, 4))
         assert len(est.states) == 1383
-        assert len(lookups) == len(set(lookups)) == 960
+        assert len(est.transitions) == 6121
+        assert sum(len(st.members) for st in est.states) == 22065
+        assert len(row_lookups) == len(set(row_lookups)) == 960
+
+    def test_check_build_reads_only_the_rows_it_expands(self, row_lookups):
+        # With expand_faulty=False the all-faulty states are leaves, so the
+        # rows of a class that only they hold are never read.
+        model = _family_model("kclock_ta", 3, 4)
+        est = build_estimator(model, expand_faulty=False)
+        expanded = {c for st in est.states if st.classification is not Classification.FAULTY
+                    for c in st.members}
+        assert len(est.states) == 11
+        assert sorted(row_lookups) == sorted(
+            (c, a.name) for c in expanded for a in model.external_actions)
+
+    def test_wide_estimates(self):
+        # The 100-link chain's estimates hold up to 51 of the 102 classes
+        # they touch: their masks span four 30-bit digits, decoded densely.
+        est = build_estimator(_chain_model(100))
+        touched = {c for st in est.states for c in st.members}
+        widest = max(len(st.members) for st in est.states)
+        assert len(touched) == 102 and widest * estimator._SPARSE >= len(touched)
+
+    def test_decodes_sparse_and_dense_masks(self):
+        # Member sets of every density over 603 classes, numbered in a
+        # shuffled order: both decodes give back each set's classes.
+        model = _chain_model(600)
+        rule = estimator._successor_rule(model, True)
+        rng = random.Random(5)
+        order = list(range(len(model.obs)))
+        rng.shuffle(order)
+        rule.encode(order)
+        for size in [1, 2, 3, 20, 37, 38, 60, 300, 603]:
+            members = rng.sample(order, size)
+            assert sorted(rule.decode(rule.encode(members))) == sorted(members)
 
 
 class TestEstimateWalker:
