@@ -362,10 +362,17 @@ class _MoveTable(dict):
         c, name = key
         if name not in self._names or c not in range(len(self._obs)):
             raise KeyError(key)
-        closure, disc, obs = unobservable_closure(self, (c,)), self._disc, self._obs
-        for a in self._names:  # names are unique: only an external label is named a
-            self[(c, a)] = sorted({
-                (d, obs[d]) for mid in closure for label, d in disc[mid] if label.name == a})
+        # One pass over the closure reads each member's row once; names are
+        # unique, so only an external label finds a target set.
+        targets = {a: set() for a in self._names}
+        disc, obs = self._disc, self._obs
+        for mid in unobservable_closure(self, (c,)):
+            for label, d in disc[mid]:
+                found = targets.get(label.name)
+                if found is not None:
+                    found.add(d)
+        for a, found in targets.items():
+            self[(c, a)] = sorted([(d, obs[d]) for d in found])
         return self[key]
 
 

@@ -19,18 +19,22 @@ fine enough, because each region lies entirely inside one cell.
 The construction is deliberately classical: per-clock integer parts up
 to the ceiling plus the ordering of fractional parts.  Regions whose
 clocks all sit above their ceilings are time-divergent, and the quotient
-marks them so (as explicit time self-loops).  ``_compile`` turns each
-guard, invariant and observation cell, once per automaton, into one
-closure over a region's ``(ints, zero)`` that decides it on the region
-itself, from each clock's integer part and whether it sits at an exact
-integer or past its ceiling.  The observation is decided once per
-combination of external clock positions and each class reads its cell
-from that table; the explorer keeps guards and invariants per location
-with its out-edges.  A region is a named tuple ``(ints, zero, groups)``,
-and a node is a (location index, region) pair, so the explorer hashes
-and compares its nodes as plain tuples.  A concrete valuation (and the
-``fractions`` module) is needed only for the witness of a failed
-partition check.
+marks them so (as explicit time self-loops).  The explorer holds a
+region at a location as one flat tuple of ints, its key: the location
+index, each clock's integer part (ceiling+1 past the ceiling), and each
+clock's fractional rank, 0 at an exact integer or past the ceiling and
+1..g for the fractional groups in increasing order.  A time step and a
+reset are one short loop over the clocks, and keys hash and compare as
+plain tuples.  ``_compile`` turns each guard, invariant and observation
+cell, once per automaton, into one closure over a key that decides it
+from each clock's integer part and rank.  The observation is decided
+once per combination of external clock positions and each class reads
+its cell from that table; the explorer keeps guards and invariants per
+location with its out-edges.  A ``Region``, a named tuple ``(ints,
+zero, groups)``, is built only for ``build_region_quotient``'s
+``class_regions``; ``region_quotient`` builds none.  A concrete
+valuation (and the ``fractions`` module) is needed only for the witness
+of a failed partition check.
 """
 
 import itertools
@@ -182,44 +186,49 @@ def pred_atoms(node):
             yield from pred_atoms(child)
 
 
-# One factory per operator: ``x_i op bound`` as a test of a region's
-# ``(ints, zero)``.  A clock at an exact integer compares its integer
-# part.  One strictly between two integers or past its ceiling equals no
-# integer: ``<`` and ``<=`` hold iff its integer part is below ``bound``,
-# ``>=`` and ``>`` iff not.  Exact because every constant is at most its
-# clock's ceiling, the ceilings being their maxima (``_compute_ceilings``).
+# One factory per operator: ``x_i op bound`` as a test of a flat key
+# that holds clock i's integer part at ``p`` and its fractional rank at
+# ``q``.  A clock at an exact integer (rank 0, not past its ceiling)
+# compares its integer part.  One strictly between two integers or past
+# its ceiling equals no integer: ``<`` and ``<=`` hold iff its integer
+# part is below ``bound``, ``>=`` and ``>`` iff not.  A clock past its
+# ceiling has rank 0 but an integer part above every bound, so where the
+# integer part equals ``bound`` the rank alone tells an integer from a
+# fraction.  Exact because every constant is at most its clock's ceiling,
+# the ceilings being their maxima (``_compute_ceilings``).
 _ATOM_TESTS = {
-    "<": lambda i, b: lambda ints, zero: ints[i] < b,
-    "<=": lambda i, b: lambda ints, zero: ints[i] < b or ints[i] == b and i in zero,
-    "==": lambda i, b: lambda ints, zero: ints[i] == b and i in zero,
-    ">=": lambda i, b: lambda ints, zero: ints[i] >= b,
-    ">": lambda i, b: lambda ints, zero: ints[i] > b or ints[i] == b and i not in zero,
+    "<": lambda p, q, b: lambda key: key[p] < b,
+    "<=": lambda p, q, b: lambda key: key[p] < b or key[p] == b and not key[q],
+    "==": lambda p, q, b: lambda key: key[p] == b and not key[q],
+    ">=": lambda p, q, b: lambda key: key[p] >= b,
+    ">": lambda p, q, b: lambda key: key[p] > b or key[p] == b and key[q] > 0,
 }
 
 
-def _compile(node, index):
+def _compile(node, index, width):
     """Predicate ``node`` (a guard or invariant ``("and", atom, ...)``, or
-    an observation cell) as one test of a region's ``(ints, zero)``;
-    ``index`` maps clock names to region positions.
+    an observation cell) as one test of a flat key of ``width`` clocks;
+    ``index`` maps clock names to clock indices.
 
     Chains are flat nodes, so on a parsed predicate the recursion is at
     most MAX_PRED_DEPTH deep.
     """
     tag = node[0]
     if tag == "atom":
-        return _ATOM_TESTS[node[2]](index[node[1]], node[3])
+        i = index[node[1]]
+        return _ATOM_TESTS[node[2]](1 + i, 1 + width + i, node[3])
     if tag == "true":
-        return lambda ints, zero: True
-    tests = [_compile(child, index) for child in node[1:]]
+        return lambda key: True
+    tests = [_compile(child, index, width) for child in node[1:]]
     if tag == "not":
-        return lambda ints, zero: not tests[0](ints, zero)
+        return lambda key: not tests[0](key)
     if len(tests) == 1:
         return tests[0]
     stop = tag == "or"  # the value that settles a chain: True for "or", False for "and"
 
-    def holds(ints, zero):
+    def holds(key):
         for test in tests:
-            if test(ints, zero) == stop:
+            if test(key) == stop:
                 return stop
         return not stop
 
@@ -264,8 +273,28 @@ class Region(namedtuple("Region", "ints zero groups")):
         return ", ".join(parts)
 
 
-def initial_region(num_clocks):
-    return Region((0,) * num_clocks, tuple(range(num_clocks)), ())
+def region_key(loc, region):
+    """The flat key of ``region`` at location index ``loc``:
+    ``(loc, int_0, ..., int_k-1, rank_0, ..., rank_k-1)``.  A clock's rank
+    is 0 at an exact integer or past its ceiling, and j when it lies in
+    the j-th fractional group; ``key_region`` inverts it."""
+    ranks = [0] * len(region.ints)
+    for j, group in enumerate(region.groups, 1):
+        for i in group:
+            ranks[i] = j
+    return (loc, *region.ints, *ranks)
+
+
+def key_region(key, ceilings):
+    """The Region of a flat key over clocks with these ceilings."""
+    k = len(ceilings)
+    ints, ranks = key[1:k + 1], key[k + 1:]
+    zero = tuple(i for i, (v, r, c) in enumerate(zip(ints, ranks, ceilings)) if not r and v <= c)
+    groups = [[] for _ in range(max(ranks, default=0))]
+    for i, r in enumerate(ranks):
+        if r:
+            groups[r - 1].append(i)
+    return Region(ints, zero, tuple(map(tuple, groups)))
 
 
 def sample_region(region, ceilings):
@@ -290,64 +319,73 @@ def sample_region(region, ceilings):
     return values
 
 
-def time_successor(region, ceilings):
-    """The next region entered as time flows, or None when the region is
-    time-divergent (all clocks above their ceilings)."""
-    if not region.zero and not region.groups:
-        return None
-    ints = list(region.ints)
-    if region.zero:
-        stay = []
-        for i in region.zero:
-            if region.ints[i] == ceilings[i]:
-                ints[i] = ceilings[i] + 1
+def _time_step(key, ceilings):
+    """The key of the next region entered as time flows, or None when
+    every clock is past its ceiling (the region is time-divergent)."""
+    k = len(ceilings)
+    step = list(key)
+    whole = stay = False
+    for p, c in enumerate(ceilings, 1):
+        if not key[p + k] and key[p] <= c:  # at an integer
+            whole = True
+            if key[p] < c:
+                stay = True
             else:
-                stay.append(i)
-        groups = ((tuple(stay),) + region.groups) if stay else region.groups
-        return Region(tuple(ints), (), groups)
+                step[p] = c + 1
+    if whole:
+        if stay:  # the clocks that stay below their ceilings form the first group
+            for p, c in enumerate(ceilings, 1):
+                if step[p + k]:
+                    step[p + k] += 1
+                elif step[p] <= c:
+                    step[p + k] = 1
+        return tuple(step)
+    top = max(key[k + 1:], default=0)
+    if not top:
+        return None
     # A fractional clock is below its ceiling, so the clocks of the largest
     # fraction all reach their next integer.
-    for i in region.groups[-1]:
-        ints[i] += 1
-    return Region(tuple(ints), tuple(sorted(region.groups[-1])), region.groups[:-1])
+    for p in range(1, k + 1):
+        if key[p + k] == top:
+            step[p] += 1
+            step[p + k] = 0
+    return tuple(step)
 
 
-def reset_region(region, reset):
-    """The region after setting the clocks of ``reset``, a frozenset of
-    clock indices, to 0; ``region`` itself when ``reset`` is empty."""
-    if not reset:
-        return region
-    ints = list(region.ints)
+def _reset(key, dst, reset, k):
+    """The key at location ``dst`` after setting the clocks of ``reset``, a
+    tuple of clock indices, to 0.  A group a reset empties gives up its
+    rank, and the ranks above it close the gap."""
+    step = list(key)
+    step[0] = dst
     for i in reset:
-        ints[i] = 0
-    groups = []
-    for grp in region.groups:
-        if not reset.isdisjoint(grp):
-            grp = tuple([i for i in grp if i not in reset])
-            if not grp:
-                continue
-        groups.append(grp)
-    return Region(tuple(ints), tuple(sorted(reset.union(region.zero))), tuple(groups))
+        step[1 + i] = 0
+        r = step[1 + k + i]
+        if r:
+            step[1 + k + i] = 0
+            ranks = step[k + 1:]
+            if r not in ranks:
+                for q, s in enumerate(ranks, k + 1):
+                    if s > r:
+                        step[q] = s - 1
+    return tuple(step)
 
 
-def position_regions(ceilings):
-    """One region per combination of clock positions.
+def position_keys(ceilings):
+    """One flat key, at location 0, per combination of clock positions.
 
     A clock is past its ceiling, at an integer 0..c, or strictly inside
     (v, v+1) with v < c: 2c+2 positions per clock.  The fractional clocks
-    of a combination share one group.  ``_compile`` tests read positions
+    of a combination share rank 1.  ``_compile`` tests read positions
     only, never the order of fractional parts, so every region of a
-    combination lies in the same cells as the one yielded here.
+    combination lies in the same cells as the key yielded here.
     """
     per_clock = [
-        [("above", c + 1)] + [("zero", v) for v in range(c + 1)] + [("frac", v) for v in range(c)]
+        [(c + 1, 0)] + [(v, 0) for v in range(c + 1)] + [(v, 1) for v in range(c)]
         for c in ceilings
     ]
     for combo in itertools.product(*per_clock):
-        ints = tuple(v for _, v in combo)
-        zero = tuple(i for i, (kind, _) in enumerate(combo) if kind == "zero")
-        frac = tuple(i for i, (kind, _) in enumerate(combo) if kind == "frac")
-        yield Region(ints, zero, (frac,) if frac else ())
+        yield (0, *(v for v, _ in combo), *(rank for _, rank in combo))
 
 
 # ---------------------------------------------------------------------------
@@ -485,31 +523,37 @@ class TimedAutomatonWithFaults:
 
     def _validate_partition(self, max_classes):
         # External clocks come first in self.clocks, so their positions are
-        # a prefix of every region's; cells are decided once per position
-        # combination, and observable_of_region looks them up.
-        ext_ceilings = self.ceilings[: len(self.external_clocks)]
+        # a prefix of every key's integer parts and of its ranks; cells are
+        # decided once per position combination, and each class looks its
+        # cell up.
+        m = len(self.external_clocks)
+        ext_ceilings = self.ceilings[:m]
         count = math.prod(2 * c + 2 for c in ext_ceilings)
         if count > max_classes:
             raise CapExceeded("observation partition regions", count, max_classes)
-        cells = [(spec.id, _compile(spec.pred, self._clock_index)) for spec in self.observation]
+        cells = [(spec.id, _compile(spec.pred, self._clock_index, m)) for spec in self.observation]
         self._cell_of = {}
-        for region in position_regions(ext_ceilings):
-            hits = [cell for cell, test in cells if test(region.ints, region.zero)]
+        for key in position_keys(ext_ceilings):
+            hits = [cell for cell, test in cells if test(key)]
             if len(hits) != 1:
-                values = sample_region(region, ext_ceilings)
+                values = sample_region(key_region(key, ext_ceilings), ext_ceilings)
                 witness = {name: str(v) for name, v in zip(self.external_clocks, values)}
                 what = "no cell covers" if not hits else f"cells {hits} overlap at"
                 raise PartitionError(
                     f"observation is not a partition: {what} {witness or 'the empty valuation'}",
                     witness,
                 )
-            self._cell_of[(region.ints, region.zero)] = hits[0]
+            self._cell_of[key[1:]] = hits[0]
 
     # -- region-level helpers -------------------------------------------------
 
     def observable_of_region(self, region):
-        m = len(self.external_clocks)
-        return self._cell_of[region.ints[:m], tuple(filter(m.__gt__, region.zero))]
+        return self._observable_of_key(region_key(0, region))
+
+    def _observable_of_key(self, key):
+        # A position key ranks every fractional clock 1.
+        m, k = len(self.external_clocks), len(self.clocks)
+        return self._cell_of[key[1:m + 1] + tuple([min(r, 1) for r in key[k + 1:k + m + 1]])]
 
 
 # ---------------------------------------------------------------------------
@@ -519,76 +563,94 @@ class RegionQuotient(namedtuple("RegionQuotient", "model class_regions")):
     __slots__ = ()  # class_regions: a list of (location name, Region)
 
 
-def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
-    """Explore the reachable (location, region) graph of ``ta``.
+def _explore(ta, max_classes, keep_keys):
+    """The region quotient of ``ta`` and, when ``keep_keys``, the flat key
+    of each class, else None.
 
     Discrete successors fire automaton edges whose guard holds in the
     region and whose reset lands inside the target invariant; time
     successors follow the immediate region successor while the location
     invariant keeps holding.  Deterministic class numbering (BFS order)
-    is part of the contract.  Nodes are (location index, region) pairs.
-    Each location's out-edges are compiled once, in file order, as
+    is part of the contract.  Nodes are flat keys (``region_key``).  Each
+    location's out-edges are compiled once, in file order, as
     ``(label, guard, reset, dst, dst invariant)`` with ``_compile`` tests
-    and a frozenset of reset clock indices.  The quotient is validated
+    and a sorted tuple of reset clock indices.  The quotient is validated
     here: a violation raises TAValidationError.
     """
     ceilings = ta.ceilings
+    k = len(ceilings)
     index = ta._clock_index
-    r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
     loc_of = {loc.name: i for i, loc in enumerate(ta.locations)}
-    invariant = [_compile(loc.invariant, index) for loc in ta.locations]
+    invariant = [_compile(loc.invariant, index, k) for loc in ta.locations]
     out_edges = [[] for _ in ta.locations]
     for e in ta.edges:
-        reset = frozenset(index[name] for name in e.resets)
+        reset = tuple(sorted(index[name] for name in e.resets))
         dst = loc_of[e.dst]
-        guard = _compile(e.guard, index)
+        guard = _compile(e.guard, index, k)
         out_edges[loc_of[e.src]].append((label_of[e.action], guard, reset, dst, invariant[dst]))
 
-    def successors(node):  # enabled edges, then the time step labelled None
-        loc, region = node
-        ints, zero, _ = region
-        for label, guard, reset, dst, dst_invariant in out_edges[loc]:
-            if guard(ints, zero):
-                target = reset_region(region, reset)
-                if dst_invariant(target.ints, target.zero):
-                    yield label, (dst, target)
-        succ = time_successor(region, ceilings)
+    def successors(key):  # enabled edges, then the time step labelled None
+        for label, guard, reset, dst, dst_invariant in out_edges[key[0]]:
+            if guard(key):
+                target = _reset(key, dst, reset, k)
+                if dst_invariant(target):
+                    yield label, target
+        succ = _time_step(key, ceilings)
         if succ is None:
-            yield None, node  # genuinely time-divergent region
-        elif invariant[loc](succ.ints, succ.zero):
-            yield None, (loc, succ)
+            yield None, key  # genuinely time-divergent region
+        elif invariant[key[0]](succ):
+            yield None, succ
 
+    origin = (0,) * (2 * k)  # every clock at 0
     starts = [
-        (i, r0)
+        (i, *origin)
         for i, loc in enumerate(ta.locations)
-        if loc.initial and invariant[i](r0.ints, r0.zero)
+        if loc.initial and invariant[i]((i, *origin))
     ]
-    metas, _, out = explore(starts, successors, max_classes, "region classes")
-    # As ``loads_model`` does, hand the rows over through iterators alone,
-    # and drop the explorer's rows once they are split.
-    edges = iter([(cid, a, did) for cid, row in enumerate(out) for a, did in row if a is not None])
-    time = iter([(cid, did) for cid, row in enumerate(out) for a, did in row if a is None])
-    del out
-
+    keys, _, out = explore(starts, successors, max_classes, "region classes")
+    # The initial classes are the starts, numbered first.
     faulty = [loc.faulty for loc in ta.locations]
-    initial = [loc.initial for loc in ta.locations]
     classes = [
-        ClassInfo(cid, faulty[loc], initial[loc] and region == r0, ta.observable_of_region(region))
-        for cid, (loc, region) in enumerate(metas)
+        ClassInfo(cid, faulty[key[0]], cid < len(starts), ta._observable_of_key(key))
+        for cid, key in enumerate(keys)
     ]
+    if not keep_keys:
+        keys = None
+    # Each row is dropped as it is split, so the rows and the lists are
+    # never both whole; as ``loads_model`` does, the lists reach the model
+    # through iterators alone.
+    edges, time = [], []
+    for cid, row in enumerate(out):
+        out[cid] = None
+        for a, did in row:
+            if a is None:
+                time.append((cid, did))
+            else:
+                edges.append((cid, a, did))
+    del out
+    edges, time = iter(edges), iter(time)
 
     model = QuotientModel(classes, ta.actions, edges, time)
     report = validate_model(model)
     if not report.ok:
         first = report.violations[0]
         raise TAValidationError(first.rule, f"region quotient: {first.message}")
+    return model, keys
+
+
+def build_region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
+    """Explore the reachable (location, region) graph of ``ta``: the
+    quotient model and, per class, its location name and Region."""
+    model, keys = _explore(ta, max_classes, keep_keys=True)
     names = [loc.name for loc in ta.locations]
-    return RegionQuotient(model, [(names[loc], region) for loc, region in metas])
+    return RegionQuotient(model, [(names[key[0]], key_region(key, ta.ceilings)) for key in keys])
 
 
 def region_quotient(ta, max_classes=DEFAULT_MAX_CLASSES):
-    return build_region_quotient(ta, max_classes).model
+    """The quotient model of ``build_region_quotient``, built without a
+    Region object."""
+    return _explore(ta, max_classes, keep_keys=False)[0]
 
 
 def region_count_bound(ta):

@@ -66,12 +66,9 @@ from hydiag.regions import (
     RegionQuotient,
     TAEdge,
     TimedAutomatonWithFaults,
-    initial_region,
     load_ta,
     parse_pred,
     parse_ta,
-    position_regions,
-    time_successor,
 )
 
 TICK = ActionLabel("tick", Kind.EXTERNAL)
@@ -793,25 +790,72 @@ def reference_check_progressive(model):
     return ProgressReport(True, None)
 
 
-def _reference_reset(region, clock_indices):
-    reset = set(clock_indices)
+def initial_region(num_clocks):
+    return Region((0,) * num_clocks, tuple(range(num_clocks)), ())
+
+
+def time_successor(region, ceilings):
+    """The next region entered as time flows, or None when the region is
+    time-divergent (all clocks above their ceilings).  The interpreted
+    reference of the explorer's time step on flat keys."""
+    if not region.zero and not region.groups:
+        return None
     ints = list(region.ints)
-    zero = set(region.zero)
-    groups = []
-    for grp in region.groups:
-        kept = tuple(i for i in grp if i not in reset)
-        if kept:
-            groups.append(kept)
+    if region.zero:
+        stay = []
+        for i in region.zero:
+            if region.ints[i] == ceilings[i]:
+                ints[i] = ceilings[i] + 1
+            else:
+                stay.append(i)
+        groups = ((tuple(stay),) + region.groups) if stay else region.groups
+        return Region(tuple(ints), (), groups)
+    # A fractional clock is below its ceiling, so the clocks of the largest
+    # fraction all reach their next integer.
+    for i in region.groups[-1]:
+        ints[i] += 1
+    return Region(tuple(ints), tuple(sorted(region.groups[-1])), region.groups[:-1])
+
+
+def reset_region(region, reset):
+    """The region after setting the clocks of ``reset``, a frozenset of
+    clock indices, to 0; ``region`` itself when ``reset`` is empty.  The
+    interpreted reference of the explorer's reset on flat keys."""
+    if not reset:
+        return region
+    ints = list(region.ints)
     for i in reset:
         ints[i] = 0
-        zero.add(i)
-    return Region(tuple(ints), tuple(sorted(zero)), tuple(groups))
+    groups = []
+    for grp in region.groups:
+        if not reset.isdisjoint(grp):
+            grp = tuple([i for i in grp if i not in reset])
+            if not grp:
+                continue
+        groups.append(grp)
+    return Region(tuple(ints), tuple(sorted(reset.union(region.zero))), tuple(groups))
+
+
+def position_regions(ceilings):
+    """One region per combination of clock positions, the fractional
+    clocks of a combination in one group: ``regions.position_keys`` as
+    Region objects, written independently."""
+    per_clock = [
+        [("above", c + 1)] + [("zero", v) for v in range(c + 1)] + [("frac", v) for v in range(c)]
+        for c in ceilings
+    ]
+    for combo in itertools.product(*per_clock):
+        ints = tuple(v for _, v in combo)
+        zero = tuple(i for i, (kind, _) in enumerate(combo) if kind == "zero")
+        frac = tuple(i for i, (kind, _) in enumerate(combo) if kind == "frac")
+        yield Region(ints, zero, (frac,) if frac else ())
 
 
 def reference_region_quotient(ta):
-    """``build_region_quotient`` as first written: every node scans every
-    edge of the automaton, and guards and invariants are decided by
-    ``pred_holds`` on their ``("and", atom, ...)`` nodes."""
+    """``build_region_quotient`` as first written: nodes are (location
+    name, Region) pairs, every node scans every edge of the automaton, and
+    guards and invariants are decided by ``pred_holds`` on their
+    ``("and", atom, ...)`` nodes."""
     index = ta._clock_index
     r0 = initial_region(len(ta.clocks))
     label_of = {a.name: a for a in ta.actions}
@@ -822,7 +866,7 @@ def reference_region_quotient(ta):
         for e in ta.edges:
             if e.src != loc_name or not pred_holds(e.guard, region, index):
                 continue
-            target = _reference_reset(region, [index[name] for name in e.resets])
+            target = reset_region(region, frozenset(index[name] for name in e.resets))
             if pred_holds(location[e.dst].invariant, target, index):
                 yield label_of[e.action], (e.dst, target)
         succ = time_successor(region, ta.ceilings)

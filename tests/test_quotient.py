@@ -179,6 +179,28 @@ class TestExternalSuccessors:
         moves = external_moves(q1)[(0, "tick")]
         assert [c for c, obs in moves if obs == 0] == [2]
 
+    def test_rows_match_a_scan_per_action(self):
+        """A class's rows, filled in one pass over its silent closure, are
+        the sorted ``(dst, obs)`` lists that one scan of the closure per
+        external action gives, on small models and on one whose targets do
+        not iterate in order from a set."""
+        rows = 0
+        for model in [*random_models(300, 0), region_quotient(kclock_ta_34())]:
+            moves = external_moves(model)
+            for c in range(len(model.obs)):
+                closure = unobservable_closure(model, (c,))
+                for a in model.external_actions:
+                    expected = sorted({
+                        (d, model.obs[d])
+                        for mid in closure
+                        for label, d in model.discrete_edges_from(mid)
+                        if label.name == a.name
+                    })
+                    assert moves[(c, a.name)] == expected, (c, a)
+                    assert type(moves[(c, a.name)]) is list
+                    rows += bool(expected)
+        assert rows > 5_000
+
     # The table is filled once per model and kept, and the session's q1
     # is shared by every test, so the tests of an empty table build their
     # own q1.

@@ -1,5 +1,6 @@
 """Tests for the timed-automaton front-end and region construction."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,18 +16,19 @@ from hydiag.regions import (
     MAX_PRED_DEPTH,
     Region,
     _compile,
+    _reset,
+    _time_step,
     build_region_quotient,
-    initial_region,
+    key_region,
     parse_constraint,
     parse_pred,
     parse_ta,
-    position_regions,
+    position_keys,
     pred_atoms,
     region_count_bound,
+    region_key,
     region_quotient,
-    reset_region,
     sample_region,
-    time_successor,
 )
 
 from .conftest import FIXTURES
@@ -38,9 +40,11 @@ from .helpers import (
     concrete_enabled_edges,
     concrete_region_path,
     eval_pred,
+    initial_region,
     kclock_ta_34,
     observable_of_valuation,
     peak_per_document,
+    position_regions,
     pred_holds,
     random_progressive_ta,
     random_sample_region,
@@ -49,7 +53,9 @@ from .helpers import (
     reference_constraint,
     reference_region_quotient,
     region_of,
+    reset_region,
     sample_valuation,
+    time_successor,
 )
 
 ZERO_CLOCK_TA = """
@@ -153,8 +159,8 @@ class TestParsing:
         assert not eval_pred(disjunction, valuation)
         assert pred_holds(conjunction, region, {"x": 0})
         assert not pred_holds(disjunction, region, {"x": 0})
-        assert _compile(conjunction, {"x": 0})(region.ints, region.zero)
-        assert not _compile(disjunction, {"x": 0})(region.ints, region.zero)
+        assert _compile(conjunction, {"x": 0}, 1)(region_key(0, region))
+        assert not _compile(disjunction, {"x": 0}, 1)(region_key(0, region))
 
     def test_predicates_at_the_depth_bound_evaluate(self):
         valuation = {"x": Fraction(1, 2)}
@@ -170,7 +176,7 @@ class TestParsing:
             pred = parse_pred(text)
             assert eval_pred(pred, valuation) == expected
             assert pred_holds(pred, region, {"x": 0}) == expected
-            assert _compile(pred, {"x": 0})(region.ints, region.zero) == expected
+            assert _compile(pred, {"x": 0}, 1)(region_key(0, region)) == expected
         with pytest.raises(ModelFormatError, match="deeper"):
             parse_pred("!" * (n + 1) + "x<1")
 
@@ -407,10 +413,10 @@ class TestRegionEvaluator:
             index = {name: i for i, name in enumerate(ta.clocks)}
             cells = [spec.pred for spec in ta.observation]
             preds = cells + [e.guard for e in ta.edges] + [loc.invariant for loc in ta.locations]
-            compiled = [_compile(p, index) for p in preds]
+            compiled = [_compile(p, index, len(ta.clocks)) for p in preds]
             for region in all_regions(ta.ceilings):
                 on_region = [pred_holds(p, region, index) for p in preds]
-                assert [test(region.ints, region.zero) for test in compiled] == on_region
+                assert [test(region_key(0, region)) for test in compiled] == on_region
                 for values in region_samples(region, ta.ceilings, rng):
                     valuation = dict(zip(ta.clocks, values))
                     concrete = [eval_pred(p, valuation) for p in preds]
@@ -748,7 +754,7 @@ class TestExplorerAgainstReference:
             rq = build_region_quotient(ta)
             assert rq.model == expected.model
             assert rq.class_regions == expected.class_regions
-            # A fractional clock sits below its ceiling, as time_successor assumes.
+            # A fractional clock sits below its ceiling, as the time step assumes.
             assert all(region.ints[i] < ta.ceilings[i] for _, region in rq.class_regions
                        for group in region.groups for i in group)
 
@@ -763,21 +769,91 @@ class TestExplorerAgainstReference:
     def test_empty_reset_keeps_the_region(self):
         region = Region((1, 0), (1,), ((0,),))
         assert reset_region(region, frozenset()) is region
+        assert _reset(region_key(3, region), 3, (), 2) == region_key(3, region)
 
     def test_quotient_holds_one_model(self):
-        """The explorer's rows are dropped once they are split into edges
-        and time pairs, so the build peaks near the decoded document of the
-        model it returns."""
+        """The explorer's nodes are flat tuples of ints and its rows are
+        dropped as they are split into edges and time pairs, so the build
+        peaks below the decoded document of the model it returns."""
         ta = kclock_ta_34()
         text = dumps_model(region_quotient(ta))
-        assert peak_per_document(text, region_quotient, ta) <= 1.6
+        assert peak_per_document(text, region_quotient, ta) <= 1.0
+
+    def test_region_quotient_builds_no_region(self, monkeypatch):
+        ta = kclock_ta_34()
+        expected = dumps_model(region_quotient(ta))
+
+        def no_region(*args):
+            raise AssertionError("Region built")
+
+        monkeypatch.setattr(Region, "__new__", no_region)
+        assert dumps_model(region_quotient(ta)) == expected
+        with pytest.raises(AssertionError, match="Region built"):
+            build_region_quotient(ta)
+
+
+# Ceilings whose every region the flat steps are checked on: no clock, one
+# to three clocks, and ceilings 0 (a clock at 0 or past it) to 3.
+STEP_CEILINGS = [(), (0,), (2,), (0, 1), (2, 1), (1, 1, 1), (2, 0, 1), (1, 2, 1)]
+
+
+class TestFlatSteps:
+    """The explorer's time step and reset on flat keys against the Region
+    reference in ``tests/helpers.py``, on every region of small ceilings
+    and every subset of clocks reset."""
+
+    def test_keys_round_trip(self):
+        for ceilings in STEP_CEILINGS:
+            seen = set()
+            for region in all_regions(ceilings):
+                key = region_key(5, region)
+                assert len(key) == 1 + 2 * len(ceilings)
+                assert key[0] == 5 and key_region(key, ceilings) == region
+                seen.add(key)
+            assert len(seen) == len(list(all_regions(ceilings)))
+
+    def test_time_step(self):
+        divergent = 0
+        for ceilings in STEP_CEILINGS:
+            for region in all_regions(ceilings):
+                expected = time_successor(region, ceilings)
+                step = _time_step(region_key(2, region), ceilings)
+                if expected is None:
+                    assert step is None, region
+                    divergent += 1
+                else:
+                    assert step == region_key(2, expected), region
+        assert _time_step((4,), ()) is None  # no clock: time diverges at once
+        assert divergent == len(STEP_CEILINGS)  # every clock past its ceiling
+
+    def test_every_reset(self):
+        emptied = gaps = 0
+        for ceilings in STEP_CEILINGS:
+            k = len(ceilings)
+            subsets = [s for n in range(k + 1) for s in itertools.combinations(range(k), n)]
+            for region in all_regions(ceilings):
+                key = region_key(0, region)
+                for reset in subsets:
+                    expected = reset_region(region, frozenset(reset))
+                    assert _reset(key, 1, reset, k) == region_key(1, expected), (region, reset)
+                    kept = [not set(group) <= set(reset) for group in region.groups]
+                    emptied += False in kept
+                    # a group below a kept one emptied: the ranks above it move down
+                    gaps += any(not kept[j] and any(kept[j + 1:]) for j in range(len(kept)))
+        assert emptied > 100 and gaps > 20, (emptied, gaps)
+
+    def test_position_keys_are_the_position_regions(self):
+        for ceilings in STEP_CEILINGS:
+            keys = list(position_keys(ceilings))
+            assert [key_region(key, ceilings) for key in keys] == list(position_regions(ceilings))
+            assert [region_key(0, r) for r in position_regions(ceilings)] == keys
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_compiled_constraints_decide_as_atom_holds(chunk):
     """Each guard, invariant and observation cell, compiled to one test of
-    a region's ``(ints, zero)``, holds exactly where ``pred_holds`` decides
-    it atom by atom with ``atom_holds``: on every combination of clock
+    a flat key, holds exactly where ``pred_holds`` decides it atom by atom
+    with ``atom_holds`` on the key's Region: on every combination of clock
     positions of 400 random automata, and of every atom over two clocks
     with constants 0..3."""
     atoms = [("atom", x, op, b) for x in ("x", "y") for op in OPS for b in range(4)]
@@ -790,9 +866,9 @@ def test_compiled_constraints_decide_as_atom_holds(chunk):
     checked = 0
     for index, ceilings, preds in cases:
         for pred in preds:
-            test = _compile(pred, index)
-            for region in position_regions(ceilings):
-                expected = pred_holds(pred, region, index)
-                assert test(region.ints, region.zero) is expected, (pred, region)
+            test = _compile(pred, index, len(ceilings))
+            for key in position_keys(ceilings):
+                expected = pred_holds(pred, key_region(key, ceilings), index)
+                assert test(key) is expected, (pred, key)
                 checked += 1
     assert checked > 5_000
