@@ -125,10 +125,10 @@ _TYPE_NAMES = {int: "an integer", bool: "a boolean", str: "a string", list: "a l
 
 
 def _rows(value, what, schema):
-    """Each row of the list ``value`` as the sequence of its fields in
-    ``schema`` order.  A row is an array of those fields, as hydiag writes
-    it, or an object of them, as earlier versions wrote it; one list may
-    mix both.
+    """The columns of the list ``value``: one tuple per key of ``schema``,
+    in its order, of that field of every row.  A row is an array of those
+    fields, as hydiag writes it, or an object of them, as earlier versions
+    wrote it; one list may mix both.
 
     ``schema`` maps every key a row must have to the exact type of its
     value: ``int``, ``bool``, ``str`` or ``list`` (a bool is not an int).
@@ -150,9 +150,10 @@ def _rows(value, what, schema):
         except KeyError:
             pass  # an object lacks a key: the rescan names it
         else:
-            columns = zip(zip(*rows), schema.values())
-            if all(set(map(type, column)) <= {expected} for column, expected in columns):
-                return rows
+            columns = _columns(rows, len(keys))
+            if all(set(map(type, column)) <= {expected}
+                   for column, expected in zip(columns, schema.values())):
+                return columns
     # The bulk check refused the list, so one of its rows raises here.
     types = tuple(schema.values())
     for i, row in enumerate(items):
@@ -276,12 +277,11 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
     """
     _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
 
-    rows = _rows(data.pop("states"), "states", _STATE_SCHEMA)
-    n = len(rows)
-    ids, members, classes = zip(*rows) if rows else ((), (), ())
+    ids, members, classes = _rows(data.pop("states"), "states", _STATE_SCHEMA)
+    n = len(ids)
     if (ids != tuple(range(n)) or set(map(type, chain.from_iterable(members))) - {int}
             or not set(classes) <= _CLASSIFICATIONS.keys()):
-        for i, (sid, row_members, cls) in enumerate(rows):
+        for i, (sid, row_members, cls) in enumerate(zip(ids, members, classes)):
             if sid != i:
                 raise ModelFormatError(f"states[{i}].id must be {i}")
             if set(map(type, row_members)) - {int}:
@@ -289,22 +289,22 @@ def _parse_graph_json(data, what, extra_keys=frozenset()):
             _member(Classification, cls, f"states[{i}].class")
     states = list(map(EstimatorState, map(tuple, members),
                       map(_CLASSIFICATIONS.__getitem__, classes)))
-    del rows, ids, members, classes
+    del ids, members, classes
 
     initials = {}
     for obs, sid in _as_object(data.pop("initials"), "initials").items():
         initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
 
-    rows = _rows(data.pop("transitions"), "transitions", _TRANSITION_SCHEMA)
-    if not rows:
+    srcs, actions, observables, dsts = _rows(data.pop("transitions"), "transitions",
+                                             _TRANSITION_SCHEMA)
+    if not srcs:
         return states, initials, {}
-    srcs, actions, observables, dsts = zip(*rows)
-    actions = map({a: a for a in set(actions)}.__getitem__, actions)  # one str per name
-    transitions = dict(zip(zip(srcs, actions, observables), dsts))
-    if (len(transitions) != len(rows) or min(srcs) < 0 or max(srcs) >= n
+    interned = map({a: a for a in set(actions)}.__getitem__, actions)  # one str per name
+    transitions = dict(zip(zip(srcs, interned, observables), dsts))
+    if (len(transitions) != len(srcs) or min(srcs) < 0 or max(srcs) >= n
             or min(dsts) < 0 or max(dsts) >= n):
         moves = {}  # (src, action, obs) -> the row that first moves so
-        for i, (src, action, obs, dst) in enumerate(rows):
+        for i, (src, action, obs, dst) in enumerate(zip(srcs, actions, observables, dsts)):
             if not (0 <= src < n and 0 <= dst < n):
                 raise ModelFormatError(f"transitions[{i}] out of range")
             first = moves.setdefault((src, action, obs), i)

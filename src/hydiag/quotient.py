@@ -17,11 +17,12 @@ system can let time pass there forever.
 
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, compress
+from itertools import chain, compress, islice, repeat
+from operator import lt
 
 from .errors import ModelFormatError
-from .fileformat import _as_list, _columns, _excerpt, _json_rows, _json_texts
-from .fileformat import _loads_json, _member, _read_text, _require_keys, _rows
+from .fileformat import _as_list, _as_object, _columns, _encode, _excerpt, _json_rows
+from .fileformat import _json_texts, _loads_json, _member, _read_text, _require_keys, _rows
 
 
 class Kind(str, Enum):
@@ -143,28 +144,16 @@ class QuotientModel:
     """
 
     def __init__(self, classes, actions, edges, time=()):
-        ids, self.faulty, initial, self.obs = _columns(tuple(classes), 4)
+        ids, faulty, initial, obs = _columns(tuple(classes), 4)
         for i, c in enumerate(ids):
             if c != i:
                 raise ValueError(f"class ids must be dense 0..n-1, got {c} at {i}")
         n = len(ids)
-        self.initial_classes = tuple(compress(ids, initial))
-
-        self.actions = tuple(actions)
-        by_name = {}
-        for a in self.actions:
-            if a.name in by_name:
-                raise ValueError(f"duplicate action name {_excerpt(a.name, 0)}")
-            by_name[a.name] = a
-        faults = [a for a in self.actions if a.kind is Kind.FAULT]
-        if len(faults) != 1:
-            raise ValueError(f"exactly one fault action required, got {len(faults)}")
-        self.fault_action = faults[0]
-        self.external_actions = tuple(a for a in self.actions if a.kind is Kind.EXTERNAL)
-
-        # Deduped in insertion order, so edges and time pairs that come
-        # sorted, as every file hydiag writes holds them, sort in one pass.
-        resolved = {}
+        by_name = self._declare(actions)
+        # Grouped by source class, in input order: ``_build`` adopts a
+        # group that comes strictly sorted, as every file hydiag wrote
+        # holds it, and sorts and deduplicates any other.
+        disc, after = [[] for _ in ids], [[] for _ in ids]
         for src, action, dst in edges:
             if isinstance(action, ActionLabel):
                 label = by_name.get(action.name)
@@ -177,44 +166,70 @@ class QuotientModel:
                 raise ValueError(f"edge action {name} is not a declared action")
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {_excerpt(label.name, 0)}, {dst}) out of range")
-            resolved[src, label, dst] = None
-        time_pairs = {}
+            disc[src].append((label, dst))
         for src, dst in time:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"time edge ({src}, {dst}) out of range")
-            time_pairs[src, dst] = None
+            after[src].append(dst)
+        self._build(faulty, initial, obs, zip(disc, after))
 
-        # Each class's rows become tuples as the sorted input moves past its
-        # last pair (a final pair from class n flushes the last class), so
-        # no row is ever held as a list for every class at once.
-        time_pairs = sorted(time_pairs)
-        self.divergent = frozenset(s for s, d in time_pairs if s == d)
-        tsucc, last, row = [()] * n, 0, []
-        for src, dst in chain(time_pairs, [(n, n)]):
-            if src != last:
-                tsucc[last] = tuple(row)
-                last, row = src, []
-            if src != dst:
-                row.append(dst)
-        # Sorted by (src, action name, dst): names are unique, so two labels
-        # compare by name alone and a kind is never compared.
-        disc, silent, last, row, hidden = [()] * n, tsucc[:], 0, [], []
+    @classmethod
+    def _from_rows(cls, actions, faulty, initial, obs, rows):
+        """The model of one row per class, as a quotient file holds it:
+        the columns ``faulty``, ``initial`` (flags) and ``obs``, and
+        ``rows``, an iterable of each class's ``(moves, time)``: its
+        (label, dst) pairs, labels among ``actions``, and its time
+        successors, itself when it is time-divergent.  The caller has
+        checked every label and target; ``rows`` is read once, a class
+        at a time."""
+        model = cls.__new__(cls)
+        model._declare(actions)
+        model._build(faulty, initial, obs, rows)
+        return model
+
+    def _declare(self, actions):
+        """Store ``actions`` and its fault and external actions; return
+        the actions by name."""
+        self.actions = tuple(actions)
+        by_name = {}
+        for a in self.actions:
+            if a.name in by_name:
+                raise ValueError(f"duplicate action name {_excerpt(a.name, 0)}")
+            by_name[a.name] = a
+        faults = [a for a in self.actions if a.kind is Kind.FAULT]
+        if len(faults) != 1:
+            raise ValueError(f"exactly one fault action required, got {len(faults)}")
+        self.fault_action = faults[0]
+        self.external_actions = tuple(a for a in self.actions if a.kind is Kind.EXTERNAL)
+        return by_name
+
+    def _build(self, faulty, initial, obs, rows):
+        self.faulty, self.obs = tuple(faulty), tuple(obs)
+        self.initial_classes = tuple(compress(range(len(self.obs)), initial))
+        disc, tsucc, silent, divergent = [], [], [], []
         external = Kind.EXTERNAL  # a class attribute of an Enum is slow to look up
-        resolved = iter(sorted(resolved))  # the loop frees the list as it ends
-        for src, label, dst in chain(resolved, [(n, self.fault_action, n)]):
-            if src != last:
-                disc[last], t = tuple(row), tsucc[last]
-                # A class's silent targets need a sort only when they come from
-                # two sources: time and an edge, or two silent actions.
-                silent[last] = (tuple(sorted({*hidden, *t})) if hidden and t or len(hidden) > 1
-                                else tuple(hidden) or t)
-                last, row, hidden = src, [], []
-            row.append((label, dst))
-            if label.kind is not external:
-                hidden.append(dst)
+        for c, (moves, after) in enumerate(rows):
+            # Labels of one model have unique names, so two compare by
+            # name alone and a kind is never compared.
+            moves, after = tuple(moves), tuple(after)
+            if len(moves) > 1:
+                moves = _strictly_sorted(moves)
+            if after:
+                after = _strictly_sorted(after)
+                if c in after:
+                    divergent.append(c)
+                    after = tuple([d for d in after if d != c])
+            hidden = [d for label, d in moves if label.kind is not external]
+            # A class's silent targets need a sort only when they come from
+            # two sources: time and an edge, or two silent actions.
+            silent.append(tuple(sorted({*hidden, *after})) if hidden and after or len(hidden) > 1
+                          else tuple(hidden) or after)
+            disc.append(moves)
+            tsucc.append(after)
         self._disc = tuple(disc)
         self._tsucc = tuple(tsucc)
         self._silent = tuple(silent)
+        self.divergent = frozenset(divergent)
         self._moves = _MoveTable(self)
 
     @property
@@ -249,6 +264,14 @@ class QuotientModel:
     def __repr__(self):
         n, edges = len(self.obs), sum(map(len, self._disc))
         return f"QuotientModel(n={n}, actions={len(self.actions)}, edges={edges})"
+
+
+def _strictly_sorted(row):
+    """The tuple ``row`` sorted and without repeats; one already strictly
+    increasing is taken as it is."""
+    if all(map(lt, row, row[1:])):
+        return row
+    return tuple(sorted(set(row)))
 
 
 def validate_model(model):
@@ -379,31 +402,93 @@ class _MoveTable(dict):
 # ---------------------------------------------------------------------------
 # Model file format (JSON)
 
-_CLASS_SCHEMA = {"id": int, "faulty": bool, "initial": bool, "obs": int}
+_ROW_SCHEMA = {"faulty": bool, "initial": bool, "obs": int, "edges": list, "time": list}
 _ACTION_SCHEMA = {"name": str, "kind": str}
+# The layout earlier versions wrote: global lists of classes, edges and time pairs.
+_CLASS_SCHEMA = {"id": int, "faulty": bool, "initial": bool, "obs": int}
 _EDGE_SCHEMA = {"src": int, "action": str, "dst": int}
 _TIME_SCHEMA = {"src": int, "dst": int}
 
 
 def loads_model(text):
-    """Parse a quotient model from its JSON file format."""
+    """Parse a quotient model from its JSON file format: one row per
+    class, or the global ``edges`` and ``time`` lists of earlier versions,
+    which load through the constructor."""
     data = _loads_json(text)
     del text
+    if "edges" not in _as_object(data, "model") and "time" not in data:
+        return _loads_class_rows(data)
     _require_keys(data, {"classes", "actions", "edges", "time"}, "model")
-    classes = [ClassInfo(*row) for row in _rows(data.pop("classes"), "classes", _CLASS_SCHEMA)]
-    actions = [
-        ActionLabel(name, _member(Kind, kind, f"actions[{i}].kind"))
-        for i, (name, kind) in enumerate(_rows(data.pop("actions"), "actions", _ACTION_SCHEMA))
-    ]
-    # The checked rows reach the constructor through iterators alone, and
-    # an exhausted list iterator frees its list: the decoded rows are gone
-    # before the model's adjacency is built.
-    edges = iter(_rows(data.pop("edges"), "edges", _EDGE_SCHEMA))
-    time = iter(_rows(data.pop("time"), "time", _TIME_SCHEMA))
+    classes = zip(*_rows(data.pop("classes"), "classes", _CLASS_SCHEMA))
+    actions = _actions(data.pop("actions"))
+    # Each list's decoded rows are dropped once its columns are checked.
+    edges = zip(*_rows(data.pop("edges"), "edges", _EDGE_SCHEMA))
+    time = zip(*_rows(data.pop("time"), "time", _TIME_SCHEMA))
     try:
         return QuotientModel(classes, actions, edges, time)
     except ValueError as e:
         raise ModelFormatError(str(e)) from None
+
+
+def _actions(value):
+    names, kinds = _rows(value, "actions", _ACTION_SCHEMA)
+    return [ActionLabel(name, _member(Kind, kind, f"actions[{i}].kind"))
+            for i, (name, kind) in enumerate(zip(names, kinds))]
+
+
+def _loads_class_rows(data):
+    """The model of a document of one row per class, ``[faulty, initial,
+    obs, [[action, dst], ...], [dst, ...]]``.  Its entries are checked by
+    column; only if a check fails are the rows rescanned, to report the
+    first bad entry.  The decoded pairs are dropped before the model's
+    rows are built."""
+    _require_keys(data, {"classes", "actions"}, "model")
+    faulty, initial, obs, edges, time = _rows(data.pop("classes"), "classes", _ROW_SCHEMA)
+    actions = _actions(data.pop("actions"))
+    by_name, n = {a.name: a for a in actions}, len(obs)
+    pairs = list(chain.from_iterable(edges))
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        _check_class_rows(edges, time, by_name, n)
+    names, dsts = _columns(pairs, 2)
+    del pairs
+    targets = (*dsts, *chain.from_iterable(time))
+    if (set(map(type, names)) - {str} or not set(names) <= by_name.keys()
+            or set(map(type, targets)) - {int}
+            or targets and not 0 <= min(targets) <= max(targets) < n):
+        _check_class_rows(edges, time, by_name, n)
+    moves = zip(map(by_name.__getitem__, names), dsts)
+    lengths = list(map(len, edges))
+    del targets, edges
+    rows = zip(map(tuple, map(islice, repeat(moves), lengths)), time)
+    try:
+        return QuotientModel._from_rows(actions, faulty, initial, obs, rows)
+    except ValueError as e:
+        raise ModelFormatError(str(e)) from None
+
+
+def _check_class_rows(edges, time, by_name, n):
+    """Raise the format error of the first bad entry of the class rows'
+    ``edges`` and ``time`` lists."""
+    for i, (moves, after) in enumerate(zip(edges, time)):
+        for j, move in enumerate(moves):
+            what = f"classes[{i}].edges[{j}]"
+            if type(move) is not list or list(map(type, move)) != [str, int]:
+                raise ModelFormatError(
+                    f"{what} must be a list [action, dst] of a string and an integer"
+                )
+            if move[0] not in by_name:
+                raise ModelFormatError(
+                    f"{what}: action {_excerpt(move[0], 0)} is not a declared action"
+                )
+            if not 0 <= move[1] < n:
+                raise ModelFormatError(f"{what} out of range")
+        for j, dst in enumerate(after):
+            if type(dst) is not int:
+                raise ModelFormatError(
+                    f"classes[{i}].time[{j}] must be an integer, got {type(dst).__name__}"
+                )
+            if not 0 <= dst < n:
+                raise ModelFormatError(f"classes[{i}].time[{j}] out of range")
 
 
 def load_model(path):
@@ -411,25 +496,26 @@ def load_model(path):
 
 
 def dumps_model(model):
-    """Serialize a model to the JSON file format (round-trip stable).
-
-    Time is written as the declared pairs, self-pairs exactly for the
-    time-divergent classes.
+    """Serialize a model to the JSON file format (round-trip stable): one
+    row per class, ``[faulty, initial, obs, [[action, dst], ...], [dst,
+    ...]]``, read off the stored rows.  A time-divergent class lists
+    itself among its time successors.
     """
-    ids, initial = range(len(model.obs)), set(model.initial_classes)
+    initial, divergent = set(model.initial_classes), model.divergent
     names, kinds = _columns(model.actions, 2)
-    srcs = [src for src, row in enumerate(model._disc) for _ in row]
+    name_texts = dict(zip(names, _json_texts(names, str)))
     labels, dsts = _columns(chain.from_iterable(model._disc), 2)
-    time_srcs, time_dsts = _columns(sorted(model.time), 2)
-    return '{"classes":[%s],"actions":[%s],"edges":[%s],"time":[%s]}\n' % (
+    moves = map("[%s,%s]".__mod__, zip(
+        map(name_texts.__getitem__, _columns(labels, 2)[0]), _json_texts(dsts, int)))
+    time = [sorted((*row, c)) if c in divergent else row for c, row in enumerate(model._tsucc)]
+    return '{"classes":[%s],"actions":[%s]}\n' % (
         _json_rows(
-            "[%s,%s,%s,%s]", _json_texts(ids, int), _json_texts(model.faulty, bool),
-            _json_texts([c in initial for c in ids], bool), _json_texts(model.obs, int),
+            "[%s,%s,%s,[%s],[%s]]", _json_texts(model.faulty, bool),
+            _json_texts([c in initial for c in range(len(model.obs))], bool),
+            _json_texts(model.obs, int),
+            [",".join(islice(moves, len(row))) for row in model._disc],
+            # Time successors are class ids, so the encoded rows split where one ends.
+            _encode(time)[2:-2].split("],["),
         ),
         _json_rows("[%s,%s]", _json_texts(names, str), _json_texts(kinds, Kind)),
-        _json_rows(
-            "[%s,%s,%s]", _json_texts(srcs, int), _json_texts(_columns(labels, 2)[0], str),
-            _json_texts(dsts, int),
-        ),
-        _json_rows("[%s,%s]", _json_texts(time_srcs, int), _json_texts(time_dsts, int)),
     )

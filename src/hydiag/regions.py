@@ -46,7 +46,7 @@ from .errors import CapExceeded, ModelFormatError, PartitionError, TAValidationE
 from .fileformat import DEFAULT_MAX_CLASSES, _as_list, _excerpt, _int_literal, _loads_json
 from .fileformat import _member, _read_text, _require_keys, _rows
 from .graphs import explore
-from .quotient import ActionLabel, ClassInfo, Kind, QuotientModel, validate_model
+from .quotient import ActionLabel, Kind, QuotientModel, validate_model
 
 # Most '(' and '!' a predicate may have open at once.  Chains of '&' or
 # '|' are flat nodes, so this bounds the depth of parsing and evaluation.
@@ -609,29 +609,19 @@ def _explore(ta, max_classes, keep_keys):
         if loc.initial and invariant[i]((i, *origin))
     ]
     keys, _, out = explore(starts, successors, max_classes, "region classes")
-    # The initial classes are the starts, numbered first.
-    faulty = [loc.faulty for loc in ta.locations]
-    classes = [
-        ClassInfo(cid, faulty[key[0]], cid < len(starts), ta._observable_of_key(key))
-        for cid, key in enumerate(keys)
-    ]
+    at_faulty = [loc.faulty for loc in ta.locations]
+    faulty = [at_faulty[key[0]] for key in keys]
+    initial = [cid < len(starts) for cid in range(len(keys))]  # the starts, numbered first
+    obs = list(map(ta._observable_of_key, keys))
     if not keep_keys:
         keys = None
-    # Each row is dropped as it is split, so the rows and the lists are
-    # never both whole; as ``loads_model`` does, the lists reach the model
-    # through iterators alone.
-    edges, time = [], []
-    for cid, row in enumerate(out):
-        out[cid] = None
-        for a, did in row:
-            if a is None:
-                time.append((cid, did))
-            else:
-                edges.append((cid, a, did))
-    del out
-    edges, time = iter(edges), iter(time)
 
-    model = QuotientModel(classes, ta.actions, edges, time)
+    def rows():  # each row is dropped as it is split into its moves and its time successor
+        for cid, row in enumerate(out):
+            out[cid] = None
+            yield [move for move in row if move[0] is not None], [d for a, d in row if a is None]
+
+    model = QuotientModel._from_rows(ta.actions, faulty, initial, obs, rows())
     report = validate_model(model)
     if not report.ok:
         first = report.violations[0]
@@ -700,7 +690,7 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
     locations = [
         Location(name, faulty, initial, _constraints(invariant, f"locations[{i}].invariant"))
         for i, (name, faulty, initial, invariant)
-        in enumerate(_rows(data["locations"], "locations", _LOC_SCHEMA))
+        in enumerate(zip(*_rows(data["locations"], "locations", _LOC_SCHEMA)))
     ]
 
     _require_keys(data["clocks"], {"internal", "external"}, "clocks")
@@ -717,12 +707,13 @@ def parse_ta(text, max_classes=DEFAULT_MAX_CLASSES):
             frozenset(_strings(resets, f"edges[{i}].resets")),
         )
         for i, (src, dst, action, kind, guard, resets)
-        in enumerate(_rows(data["edges"], "edges", _TA_EDGE_SCHEMA))
+        in enumerate(zip(*_rows(data["edges"], "edges", _TA_EDGE_SCHEMA)))
     ]
 
+    ids, preds = _rows(data["observation"], "observation", _OBS_SCHEMA)
     observation = [
         ObservableSpec(obs_id, _parsed(parse_pred, pred, f"observation[{i}].pred"))
-        for i, (obs_id, pred) in enumerate(_rows(data["observation"], "observation", _OBS_SCHEMA))
+        for i, (obs_id, pred) in enumerate(zip(ids, preds))
     ]
 
     return TimedAutomatonWithFaults(

@@ -124,10 +124,11 @@ def external_targets(model):
 
 
 def recorded_quotients(build):
-    """The models ``build()`` returns, each with the inputs its
-    constructor was given, ``(classes, actions, edges, time)`` read into
-    lists: ``QuotientModel`` is replaced, where ``loads_model``,
-    ``random_model`` and ``build_region_quotient`` call it, by a recorder."""
+    """The models ``build()`` returns, each with the inputs it was built
+    from as constructor inputs, ``(classes, actions, edges, time)`` read
+    into lists: ``QuotientModel`` is replaced, where ``loads_model``,
+    ``random_model`` and ``build_region_quotient`` call it or its
+    per-class builder ``_from_rows``, by a recorder."""
     made = {}  # keeps every model alive, so no id is reused
 
     def record(classes, actions, edges, time=()):
@@ -136,6 +137,19 @@ def recorded_quotients(build):
         made[id(model)] = model, inputs
         return model
 
+    def record_rows(actions, faulty, initial, obs, rows):
+        rows = [(list(moves), list(after)) for moves, after in rows]
+        inputs = (
+            list(map(ClassInfo, itertools.count(), faulty, initial, obs)),
+            list(actions),
+            [(c, label, dst) for c, (moves, _) in enumerate(rows) for label, dst in moves],
+            [(c, dst) for c, (_, after) in enumerate(rows) for dst in after],
+        )
+        model = QuotientModel._from_rows(actions, faulty, initial, obs, rows)
+        made[id(model)] = model, inputs
+        return model
+
+    record._from_rows = record_rows
     with pytest.MonkeyPatch.context() as mp:
         for module in (hydiag.quotient, hydiag.oracle, hydiag.regions):
             mp.setattr(module, "QuotientModel", record)
@@ -477,7 +491,7 @@ def reference_parse_graph_json(data, what, extra_keys=frozenset()):
     _require_keys(data, {"states", "initials", "transitions"} | extra_keys, what)
 
     states = []
-    for i, (sid, members, cls) in enumerate(_rows(data["states"], "states", _STATE_SCHEMA)):
+    for i, (sid, members, cls) in enumerate(zip(*_rows(data["states"], "states", _STATE_SCHEMA))):
         if sid != i:
             raise ModelFormatError(f"states[{i}].id must be {i}")
         if set(map(type, members)) - {int}:
@@ -492,7 +506,7 @@ def reference_parse_graph_json(data, what, extra_keys=frozenset()):
         initials[_key_int(obs, "initials")] = _state_id(sid, n, "initials", obs)
 
     transitions = {}
-    rows = _rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)
+    rows = list(zip(*_rows(data["transitions"], "transitions", _TRANSITION_SCHEMA)))
     for i, (src, action, obs, dst) in enumerate(rows):
         if not (0 <= src < n and 0 <= dst < n):
             raise ModelFormatError(f"transitions[{i}] out of range")
@@ -509,13 +523,31 @@ def _reference_dumps(data):
 
 def reference_dumps_model(model):
     """``dumps_model`` as a dict of the file's data, written by the json
-    module's C encoder."""
+    module's C encoder: one row per class, read off the ``classes``,
+    ``edges`` and ``time`` views."""
+    moves, time = {}, {}
+    for src, label, dst in model.edges:
+        moves.setdefault(src, []).append([label.name, dst])
+    for src, dst in sorted(model.time):
+        time.setdefault(src, []).append(dst)
     return _reference_dumps({
-        "classes": [[c.id, c.faulty, c.initial, c.obs] for c in model.classes],
+        "classes": [[c.faulty, c.initial, c.obs, moves.get(c.id, []), time.get(c.id, [])]
+                    for c in model.classes],
         "actions": [[a.name, a.kind.value] for a in model.actions],
-        "edges": [[src, label.name, dst] for src, label, dst in model.edges],
-        "time": [[s, d] for s, d in sorted(model.time)],
     })
+
+
+def legacy_model_data(data):
+    """The data of a quotient file as earlier versions laid it out, with
+    array rows: ``data``, the data of a file with one row per class, as
+    classes with their ids and global ``edges`` and ``time`` lists."""
+    rows = data["classes"]
+    return {
+        "classes": [[i, faulty, initial, obs] for i, (faulty, initial, obs, _, _) in enumerate(rows)],
+        "actions": data["actions"],
+        "edges": [[i, action, dst] for i, row in enumerate(rows) for action, dst in row[3]],
+        "time": [[i, dst] for i, row in enumerate(rows) for dst in row[4]],
+    }
 
 
 def _reference_graph_data(graph):
@@ -533,37 +565,50 @@ def _reference_graph_data(graph):
 
 # The keys of each row list in the files hydiag writes, in the order of
 # the values of an array row.  Earlier versions wrote every row as an
-# object of these keys.
+# object, and laid a quotient out as the classes of LEGACY_ROW_KEYS and
+# global edges and time lists.
 ROW_KEYS = {
-    "classes": ("id", "faulty", "initial", "obs"),
+    "classes": ("faulty", "initial", "obs", "edges", "time"),
     "actions": ("name", "kind"),
-    "edges": ("src", "action", "dst"),
-    "time": ("src", "dst"),
     "states": ("id", "members", "class"),
     "transitions": ("src", "action", "obs", "dst"),
 }
+LEGACY_ROW_KEYS = {
+    **ROW_KEYS,
+    "classes": ("id", "faulty", "initial", "obs"),
+    "edges": ("src", "action", "dst"),
+    "time": ("src", "dst"),
+}
+
+
+def row_keys(data):
+    """The row keys of a file's data: a quotient with global ``edges`` is
+    laid out as earlier versions wrote it, as the loader tells them apart."""
+    return LEGACY_ROW_KEYS if "edges" in data else ROW_KEYS
 
 
 def spelled_as_objects(data, which=lambda i: True):
     """The data of a quotient, estimator or diagnoser file with the rows
     whose index ``which`` accepts spelled as objects; a row already an
     object stays one."""
+    keys = row_keys(data)
     return {
         field: [
-            dict(zip(ROW_KEYS[field], row)) if type(row) is list and which(i) else row
+            dict(zip(keys[field], row)) if type(row) is list and which(i) else row
             for i, row in enumerate(value)
-        ] if field in ROW_KEYS else value
+        ] if field in keys else value
         for field, value in data.items()
     }
 
 
-def array_path(path):
-    """A path into a written file, with the key of a row, as in ``(table,
-    row, key, ...)``, replaced by its position in the array row."""
-    if path[0] not in ROW_KEYS:
+def array_path(path, data):
+    """A path into the file data ``data``, with the key of a row, as in
+    ``(table, row, key, ...)``, replaced by its position in the array row."""
+    keys = row_keys(data)
+    if path[0] not in keys:
         return path
     table, row, key, *rest = path
-    return (table, row, ROW_KEYS[table].index(key), *rest)
+    return (table, row, keys[table].index(key), *rest)
 
 
 def reference_dumps_estimator(est):

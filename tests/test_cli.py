@@ -23,6 +23,7 @@ from .helpers import (
     make_model,
     record_expansions,
     save_model,
+    legacy_model_data,
     spelled_as_objects,
 )
 
@@ -252,7 +253,7 @@ class TestRegionsPipeline:
         # and check exactly like the generator file written now.
         out = tmp_path / "ta1.quot.json"
         main(["regions", TA1, "-o", str(out)])
-        data = json.loads(out.read_text())
+        data = legacy_model_data(json.loads(out.read_text()))
         flow = nx.DiGraph((s, d) for s, d in data["time"] if s != d)
         closed = {(s, d) for s, d in nx.transitive_closure(flow).edges if s != d}
         closed |= {(s, d) for s, d in data["time"] if s == d}

@@ -40,13 +40,13 @@ from .helpers import (
     linear_chain_model,
     make_model,
     nx_observed_step,
+    peak_per_document,
     q3_model,
     random_progressive_ta,
     reference_automata,
     reference_check_progressive,
     reference_delay_bound,
     save_model,
-    traced_memory,
     unpruned_check_diagnosable,
 )
 
@@ -292,12 +292,11 @@ class TestProgressiveAgainstReference:
 class TestProgressiveMemory:
     def test_transient_is_a_fraction_of_the_model(self):
         # Only the time pairs out of classes with no discrete edge are read
-        # backwards: on kclock_ta(3,4) the check allocates 0.27 times the
-        # model (184,376 bytes), where a time-predecessor list per class
-        # took 0.80 times.
+        # backwards: on kclock_ta(3,4) the check allocates 184,376 bytes,
+        # 0.14 times the decoded document of the model's file, where a
+        # time-predecessor list per class took 0.40 times.
         text = dumps_model(region_quotient(kclock_ta_34()))
-        model_size = traced_memory(loads_model, text)[0]
-        assert traced_memory(check_progressive, loads_model(text))[1] <= 0.35 * model_size
+        assert peak_per_document(text, check_progressive, loads_model(text)) <= 0.17
 
 
 def synthetic_estimator(classifications, edges, initial_obs=0):

@@ -223,7 +223,7 @@ class TestStrictLoader:
     @pytest.mark.parametrize("value", ["0", 1.7, False], ids=["string", "float", "bool"])
     def test_non_integer_ids_and_observables_rejected(self, q1, path, value):
         data = q1_diagnoser_json(q1)
-        set_path(data, array_path(path), value)
+        set_path(data, array_path(path, data), value)
         with pytest.raises(ModelFormatError, match="integer"):
             loads_diagnoser(json.dumps(data))
 

@@ -35,6 +35,7 @@ from hydiag.quotient import (
     _ACTION_SCHEMA,
     _CLASS_SCHEMA,
     _EDGE_SCHEMA,
+    _ROW_SCHEMA,
     _TIME_SCHEMA,
     ActionLabel,
     ClassInfo,
@@ -51,6 +52,7 @@ from .helpers import (
     array_path,
     benchmark_families,
     legacy_diagnoser_data,
+    legacy_model_data,
     q1_model,
     q2_model,
     q3_model,
@@ -131,9 +133,16 @@ def replaced(data, path, value):
 
 
 def quotient_file():
+    """q2's file with class 2 time-divergent: one row per class."""
     data = json.loads(dumps_model(q2_model()))
-    data["time"] = [[2, 2]]
+    for i, row in enumerate(data["classes"]):
+        row[4] = [2] if i == 2 else []
     return data
+
+
+def legacy_quotient_file():
+    """``quotient_file()`` laid out as earlier versions wrote it."""
+    return legacy_model_data(quotient_file())
 
 
 def automaton_file():
@@ -148,10 +157,11 @@ def diagnoser_file():
     "data, load",
     [
         (quotient_file(), loads_model),
+        (legacy_quotient_file(), loads_model),
         (automaton_file(), parse_ta),
         (diagnoser_file(), loads_diagnoser),
     ],
-    ids=["quotient", "automaton", "diagnoser"],
+    ids=["quotient", "quotient-legacy", "automaton", "diagnoser"],
 )
 def test_every_replaced_value_loads_or_is_rejected(data, load):
     load(json.dumps(data))
@@ -253,6 +263,8 @@ def test_repeated_transition_is_rejected(shift):
     [
         (quotient_file(), loads_model, ("classes", 0, "faulty"), 1,
          "classes[0].faulty must be a boolean, got int"),
+        (legacy_quotient_file(), loads_model, ("classes", 0, "faulty"), 1,
+         "classes[0].faulty must be a boolean, got int"),
         (automaton_file(), parse_ta, ("locations", 0, "initial"), None,
          "locations[0].initial must be a boolean, got NoneType"),
         (diagnoser_file(), loads_diagnoser, ("transitions", 0, "obs"), "1",
@@ -262,7 +274,8 @@ def test_repeated_transition_is_rejected(shift):
         (automaton_file(), parse_ta, ("edges", 0, "kind"), "x",
          "edges[0].kind must be one of external|internal|fault"),
     ],
-    ids=["quotient-bool", "automaton-bool", "diagnoser-int", "diagnoser-enum", "automaton-enum"],
+    ids=["quotient-bool", "quotient-legacy-bool", "automaton-bool", "diagnoser-int",
+         "diagnoser-enum", "automaton-enum"],
 )
 def test_malformed_field_message(data, load, path, value, message):
     """A written file's rows are arrays, and the message names the key of
@@ -270,7 +283,7 @@ def test_malformed_field_message(data, load, path, value, message):
     objects, the key is the one that holds it."""
     cases = [(data, path)]
     if load is not parse_ta:
-        cases = [(data, array_path(path)), (spelled_as_objects(data), path)]
+        cases = [(data, array_path(path, data)), (spelled_as_objects(data), path)]
     for spelled, at in cases:
         with pytest.raises(ModelFormatError) as info:
             load(json.dumps(replaced(spelled, at, value)))
@@ -288,7 +301,7 @@ def test_malformed_field_message(data, load, path, value, message):
     ],
 )
 def test_row_of_the_wrong_shape_message(table, row, message):
-    data = quotient_file()
+    data = legacy_quotient_file()
     for spelled in (data, spelled_as_objects(data)):
         with pytest.raises(ModelFormatError) as info:
             loads_model(json.dumps(replaced(spelled, (table, 0), row)))
@@ -306,16 +319,20 @@ SPELLING_MODELS = [
 @pytest.mark.parametrize("kind", WRITERS)
 def test_rows_spelled_as_objects_load_equal(kind):
     """A file whose rows are spelled as objects, as earlier versions wrote
-    them, all or every other one, loads as the file written now does."""
+    them, all or every other one, loads as the file written now does; so
+    does a quotient laid out as earlier versions wrote it, with global
+    edges and time lists, in either spelling."""
     build, dumps, loads = WRITERS[kind]
     for model in SPELLING_MODELS:
         written = build(model)
         data = json.loads(dumps(written))
         assert all(type(row) is list for table in ROW_KEYS for row in data.get(table, ()))
         assert fields(loads(dumps(written))) == fields(written)
-        for which in (lambda i: True, lambda i: i % 2 == 1):
-            spelled = spelled_as_objects(data, which)
-            assert fields(loads(json.dumps(spelled))) == fields(written)
+        for layout in [data, legacy_model_data(data)] if kind == "quotient" else [data]:
+            assert fields(loads(json.dumps(layout))) == fields(written)
+            for which in (lambda i: True, lambda i: i % 2 == 1):
+                spelled = spelled_as_objects(layout, which)
+                assert fields(loads(json.dumps(spelled))) == fields(written)
 
 
 def test_automaton_rows_as_arrays_load_equal():
@@ -365,17 +382,24 @@ def outcome(rows, *args):
         return str(e)
 
 
+def transposed(columns):
+    """``_rows``, which returns columns, as the list of its rows."""
+    return lambda *args: list(zip(*columns(*args)))
+
+
 ROW_LISTS = [
-    (quotient_file()["classes"], "classes", _CLASS_SCHEMA),
+    (quotient_file()["classes"], "classes", _ROW_SCHEMA),
+    (legacy_quotient_file()["classes"], "classes", _CLASS_SCHEMA),
     (quotient_file()["actions"], "actions", _ACTION_SCHEMA),
-    (quotient_file()["edges"], "edges", _EDGE_SCHEMA),
-    (quotient_file()["time"], "time", _TIME_SCHEMA),
+    (legacy_quotient_file()["edges"], "edges", _EDGE_SCHEMA),
+    (legacy_quotient_file()["time"], "time", _TIME_SCHEMA),
     (diagnoser_file()["states"], "states", _STATE_SCHEMA),
     (diagnoser_file()["transitions"], "transitions", _TRANSITION_SCHEMA),
 ]
 
 
-@pytest.mark.parametrize("arrays, what, schema", ROW_LISTS, ids=[r[1] for r in ROW_LISTS])
+@pytest.mark.parametrize("arrays, what, schema", ROW_LISTS,
+                         ids=["class-rows", "classes", "actions", "edges", "time", "states", "transitions"])
 def test_rows_check_in_bulk_as_row_by_row(arrays, what, schema):
     """The bulk checks of ``_rows`` pass exactly the lists a row-by-row scan
     passes, with rows spelled as arrays, as objects or mixed, and a
@@ -399,9 +423,11 @@ def test_rows_check_in_bulk_as_row_by_row(arrays, what, schema):
             broken.append(replaced(arrays, (i,), bad))
             broken.append(replaced(objs, (i,), bad))
     for rows in (arrays, objs, mixed):
-        assert outcome(_rows, rows, what, schema) == reference_rows(arrays, what, schema)
+        assert outcome(transposed(_rows), rows, what, schema) == reference_rows(arrays, what, schema)
+    assert _rows([], what, schema) == ((),) * len(keys)
     for value in broken:
-        assert outcome(_rows, value, what, schema) == outcome(reference_rows, value, what, schema)
+        assert outcome(transposed(_rows), value, what, schema) == outcome(
+            reference_rows, value, what, schema)
 
 
 # Diagnoser files: the fixtures' and the benchmark's kclock_ta(3, 4), whose

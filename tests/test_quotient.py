@@ -1,6 +1,9 @@
 """Tests for the quotient model: validation, closures, file format."""
 
 import itertools
+import json
+import random
+import re
 import sys
 import threading
 
@@ -23,12 +26,13 @@ from hydiag.quotient import (
     unobservable_closure,
     validate_model,
 )
-from hydiag.regions import load_ta, region_quotient
+from hydiag.regions import load_ta, parse_ta, region_quotient
 
 from .conftest import FIXTURES
 from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_model
 from .helpers import external_targets, kclock_ta_34, random_progressive_ta, recorded_quotients
-from .helpers import peak_per_document, reference_adjacency, spelled_as_objects
+from .helpers import benchmark_families, legacy_model_data, peak_per_document
+from .helpers import reference_adjacency, reference_dumps_model, spelled_as_objects
 
 
 def rules_of(report):
@@ -453,27 +457,26 @@ class TestFileFormat:
         assert again == model
 
     def test_unknown_top_level_key_rejected(self, q1):
-        import json
-
-        data = json.loads(dumps_model(q1))
+        data = written(q1)
         data["extra"] = []
         with pytest.raises(ModelFormatError, match="unknown keys"):
             loads_model(json.dumps(data))
 
     def test_unknown_class_key_rejected(self, q1):
-        import json
-
-        data = spelled_as_objects(json.loads(dumps_model(q1)), lambda i: i == 0)
-        data["classes"][0]["color"] = "red"
-        with pytest.raises(ModelFormatError, match="unknown keys"):
-            loads_model(json.dumps(data))
+        for data in (written(q1), legacy_model_data(written(q1))):
+            data = spelled_as_objects(data, lambda i: i == 0)
+            data["classes"][0]["color"] = "red"
+            with pytest.raises(ModelFormatError, match="unknown keys"):
+                loads_model(json.dumps(data))
 
     def test_missing_key_rejected(self, q1):
-        import json
-
-        data = json.loads(dumps_model(q1))
+        data = legacy_model_data(written(q1))
         del data["time"]
-        with pytest.raises(ModelFormatError, match="missing keys"):
+        with pytest.raises(ModelFormatError, match=re.escape("missing keys: ['time']")):
+            loads_model(json.dumps(data))
+        data = written(q1)
+        del data["actions"]
+        with pytest.raises(ModelFormatError, match=re.escape("missing keys: ['actions']")):
             loads_model(json.dumps(data))
 
     def test_bad_json_reports_position(self):
@@ -488,6 +491,9 @@ class TestFileFormat:
         """
         with pytest.raises(ModelFormatError, match="fault"):
             loads_model(text)
+        with pytest.raises(ModelFormatError, match="exactly one fault action required, got 2"):
+            loads_model('{"classes": [[false, true, 0, [], []]], '
+                        '"actions": [["f", "fault"], ["g", "fault"]]}')
 
     def test_edge_out_of_range_rejected(self):
         text = """
@@ -501,18 +507,119 @@ class TestFileFormat:
     @pytest.mark.parametrize("field", ["classes", "actions", "edges", "time"])
     @pytest.mark.parametrize("value", [5, "abc", {"0": {}}, None])
     def test_non_list_field_rejected(self, q1, field, value):
-        import json
-
-        data = json.loads(dumps_model(q1))
+        data = written(q1)
+        if field in ("edges", "time"):
+            data = legacy_model_data(data)
         data[field] = value
         with pytest.raises(ModelFormatError, match=f"{field} must be a list"):
             loads_model(json.dumps(data))
 
     @pytest.mark.parametrize("field", ["classes", "actions", "edges", "time"])
     def test_non_object_entry_rejected(self, q1, field):
-        import json
-
-        data = json.loads(dumps_model(q1))
+        data = written(q1)
+        if field in ("edges", "time"):
+            data = legacy_model_data(data)
         data[field] = [5]
         with pytest.raises(ModelFormatError, match="must be an object"):
             loads_model(json.dumps(data))
+
+
+def written(model):
+    """The data of ``model``'s file."""
+    return json.loads(dumps_model(model))
+
+
+def file_models():
+    """The fixtures, ``random_models(300, s)`` for s in 0 and 1, and the
+    benchmark's ``kclock_ta(3, 4)`` and ``leak_ta(100)`` quotients."""
+    families = benchmark_families()
+    return [
+        *(load_model(FIXTURES / f"{name}.quot.json") for name in ("q1", "q2", "bad-d1")),
+        *(region_quotient(load_ta(FIXTURES / f"{name}.ta.json")) for name in ("ta1", "kclock2")),
+        *random_models(300, 0),
+        *random_models(300, 1),
+        region_quotient(kclock_ta_34()),
+        region_quotient(parse_ta(json.dumps(families.leak_ta(100)))),
+    ]
+
+
+class TestClassRows:
+    """A quotient file holds one row per class, ``[faulty, initial, obs,
+    [[action, dst], ...], [dst, ...]]``; the layout earlier versions wrote,
+    global ``edges`` and ``time`` lists, still loads."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return file_models()
+
+    def test_written_files_load_back_equal(self, models):
+        for model in models:
+            text = dumps_model(model)
+            assert text == reference_dumps_model(model)
+            assert loads_model(text) == model
+
+    def test_earlier_layouts_load_equal(self, models):
+        """The same model laid out with global edges and time lists, with
+        array rows as the previous version wrote them and with object rows
+        as earlier ones did, loads equal."""
+        for model in models:
+            legacy = legacy_model_data(written(model))
+            for data in (legacy, spelled_as_objects(legacy)):
+                assert loads_model(json.dumps(data)) == model
+
+    def test_unsorted_rows_load_as_the_constructor_builds_them(self, models):
+        """A class row whose pairs come out of order, or repeat, loads to
+        the model the constructor builds from the same pairs in the same
+        order, as global lists."""
+        rng = random.Random(0)
+        for model in models[:40] + models[-2:]:
+            data = written(model)
+            for row in data["classes"]:
+                for pairs in row[3:]:
+                    pairs += rng.sample(pairs, len(pairs) // 2)
+                    rng.shuffle(pairs)
+            legacy = legacy_model_data(data)
+            assert loads_model(json.dumps(data)) == loads_model(json.dumps(legacy)) == model
+
+    @pytest.mark.parametrize("field, value, message", [
+        (None, [False, False, 1, []], "classes[1] must have 5 values, got 4"),
+        (0, 1, "classes[1].faulty must be a boolean, got int"),
+        (1, "no", "classes[1].initial must be a boolean, got str"),
+        (2, 1.0, "classes[1].obs must be an integer, got float"),
+        (3, {}, "classes[1].edges must be a list, got dict"),
+        (4, None, "classes[1].time must be a list, got NoneType"),
+        (3, [["tick"]],
+         "classes[1].edges[0] must be a list [action, dst] of a string and an integer"),
+        (3, [[0, "tick"]],
+         "classes[1].edges[0] must be a list [action, dst] of a string and an integer"),
+        (3, [["tick", 0], {"action": "tick", "dst": 0}],
+         "classes[1].edges[1] must be a list [action, dst] of a string and an integer"),
+        (4, [0, True], "classes[1].time[1] must be an integer, got bool"),
+        (3, [["zap", 0]], "classes[1].edges[0]: action 'zap' is not a declared action"),
+        (3, [["tick", 4]], "classes[1].edges[0] out of range"),
+        (3, [["tick", 0], ["tick", -1]], "classes[1].edges[1] out of range"),
+        (4, [4], "classes[1].time[0] out of range"),
+    ], ids=["width", "faulty", "initial", "obs", "edges", "time", "edge-short", "edge-types",
+            "edge-object", "time-type", "undeclared", "edge-range", "edge-negative", "time-range"])
+    def test_a_bad_class_row_is_named(self, q1, field, value, message):
+        """Each check names the first bad row: the same value in a later
+        row is not reported."""
+        data = written(q1)
+        for row in (3, 1):
+            if field is None:
+                data["classes"][row] = value
+            else:
+                data["classes"][row][field] = value
+        with pytest.raises(ModelFormatError) as info:
+            loads_model(json.dumps(data))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("extra", [{"edges": [], "time": []},
+                                       {"edges": [[0, "tick", 1]], "time": [[0, 0]]}])
+    def test_global_lists_beside_class_rows_are_named(self, q1, extra):
+        """A document with ``edges`` or ``time`` is laid out as earlier
+        versions wrote it, so its class rows must be the four values of
+        that layout."""
+        with pytest.raises(ModelFormatError) as info:
+            loads_model(json.dumps({**written(q1), **extra}))
+        assert str(info.value) == "classes[0] must have 4 values, got 5"
