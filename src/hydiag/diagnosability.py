@@ -65,26 +65,32 @@ def check_progressive(model):
 
     Fails with a witness if some reachable class deadlocks (no discrete
     edge now or after any time elapse) or if a reachable cycle of internal
-    actions and time edges exists.  Time edges are the declared pairs; an
-    explicit divergence mark counts as a time self-loop, since the system
-    can then let time pass forever in that class.
+    actions and time edges exists.  Time edges are the declared pairs; a
+    time self-pair is a time self-loop, since the system can then let time
+    pass forever in that class.
 
-    The reachable and the live classes are found by two plain worklists.
-    When no reachable class is divergent, one Kahn pass over the silent
-    moves of the reachable classes decides: if it removes them all, there
-    is no cycle.  Only otherwise do Tarjan's components and
-    ``shortest_cycle`` run, for the witness: the shortest cycle through
-    the smallest class of the first cyclic component Tarjan completes.
+    The reachable and the live classes are found by two plain worklists;
+    the first also counts each reachable class's silent in-degree.  One
+    Kahn pass over the silent moves of the reachable classes then decides:
+    if it removes them all, there is no cycle.  A self-pair keeps its
+    class's count above zero, so a divergent class is never removed.  Only
+    when a class is left do Tarjan's components and ``shortest_cycle``
+    run, for the witness: the shortest cycle through the smallest class of
+    the first cyclic component Tarjan completes.
     """
-    discrete, time_succ = model._disc, model._tsucc
+    discrete, time_succ, external = model._disc, model._tsucc, Kind.EXTERNAL
+    pending = [0] * len(discrete)  # silent moves into each class from reachable ones
     seen = set(model.initial_classes)
     todo = list(seen)
     for c in todo:  # grows as classes are found
-        for _, d in discrete[c]:
+        for label, d in discrete[c]:
+            if label.kind is not external:
+                pending[d] += 1
             if d not in seen:
                 seen.add(d)
                 todo.append(d)
         for d in time_succ[c]:
+            pending[d] += 1
             if d not in seen:
                 seen.add(d)
                 todo.append(d)
@@ -106,34 +112,31 @@ def check_progressive(model):
                 live.add(d)
                 todo.append(d)
     for c in idle:
-        if c not in live and c not in model.divergent:
+        if c not in live and c not in time_succ[c]:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 
     # Silent moves stay among reachable classes: Kahn removes every class
     # of an acyclic silent graph.
-    if model.divergent.isdisjoint(reachable):
-        silent = model._silent
-        pending = [0] * len(silent)
-        for c in reachable:
-            for d in silent[c]:
-                pending[d] += 1
-        ready = [c for c in reachable if not pending[c]]
-        for c in ready:  # grows as classes become ready
-            for d in silent[c]:
+    ready = [c for c in reachable if not pending[c]]
+    for c in ready:  # grows as classes become ready
+        for label, d in discrete[c]:
+            if label.kind is not external:
                 pending[d] -= 1
                 if not pending[d]:
                     ready.append(d)
-        if len(ready) == len(reachable):
-            return ProgressReport(True, None)
+        for d in time_succ[c]:
+            pending[d] -= 1
+            if not pending[d]:
+                ready.append(d)
+    if len(ready) == len(reachable):
+        return ProgressReport(True, None)
 
     def silent_succ(c):
         for label, dst in discrete[c]:
-            if label.kind is not Kind.EXTERNAL:
+            if label.kind is not external:
                 yield label.name, dst
         for dst in time_succ[c]:
             yield "time", dst
-        if c in model.divergent:
-            yield "time", c
 
     # A cycle runs through every node of a cyclic component.
     comps = strongly_connected_components(reachable, silent_succ)

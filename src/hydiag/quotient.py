@@ -12,7 +12,8 @@ the progress check, the estimator and the oracle) already explores that
 reach by search, so the closure itself is never stored.
 
 A time self-pair (c, c) marks class c as genuinely time-divergent: the
-system can let time pass there forever.
+system can let time pass there forever.  It is kept in the class's time
+row like any other pair, so a model holds exactly the rows its file does.
 """
 
 from collections import namedtuple
@@ -132,15 +133,15 @@ class QuotientModel:
     ``edges`` an iterable of (src, action-name-or-label, dst) and ``time``
     an iterable of (src, dst) pairs, kept as declared, not closed.  They
     are stored once: the columns ``faulty``, ``obs``, ``initial_classes``;
-    per class, ``_disc`` (sorted (label, dst) pairs), ``_tsucc`` (sorted
-    time successors but the class) and the closure index ``_silent``; and
-    ``divergent``, the classes with a time self-pair.  ``classes``,
-    ``edges`` and ``time`` are views, built on each read.  Instances never
-    mutate after construction and are safe to share across threads, but
-    for one cache: the model's ``external_moves`` table, created here
-    empty and filled a class at a time on first lookup.  Every row is a
-    function of the model, so two threads racing to fill a class compute
-    equal rows and either write wins.
+    and per class, ``_disc`` (sorted (label, dst) pairs) and ``_tsucc``
+    (sorted time successors, the class itself among them when it has a
+    time self-pair): the rows of its file.  ``classes``, ``edges`` and
+    ``time`` are views, built on each read.  Instances never mutate after
+    construction and are safe to share across threads, but for one cache:
+    the model's ``external_moves`` table, created here empty and filled a
+    class at a time on first lookup.  Every row is a function of the
+    model, so two threads racing to fill a class compute equal rows and
+    either write wins.
     """
 
     def __init__(self, classes, actions, edges, time=()):
@@ -206,30 +207,15 @@ class QuotientModel:
     def _build(self, faulty, initial, obs, rows):
         self.faulty, self.obs = tuple(faulty), tuple(obs)
         self.initial_classes = tuple(compress(range(len(self.obs)), initial))
-        disc, tsucc, silent, divergent = [], [], [], []
-        external = Kind.EXTERNAL  # a class attribute of an Enum is slow to look up
-        for c, (moves, after) in enumerate(rows):
+        disc, tsucc = [], []
+        for moves, after in rows:
             # Labels of one model have unique names, so two compare by
             # name alone and a kind is never compared.
             moves, after = tuple(moves), tuple(after)
-            if len(moves) > 1:
-                moves = _strictly_sorted(moves)
-            if after:
-                after = _strictly_sorted(after)
-                if c in after:
-                    divergent.append(c)
-                    after = tuple([d for d in after if d != c])
-            hidden = [d for label, d in moves if label.kind is not external]
-            # A class's silent targets need a sort only when they come from
-            # two sources: time and an edge, or two silent actions.
-            silent.append(tuple(sorted({*hidden, *after})) if hidden and after or len(hidden) > 1
-                          else tuple(hidden) or after)
-            disc.append(moves)
-            tsucc.append(after)
+            disc.append(_strictly_sorted(moves) if len(moves) > 1 else moves)
+            tsucc.append(_strictly_sorted(after) if len(after) > 1 else after)
         self._disc = tuple(disc)
         self._tsucc = tuple(tsucc)
-        self._silent = tuple(silent)
-        self.divergent = frozenset(divergent)
         self._moves = _MoveTable(self)
 
     @property
@@ -243,8 +229,7 @@ class QuotientModel:
 
     @property
     def time(self):
-        pairs = [(src, dst) for src, row in enumerate(self._tsucc) for dst in row]
-        return frozenset(pairs + [(c, c) for c in self.divergent])
+        return frozenset((src, dst) for src, row in enumerate(self._tsucc) for dst in row)
 
     def external_edges_from(self, cls_id, action):
         return tuple(d for label, d in self._disc[cls_id] if label == (action.name, Kind.EXTERNAL))
@@ -253,12 +238,12 @@ class QuotientModel:
         return self._disc[cls_id]
 
     def proper_time_successors(self, cls_id):
-        return self._tsucc[cls_id]
+        return tuple(d for d in self._tsucc[cls_id] if d != cls_id)
 
     def __eq__(self, other):
         if not isinstance(other, QuotientModel):
             return NotImplemented
-        stored = ("actions", "faulty", "obs", "initial_classes", "_disc", "_tsucc", "divergent")
+        stored = ("actions", "faulty", "obs", "initial_classes", "_disc", "_tsucc")
         return all(getattr(self, name) == getattr(other, name) for name in stored)
 
     def __repr__(self):
@@ -338,15 +323,22 @@ def unobservable_closure(model, seed):
     """Least superset of ``seed`` closed under time edges and silent actions.
 
     Silent means internal or fault: everything the system can do without
-    the observer noticing.  Only ``model._silent`` is read, so the model's
-    move table, which holds that adjacency, closes its classes here too.
+    the observer noticing.  Only the rows ``model._tsucc`` and
+    ``model._disc``, whose external labels are skipped, are read, so the
+    model's move table, which holds those rows, closes its classes here
+    too.
     """
+    disc, tsucc, external = model._disc, model._tsucc, Kind.EXTERNAL
     closure = set(seed)
     frontier = list(closure)
     while frontier:
         c = frontier.pop()
-        for d in model._silent[c]:
+        for d in tsucc[c]:
             if d not in closure:
+                closure.add(d)
+                frontier.append(d)
+        for label, d in disc[c]:
+            if label.kind is not external and d not in closure:
                 closure.add(d)
                 frontier.append(d)
     return frozenset(closure)
@@ -373,12 +365,12 @@ def external_moves(model):
 
 
 class _MoveTable(dict):
-    # The table holds the model's adjacency, not the model, so a model and
-    # its table form no reference cycle: a dropped model is freed at once,
+    # The table holds the model's rows, not the model, so a model and its
+    # table form no reference cycle: a dropped model is freed at once,
     # without the cycle collector, and a table outlives its model intact.
     def __init__(self, model):
         super().__init__()
-        self._silent, self._disc, self._obs = model._silent, model._disc, model.obs
+        self._disc, self._tsucc, self._obs = model._disc, model._tsucc, model.obs
         self._names = tuple(a.name for a in model.external_actions)
 
     def __missing__(self, key):
@@ -499,15 +491,14 @@ def dumps_model(model):
     """Serialize a model to the JSON file format (round-trip stable): one
     row per class, ``[faulty, initial, obs, [[action, dst], ...], [dst,
     ...]]``, read off the stored rows.  A time-divergent class lists
-    itself among its time successors.
+    itself among its time successors, as its stored row does.
     """
-    initial, divergent = set(model.initial_classes), model.divergent
+    initial = set(model.initial_classes)
     names, kinds = _columns(model.actions, 2)
     name_texts = dict(zip(names, _json_texts(names, str)))
     labels, dsts = _columns(chain.from_iterable(model._disc), 2)
     moves = map("[%s,%s]".__mod__, zip(
         map(name_texts.__getitem__, _columns(labels, 2)[0]), _json_texts(dsts, int)))
-    time = [sorted((*row, c)) if c in divergent else row for c, row in enumerate(model._tsucc)]
     return '{"classes":[%s],"actions":[%s]}\n' % (
         _json_rows(
             "[%s,%s,%s,[%s],[%s]]", _json_texts(model.faulty, bool),
@@ -515,7 +506,7 @@ def dumps_model(model):
             _json_texts(model.obs, int),
             [",".join(islice(moves, len(row))) for row in model._disc],
             # Time successors are class ids, so the encoded rows split where one ends.
-            _encode(time)[2:-2].split("],["),
+            _encode(model._tsucc)[2:-2].split("],["),
         ),
         _json_rows("[%s,%s]", _json_texts(names, str), _json_texts(kinds, Kind)),
     )

@@ -57,6 +57,7 @@ from hydiag.quotient import (
     UTrace,
     dumps_model,
     external_moves,
+    unobservable_closure,
     validate_model,
 )
 from hydiag.regions import (
@@ -88,24 +89,26 @@ def make_model(classes, edges, time=(), actions=(TICK, FAULT)):
 def reference_adjacency(classes, actions, edges, time):
     """What a ``QuotientModel`` built from these constructor inputs holds,
     derived from the inputs alone as sets per class, sorted at the end:
-    ``(_silent, external targets by (class, action name), _disc, _tsucc)``,
-    then the views ``(classes, edges, time)``."""
+    ``(silent closure, external targets by (class, action name), _disc,
+    _tsucc)``, then the views ``(classes, edges, time)``.  A class's
+    silent closure is what networkx finds it reaches by internal, fault
+    and time moves, itself included."""
     n = len(classes)
     labels = {a.name: a for a in actions}
     triples = {(src, labels[getattr(a, "name", a)], dst) for src, a, dst in edges}
-    silent, ext, disc, tsucc = [set() for _ in range(n)], {}, [set() for _ in range(n)], {}
+    silent, ext, disc, tsucc = nx.DiGraph(), {}, [set() for _ in range(n)], {}
+    silent.add_nodes_from(range(n))
     for src, label, dst in triples:
         disc[src].add((label.name, dst))
         if label.kind is Kind.EXTERNAL:
             ext.setdefault((src, label.name), set()).add(dst)
         else:
-            silent[src].add(dst)
+            silent.add_edge(src, dst)
     for src, dst in time:
-        if src != dst:
-            silent[src].add(dst)
-            tsucc.setdefault(src, set()).add(dst)
+        silent.add_edge(src, dst)
+        tsucc.setdefault(src, set()).add(dst)
     return (
-        tuple(tuple(sorted(s)) for s in silent),
+        tuple(frozenset({c} | nx.descendants(silent, c)) for c in range(n)),
         {k: tuple(sorted(v)) for k, v in ext.items()},
         tuple(tuple((labels[name], dst) for name, dst in sorted(d)) for d in disc),
         tuple(tuple(sorted(tsucc.get(c, ()))) for c in range(n)),
@@ -113,6 +116,16 @@ def reference_adjacency(classes, actions, edges, time):
         tuple(sorted(triples, key=lambda e: (e[0], e[1].name, e[2]))),
         frozenset(map(tuple, time)),
     )
+
+
+def silent_closures(model):
+    """``unobservable_closure`` of each class of ``model`` alone."""
+    return tuple(unobservable_closure(model, (c,)) for c in range(len(model.obs)))
+
+
+def divergent_classes(model):
+    """The classes of ``model`` with a time self-pair."""
+    return {c for c, d in model.time if c == d}
 
 
 def external_targets(model):
@@ -803,10 +816,13 @@ def reference_twin_product(model):
 
 def reference_check_progressive(model):
     """``check_progressive`` as first written: reachability and liveness by
-    ``explore``, the silent cycle by Tarjan's components in every case."""
+    ``explore``, the silent cycle by Tarjan's components in every case, and
+    each class's time self-loop yielded after its other silent moves."""
+    divergent = divergent_classes(model)
+
     def step(c):
         yield from model._disc[c]
-        for dst in model._tsucc[c]:
+        for dst in model.proper_time_successors(c):
             yield "time", dst
 
     reachable = sorted(explore(model.initial_classes, step)[0])
@@ -816,16 +832,16 @@ def reference_check_progressive(model):
     has_edge = [c for c in reachable if model._disc[c]]
     live = set(explore(has_edge, lambda c: time_pred.get(c, ()))[0])
     for c in reachable:
-        if c not in live and c not in model.divergent:
+        if c not in live and c not in divergent:
             return ProgressReport(False, ProgressWitness("deadlock", (c,), ()))
 
     def silent_succ(c):
         for label, dst in model._disc[c]:
             if label.kind is not Kind.EXTERNAL:
                 yield label.name, dst
-        for dst in model._tsucc[c]:
+        for dst in model.proper_time_successors(c):
             yield "time", dst
-        if c in model.divergent:
+        if c in divergent:
             yield "time", c
 
     for comp, cyclic in strongly_connected_components(reachable, silent_succ):

@@ -31,6 +31,8 @@ Q1 = str(FIXTURES / "q1.quot.json")
 Q2 = str(FIXTURES / "q2.quot.json")
 BAD_D1 = str(FIXTURES / "bad-d1.quot.json")
 TA1 = str(FIXTURES / "ta1.ta.json")
+# ta1 without invariants: time diverges in its classes 6 and 7.
+TA1_DIVERGENT = str(FIXTURES / "ta1-divergent.ta.json")
 # Its estimator interleaves faulty and indeterminate states, so a check
 # that leaves all-faulty estimates unexpanded numbers them differently.
 KCLOCK2 = str(FIXTURES / "kclock2.ta.json")
@@ -49,6 +51,7 @@ GOLDEN_CASES = [
     ("validate-q1", ["validate", Q1], 0),
     ("validate-q1-json", ["validate", Q1, "--format", "json"], 0),
     ("check-ta-ta1", ["check", "--ta", TA1], 0),
+    ("check-ta-ta1-divergent", ["check", "--ta", TA1_DIVERGENT], 3),
     ("check-ta-kclock2", ["check", "--ta", KCLOCK2], 2),
     ("check-ta-kclock2-json", ["check", "--ta", KCLOCK2, "--format", "json"], 2),
     ("synthesize-q2", ["synthesize", Q2], 0),
@@ -58,6 +61,7 @@ GOLDEN_CASES = [
     ("oracle-ta-kclock2-depth5-json",
      ["oracle", "--ta", KCLOCK2, "--depth", "5", "--format", "json"], 2),
     ("regions-ta-ta1", ["regions", TA1], 0),
+    ("regions-ta-ta1-divergent", ["regions", TA1_DIVERGENT], 0),
     ("regions-ta-kclock2", ["regions", KCLOCK2], 0),
     ("validate-ta-kclock2", ["validate", "--ta", KCLOCK2], 0),
     ("validate-ta-kclock2-json", ["validate", "--ta", KCLOCK2, "--format", "json"], 0),

@@ -292,7 +292,7 @@ class TestProgressiveAgainstReference:
 class TestProgressiveMemory:
     def test_transient_is_a_fraction_of_the_model(self):
         # Only the time pairs out of classes with no discrete edge are read
-        # backwards: on kclock_ta(3,4) the check allocates 184,376 bytes,
+        # backwards: on kclock_ta(3,4) the check allocates 190,256 bytes,
         # 0.14 times the decoded document of the model's file, where a
         # time-predecessor list per class took 0.40 times.
         text = dumps_model(region_quotient(kclock_ta_34()))

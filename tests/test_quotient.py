@@ -33,6 +33,7 @@ from .helpers import FAULT, HIDDEN, TICK, fresh_copy, make_model, q1_model, q2_m
 from .helpers import external_targets, kclock_ta_34, random_progressive_ta, recorded_quotients
 from .helpers import benchmark_families, legacy_model_data, peak_per_document
 from .helpers import reference_adjacency, reference_dumps_model, spelled_as_objects
+from .helpers import divergent_classes, silent_closures
 
 
 def rules_of(report):
@@ -182,6 +183,25 @@ class TestExternalSuccessors:
     def test_tick_into_o0_reveals_fault(self, q1):
         moves = external_moves(q1)[(0, "tick")]
         assert [c for c, obs in moves if obs == 0] == [2]
+
+    def test_per_class_accessors(self):
+        # Class 1 is time-divergent and has a time successor besides itself.
+        model = make_model(
+            [(False, True, 0), (False, False, 1), (False, False, 0), (True, False, 1)],
+            [(1, "tick", 0), (1, "h", 2), (1, "tick", 2), (1, "f", 3), (0, "f", 3),
+             (2, "f", 3), (3, "tick", 3)],
+            time=[(1, 2), (1, 1), (0, 1)],
+            actions=(TICK, FAULT, HIDDEN),
+        )
+        assert model.discrete_edges_from(1) == ((FAULT, 3), (HIDDEN, 2), (TICK, 0), (TICK, 2))
+        assert model.discrete_edges_from(0) == ((FAULT, 3),)
+        assert model.proper_time_successors(1) == (2,)  # the class itself left out
+        assert model.proper_time_successors(0) == (1,)
+        assert model.proper_time_successors(3) == ()
+        assert model.external_edges_from(1, TICK) == (0, 2)
+        assert model.external_edges_from(3, TICK) == (3,)
+        assert model.external_edges_from(0, TICK) == ()
+        assert (1, 1) in model.time
 
     def test_rows_match_a_scan_per_action(self):
         """A class's rows, filled in one pass over its silent closure, are
@@ -338,13 +358,16 @@ class TestConstruction:
         )
         odd = QuotientModel(*odd_inputs)
         for model, inputs in [(odd, odd_inputs), *recorded_models(ta1)]:
-            rows = (model._silent, external_targets(model), model._disc, model._tsucc)
+            rows = (silent_closures(model), external_targets(model), model._disc, model._tsucc)
             assert rows == reference_adjacency(*inputs)[:4]
-        assert odd._silent[:2] == ((1, 2, 3, 5), (1, 2, 4))
+        assert silent_closures(odd)[:2] == ({0, 1, 2, 3, 4, 5}, {1, 2, 4})
+        # The time self-pair stays in its class's row.
+        assert odd._tsucc[:2] == ((0, 2), ())
 
     def test_the_relation_is_stored_once(self, ta1):
         for model, inputs in recorded_models(ta1):
-            assert not {"edges", "time", "classes", "_ext"} & vars(model).keys()
+            derived = {"edges", "time", "classes", "_ext", "_silent", "divergent"}
+            assert not derived & vars(model).keys()
             _, ext, _, _, classes, edges, time = reference_adjacency(*inputs)
             assert (model.classes, model.edges, model.time) == (classes, edges, time)
             assert external_targets(model) == ext
@@ -364,7 +387,7 @@ class TestConstruction:
         assert (0, 2) in closure
         assert all((c, c) in closure for c in range(4))
         assert unobservable_closure(model, {0}) >= {0, 1, 2}
-        assert model.divergent == frozenset()
+        assert divergent_classes(model) == set()
 
     def test_explicit_self_loop_marks_divergence(self):
         model = make_model(
@@ -372,7 +395,7 @@ class TestConstruction:
             [(0, "f", 1), (0, "tick", 0), (1, "tick", 1)],
             time=[(1, 1)],
         )
-        assert model.divergent == {1}
+        assert divergent_classes(model) == {1}
 
     # Edges and time pairs may come as any iterable, read once.
     ROW_FORMS = {
@@ -394,9 +417,9 @@ class TestConstruction:
                     (file_rows, tuple_rows), self.ROW_FORMS.items()):
                 built = QuotientModel(model.classes, model.actions, form(edges), form(time))
                 assert built == model, name
-                assert built.divergent == model.divergent, name
-                assert (built._disc, built._silent, built._tsucc) == (
-                    model._disc, model._silent, model._tsucc), name
+                assert divergent_classes(built) == divergent_classes(model), name
+                assert (built._disc, built._tsucc) == (model._disc, model._tsucc), name
+                assert silent_closures(built) == silent_closures(model), name
                 assert ([external_moves(built)[key] for key in moves]
                         == [external_moves(model)[key] for key in moves]), name
 
@@ -453,7 +476,7 @@ class TestFileFormat:
             time=[(1, 1)],
         )
         again = loads_model(dumps_model(model))
-        assert again.divergent == {1}
+        assert divergent_classes(again) == {1}
         assert again == model
 
     def test_unknown_top_level_key_rejected(self, q1):

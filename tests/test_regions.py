@@ -39,6 +39,7 @@ from .helpers import (
     atom_holds,
     concrete_enabled_edges,
     concrete_region_path,
+    divergent_classes,
     eval_pred,
     initial_region,
     kclock_ta_34,
@@ -600,7 +601,7 @@ class TestZeroClockQuotient:
             (1, "ping", 1),
         }
         # Time diverges in every location of a clockless automaton.
-        assert model.divergent == {0, 1}
+        assert divergent_classes(model) == {0, 1}
         assert validate_model(model).ok
 
 
@@ -635,7 +636,7 @@ class TestTA1Quotient:
         assert model.time == {(0, 2), (1, 3), (2, 4), (3, 5)}
         closure = set(nx.transitive_closure(nx.DiGraph(model.time)).edges)
         assert closure == {(0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (3, 5)}
-        assert model.divergent == frozenset()
+        assert divergent_classes(model) == set()
 
     def test_quotient_passes_validation(self, ta1):
         assert validate_model(region_quotient(ta1)).ok
